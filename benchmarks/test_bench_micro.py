@@ -19,7 +19,7 @@ from repro.core.search_cost import (
     worst_case_placement,
 )
 from repro.model.workloads import uniform_problem
-from repro.net.network import NetworkSimulation
+from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import GIGABIT_ETHERNET, ideal_medium
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 
@@ -102,11 +102,13 @@ def test_bench_channel_slot_rate(benchmark, stations, engine):
     )
 
     def run():
-        simulation = NetworkSimulation(
-            problem,
-            ideal_medium(slot_time=64),
-            protocol_factory=lambda s: DDCRProtocol(config),
-            engine=engine,
+        simulation = NetworkSimulation.from_scenario(
+            Scenario(
+                problem,
+                ideal_medium(slot_time=64),
+                protocol_factory=lambda s: DDCRProtocol(config),
+                engine=engine,
+            )
         )
         return simulation.run(1_000_000).delivered
 

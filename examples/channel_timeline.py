@@ -19,7 +19,7 @@ from repro.core.search_cost import worst_case_placement, xi_exact
 from repro.model.message import DensityBound, MessageClass
 from repro.model.problem import HRTDMProblem
 from repro.model.source import SourceSpec
-from repro.net.network import NetworkSimulation
+from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import ideal_medium
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 
@@ -55,14 +55,16 @@ def build() -> tuple[HRTDMProblem, DDCRConfig]:
 
 def run_once(noise_rate: float) -> str:
     problem, config = build()
-    simulation = NetworkSimulation(
-        problem,
-        ideal_medium(slot_time=64),
-        protocol_factory=lambda source: DDCRProtocol(config),
-        trace=True,
-        check_consistency=True,
-        noise_rate=noise_rate,
-        noise_seed=3,
+    simulation = NetworkSimulation.from_scenario(
+        Scenario(
+            problem,
+            ideal_medium(slot_time=64),
+            protocol_factory=lambda source: DDCRProtocol(config),
+            trace=True,
+            check_consistency=True,
+            noise_rate=noise_rate,
+            noise_seed=3,
+        )
     )
     result = simulation.run(horizon=80_000)
     mac = result.stations[0].mac

@@ -27,7 +27,7 @@ from repro.model.arrival import TraceArrivals
 from repro.model.message import DensityBound, MessageClass
 from repro.model.problem import HRTDMProblem
 from repro.model.source import SourceSpec, allocate_static_indices
-from repro.net.network import NetworkSimulation
+from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import GIGABIT_ETHERNET
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 
@@ -173,12 +173,14 @@ def main() -> None:
             arrivals[task.message_class.name] = TraceArrivals(
                 trace=tuple(schedules[host_id].emission_trace(task.name))
             )
-    simulation = NetworkSimulation(
-        problem,
-        GIGABIT_ETHERNET,
-        protocol_factory=lambda source: DDCRProtocol(config),
-        arrivals=arrivals,
-        check_consistency=True,
+    simulation = NetworkSimulation.from_scenario(
+        Scenario(
+            problem,
+            GIGABIT_ETHERNET,
+            protocol_factory=lambda source: DDCRProtocol(config),
+            arrivals=arrivals,
+            check_consistency=True,
+        )
     )
     result = simulation.run(HORIZON)
     metrics = summarize(result)

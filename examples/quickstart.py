@@ -22,7 +22,7 @@ from repro.core.feasibility import check_feasibility
 from repro.model.message import DensityBound, MessageClass
 from repro.model.problem import HRTDMProblem
 from repro.model.source import SourceSpec, allocate_static_indices
-from repro.net.network import NetworkSimulation
+from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import GIGABIT_ETHERNET
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 
@@ -105,11 +105,13 @@ def main() -> None:
         return
 
     # Step 2: the experiment — peak-load adversary on simulated GigE.
-    simulation = NetworkSimulation(
-        problem,
-        GIGABIT_ETHERNET,
-        protocol_factory=lambda source: DDCRProtocol(config),
-        check_consistency=True,
+    simulation = NetworkSimulation.from_scenario(
+        Scenario(
+            problem,
+            GIGABIT_ETHERNET,
+            protocol_factory=lambda source: DDCRProtocol(config),
+            check_consistency=True,
+        )
     )
     result = simulation.run(horizon=60 * MS)
     metrics = summarize(result)

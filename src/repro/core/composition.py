@@ -22,9 +22,9 @@ Summing telescopes into the composed bound this module computes:
     ``end_to_end <= sum_k B_DDCR(segment_k, M_k) + sum_k latency_k``
 
 valid whenever *every* hop's segment passes FC.  The FABRIC experiment
-and the fabric smoke check hold this inequality against simulated
-worst-case end-to-end latencies; the composition itself is pure
-analysis and never runs a simulation.
+and the fabric tests hold this inequality against simulated worst-case
+end-to-end latencies; the composition itself is pure analysis and never
+runs a simulation.
 """
 
 from __future__ import annotations

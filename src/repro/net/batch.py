@@ -29,12 +29,12 @@ Fallback contract (mirroring the fast loop's): :func:`batch_unavailable_reason`
 reports *structural* ineligibility — foreign MAC types, differing configs,
 packet bursting, non-destructive media (contention tags), an armed fault
 injector, per-slot consistency checks, or foreign processes pending at
-entry — and :meth:`BroadcastChannel.run_batch` then delegates to
-``run_fast`` (which may itself rejoin the DES), returning the reason so
-the run manifest can record it.  If a foreign process appears *mid-run*
-(e.g. registered by a monitor), the kernel writes the shared state back
-into every station's MAC and rejoins the general DES after the current
-slot, exactly where the DES path would interleave it.
+entry — and :meth:`BroadcastChannel.run` with ``engine="batch"`` then
+delegates to the fast loop (which may itself rejoin the DES), returning
+the reason so the run manifest can record it.  If a foreign process
+appears *mid-run* (e.g. registered by a monitor), the kernel writes the
+shared state back into every station's MAC and rejoins the general DES
+after the current slot, exactly where the DES path would interleave it.
 
 Known limitation (structural, not silent): the kernel caches each
 station's next pending-arrival time, so injecting arrivals *mid-run* from
@@ -393,8 +393,9 @@ class BatchKernel:
     """One eligible channel's batch-slot round loop.
 
     Build only after :func:`batch_unavailable_reason` returned ``None``
-    (``BroadcastChannel.run_batch`` does this).  ``force_python`` pins the
-    pure-Python backend regardless of numpy availability (parity tests).
+    (``BroadcastChannel.run(horizon, engine="batch")`` does this).
+    ``force_python`` pins the pure-Python backend regardless of numpy
+    availability (parity tests).
     """
 
     def __init__(
@@ -793,7 +794,7 @@ class BatchKernel:
     def run(self, horizon: int) -> None:
         """Run the round loop to ``horizon``, owning the clock.
 
-        Mirrors ``run_fast``'s contract: on return ``env.now == horizon``,
+        Mirrors the fast loop's contract: on return ``env.now == horizon``,
         and if a foreign event appears mid-run the kernel writes the MAC
         state back and rejoins the general DES after the current slot.
         """

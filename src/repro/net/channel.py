@@ -32,9 +32,6 @@ resolution happens — and dispatches to one of three internal tiers:
   CSMA/DDCR runs; anything else auto-falls-back to the fast loop with
   the reason reported (and recorded in run manifests).
 
-The historical per-engine entry points ``run_fast``/``run_batch`` remain
-as thin deprecated aliases of ``run(horizon, engine=...)``.
-
 All engines draw from the same RNG in the same order, so their results
 are byte-identical (the differential tests assert this, three ways).  The
 channel also keeps slot-level accounting (how many slots of each kind,
@@ -47,7 +44,6 @@ from __future__ import annotations
 import dataclasses
 import random
 import typing
-import warnings
 
 from repro.net.engine import resolve_engine
 from repro.net.frames import Frame
@@ -602,26 +598,6 @@ class BroadcastChannel:
         kernel = BatchKernel(self)
         kernel.run(horizon)
         return kernel.backend_note
-
-    def run_fast(self, horizon: int) -> None:
-        """Deprecated alias of ``run(horizon, engine="fastloop")``."""
-        warnings.warn(
-            "BroadcastChannel.run_fast() is deprecated; call "
-            "run(horizon, engine=\"fastloop\") instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.run(horizon, engine="fastloop")
-
-    def run_batch(self, horizon: int) -> str | None:
-        """Deprecated alias of ``run(horizon, engine="batch")``."""
-        warnings.warn(
-            "BroadcastChannel.run_batch() is deprecated; call "
-            "run(horizon, engine=\"batch\") instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(horizon, engine="batch")
 
     def _rejoin_des(self, horizon: int, delay: int) -> ProcessGenerator:
         """Resume the round loop on the event heap after ``delay``."""

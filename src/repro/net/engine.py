@@ -41,7 +41,7 @@ engines (enforced by the three-way differential tests).
 
 The process-wide default is ``auto``; override it with the
 ``REPRO_ENGINE`` environment variable, per-simulation via
-``NetworkSimulation(engine=...)``, or per-run via the experiment CLIs'
+``Scenario(engine=...)``, or per-run via the experiment CLIs'
 ``--engine`` flag (which scopes the override with :func:`use_engine`).
 """
 

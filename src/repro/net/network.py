@@ -23,7 +23,6 @@ import functools
 import itertools
 import time
 import typing
-import warnings
 from collections.abc import Mapping
 
 from repro.faults.context import current_fault_plan
@@ -107,130 +106,14 @@ class RunResult:
 class NetworkSimulation:
     """One configured simulation, ready to run.
 
-    ``arrivals`` maps message-class name to an
-    :class:`~repro.model.arrival.ArrivalProcess`; classes without an entry
-    default to the greedy unimodal-arbitrary adversary saturating their
-    declared (a, w) bound — the peak-load assumption of the feasibility
-    analysis.
-
-    ``root_seed`` roots the run's :class:`SeedSequenceRegistry`;
-    ``noise_seed`` is folded into the noise stream's name so existing
-    callers that vary only the noise seed still get distinct corruption
-    patterns.
-
-    ``engine`` selects how the channel's round loop is driven (see
-    :mod:`repro.net.engine`): ``"des"`` runs it as a process on the
-    event-heap kernel, ``"fastloop"``/``"auto"`` as a direct slot loop
-    that bypasses the heap and falls back to the DES automatically when
-    foreign processes share the environment, and ``"batch"`` on the
-    struct-of-arrays kernel (:mod:`repro.net.batch`) with automatic
-    fallback to the fast loop on structurally ineligible runs (the
-    reason is recorded in the run manifest).  ``None`` (default) defers
-    to the process-wide default (``auto`` unless overridden).  Engines
-    are result-equivalent: the same run under any engine yields
-    byte-identical statistics, completions and traces.
-
-    ``faults`` arms a :class:`~repro.faults.models.FaultPlan` on the
-    channel; ``None`` (default) picks up the ambient scoped plan
-    (:func:`repro.faults.context.use_fault_plan` — how the experiments
-    registry applies a spec's plan), pass an empty plan to force a
-    fault-free run.  The injector draws from its own named registry
-    stream, so arming faults never perturbs arrival or noise streams.
-
-    ``monitors`` arms online invariant monitors
-    (:mod:`repro.sim.invariants`): ``True`` for the standard suite, a
-    :class:`~repro.sim.invariants.MonitorSuite` for a custom one,
-    ``False`` for none.  The default ``None`` auto-arms the standard
-    suite exactly when a fault plan is active, and the resulting
-    :class:`~repro.sim.invariants.InvariantReport` lands in
-    :attr:`RunResult.invariants` — identical under both engines.
-
-    ``telemetry`` arms instrument collection (:mod:`repro.obs`): pass a
-    :class:`~repro.obs.instruments.Telemetry` registry to own the run's
-    instruments and receive a :class:`~repro.obs.manifest.RunTelemetry`
-    manifest on :attr:`RunResult.telemetry`; the default ``None`` picks
-    up the ambient scoped registry
-    (:func:`repro.obs.context.use_telemetry` — how the runtime executor
-    collects one document per spec execution), which is the shared no-op
-    :data:`~repro.obs.instruments.NULL_TELEMETRY` outside any scope.
-    Instrument values are a pure function of the run, identical under
-    both engines.
-
-    The full configuration also exists as one immutable value:
-    :class:`~repro.net.scenario.Scenario`.  The keyword constructor is a
-    *deprecated* thin shim that freezes its keywords into a scenario and
-    delegates to :meth:`from_scenario` (it warns ``DeprecationWarning``);
-    build scenarios directly and derive grid points with
-    :meth:`Scenario.replace`, or describe multi-segment networks with a
-    :class:`~repro.net.topology.Topology` and :meth:`from_topology`.
+    Build one from a frozen :class:`~repro.net.scenario.Scenario` with
+    :meth:`from_scenario` (the scenario documents each field) and derive
+    grid points with :meth:`Scenario.replace`, or describe multi-segment
+    networks with a :class:`~repro.net.topology.Topology` and
+    :meth:`from_topology`.
     """
 
-    def __init__(
-        self,
-        problem: HRTDMProblem,
-        medium: MediumProfile,
-        protocol_factory: ProtocolFactory,
-        arrivals: Mapping[str, ArrivalProcess] | None = None,
-        trace: bool = False,
-        check_consistency: bool = False,
-        noise_rate: float = 0.0,
-        noise_seed: int = 0,
-        root_seed: int = 0,
-        engine: str | None = None,
-        faults: FaultPlan | None = None,
-        monitors: bool | MonitorSuite | None = None,
-        telemetry: Telemetry | None = None,
-    ) -> None:
-        warnings.warn(
-            "the keyword constructor NetworkSimulation(problem, medium, "
-            "...) is deprecated; build a Scenario and use "
-            "NetworkSimulation.from_scenario(scenario) — or a Topology "
-            "and NetworkSimulation.from_topology(topology) for "
-            "multi-segment fabrics",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._configure(
-            Scenario(
-                problem=problem,
-                medium=medium,
-                protocol_factory=protocol_factory,
-                arrivals=arrivals,
-                trace=trace,
-                check_consistency=check_consistency,
-                noise_rate=noise_rate,
-                noise_seed=noise_seed,
-                root_seed=root_seed,
-                engine=engine,
-                faults=faults,
-                monitors=monitors,
-                telemetry=telemetry,
-            )
-        )
-
-    @classmethod
-    def from_scenario(cls, scenario: Scenario) -> "NetworkSimulation":
-        """Build a simulation from one frozen :class:`Scenario`."""
-        simulation = cls.__new__(cls)
-        simulation._configure(scenario)
-        return simulation
-
-    @staticmethod
-    def from_topology(topology: "Topology") -> "Fabric":
-        """Build a (possibly multi-segment) fabric from a topology.
-
-        The other half of the unified entry surface: scenarios describe
-        one segment, topologies describe one or many.  Returns a
-        :class:`~repro.net.fabric.Fabric`; for a single-segment
-        topology its results are byte-identical to
-        ``from_scenario(...)`` on the equivalent scenario.
-        """
-        from repro.net.fabric import Fabric
-
-        return Fabric(topology)
-
-    def _configure(self, scenario: Scenario) -> None:
-        """Unpack a scenario onto the historical attribute names."""
+    def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
         self.problem = scenario.problem
         self.medium = scenario.medium
@@ -250,6 +133,25 @@ class NetworkSimulation:
         #: resolves to — the fabric's seam for arming bridge monitors on
         #: a segment run without re-deriving the standard suite.
         self.extra_monitors: tuple = ()
+
+    @classmethod
+    def from_scenario(cls, scenario: Scenario) -> "NetworkSimulation":
+        """Build a simulation from one frozen :class:`Scenario`."""
+        return cls(scenario)
+
+    @staticmethod
+    def from_topology(topology: "Topology") -> "Fabric":
+        """Build a (possibly multi-segment) fabric from a topology.
+
+        The other half of the unified entry surface: scenarios describe
+        one segment, topologies describe one or many.  Returns a
+        :class:`~repro.net.fabric.Fabric`; for a single-segment
+        topology its results are byte-identical to
+        ``from_scenario(...)`` on the equivalent scenario.
+        """
+        from repro.net.fabric import Fabric
+
+        return Fabric(topology)
 
     def _arrival_process(self, class_name: str, source: SourceSpec):
         if class_name in self.arrivals:

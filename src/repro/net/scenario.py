@@ -1,13 +1,11 @@
 """Declarative simulation scenarios: one frozen object per configuration.
 
-:class:`~repro.net.network.NetworkSimulation` grew thirteen keyword
-arguments over five PRs; sweeping over them meant re-spelling the whole
-constructor call at every grid point.  A :class:`Scenario` freezes the
-complete configuration into a single immutable value with explicit
-defaults, so that
+A :class:`Scenario` freezes the complete configuration of one
+:class:`~repro.net.network.NetworkSimulation` into a single immutable
+value with explicit defaults, so that
 
 * ``NetworkSimulation.from_scenario(scenario)`` builds a simulation from
-  one object (the kwargs constructor remains as a thin delegating shim);
+  one object;
 * ``scenario.replace(noise_rate=0.01, root_seed=3)`` derives a grid
   point's variant without touching the other twelve fields — the sweep
   layer's axis-override idiom;
@@ -50,12 +48,59 @@ ProtocolFactory = Callable[["SourceSpec"], "MACProtocol"]
 class Scenario:
     """Everything that defines one simulation build, immutably.
 
-    The field semantics are exactly those of
-    :class:`~repro.net.network.NetworkSimulation`'s keyword arguments
-    (see its docstring for the full contract of each); this class only
-    consolidates them.  ``arrivals`` is normalised to a plain dict copy
-    at construction so later mutation of the caller's mapping cannot
-    leak into a frozen scenario.
+    ``arrivals`` maps message-class name to an
+    :class:`~repro.model.arrival.ArrivalProcess`; classes without an entry
+    default to the greedy unimodal-arbitrary adversary saturating their
+    declared (a, w) bound — the peak-load assumption of the feasibility
+    analysis.  The mapping is copied into a plain dict at construction, so
+    later mutation of the caller's mapping cannot leak into a frozen
+    scenario.
+
+    ``root_seed`` roots the run's
+    :class:`~repro.sim.rng.SeedSequenceRegistry`; ``noise_seed`` is folded
+    into the noise stream's name so existing callers that vary only the
+    noise seed still get distinct corruption patterns.
+
+    ``engine`` selects how the channel's round loop is driven (see
+    :mod:`repro.net.engine`): ``"des"`` runs it as a process on the
+    event-heap kernel, ``"fastloop"``/``"auto"`` as a direct slot loop
+    that bypasses the heap and falls back to the DES automatically when
+    foreign processes share the environment, and ``"batch"`` on the
+    struct-of-arrays kernel (:mod:`repro.net.batch`) with automatic
+    fallback to the fast loop on structurally ineligible runs (the
+    reason is recorded in the run manifest).  ``None`` (default) defers
+    to the process-wide default (``auto`` unless overridden).  Engines
+    are result-equivalent: the same run under any engine yields
+    byte-identical statistics, completions and traces.
+
+    ``faults`` arms a :class:`~repro.faults.models.FaultPlan` on the
+    channel; ``None`` (default) picks up the ambient scoped plan
+    (:func:`repro.faults.context.use_fault_plan` — how the experiments
+    registry applies a spec's plan), pass an empty plan to force a
+    fault-free run.  The injector draws from its own named registry
+    stream, so arming faults never perturbs arrival or noise streams.
+
+    ``monitors`` arms online invariant monitors
+    (:mod:`repro.sim.invariants`): ``True`` for the standard suite, a
+    :class:`~repro.sim.invariants.MonitorSuite` for a custom one,
+    ``False`` for none.  The default ``None`` auto-arms the standard
+    suite exactly when a fault plan is active, and the resulting
+    :class:`~repro.sim.invariants.InvariantReport` lands in
+    :attr:`RunResult.invariants
+    <repro.net.network.RunResult.invariants>` — identical under every
+    engine.
+
+    ``telemetry`` arms instrument collection (:mod:`repro.obs`): pass a
+    :class:`~repro.obs.instruments.Telemetry` registry to own the run's
+    instruments and receive a :class:`~repro.obs.manifest.RunTelemetry`
+    manifest on :attr:`RunResult.telemetry
+    <repro.net.network.RunResult.telemetry>`; the default ``None`` picks
+    up the ambient scoped registry
+    (:func:`repro.obs.context.use_telemetry` — how the runtime executor
+    collects one document per spec execution), which is the shared no-op
+    :data:`~repro.obs.instruments.NULL_TELEMETRY` outside any scope.
+    Instrument values are a pure function of the run, identical under
+    every engine.
     """
 
     problem: "HRTDMProblem"

@@ -1,18 +1,17 @@
 """Discrete-event simulation substrate (built from scratch for this project).
 
 A compact generator-based kernel in the SimPy tradition: processes yield
-:class:`Event` objects, the :class:`Environment` drives the event queue,
-:class:`Resource`/:class:`Store` provide synchronisation, plus deterministic
-RNG streams, structured tracing and statistics collectors.  The broadcast
-network simulator (:mod:`repro.net`) runs entirely on this kernel.
+:class:`Event` objects and the :class:`Environment` drives the event queue,
+plus deterministic RNG streams, structured tracing and a running-statistics
+accumulator.  The broadcast network simulator (:mod:`repro.net`) runs
+entirely on this kernel.
 """
 
 from repro.sim.engine import Environment
 from repro.sim.errors import Interrupt, SimulationError, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Condition, Event, Timeout
-from repro.sim.monitor import Histogram, RunningStats, TimeWeighted
+from repro.sim.monitor import RunningStats
 from repro.sim.process import Process, ProcessGenerator
-from repro.sim.resources import Request, Resource, Store
 from repro.sim.rng import SeedSequenceRegistry
 from repro.sim.trace import TraceLog, TraceRecord
 
@@ -26,14 +25,9 @@ __all__ = [
     "Condition",
     "Event",
     "Timeout",
-    "Histogram",
     "RunningStats",
-    "TimeWeighted",
     "Process",
     "ProcessGenerator",
-    "Request",
-    "Resource",
-    "Store",
     "SeedSequenceRegistry",
     "TraceLog",
     "TraceRecord",

@@ -58,10 +58,11 @@ class Environment:
     def pending(self) -> bool:
         """True when any event is scheduled on the queue.
 
-        Slot-synchronous fast loops (:meth:`BroadcastChannel.run_fast
-        <repro.net.channel.BroadcastChannel.run_fast>`) poll this to detect
-        foreign processes: as long as it is False, the loop owns the clock
-        and may advance it directly via :meth:`advance_to`.
+        Slot-synchronous fast loops (:meth:`BroadcastChannel.run
+        <repro.net.channel.BroadcastChannel.run>` on ``fastloop`` or
+        ``batch``) poll this to detect foreign processes: as long as it is
+        False, the loop owns the clock and may advance it directly via
+        :meth:`advance_to`.
         """
         return bool(self._queue)
 

@@ -1,17 +1,15 @@
-"""Time-series statistics collectors.
+"""Streaming scalar statistics for the metrics layer.
 
-Small, dependency-free accumulators used by the metrics layer: running
-scalar statistics (:class:`RunningStats`), time-weighted averages of a
-piecewise-constant signal (:class:`TimeWeighted`), and fixed-bin histograms
-(:class:`Histogram`).
+:class:`RunningStats` is a small, dependency-free accumulator; the
+histograms the run instruments record live in
+:mod:`repro.obs.instruments`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
-__all__ = ["RunningStats", "TimeWeighted", "Histogram"]
+__all__ = ["RunningStats"]
 
 
 class RunningStats:
@@ -46,78 +44,3 @@ class RunningStats:
     def stdev(self) -> float:
         return math.sqrt(self.variance) if self.count else math.nan
 
-
-class TimeWeighted:
-    """Time-weighted average of a piecewise-constant signal.
-
-    Call :meth:`update` whenever the signal changes; :meth:`average` up to a
-    closing time integrates the trajectory.
-    """
-
-    def __init__(self, start_time: float = 0.0, initial: float = 0.0) -> None:
-        self._last_time = start_time
-        self._value = initial
-        self._area = 0.0
-        self._start = start_time
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def update(self, time: float, value: float) -> None:
-        if time < self._last_time:
-            raise ValueError(
-                f"time went backwards: {time} < {self._last_time}"
-            )
-        self._area += self._value * (time - self._last_time)
-        self._last_time = time
-        self._value = value
-
-    def average(self, until: float) -> float:
-        if until < self._last_time:
-            raise ValueError(f"until={until} precedes last update")
-        span = until - self._start
-        if span == 0:
-            return self._value
-        return (self._area + self._value * (until - self._last_time)) / span
-
-
-@dataclasses.dataclass
-class Histogram:
-    """Fixed-width binned histogram over [0, bin_width * bins), with overflow."""
-
-    bin_width: float
-    bins: int
-
-    def __post_init__(self) -> None:
-        if self.bin_width <= 0:
-            raise ValueError(f"bin_width must be > 0, got {self.bin_width}")
-        if self.bins < 1:
-            raise ValueError(f"bins must be >= 1, got {self.bins}")
-        self.counts = [0] * self.bins
-        self.overflow = 0
-        self.total = 0
-
-    def add(self, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"histogram values must be >= 0, got {value}")
-        index = int(value // self.bin_width)
-        if index >= self.bins:
-            self.overflow += 1
-        else:
-            self.counts[index] += 1
-        self.total += 1
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile (upper edge of the bin holding it)."""
-        if not 0 <= q <= 1:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        if self.total == 0:
-            return math.nan
-        target = q * self.total
-        cumulative = 0
-        for index, count in enumerate(self.counts):
-            cumulative += count
-            if cumulative >= target:
-                return (index + 1) * self.bin_width
-        return math.inf

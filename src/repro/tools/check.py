@@ -16,46 +16,38 @@ composes with CI pipelines that gate configuration changes.
 
     python -m repro.tools.check --ci --jobs 4
 
-It imports every module under ``repro`` (catching syntax/import rot),
+It imports every module under ``repro`` (catching syntax/import rot) and
 resolves the full experiment suite through the parallel runtime — cached
-results replay from ``.repro-cache`` so a no-change run is near-instant —
-then runs an invariants-smoke step (one faulted scenario per protocol
-with online invariant monitors, :mod:`repro.sim.invariants`; any
-violation fails CI; ``--no-invariants`` skips it — each scenario is also
-re-run on the ``batch`` engine and its results must match the default
-engine's exactly; ``--no-batch`` skips the batch re-runs), a feas-smoke
-step (the FC frontier grid evaluated scalar vs vectorized vs
-engine-incremental and digest-compared, :mod:`repro.core.feas_grid` /
-:mod:`repro.core.feas_engine`; ``--no-feas`` skips it), an obs-smoke step
-(one run with telemetry collection on, then a ``repro.tools.obs``
-``summarize`` + ``diff`` round-trip over the manifest; ``--no-obs``
-skips it), a sweep-smoke step (a 4-point campaign cold-run then resumed
-on the warm cache, asserting zero resubmissions and a byte-identical
-aggregate, :mod:`repro.sweep`; ``--no-sweep`` skips it), a serve-smoke
-step (a short admission trace served with counter-checks, replayed
-byte-identically, and re-checked with zero executor resubmissions,
-:mod:`repro.serve`; ``--no-serve`` skips it), an obs2-smoke step (a
-*traced* serve session: flight-recorder dump valid JSONL with connected
-causal parents, Prometheus snapshot + JSONL delta stream consumable and
-consistent, and a deliberately unmeetable SLO breaching as exactly one
-structured ``slo-breach`` incident with a black-box trace attached,
-:mod:`repro.obs`; ``--no-obs2`` skips it), a fabric-smoke step (a
-3-segment bridged DDCR chain run through :class:`repro.net.fabric.
-Fabric`: invariants — including the bridge-conservation monitors —
-must stay clean and the composed end-to-end bound must dominate the
-observed worst journey latency; ``--no-fabric`` skips it), and finishes
-with a perf-smoke step: one quick pass of the micro benchmarks
-(:mod:`repro.tools.bench` ``--smoke``), printing throughput so
-regressions surface next to correctness (``--no-perf`` skips it).  The
-perf step feeds a *perf-trend gate*: the current run is compared
-against the median of the last N entries in ``BENCH_history.jsonl``
-(``--history`` overrides the file, ``--no-perf-trend`` skips the gate),
-and each run is appended to the history afterwards.  Exit 0 when
-everything imports, every experiment's checks pass, every invariant
-holds, the obs round-trip succeeds, the sweep resume is clean and no
-bench fell below the trend threshold; 2 otherwise.  Absolute perf
-numbers stay informational — only a *relative* drop against this
-machine's own history fails CI.
+results replay from ``.repro-cache``, so a no-change run is near-instant.
+Then it runs every row of :data:`STEPS`, in order:
+
+* ``invariants`` — one faulted scenario per protocol with online
+  invariant monitors (:mod:`repro.sim.invariants`), each re-run on the
+  ``batch`` engine, which must match the default engine exactly;
+* ``obs`` — one telemetry-collecting run, then a ``repro.tools.obs``
+  ``summarize`` + ``diff`` round-trip over its manifest;
+* ``sweep`` — a 4-point campaign run cold, then resumed with zero
+  resubmissions and a byte-identical aggregate (:mod:`repro.sweep`);
+* ``serve`` — a short admission trace served with counter-checks and
+  replayed byte-identically (:mod:`repro.serve`);
+* ``obs2`` — a traced serve session: a connected flight-recorder dump,
+  a consistent Prometheus snapshot and delta stream, and one latched
+  ``slo-breach`` incident with a black box (:mod:`repro.obs`);
+* ``perf`` — one quick pass of the micro benchmarks
+  (:mod:`repro.tools.bench` ``--smoke``), gated against the median of
+  the last :data:`TREND_WINDOW` smoke entries of the bench history
+  (``--history``, default ``BENCH_history.jsonl``): a drop of more than
+  :data:`TREND_THRESHOLD` percent fails.  Absolute numbers stay
+  informational; each run is appended to the history afterwards.
+
+Each row takes the shared :class:`CIContext` and returns failure lines;
+a row that raises fails with its traceback on stderr.  Every row always
+runs; one that needs the result cache decides from ``context.cache_dir``,
+which is ``None`` under ``--no-cache``.  ``FAILED <row>: <line>`` goes to
+stderr for each failure, and the exit status is 2 if there is any, else
+0 with ``verdict: OK``.  The rows' checks are deliberately end to end;
+unit-level parity (feasibility kernels, the fabric's composed bound)
+lives in the test suite.
 
 The common execution flags (``--jobs``, ``--seed``, ``--engine``,
 ``--telemetry``) and cache flags (``--cache-dir``, ``--no-cache``,
@@ -66,12 +58,15 @@ identically across every repro CLI.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import os
 import pkgutil
 import statistics
 import sys
 import tempfile
+import traceback
+from collections.abc import Callable
 
 from repro.analysis.metrics import summarize
 from repro.analysis.report import format_table
@@ -86,6 +81,7 @@ from repro.net.phy import (
     GIGABIT_ETHERNET,
     MediumProfile,
 )
+from repro.runtime import ParallelExecutor, ResultCache, RunSpec
 
 MEDIA: dict[str, MediumProfile] = {
     profile.name: profile
@@ -110,85 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="repo health fast-path: import all modules, run the suite",
     )
     parser.add_argument(
-        "--no-perf",
-        action="store_true",
-        help="skip the --ci perf-smoke micro-benchmark step",
-    )
-    parser.add_argument(
-        "--no-sweep",
-        action="store_true",
-        help="skip the --ci sweep-smoke (campaign resume) step",
-    )
-    parser.add_argument(
-        "--no-invariants",
-        action="store_true",
-        help="skip the --ci invariants-smoke (faulted scenarios) step",
-    )
-    parser.add_argument(
-        "--no-obs",
-        action="store_true",
-        help="skip the --ci obs-smoke (telemetry round-trip) step",
-    )
-    parser.add_argument(
-        "--no-feas",
-        action="store_true",
-        help="skip the --ci feas-smoke (feasibility kernel parity) step",
-    )
-    parser.add_argument(
-        "--no-serve",
-        action="store_true",
-        help="skip the --ci serve-smoke (admission service) step",
-    )
-    parser.add_argument(
-        "--no-fabric",
-        action="store_true",
-        help="skip the --ci fabric-smoke (multi-segment bound) step",
-    )
-    parser.add_argument(
-        "--no-obs2",
-        action="store_true",
-        help=(
-            "skip the --ci obs2-smoke (flight recorder / export / SLO "
-            "breach) step"
-        ),
-    )
-    parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help=(
-            "skip the --ci batch-engine coverage (invariants-smoke "
-            "re-runs and the *_batch perf benches)"
-        ),
-    )
-    parser.add_argument(
-        "--no-perf-trend",
-        action="store_true",
-        help="run the perf smoke but skip the history trend gate",
-    )
-    parser.add_argument(
         "--history",
         metavar="FILE",
         default=None,
         help=(
             "bench history file for the perf-trend gate (default: "
             "BENCH_history.jsonl at the repo root)"
-        ),
-    )
-    parser.add_argument(
-        "--trend-window",
-        type=int,
-        default=5,
-        metavar="N",
-        help="history entries the trend gate medians over (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--trend-threshold",
-        type=float,
-        default=30.0,
-        metavar="PCT",
-        help=(
-            "fail when a bench drops more than PCT%% below its history "
-            "median (default: %(default)s)"
         ),
     )
     parser.add_argument(
@@ -226,25 +149,47 @@ def _import_all_modules() -> list[str]:
     return failures
 
 
+#: The ``perf`` row medians the last ``TREND_WINDOW`` smoke entries of the
+#: bench history and fails a bench more than ``TREND_THRESHOLD`` percent
+#: below that median.
+TREND_WINDOW = 5
+TREND_THRESHOLD = 30.0
+
+
+@dataclasses.dataclass(frozen=True)
+class CIContext:
+    """What every ``--ci`` row may read."""
+
+    jobs: int
+    seed: int | None
+    #: Bench history file the ``perf`` row gates against and appends to.
+    history: str | os.PathLike[str]
+    #: Result-cache directory; ``None`` under ``--no-cache``.
+    cache_dir: str | None
+
+    def result_cache(self) -> ResultCache | None:
+        """A fresh handle on the result cache, ``None`` without one."""
+        return None if self.cache_dir is None else ResultCache(self.cache_dir)
+
+
 #: Invariants-smoke geometry: long enough for several full collision
 #: resolutions and a crash/restart cycle, short enough to stay sub-second.
 _SMOKE_HORIZON = 250_000
 
 
-def _run_invariants_smoke(batch: bool = True) -> list[str]:
+def _run_invariants_smoke(context: CIContext) -> list[str]:
     """One faulted scenario per protocol with online invariant monitors.
 
     Every scenario stays inside the feasibility bounds (crashes heal well
     before deadlines, noise bursts are transient, drift only skews carrier
     sense), so the monitors must stay silent: any violation is a genuine
-    protocol/fault-interaction regression and fails CI.  Returns failure
-    lines (empty = all invariants held).
+    protocol/fault-interaction regression and fails CI.
 
-    With ``batch`` (the default) every scenario is re-run on the batch
-    engine and its statistics, completions and invariant report must match
-    the default engine's exactly — the faulted scenarios exercise the
-    structural fallback path, the clean monitored DDCR scenario the kernel
-    itself.
+    Every scenario is also re-run on the batch engine, and its statistics,
+    completions and invariant report must match the default engine's
+    exactly — the faulted scenarios exercise the structural fallback path,
+    the clean monitored DDCR scenario the kernel itself.  Returns failure
+    lines (empty = all invariants held, all engines agreed).
     """
     from repro.experiments.harness import (
         csma_cd_factory,
@@ -349,7 +294,6 @@ def _run_invariants_smoke(batch: bool = True) -> list[str]:
         )
 
     failures: list[str] = []
-    batch_matches = 0
     for name, factory, plan, monitors in scenarios:
         result = execute(factory, plan, monitors)
         report = result.invariants
@@ -358,173 +302,20 @@ def _run_invariants_smoke(batch: bool = True) -> list[str]:
             print(f"invariants-smoke: {name}: {report.summary()}")
         else:
             failures.append(f"{name}: {report.summary()}")
-            print(
-                f"invariants-smoke: {name}: FAILED\n{report.summary()}",
-                file=sys.stderr,
+        batch_result = execute(factory, plan, monitors, engine="batch")
+        if digest(batch_result) != digest(result):
+            failures.append(
+                f"{name}: batch engine diverged from the default engine"
             )
-        if batch:
-            batch_result = execute(factory, plan, monitors, engine="batch")
-            if digest(batch_result) != digest(result):
-                failures.append(
-                    f"{name}: batch engine diverged from the default engine"
-                )
-                print(
-                    f"invariants-smoke: {name}: batch engine DIVERGED",
-                    file=sys.stderr,
-                )
-            else:
-                batch_matches += 1
-    if batch and batch_matches == len(scenarios):
+    if not failures:
         print(
             f"invariants-smoke: batch engine matched the default engine "
-            f"on {batch_matches}/{len(scenarios)} scenario(s)"
+            f"on {len(scenarios)}/{len(scenarios)} scenario(s)"
         )
     return failures
 
 
-def _run_feas_smoke() -> list[str]:
-    """Feasibility-kernel parity: scalar vs vectorized vs incremental.
-
-    Evaluates an FC-frontier-shaped grid (deadline x scale on the uniform
-    workload) three ways — the scalar oracle, :func:`feasibility_grid` on
-    the default *and* the pure-Python backend, and a
-    :class:`FeasibilityEngine` driven incrementally through
-    ``rescale_density`` — and digest-compares the full reports, mirroring
-    the batch-engine invariants smoke.  A final mutation check removes a
-    class through the engine's delta path and compares against a fresh
-    scalar report on the reduced instance.  Returns failure lines.
-    """
-    import pickle
-
-    from repro.core.feas_engine import FeasibilityEngine
-    from repro.core.feas_grid import _PythonFeasOps, feasibility_grid
-    from repro.core.feasibility import check_feasibility
-    from repro.experiments.harness import default_ddcr_config
-    from repro.model.problem import HRTDMProblem
-    from repro.model.workloads import uniform_problem
-
-    medium = GIGABIT_ETHERNET
-    deadlines = tuple(ms * _MS for ms in (2, 8, 32))
-    scales = (0.5, 2.0, 8.0, 32.0)
-
-    def factory(deadline: int, scale: float) -> HRTDMProblem:
-        return uniform_problem(
-            z=8, length=8_000, deadline=deadline, a=1, w=4 * _MS, scale=scale
-        )
-
-    config = default_ddcr_config(factory(deadlines[0], 1.0), medium)
-    trees = config.tree_parameters()
-
-    def digest(reports) -> tuple[bytes, ...]:
-        # Reports are pickled one by one: a whole-list pickle memoizes
-        # string objects the engine *reuses* across its reports, so equal
-        # values would digest differently from the scalar path's.
-        return tuple(pickle.dumps(report) for report in reports)
-
-    scalar = [
-        check_feasibility(factory(d, s), medium, trees)
-        for d in deadlines
-        for s in scales
-    ]
-    reference = digest(scalar)
-    failures: list[str] = []
-    axes = {"deadline": deadlines, "scale": scales}
-    for label, backend in (("default", None), ("python", _PythonFeasOps())):
-        grid = feasibility_grid(factory, axes, medium, trees, backend=backend)
-        if digest(grid.reports) != reference:
-            failures.append(
-                f"feasibility_grid[{label}] diverged from the scalar oracle"
-            )
-    engine_reports = []
-    for deadline in deadlines:
-        engine = FeasibilityEngine.from_problem(
-            factory(deadline, 1.0), medium, trees
-        )
-        for scale in scales:
-            engine.rescale_density(scale)
-            engine_reports.append(engine.report())
-    if digest(engine_reports) != reference:
-        failures.append(
-            "FeasibilityEngine (incremental rescale) diverged from the "
-            "scalar oracle"
-        )
-    # Mutation parity: drop one class through the O(C) delta path (the
-    # uniform sources are single-class, so its source goes with it) and
-    # compare against a fresh scalar report on the reduced instance.
-    base = factory(deadlines[0], 2.0)
-    engine = FeasibilityEngine.from_problem(base, medium, trees)
-    victim = base.sources[0]
-    engine.remove_class(victim.source_id, victim.message_classes[0].name)
-    reduced = HRTDMProblem(
-        sources=base.sources[1:],
-        static_q=base.static_q,
-        static_m=base.static_m,
-    )
-    if digest([engine.report()]) != digest(
-        [check_feasibility(reduced, medium, trees)]
-    ):
-        failures.append(
-            "FeasibilityEngine remove_class diverged from the scalar oracle"
-        )
-    if not failures:
-        points = len(deadlines) * len(scales)
-        print(
-            f"feas-smoke: scalar, vectorized (2 backends) and incremental "
-            f"paths agree on {points} grid points + 1 mutation"
-        )
-    return failures
-
-
-def _run_fabric_smoke() -> list[str]:
-    """A 3-segment bridged chain: invariants clean, bound dominates.
-
-    Builds the standard fabric chain topology (3 DDCR segments joined
-    by store-and-forward bridges, bridge-conservation monitors armed),
-    runs it, and requires: every monitor clean, no bridge losses,
-    journeys traversing the whole chain, and the composed end-to-end
-    bound (sum of per-hop B_DDCR plus forwarding latencies) at or above
-    the worst observed journey latency.  Returns failure lines.
-    """
-    from repro.experiments.harness import build_chain_topology
-    from repro.net.fabric import Fabric
-
-    topology, trees = build_chain_topology(segments=3, z=4, monitors=True)
-    fabric = Fabric(topology)
-    (route_bound,) = fabric.route_bounds(trees)
-    failures: list[str] = []
-    if not route_bound.feasible:
-        failures.append("fabric chain workload must be FC-feasible")
-    result = fabric.run(40 * _MS)
-    if not result.invariants_ok:
-        broken = [
-            f"{name}: {violation}"
-            for name, seg in result.segments.items()
-            if seg.invariants is not None and not seg.invariants.ok
-            for violation in seg.invariants.violations[:2]
-        ]
-        failures.append("fabric invariants violated (" + "; ".join(broken) + ")")
-    dropped = sum(report.dropped for report in result.bridges)
-    if dropped:
-        failures.append(f"bridges dropped {dropped} relayed frame(s)")
-    delivered = result.delivered()
-    if not delivered:
-        failures.append("no journey traversed the chain before the horizon")
-    worst = result.worst_latency(route_bound.route)
-    if worst is not None and worst > route_bound.bound:
-        failures.append(
-            f"observed end-to-end latency {worst} exceeds the composed "
-            f"bound {route_bound.bound:.0f}"
-        )
-    if not failures:
-        print(
-            f"fabric-smoke: 3-segment chain ok — {len(delivered)} "
-            f"journey(s) delivered, worst {worst} <= composed bound "
-            f"{route_bound.bound:,.0f}, invariants clean"
-        )
-    return failures
-
-
-def _run_obs_smoke(cache_dir: str) -> list[str]:
+def _run_obs_smoke(context: CIContext) -> list[str]:
     """One telemetry-collecting run plus a summarize/diff round-trip.
 
     Resolves FIG1 through the cache-aware executor with telemetry on
@@ -534,24 +325,23 @@ def _run_obs_smoke(cache_dir: str) -> list[str]:
     itself (which must exit 0).  Returns failure lines.
     """
     from repro.obs.manifest import write_manifests
-    from repro.runtime import ParallelExecutor, ResultCache, RunSpec
     from repro.tools import obs
 
     failures: list[str] = []
     executor = ParallelExecutor(
-        cache=ResultCache(cache_dir), collect_telemetry=True
+        cache=context.result_cache(), collect_telemetry=True
     )
     records = executor.run([RunSpec.make("FIG1")])
     manifests = [r.telemetry for r in records if r.telemetry is not None]
     if not manifests:
-        return ["obs-smoke: executor produced no telemetry manifest"]
+        return ["executor produced no telemetry manifest"]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "obs-smoke.jsonl")
         write_manifests(path, manifests)
         if obs.main(["summarize", path]) != 0:
-            failures.append("obs-smoke: summarize failed")
+            failures.append("summarize failed")
         if obs.main(["diff", path, path, "--fail-over", "50"]) != 0:
-            failures.append("obs-smoke: self-diff did not exit 0")
+            failures.append("self-diff did not exit 0")
     if not failures:
         print(
             f"obs-smoke: telemetry round-trip ok "
@@ -560,17 +350,21 @@ def _run_obs_smoke(cache_dir: str) -> list[str]:
     return failures
 
 
-def _run_sweep_smoke(cache_dir: str, jobs: int) -> list[str]:
+def _run_sweep_smoke(context: CIContext) -> list[str]:
     """A 4-point campaign cold-run, then resumed on the warm cache.
 
     Exercises the sweep contract end to end: grid expansion, sharded
     execution, journal checkpointing, and the resume guarantee — the
     resumed run must resubmit **zero** specs (everything replays from
     the journal + result cache) and rebuild a byte-identical aggregate
-    document.  Returns failure lines (empty = contract held).
+    document.  Resuming needs the result cache, so without one the row
+    reports the skip.  Returns failure lines (empty = contract held).
     """
-    from repro.runtime import ResultCache
     from repro.sweep import Campaign, run_campaign
+
+    if context.cache_dir is None:
+        print("sweep-smoke: skipped (needs the result cache)")
+        return []
 
     # FIG1 needs t to be a power of m, so the shapes are a zipped axis.
     campaign = Campaign.make(
@@ -585,33 +379,30 @@ def _run_sweep_smoke(cache_dir: str, jobs: int) -> list[str]:
         journal = os.path.join(tmp, "sweep-smoke.journal.jsonl")
         cold = run_campaign(
             campaign,
-            jobs=jobs,
-            cache=ResultCache(cache_dir),
+            jobs=context.jobs,
+            cache=context.result_cache(),
             journal_path=journal,
         )
         if not cold.ok:
-            failures.append("sweep-smoke: campaign checks failed")
+            failures.append("campaign checks failed")
         resumed = run_campaign(
             campaign,
-            jobs=jobs,
-            cache=ResultCache(cache_dir),
+            jobs=context.jobs,
+            cache=context.result_cache(),
             journal_path=journal,
             resume=True,
         )
         if resumed.submissions != 0:
             failures.append(
-                f"sweep-smoke: resume resubmitted "
-                f"{resumed.submissions} spec(s)"
+                f"resume resubmitted {resumed.submissions} spec(s)"
             )
         if resumed.replayed_shards != resumed.total_shards:
             failures.append(
-                f"sweep-smoke: resume replayed only "
+                f"resume replayed only "
                 f"{resumed.replayed_shards}/{resumed.total_shards} shard(s)"
             )
         if resumed.aggregate_json() != cold.aggregate_json():
-            failures.append(
-                "sweep-smoke: resumed aggregate differs from the cold run"
-            )
+            failures.append("resumed aggregate differs from the cold run")
     if not failures:
         print(
             f"sweep-smoke: {campaign.grid.size}-point campaign resumed "
@@ -620,7 +411,7 @@ def _run_sweep_smoke(cache_dir: str, jobs: int) -> list[str]:
     return failures
 
 
-def _run_serve_smoke(cache_dir: str, jobs: int, use_cache: bool = True) -> list[str]:
+def _run_serve_smoke(context: CIContext) -> list[str]:
     """A short admission trace served, counter-checked and replayed.
 
     Exercises the serve contract end to end: a cold run with periodic
@@ -631,7 +422,6 @@ def _run_serve_smoke(cache_dir: str, jobs: int, use_cache: bool = True) -> list[
     resubmit **zero** specs.  Without the result cache the simulation leg
     is skipped (oracle + replay still run).  Returns failure lines.
     """
-    from repro.runtime import ParallelExecutor, ResultCache
     from repro.serve import (
         AdmissionService,
         ServeConfig,
@@ -641,6 +431,7 @@ def _run_serve_smoke(cache_dir: str, jobs: int, use_cache: bool = True) -> list[
     )
 
     failures: list[str] = []
+    use_cache = context.cache_dir is not None
     trace = generate_trace(
         TraceConfig(events=48, stations=10, seed=11, template="city")
     )
@@ -648,7 +439,7 @@ def _run_serve_smoke(cache_dir: str, jobs: int, use_cache: bool = True) -> list[
     with tempfile.TemporaryDirectory() as tmp:
         log_dir = os.path.join(tmp, "serve-log")
         executor = (
-            ParallelExecutor(jobs=jobs, cache=ResultCache(cache_dir))
+            ParallelExecutor(jobs=context.jobs, cache=context.result_cache())
             if use_cache
             else None
         )
@@ -659,7 +450,7 @@ def _run_serve_smoke(cache_dir: str, jobs: int, use_cache: bool = True) -> list[
             service.counter_check()
             if service.incidents:
                 failures.append(
-                    f"serve-smoke: cold run raised "
+                    f"cold run raised "
                     f"{len(service.incidents)} incident(s): "
                     f"{service.incidents[0].detail}"
                 )
@@ -672,27 +463,27 @@ def _run_serve_smoke(cache_dir: str, jobs: int, use_cache: bool = True) -> list[
         ]
         if mismatches:
             failures.append(
-                f"serve-smoke: replay diverged on "
+                f"replay diverged on "
                 f"{len(mismatches)} decision(s): {mismatches[0].detail}"
             )
         if replayed.class_count != admitted:
             failures.append(
-                f"serve-smoke: replay admitted {replayed.class_count} "
+                f"replay admitted {replayed.class_count} "
                 f"class(es), cold run {admitted}"
             )
         if use_cache:
-            recheck = ParallelExecutor(jobs=jobs, cache=ResultCache(cache_dir))
+            recheck = ParallelExecutor(
+                jobs=context.jobs, cache=context.result_cache()
+            )
             replayed.executor = recheck
             replayed.counter_check()
             if recheck.submissions != 0:
                 failures.append(
-                    f"serve-smoke: replay counter-check resubmitted "
+                    f"replay counter-check resubmitted "
                     f"{recheck.submissions} spec(s)"
                 )
             if replayed.incidents != mismatches:
-                failures.append(
-                    "serve-smoke: replay counter-check raised incident(s)"
-                )
+                failures.append("replay counter-check raised incident(s)")
     if not failures:
         sim = "counter-checked" if use_cache else "oracle-checked (no cache)"
         print(
@@ -703,7 +494,7 @@ def _run_serve_smoke(cache_dir: str, jobs: int, use_cache: bool = True) -> list[
     return failures
 
 
-def _run_obs2_smoke(cache_dir: str, use_cache: bool = True) -> list[str]:
+def _run_obs2_smoke(context: CIContext) -> list[str]:
     """A traced serve session exercising the v2 ops plane end to end.
 
     Serves a short trace with the flight recorder, streaming exporter
@@ -717,11 +508,14 @@ def _run_obs2_smoke(cache_dir: str, use_cache: bool = True) -> list[str]:
     breaches latch) and lands as a structured ``slo-breach`` incident
     with a black-box trace attached.  Returns failure lines.
     """
-    from repro.obs.export import iter_jsonl_tail, parse_prometheus
+    from repro.obs.export import (
+        StreamExporter,
+        iter_jsonl_tail,
+        parse_prometheus,
+    )
     from repro.obs.instruments import Telemetry
     from repro.obs.slo import Objective, SloEngine
     from repro.obs.tracer import FlightRecorder, load_trace
-    from repro.runtime import ParallelExecutor, ResultCache
     from repro.serve import (
         AdmissionService,
         ServeConfig,
@@ -730,6 +524,7 @@ def _run_obs2_smoke(cache_dir: str, use_cache: bool = True) -> list[str]:
     )
 
     failures: list[str] = []
+    use_cache = context.cache_dir is not None
     trace = generate_trace(
         TraceConfig(events=48, stations=10, seed=11, template="city")
     )
@@ -749,8 +544,6 @@ def _run_obs2_smoke(cache_dir: str, use_cache: bool = True) -> list[str]:
     config = ServeConfig(static_q=64, check_every=16, sim_horizon=500_000)
     with tempfile.TemporaryDirectory() as tmp:
         log_dir = os.path.join(tmp, "obs2-log")
-        from repro.obs.export import StreamExporter
-
         exporter = StreamExporter(
             telemetry,
             os.path.join(tmp, "metrics.prom"),
@@ -762,7 +555,7 @@ def _run_obs2_smoke(cache_dir: str, use_cache: bool = True) -> list[str]:
         # the leg must execute live on warm caches too (it still writes
         # through, keeping the cache interplay exercised).
         executor = (
-            ParallelExecutor(cache=ResultCache(cache_dir), force=True)
+            ParallelExecutor(cache=context.result_cache(), force=True)
             if use_cache
             else None
         )
@@ -785,26 +578,24 @@ def _run_obs2_smoke(cache_dir: str, use_cache: bool = True) -> list[str]:
             ]
             if len(breaches) != 1:
                 failures.append(
-                    f"obs2-smoke: forced SLO produced "
+                    f"forced SLO produced "
                     f"{len(breaches)} slo-breach incident(s), wanted "
                     f"exactly 1 (breaches latch)"
                 )
             elif breaches[0].trace is None or not breaches[0].trace:
                 failures.append(
-                    "obs2-smoke: slo-breach incident carries no "
-                    "black-box trace"
+                    "slo-breach incident carries no black-box trace"
                 )
             if others:
                 failures.append(
-                    f"obs2-smoke: unexpected incident(s): "
-                    f"{[i.kind for i in others]}"
+                    f"unexpected incident(s): {[i.kind for i in others]}"
                 )
         # (1) Flight-recorder dump: valid JSONL, connected parents.
         dump = os.path.join(tmp, "flightrec.jsonl")
         recorder.dump_jsonl(dump)
         events = load_trace(dump)
         if not events:
-            failures.append("obs2-smoke: flight-recorder dump is empty")
+            failures.append("flight-recorder dump is empty")
         else:
             ids = {event.id for event in events}
             first = min(ids)
@@ -817,7 +608,7 @@ def _run_obs2_smoke(cache_dir: str, use_cache: bool = True) -> list[str]:
             ]
             if dangling:
                 failures.append(
-                    f"obs2-smoke: {len(dangling)} event(s) have parents "
+                    f"{len(dangling)} event(s) have parents "
                     f"inside the dumped window that are missing from it"
                 )
             kinds = {event.kind for event in events}
@@ -826,25 +617,22 @@ def _run_obs2_smoke(cache_dir: str, use_cache: bool = True) -> list[str]:
                 wanted.add("channel/slot")
             missing = wanted - kinds
             if missing:
-                failures.append(
-                    f"obs2-smoke: dump lacks {sorted(missing)} event(s)"
-                )
+                failures.append(f"dump lacks {sorted(missing)} event(s)")
         # (2) Export artifacts: snapshot + delta stream consistency.
-        metrics = parse_prometheus(
-            open(exporter.prom_path, encoding="utf-8").read()
-        )
+        with open(exporter.prom_path, encoding="utf-8") as handle:
+            metrics = parse_prometheus(handle.read())
         requests = metrics.get("repro_serve_requests", {}).get("value")
         if requests != len(trace):
             failures.append(
-                f"obs2-smoke: Prometheus snapshot reports "
+                f"Prometheus snapshot reports "
                 f"{requests} requests, served {len(trace)}"
             )
         records = list(iter_jsonl_tail(exporter.stream_path))
         if not records:
-            failures.append("obs2-smoke: delta stream is empty")
+            failures.append("delta stream is empty")
         ticks = [record.get("tick") for record in records]
         if ticks != sorted(ticks):
-            failures.append("obs2-smoke: delta-stream ticks not monotone")
+            failures.append("delta-stream ticks not monotone")
     if not failures:
         print(
             f"obs2-smoke: traced serve session ok ({len(events)} trace "
@@ -854,43 +642,33 @@ def _run_obs2_smoke(cache_dir: str, use_cache: bool = True) -> list[str]:
     return failures
 
 
-def _run_perf_smoke(batch: bool = True) -> "list | None":
-    """One quick micro-benchmark pass; returns results (None = skipped)."""
-    from repro.tools.bench import BENCHES, run_benches
+def _run_perf_smoke(context: CIContext) -> list[str]:
+    """One quick micro-benchmark pass, gated by :func:`_run_perf_trend`."""
+    from repro.tools.bench import run_benches
 
-    names = (
-        None if batch
-        else [name for name in BENCHES if not name.endswith("_batch")]
-    )
-    try:
-        results = run_benches(names=names, smoke=True)
-    except Exception as error:  # noqa: BLE001 - perf is advisory
-        print(f"perf-smoke: skipped ({error})", file=sys.stderr)
-        return None
+    results = run_benches(smoke=True)
     for result in results:
         print(f"perf-smoke: {result.describe()}")
-    return results
+    return _run_perf_trend(results, context.history)
 
 
 def _run_perf_trend(
-    results: list,
-    history_path: "str | os.PathLike[str]",
-    window: int,
-    threshold: float,
+    results: list, history_path: "str | os.PathLike[str]"
 ) -> list[str]:
     """Gate current bench results against the history median.
 
     Compares each bench's median ops/sec against the median of the last
-    ``window`` same-mode (smoke) history entries that measured it; a drop
-    of more than ``threshold`` percent is a regression.  The current run
-    is appended to the history *after* the comparison, so a regressed run
-    cannot vote itself into its own baseline.  Returns failure lines.
+    :data:`TREND_WINDOW` same-mode (smoke) history entries that measured
+    it; a drop of more than :data:`TREND_THRESHOLD` percent is a
+    regression.  The current run is appended to the history *after* the
+    comparison, so a regressed run cannot vote itself into its own
+    baseline.  Returns failure lines.
     """
     from repro.tools.bench import append_history, history_entry, load_history
 
     smoke_entries = [
         entry for entry in load_history(history_path) if entry.get("smoke")
-    ][-window:]
+    ][-TREND_WINDOW:]
     failures: list[str] = []
     if len(smoke_entries) < 2:
         print(
@@ -912,11 +690,11 @@ def _run_perf_trend(
             if baseline <= 0:
                 continue
             drop = (1.0 - current / baseline) * 100.0
-            if drop > threshold:
+            if drop > TREND_THRESHOLD:
                 failures.append(
                     f"{result.name}: {current:,.0f} ops/s is "
                     f"{drop:.1f}% below the history median "
-                    f"{baseline:,.0f} (limit {threshold:.0f}%, "
+                    f"{baseline:,.0f} (limit {TREND_THRESHOLD:.0f}%, "
                     f"n={len(samples)})"
                 )
         verdict = "FAILED" if failures else "ok"
@@ -929,30 +707,23 @@ def _run_perf_trend(
     return failures
 
 
+#: The ``--ci`` rows, in run order.  Each step takes the shared
+#: :class:`CIContext` and returns failure lines.
+STEPS: tuple[tuple[str, Callable[[CIContext], list[str]]], ...] = (
+    ("invariants", _run_invariants_smoke),
+    ("obs", _run_obs_smoke),
+    ("sweep", _run_sweep_smoke),
+    ("serve", _run_serve_smoke),
+    ("obs2", _run_obs2_smoke),
+    ("perf", _run_perf_smoke),
+)
+
+
 def run_ci(
-    jobs: int,
-    cache_dir: str,
-    perf: bool = True,
-    invariants: bool = True,
-    obs: bool = True,
-    feas: bool = True,
-    sweep: bool = True,
-    serve: bool = True,
-    obs2: bool = True,
-    fabric: bool = True,
-    batch: bool = True,
-    perf_trend: bool = True,
-    history: "str | None" = None,
-    trend_window: int = 5,
-    trend_threshold: float = 30.0,
-    seed: "int | None" = None,
-    force: bool = False,
-    no_cache: bool = False,
-    telemetry: "str | None" = None,
+    context: CIContext, force: bool = False, telemetry: "str | None" = None
 ) -> int:
-    """``--ci`` fast path: imports + suite + smokes + perf trend gate."""
+    """``--ci``: imports, the suite, then every row of :data:`STEPS`."""
     from repro.experiments.registry import EXPERIMENTS
-    from repro.runtime import ParallelExecutor, ResultCache, RunSpec
 
     import_failures = _import_all_modules()
     if import_failures:
@@ -965,8 +736,8 @@ def run_ci(
         print(f"[{index + 1:>2}/{total}] {record.describe()}", flush=True)
 
     executor = ParallelExecutor(
-        jobs=jobs,
-        cache=None if no_cache else ResultCache(cache_dir),
+        jobs=context.jobs,
+        cache=context.result_cache(),
         force=force,
         progress=progress,
         collect_telemetry=telemetry is not None,
@@ -976,9 +747,8 @@ def run_ci(
             RunSpec.make(
                 experiment_id,
                 root_seed=(
-                    seed
-                    if seed is not None
-                    and EXPERIMENTS[experiment_id].seed_param is not None
+                    context.seed
+                    if EXPERIMENTS[experiment_id].seed_param is not None
                     else None
                 ),
             )
@@ -1005,75 +775,17 @@ def run_ci(
         ]
         written = write_manifests(telemetry, manifests)
         print(f"suite: wrote {written} telemetry manifest(s) to {telemetry}")
-    violation_failures: list[str] = []
-    if invariants:
-        violation_failures = _run_invariants_smoke(batch=batch)
-    feas_failures: list[str] = []
-    if feas:
-        feas_failures = _run_feas_smoke()
-    obs_failures: list[str] = []
-    if obs:
-        obs_failures = _run_obs_smoke(cache_dir)
-    sweep_failures: list[str] = []
-    if sweep and no_cache:
-        print("sweep-smoke: skipped (needs the result cache)")
-    elif sweep:
-        sweep_failures = _run_sweep_smoke(cache_dir, jobs)
-    serve_failures: list[str] = []
-    if serve:
-        serve_failures = _run_serve_smoke(
-            cache_dir, jobs, use_cache=not no_cache
-        )
-    obs2_failures: list[str] = []
-    if obs2:
-        obs2_failures = _run_obs2_smoke(cache_dir, use_cache=not no_cache)
-    fabric_failures: list[str] = []
-    if fabric:
-        fabric_failures = _run_fabric_smoke()
-    trend_failures: list[str] = []
-    if perf:
-        results = _run_perf_smoke(batch=batch)
-        if results is not None and perf_trend:
-            from repro.tools.bench import default_history_path
-
-            history_path = (
-                history if history is not None else default_history_path()
-            )
-            trend_failures = _run_perf_trend(
-                results, history_path, trend_window, trend_threshold
-            )
-    if failed:
-        print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
-    if violation_failures:
-        print(
-            f"FAILED invariants: {', '.join(violation_failures)}",
-            file=sys.stderr,
-        )
-    for failure in feas_failures:
-        print(f"FAILED feas: {failure}", file=sys.stderr)
-    for failure in obs_failures:
-        print(f"FAILED obs: {failure}", file=sys.stderr)
-    for failure in sweep_failures:
-        print(f"FAILED sweep: {failure}", file=sys.stderr)
-    for failure in serve_failures:
-        print(f"FAILED serve: {failure}", file=sys.stderr)
-    for failure in obs2_failures:
-        print(f"FAILED obs2: {failure}", file=sys.stderr)
-    for failure in fabric_failures:
-        print(f"FAILED fabric: {failure}", file=sys.stderr)
-    for failure in trend_failures:
-        print(f"FAILED perf-trend: {failure}", file=sys.stderr)
-    if (
-        failed
-        or violation_failures
-        or feas_failures
-        or obs_failures
-        or sweep_failures
-        or serve_failures
-        or obs2_failures
-        or fabric_failures
-        or trend_failures
-    ):
+    failures = [f"checks: {', '.join(failed)}"] if failed else []
+    for name, step in STEPS:
+        try:
+            lines = step(context)
+        except Exception as error:  # noqa: BLE001 - a crashing row fails CI
+            traceback.print_exc()
+            lines = [f"{type(error).__name__}: {error}"]
+        failures += [f"{name}: {line}" for line in lines]
+    for failure in failures:
+        print(f"FAILED {failure}", file=sys.stderr)
+    if failures:
         return 2
     print("verdict: OK")
     return 0
@@ -1084,27 +796,21 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     validate_jobs(parser, args.jobs)
     if args.ci:
+        from repro.tools.bench import default_history_path
+
+        context = CIContext(
+            jobs=args.jobs,
+            seed=args.seed,
+            history=(
+                args.history
+                if args.history is not None
+                else default_history_path()
+            ),
+            cache_dir=None if args.no_cache else args.cache_dir,
+        )
         with use_engine(args.engine):
             return run_ci(
-                jobs=args.jobs,
-                cache_dir=args.cache_dir,
-                perf=not args.no_perf,
-                invariants=not args.no_invariants,
-                obs=not args.no_obs,
-                feas=not args.no_feas,
-                sweep=not args.no_sweep,
-                serve=not args.no_serve,
-                obs2=not args.no_obs2,
-                fabric=not args.no_fabric,
-                batch=not args.no_batch,
-                perf_trend=not args.no_perf_trend,
-                history=args.history,
-                trend_window=args.trend_window,
-                trend_threshold=args.trend_threshold,
-                seed=args.seed,
-                force=args.force,
-                no_cache=args.no_cache,
-                telemetry=args.telemetry,
+                context, force=args.force, telemetry=args.telemetry
             )
     if args.instance is None:
         parser.error("an instance file is required unless --ci is given")
@@ -1121,7 +827,7 @@ def main(argv: list[str] | None = None) -> int:
         static_m=problem.static_m,
     )
     # The vectorized path; value-identical to scalar check_feasibility
-    # (the `check --ci` feas-smoke digest-compares them).
+    # (tests/core/test_feas_grid.py digest-compares them).
     (report,) = check_feasibility_batch([problem], medium, trees)
     print(problem.describe())
     print()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.analysis.report import render_timeline
 from repro.model.workloads import uniform_problem
-from repro.net.network import NetworkSimulation
+from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import ideal_medium
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 from repro.sim.trace import TraceLog
@@ -51,11 +51,13 @@ class TestRenderTimeline:
             static_q=problem.static_q,
             static_m=problem.static_m,
         )
-        simulation = NetworkSimulation(
-            problem,
-            ideal_medium(slot_time=64),
-            protocol_factory=lambda s: DDCRProtocol(config),
-            trace=True,
+        simulation = NetworkSimulation.from_scenario(
+            Scenario(
+                problem,
+                ideal_medium(slot_time=64),
+                protocol_factory=lambda s: DDCRProtocol(config),
+                trace=True,
+            )
         )
         result = simulation.run(400_000)
         text = render_timeline(result.trace)

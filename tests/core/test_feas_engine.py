@@ -1,6 +1,13 @@
-"""Incremental FeasibilityEngine: every delta path vs the scalar oracle."""
+"""Incremental FeasibilityEngine: every delta path vs the scalar oracle.
+
+Parity is checked with ``==`` and with per-report ``pickle.dumps``
+digests: a digest also catches int/float and +-0.0 drift that ``==``
+lets through.
+"""
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 from hypothesis import given
@@ -144,7 +151,9 @@ class TestMutationSequences:
                 engine.rescale_class(source_id, name, a=a, w=w)
                 model.rescale(source_id, name, a=a, w=w)
             if model.sources:
-                assert engine.report() == model.expected_report()
+                got, expected = engine.report(), model.expected_report()
+                assert got == expected
+                assert pickle.dumps(got) == pickle.dumps(expected)
                 assert engine.class_count == sum(
                     len(c) for _, c in model.sources.values()
                 )
@@ -190,9 +199,12 @@ class TestRescaleDensity:
         engine = FeasibilityEngine.from_problem(base, GIGABIT_ETHERNET, trees)
         engine.rescale_density(scale)
         assert engine.scale == scale
-        assert engine.report() == check_feasibility(
+        got = engine.report()
+        expected = check_feasibility(
             uniform_problem(z=8, scale=scale), GIGABIT_ETHERNET, trees
         )
+        assert got == expected
+        assert pickle.dumps(got) == pickle.dumps(expected)
 
     def test_rescales_compose_from_the_base_windows(self):
         base = videoconference_problem(participants=4)
@@ -203,11 +215,14 @@ class TestRescaleDensity:
         engine = FeasibilityEngine.from_problem(base, GIGABIT_ETHERNET, trees)
         engine.rescale_density(8.0)
         engine.rescale_density(0.5)  # from w0, not from the 8.0 windows
-        assert engine.report() == check_feasibility(
+        got = engine.report()
+        expected = check_feasibility(
             videoconference_problem(participants=4, scale=0.5),
             GIGABIT_ETHERNET,
             trees,
         )
+        assert got == expected
+        assert pickle.dumps(got) == pickle.dumps(expected)
 
 
 class TestMaxFeasibleDensity:

@@ -1,6 +1,15 @@
-"""Vectorized feasibility: exact parity with the scalar oracle + grid API."""
+"""Vectorized feasibility: exact parity with the scalar oracle + grid API.
+
+The uniform-family and grid parity tests compare per-report
+``pickle.dumps`` digests next to ``==``: a digest also catches int/float
+and +-0.0 drift that ``==`` lets through.  Reports are pickled one at a
+time because a whole-list pickle memoizes string objects that one path
+shares across reports and the other does not.
+"""
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 from hypothesis import given
@@ -121,7 +130,9 @@ class TestScalarParity:
             (got,) = check_feasibility_batch(
                 [problem], GIGABIT_ETHERNET, trees, backend=backend
             )
-            assert got == check_feasibility(problem, GIGABIT_ETHERNET, trees)
+            expected = check_feasibility(problem, GIGABIT_ETHERNET, trees)
+            assert got == expected
+            assert pickle.dumps(got) == pickle.dumps(expected)
 
     @pytest.mark.parametrize(
         "factory", [videoconference_problem, trading_floor_problem]
@@ -237,6 +248,7 @@ class TestGridApi:
                 trees,
             )
             assert report == expected
+            assert pickle.dumps(report) == pickle.dumps(expected)
 
     def test_report_at_and_masks(self):
         grid = self._grid()

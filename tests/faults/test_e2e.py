@@ -28,7 +28,7 @@ from repro.faults.models import (
     StationCrash,
 )
 from repro.model.workloads import uniform_problem
-from repro.net.network import NetworkSimulation
+from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import ideal_medium
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 from repro.protocols.tdma import TDMAProtocol
@@ -56,14 +56,16 @@ def _config(problem):
 def _run(engine, plan, *, monitors=None, z=6, horizon=_HORIZON, trace=False):
     problem = _problem(z)
     config = _config(problem)
-    simulation = NetworkSimulation(
-        problem,
-        ideal_medium(slot_time=64),
-        protocol_factory=lambda source: DDCRProtocol(config),
-        trace=trace,
-        engine=engine,
-        faults=plan,
-        monitors=monitors,
+    simulation = NetworkSimulation.from_scenario(
+        Scenario(
+            problem,
+            ideal_medium(slot_time=64),
+            protocol_factory=lambda source: DDCRProtocol(config),
+            trace=trace,
+            engine=engine,
+            faults=plan,
+            monitors=monitors,
+        )
     )
     return simulation.run(horizon)
 
@@ -169,12 +171,14 @@ def test_tdma_under_crash_holds_its_invariants():
     roster = tuple(source.source_id for source in problem.sources)
     reports = []
     for engine in ENGINES:
-        simulation = NetworkSimulation(
-            problem,
-            ideal_medium(slot_time=64),
-            protocol_factory=lambda source: TDMAProtocol(roster),
-            engine=engine,
-            faults=FaultPlan((_CRASH,)),
+        simulation = NetworkSimulation.from_scenario(
+            Scenario(
+                problem,
+                ideal_medium(slot_time=64),
+                protocol_factory=lambda source: TDMAProtocol(roster),
+                engine=engine,
+                faults=FaultPlan((_CRASH,)),
+            )
         )
         report = simulation.run(_HORIZON).invariants
         assert report.ok, report.summary()

@@ -23,7 +23,7 @@ from repro.model.workloads import uniform_problem
 from repro.net.batch import BatchKernel, batch_unavailable_reason
 from repro.net.channel import BroadcastChannel
 from repro.net.engine import batch_capability
-from repro.net.network import NetworkSimulation
+from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import ATM_BUS, ideal_medium
 from repro.net.station import Station
 from repro.protocols.csma_cd import CSMACDProtocol
@@ -224,14 +224,16 @@ def test_numpy_absent_degrades_not_fails(monkeypatch):
         monkeypatch.setattr(batch_module, "_NUMPY_STATE", None)
         problem = _problem()
         config = _config(problem)
-        simulation = NetworkSimulation(
-            problem,
-            ideal_medium(slot_time=64),
-            protocol_factory=lambda source: DDCRProtocol(config),
-            trace=True,
-            root_seed=3,
-            engine=engine,
-            telemetry=Telemetry(),
+        simulation = NetworkSimulation.from_scenario(
+            Scenario(
+                problem,
+                ideal_medium(slot_time=64),
+                protocol_factory=lambda source: DDCRProtocol(config),
+                trace=True,
+                root_seed=3,
+                engine=engine,
+                telemetry=Telemetry(),
+            )
         )
         result = simulation.run(_HORIZON)
         return result, result.telemetry

@@ -1,8 +1,8 @@
 """Differential tests: all three engines are byte-identical.
 
-The slot-loop fast path (:meth:`BroadcastChannel.run_fast`) and the
-struct-of-arrays batch kernel (:meth:`BroadcastChannel.run_batch`) must
-be indistinguishable from the general DES by results: same
+The slot-loop fast path (``BroadcastChannel.run(engine="fastloop")``)
+and the struct-of-arrays batch kernel (``engine="batch"``) must be
+indistinguishable from the general DES by results: same
 :class:`ChannelStats`, same completion records, same trace stream, same
 final clock — across protocols, noise, jamming, bursting, and the
 automatic fallback paths (foreign processes at entry and mid-run,
@@ -31,7 +31,7 @@ from repro.model.workloads import uniform_problem
 from repro.net.channel import BroadcastChannel
 from repro.net.dualbus import DualBusSimulation, suggested_jam_threshold
 from repro.net.engine import resolve_engine, use_engine
-from repro.net.network import NetworkSimulation
+from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import ideal_medium
 from repro.net.station import Station
 from repro.protocols.base import MACProtocol
@@ -78,17 +78,19 @@ def _run_network(
     problem = uniform_problem(
         z=z, length=1_000, deadline=400_000, a=1, w=200_000
     )
-    simulation = NetworkSimulation(
-        problem,
-        ideal_medium(slot_time=64),
-        protocol_factory=_protocol_factory(protocol, problem, burst_limit),
-        trace=True,
-        noise_rate=noise,
-        noise_seed=seed,
-        root_seed=seed,
-        engine=engine,
-        faults=faults,
-        monitors=None if faults is not None else False,
+    simulation = NetworkSimulation.from_scenario(
+        Scenario(
+            problem,
+            ideal_medium(slot_time=64),
+            protocol_factory=_protocol_factory(protocol, problem, burst_limit),
+            trace=True,
+            noise_rate=noise,
+            noise_seed=seed,
+            root_seed=seed,
+            engine=engine,
+            faults=faults,
+            monitors=None if faults is not None else False,
+        )
     )
     result = simulation.run(horizon)
     return pickle.dumps(
@@ -381,17 +383,19 @@ def _run_telemetry(engine, protocol="ddcr", noise=0.0, seed=0, faults=None):
     problem = uniform_problem(
         z=6, length=1_000, deadline=400_000, a=1, w=200_000
     )
-    simulation = NetworkSimulation(
-        problem,
-        ideal_medium(slot_time=64),
-        protocol_factory=_protocol_factory(protocol, problem),
-        noise_rate=noise,
-        noise_seed=seed,
-        root_seed=seed,
-        engine=engine,
-        faults=faults,
-        monitors=False if faults is None else None,
-        telemetry=Telemetry(),
+    simulation = NetworkSimulation.from_scenario(
+        Scenario(
+            problem,
+            ideal_medium(slot_time=64),
+            protocol_factory=_protocol_factory(protocol, problem),
+            noise_rate=noise,
+            noise_seed=seed,
+            root_seed=seed,
+            engine=engine,
+            faults=faults,
+            monitors=False if faults is None else None,
+            telemetry=Telemetry(),
+        )
     )
     manifest = simulation.run(_HORIZON).telemetry
     assert manifest is not None
@@ -477,11 +481,13 @@ def test_engine_resolution_and_scoping():
     with pytest.raises(ValueError, match="unknown engine"):
         resolve_engine("warp")
     with pytest.raises(ValueError, match="unknown engine"):
-        NetworkSimulation(
-            uniform_problem(z=2),
-            ideal_medium(slot_time=64),
-            protocol_factory=lambda s: CSMACDProtocol(),
-            engine="warp",
+        NetworkSimulation.from_scenario(
+            Scenario(
+                uniform_problem(z=2),
+                ideal_medium(slot_time=64),
+                protocol_factory=lambda s: CSMACDProtocol(),
+                engine="warp",
+            )
         )
     before = resolve_engine(None)
     with use_engine("des"):

@@ -360,10 +360,13 @@ class TestMultiSegmentExecution:
             segments=3, z=4, monitors=True
         )
         fabric = Fabric(topology)
+        (route_bound,) = fabric.route_bounds(trees)
+        assert route_bound.feasible
         result = fabric.run(40 * _MS)
         assert result.invariants_ok
         delivered = result.delivered()
         assert delivered
+        assert result.worst_latency(route_bound.route) <= route_bound.bound
         for journey in delivered:
             hops = journey.hops
             assert [h.segment for h in hops] == ["seg0", "seg1", "seg2"]
@@ -522,49 +525,3 @@ class TestBridgeConservationMonitor:
         text = " ".join(v.message for v in result.invariants.violations)
         assert "FIFO" in text or "conservation" in text
 
-
-class TestDeprecations:
-    def test_kwargs_constructor_warns(self):
-        problem = uniform_problem(
-            z=2, length=1_000, deadline=400_000, a=1, w=200_000
-        )
-        with pytest.warns(DeprecationWarning, match="from_scenario"):
-            NetworkSimulation(
-                problem, ideal_medium(slot_time=64), _ddcr_factory(problem)
-            )
-
-    def test_run_fast_and_run_batch_warn(self):
-        import itertools
-
-        from repro.model.arrival import GreedyBurstArrivals
-        from repro.net.channel import BroadcastChannel
-        from repro.net.station import Station
-        from repro.sim.engine import Environment
-
-        def build():
-            problem = uniform_problem(
-                z=2, length=1_000, deadline=400_000, a=1, w=200_000
-            )
-            env = Environment()
-            channel = BroadcastChannel(env, ideal_medium(slot_time=64))
-            seq = itertools.count()
-            for source in problem.sources:
-                station = Station(
-                    station_id=source.source_id,
-                    mac=_ddcr_factory(problem)(source),
-                    static_indices=source.static_indices,
-                    seq_source=seq,
-                )
-                for msg_class in source.message_classes:
-                    station.load_arrivals(
-                        msg_class,
-                        GreedyBurstArrivals(bound=msg_class.bound),
-                        10_000,
-                    )
-                channel.attach(station)
-            return channel
-
-        with pytest.warns(DeprecationWarning, match="engine="):
-            build().run_fast(10_000)
-        with pytest.warns(DeprecationWarning, match="engine="):
-            build().run_batch(10_000)

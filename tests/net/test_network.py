@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.model.arrival import PeriodicArrivals
 from repro.model.workloads import uniform_problem
-from repro.net.network import NetworkSimulation
+from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import ideal_medium
 from repro.protocols.csma_cd import CSMACDProtocol
 from repro.protocols.ddcr.config import DDCRConfig
@@ -28,8 +28,8 @@ def _ddcr_factory(problem):
 class TestRun:
     def test_default_adversary_arrivals(self):
         problem = uniform_problem(z=4, deadline=10 * _MS, a=1, w=5 * _MS)
-        simulation = NetworkSimulation(
-            problem, ideal_medium(slot_time=512), _ddcr_factory(problem)
+        simulation = NetworkSimulation.from_scenario(
+            Scenario(problem, ideal_medium(slot_time=512), _ddcr_factory(problem))
         )
         result = simulation.run(20 * _MS)
         # Greedy adversary: one arrival per window per class.
@@ -38,11 +38,13 @@ class TestRun:
 
     def test_explicit_arrival_override(self):
         problem = uniform_problem(z=2, deadline=10 * _MS, a=1, w=5 * _MS)
-        simulation = NetworkSimulation(
-            problem,
-            ideal_medium(slot_time=512),
-            _ddcr_factory(problem),
-            arrivals={"uniform-0": PeriodicArrivals(period=2 * _MS)},
+        simulation = NetworkSimulation.from_scenario(
+            Scenario(
+                problem,
+                ideal_medium(slot_time=512),
+                _ddcr_factory(problem),
+                arrivals={"uniform-0": PeriodicArrivals(period=2 * _MS)},
+            )
         )
         result = simulation.run(10 * _MS)
         by_class = {}
@@ -54,8 +56,8 @@ class TestRun:
 
     def test_completions_sorted_by_time(self):
         problem = uniform_problem(z=4, deadline=10 * _MS, a=1, w=5 * _MS)
-        simulation = NetworkSimulation(
-            problem, ideal_medium(slot_time=512), _ddcr_factory(problem)
+        simulation = NetworkSimulation.from_scenario(
+            Scenario(problem, ideal_medium(slot_time=512), _ddcr_factory(problem))
         )
         result = simulation.run(20 * _MS)
         times = [record.completion for record in result.completions]
@@ -70,8 +72,8 @@ class TestRun:
             built.append(mac)
             return mac
 
-        simulation = NetworkSimulation(
-            problem, ideal_medium(slot_time=512), factory
+        simulation = NetworkSimulation.from_scenario(
+            Scenario(problem, ideal_medium(slot_time=512), factory)
         )
         result = simulation.run(5 * _MS)
         assert len(built) == 3
@@ -83,16 +85,16 @@ class TestRun:
         problem = uniform_problem(
             z=8, length=500_000, deadline=50 * _MS, a=2, w=5 * _MS
         )
-        simulation = NetworkSimulation(
-            problem, ideal_medium(slot_time=512), _ddcr_factory(problem)
+        simulation = NetworkSimulation.from_scenario(
+            Scenario(problem, ideal_medium(slot_time=512), _ddcr_factory(problem))
         )
         result = simulation.run(6 * _MS)
         assert len(result.backlog()) > 0
 
     def test_utilization_matches_stats(self):
         problem = uniform_problem(z=2, deadline=10 * _MS)
-        simulation = NetworkSimulation(
-            problem, ideal_medium(slot_time=512), _ddcr_factory(problem)
+        simulation = NetworkSimulation.from_scenario(
+            Scenario(problem, ideal_medium(slot_time=512), _ddcr_factory(problem))
         )
         result = simulation.run(10 * _MS)
         assert result.utilization() == result.stats.utilization(10 * _MS)

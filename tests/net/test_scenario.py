@@ -42,37 +42,11 @@ def _scenario(**overrides):
     return base.replace(**overrides) if overrides else base
 
 
-def _digest(result):
-    return (
-        result.delivered,
-        result.dropped,
-        tuple(
-            (record.message.msg_class.name, record.completion)
-            for record in result.completions
-        ),
-    )
-
-
 class TestFromScenario:
-    def test_from_scenario_matches_kwargs_constructor(self):
-        problem = _problem()
-        medium = ideal_medium(slot_time=512)
-        factory = _factory(problem)
-        via_kwargs = NetworkSimulation(problem, medium, factory).run(20 * _MS)
-        via_scenario = NetworkSimulation.from_scenario(
-            Scenario(
-                problem=problem, medium=medium, protocol_factory=factory
-            )
-        ).run(20 * _MS)
-        assert _digest(via_scenario) == _digest(via_kwargs)
-
-    def test_kwargs_constructor_records_its_scenario(self):
-        problem = _problem()
-        simulation = NetworkSimulation(
-            problem, ideal_medium(slot_time=512), _factory(problem)
-        )
-        assert isinstance(simulation.scenario, Scenario)
-        assert simulation.scenario.problem is problem
+    def test_from_scenario_records_its_scenario(self):
+        scenario = _scenario()
+        simulation = NetworkSimulation.from_scenario(scenario)
+        assert simulation.scenario is scenario
 
     def test_replace_overrides_one_field(self):
         base = _scenario()

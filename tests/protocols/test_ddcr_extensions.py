@@ -12,7 +12,7 @@ from repro.core.search_cost import (
     xi_nondestructive,
 )
 from repro.model.workloads import uniform_problem
-from repro.net.network import NetworkSimulation
+from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import ideal_medium
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 from tests.protocols.conftest import make_class, run_network
@@ -169,13 +169,15 @@ class TestNoise:
             static_m=problem.static_m,
             theta_factor=1.0,
         )
-        simulation = NetworkSimulation(
-            problem,
-            ideal_medium(slot_time=64),
-            protocol_factory=lambda s: DDCRProtocol(config),
-            check_consistency=True,
-            noise_rate=noise_rate,
-            noise_seed=7,
+        simulation = NetworkSimulation.from_scenario(
+            Scenario(
+                problem,
+                ideal_medium(slot_time=64),
+                protocol_factory=lambda s: DDCRProtocol(config),
+                check_consistency=True,
+                noise_rate=noise_rate,
+                noise_seed=7,
+            )
         )
         return simulation.run(horizon)
 

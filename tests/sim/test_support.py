@@ -7,10 +7,8 @@ import math
 import pytest
 
 from repro.sim import (
-    Histogram,
     RunningStats,
     SeedSequenceRegistry,
-    TimeWeighted,
     TraceLog,
 )
 
@@ -135,54 +133,3 @@ class TestRunningStats:
         assert stats.variance == 0.0
         assert stats.stdev == 0.0
 
-
-class TestTimeWeighted:
-    def test_average_of_step_signal(self):
-        signal = TimeWeighted()
-        signal.update(10, 1.0)  # 0 for [0,10), 1 for [10,30)
-        assert signal.average(30) == pytest.approx(20 / 30)
-
-    def test_time_cannot_go_backwards(self):
-        signal = TimeWeighted()
-        signal.update(5, 1.0)
-        with pytest.raises(ValueError):
-            signal.update(4, 2.0)
-
-    def test_zero_span(self):
-        signal = TimeWeighted(initial=3.0)
-        assert signal.average(0) == 3.0
-
-
-class TestHistogram:
-    def test_binning_and_overflow(self):
-        histogram = Histogram(bin_width=10, bins=3)
-        for value in (0, 5, 15, 100):
-            histogram.add(value)
-        assert histogram.counts == [2, 1, 0]
-        assert histogram.overflow == 1
-        assert histogram.total == 4
-
-    def test_quantile(self):
-        histogram = Histogram(bin_width=1, bins=100)
-        for value in range(100):
-            histogram.add(value)
-        assert histogram.quantile(0.5) == pytest.approx(50, abs=2)
-
-    def test_quantile_empty(self):
-        assert math.isnan(Histogram(bin_width=1, bins=2).quantile(0.5))
-
-    def test_quantile_overflow_is_inf(self):
-        histogram = Histogram(bin_width=1, bins=1)
-        histogram.add(100)
-        assert histogram.quantile(1.0) == math.inf
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Histogram(bin_width=0, bins=3)
-        with pytest.raises(ValueError):
-            Histogram(bin_width=1, bins=0)
-        histogram = Histogram(bin_width=1, bins=1)
-        with pytest.raises(ValueError):
-            histogram.add(-1)
-        with pytest.raises(ValueError):
-            histogram.quantile(2.0)

@@ -6,7 +6,25 @@ import pytest
 
 from repro.model.serialize import dump_problem
 from repro.model.workloads import uniform_problem
-from repro.tools.check import main
+from repro.tools import check
+from repro.tools.check import (
+    CIContext,
+    _run_invariants_smoke,
+    _run_obs_smoke,
+    _run_perf_smoke,
+    _run_perf_trend,
+    _run_sweep_smoke,
+    main,
+)
+
+
+def _context(cache_dir, history="unused-history.jsonl"):
+    return CIContext(
+        jobs=1,
+        seed=None,
+        history=history,
+        cache_dir=None if cache_dir is None else str(cache_dir),
+    )
 
 
 @pytest.fixture
@@ -103,6 +121,7 @@ class TestCIFastPath:
         out = capsys.readouterr().out
         assert "all repro modules import cleanly" in out
         assert f"0 executed, {len(EXPERIMENTS)} from cache" in out
+        assert "invariants-smoke: batch engine matched" in out
         assert "obs-smoke: telemetry round-trip ok" in out
         assert "perf-trend: not enough history" in out
         assert "sweep-smoke:" in out
@@ -112,161 +131,31 @@ class TestCIFastPath:
         assert "verdict: OK" in out
         assert history.exists()  # the run was recorded for next time
 
-    def test_no_obs2_skips_the_smoke(self, warm_cache, capsys):
-        assert (
-            main(
-                [
-                    "--ci",
-                    "--cache-dir", str(warm_cache.directory),
-                    "--no-perf",
-                    "--no-invariants",
-                    "--no-obs",
-                    "--no-sweep",
-                    "--no-feas",
-                    "--no-serve",
-                    "--no-obs2",
-                ]
-            )
-            == 0
-        )
-        assert "obs2-smoke" not in capsys.readouterr().out
-
     def test_ci_runs_invariants_smoke(self, warm_cache, capsys):
-        assert (
-            main(
-                [
-                    "--ci",
-                    "--cache-dir",
-                    str(warm_cache.directory),
-                    "--no-perf",
-                ]
-            )
-            == 0
-        )
+        assert _run_invariants_smoke(_context(warm_cache.directory)) == []
         out = capsys.readouterr().out
         assert "invariants-smoke: ddcr+burst-noise+crash" in out
         assert "invariants-smoke: csma-cd+burst-noise" in out
         assert "invariants-smoke: dcr+clock-drift" in out
         assert "invariants-smoke: tdma+crash" in out
         assert "invariants ok" in out
+        assert "batch engine matched the default engine on 5/5" in out
 
-    def test_no_invariants_skips_the_smoke(self, warm_cache, capsys):
-        assert (
-            main(
-                [
-                    "--ci",
-                    "--cache-dir",
-                    str(warm_cache.directory),
-                    "--no-perf",
-                    "--no-invariants",
-                ]
-            )
-            == 0
-        )
-        assert "invariants-smoke" not in capsys.readouterr().out
-
-    def test_no_obs_skips_the_smoke(self, warm_cache, capsys):
-        assert (
-            main(
-                [
-                    "--ci",
-                    "--cache-dir", str(warm_cache.directory),
-                    "--no-perf",
-                    "--no-invariants",
-                    "--no-obs",
-                ]
-            )
-            == 0
-        )
-        assert "obs-smoke" not in capsys.readouterr().out
-
-    def test_no_sweep_skips_the_smoke(self, warm_cache, capsys):
-        assert (
-            main(
-                [
-                    "--ci",
-                    "--cache-dir", str(warm_cache.directory),
-                    "--no-perf",
-                    "--no-invariants",
-                    "--no-obs",
-                    "--no-sweep",
-                ]
-            )
-            == 0
-        )
-        assert "sweep-smoke" not in capsys.readouterr().out
-
-    def test_ci_runs_feas_smoke(self, warm_cache, capsys):
-        assert (
-            main(
-                [
-                    "--ci",
-                    "--cache-dir", str(warm_cache.directory),
-                    "--no-perf",
-                    "--no-invariants",
-                    "--no-obs",
-                    "--no-sweep",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "feas-smoke: scalar, vectorized (2 backends)" in out
-
-    def test_no_feas_skips_the_smoke(self, warm_cache, capsys):
-        assert (
-            main(
-                [
-                    "--ci",
-                    "--cache-dir", str(warm_cache.directory),
-                    "--no-perf",
-                    "--no-invariants",
-                    "--no-obs",
-                    "--no-sweep",
-                    "--no-feas",
-                ]
-            )
-            == 0
-        )
-        assert "feas-smoke" not in capsys.readouterr().out
-
-    def test_feas_smoke_agrees_across_paths(self, capsys):
-        from repro.tools.check import _run_feas_smoke
-
-        assert _run_feas_smoke() == []
-        out = capsys.readouterr().out
-        assert "incremental paths agree" in out
-
-    def test_no_cache_skips_the_sweep_smoke(self, capsys, monkeypatch):
+    def test_no_cache_skips_the_sweep_smoke(self, capsys):
         # The sweep smoke resumes against the result cache; without one
-        # it reports the skip instead of failing.  Empty the suite so the
-        # uncached run costs nothing.
-        import repro.experiments.registry as registry
-
-        monkeypatch.setattr(registry, "EXPERIMENTS", {})
-        assert (
-            main(
-                [
-                    "--ci",
-                    "--no-cache",
-                    "--no-perf",
-                    "--no-invariants",
-                    "--no-obs",
-                ]
-            )
-            == 0
-        )
+        # it reports the skip instead of failing.
+        assert _run_sweep_smoke(_context(None)) == []
         assert "sweep-smoke: skipped" in capsys.readouterr().out
 
     def test_obs_smoke_round_trips_on_warm_cache(self, warm_cache, capsys):
-        from repro.tools.check import _run_obs_smoke
-
-        assert _run_obs_smoke(str(warm_cache.directory)) == []
+        assert _run_obs_smoke(_context(warm_cache.directory)) == []
         out = capsys.readouterr().out
         assert "obs-smoke: telemetry round-trip ok" in out
         assert "source=cache" in out
 
-    def test_ci_failing_experiment_exits_two(self, warm_cache, capsys):
+    def test_ci_failing_experiment_exits_two(
+        self, warm_cache, capsys, monkeypatch
+    ):
         from repro.experiments.base import ExperimentResult
         from repro.runtime import RunSpec
 
@@ -280,19 +169,59 @@ class TestCIFastPath:
                 checks={"ok": False},
             ),
         )
-        assert (
-            main(
-                [
-                    "--ci",
-                    "--cache-dir", str(warm_cache.directory),
-                    "--no-perf",
-                    "--no-obs",
-                ]
-            )
-            == 2
-        )
+        monkeypatch.setattr(check, "STEPS", ())
+        assert main(["--ci", "--cache-dir", str(warm_cache.directory)]) == 2
         captured = capsys.readouterr()
         assert "FAILED checks: FIG1" in captured.err
+
+
+class TestStepTable:
+    """Every row of the ``--ci`` table can fail the build (rows are
+    stubbed: the real ones run once, in ``test_ci_ok_on_warm_cache``)."""
+
+    @pytest.mark.parametrize("mode", ["returns", "raises"])
+    @pytest.mark.parametrize("row", [name for name, _ in check.STEPS])
+    def test_row_fails_the_build(
+        self, row, mode, tmp_path, capsys, monkeypatch
+    ):
+        import repro.experiments.registry as registry
+
+        ran = []
+
+        def step(name):
+            def run(context):
+                ran.append(name)
+                if name != row:
+                    return []
+                if mode == "raises":
+                    raise AssertionError("boom")
+                return ["boom"]
+
+            return run
+
+        monkeypatch.setattr(registry, "EXPERIMENTS", {})
+        rows = tuple((name, step(name)) for name, _ in check.STEPS)
+        monkeypatch.setattr(check, "STEPS", rows)
+        history = str(tmp_path / "hist.jsonl")
+        assert main(["--ci", "--no-cache", "--history", history]) == 2
+        err = capsys.readouterr().err
+        expected = "AssertionError: boom" if mode == "raises" else "boom"
+        assert f"FAILED {row}: {expected}\n" in err
+        assert err.count("FAILED") == 1
+        assert ("Traceback" in err) == (mode == "raises")
+        assert ran == [name for name, _ in check.STEPS]  # every row ran
+
+    def test_crashing_bench_propagates_out_of_the_perf_row(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.tools.bench as bench
+
+        def crash(**kwargs):
+            raise AssertionError("no journey traversed the chain")
+
+        monkeypatch.setattr(bench, "run_benches", crash)
+        with pytest.raises(AssertionError, match="no journey"):
+            _run_perf_smoke(_context(None, history=tmp_path / "h.jsonl"))
 
 
 class TestPerfTrendGate:
@@ -326,36 +255,25 @@ class TestPerfTrendGate:
             )
 
     def test_steady_throughput_passes(self, tmp_path, capsys):
-        from repro.tools.check import _run_perf_trend
-
         history = tmp_path / "hist.jsonl"
         self._seed_history(history, ops=10_000)
-        failures = _run_perf_trend(
-            [self._result(9_500)], history, window=5, threshold=30.0
-        )
+        failures = _run_perf_trend([self._result(9_500)], history)
         assert failures == []
         assert "perf-trend: ok" in capsys.readouterr().out
 
     def test_regression_fails_the_gate(self, tmp_path, capsys):
-        from repro.tools.check import _run_perf_trend
-
         history = tmp_path / "hist.jsonl"
         self._seed_history(history, ops=10_000)
-        failures = _run_perf_trend(
-            [self._result(5_000)], history, window=5, threshold=30.0
-        )
+        failures = _run_perf_trend([self._result(5_000)], history)
         assert len(failures) == 1
         assert "below the history median" in failures[0]
         assert "perf-trend: FAILED" in capsys.readouterr().out
 
     def test_insufficient_history_skips_but_records(self, tmp_path, capsys):
         from repro.tools.bench import load_history
-        from repro.tools.check import _run_perf_trend
 
         history = tmp_path / "hist.jsonl"
-        failures = _run_perf_trend(
-            [self._result(10_000)], history, window=5, threshold=30.0
-        )
+        failures = _run_perf_trend([self._result(10_000)], history)
         assert failures == []
         assert "not enough history" in capsys.readouterr().out
         assert len(load_history(history)) == 1
@@ -363,35 +281,27 @@ class TestPerfTrendGate:
     def test_run_is_recorded_after_comparison(self, tmp_path):
         """A regressed run must not median itself into the baseline."""
         from repro.tools.bench import load_history
-        from repro.tools.check import _run_perf_trend
 
         history = tmp_path / "hist.jsonl"
         self._seed_history(history, ops=10_000)
-        _run_perf_trend(
-            [self._result(5_000)], history, window=5, threshold=30.0
-        )
+        _run_perf_trend([self._result(5_000)], history)
         entries = load_history(history)
         assert len(entries) == 4  # the bad run is recorded...
         # ...but the comparison above used only the three seeded entries
         bench = entries[-1]["benches"]["channel_slot_rate_16_fastloop"]
         assert bench["ops_per_sec"] == 5_000
 
-    def test_window_limits_the_baseline(self, tmp_path):
+    def test_window_limits_the_baseline(self, tmp_path, monkeypatch):
         """Only the last N entries vote: old fast entries age out."""
-        from repro.tools.check import _run_perf_trend
-
+        monkeypatch.setattr(check, "TREND_WINDOW", 3)
         history = tmp_path / "hist.jsonl"
         self._seed_history(history, ops=50_000, entries=2)  # ancient, fast
         self._seed_history(history, ops=10_000, entries=3)  # recent
-        failures = _run_perf_trend(
-            [self._result(9_000)], history, window=3, threshold=30.0
-        )
+        failures = _run_perf_trend([self._result(9_000)], history)
         assert failures == []
 
     def test_non_smoke_entries_are_ignored(self, tmp_path, capsys):
         import json
-
-        from repro.tools.check import _run_perf_trend
 
         history = tmp_path / "hist.jsonl"
         with open(history, "w") as handle:
@@ -403,8 +313,6 @@ class TestPerfTrendGate:
             }
             for _ in range(3):
                 handle.write(json.dumps(entry) + "\n")
-        failures = _run_perf_trend(
-            [self._result(1_000)], history, window=5, threshold=30.0
-        )
+        failures = _run_perf_trend([self._result(1_000)], history)
         assert failures == []
         assert "not enough history" in capsys.readouterr().out
