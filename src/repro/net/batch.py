@@ -11,25 +11,32 @@ time/static tree-search agendas and frontiers — is an identical replica
 * exactly **one** protocol automaton to digest the observation (the
   *shadow replica*: a real :class:`~repro.protocols.ddcr.protocol.DDCRProtocol`
   bound to a dummy station, whose ``mine`` flag is never true), and
-* a handful of vectorized comparisons over per-station *private* state to
-  decide who offers: the EDF head's MAC-visible deadline, and the nested
-  static-search membership/cursor — held as struct-of-arrays columns in a
-  :class:`_NumpyOps` backend (the ``[perf]`` optional dependency) or the
-  pure-Python :class:`_PythonOps` fallback with identical integer
-  semantics.
+* one pass over per-station *private* state to decide who offers: the
+  EDF head's MAC-visible deadline, and the nested static-search
+  membership/cursor — held as struct-of-arrays list columns in
+  :class:`_PythonOps`.  Plain lists, not numpy arrays: at the station
+  counts this repository runs (up to 256) a list pass is as fast or
+  faster than numpy's per-call overhead, and the kernel then never pays
+  numpy's import (about 12 MB of resident memory).
 
 Because the shadow replica *is* the production automaton, shared-state
 transitions are correct by construction and results are byte-identical to
 the other engines (the engine-differential suite enforces this, clean and
-faulted).  On top of the vectorized slot, the kernel batch-advances
-provably invariant idle stretches (all queues empty, FREE mode or the
-fresh-TTs steady cycle) in O(1) — the dominant regime of long simulations.
+faulted).  On top of that, the kernel batch-advances provably invariant
+idle stretches (all queues empty, FREE mode or the fresh-TTs steady
+cycle) in O(1) — the dominant regime of long simulations.  The leap needs
+no per-slot side effect to be skipped: it is off under noise gates (one
+RNG draw per slot), a :class:`~repro.sim.trace.TraceLog` or an enabled
+flight recorder (one record per slot), and under any armed invariant
+monitor that cannot digest an idle stretch in one call
+(:attr:`~repro.sim.invariants.MonitorSuite.digests_idle`); the standard
+and bridge-conservation monitors can, via ``on_idle``.
 
 Fallback contract (mirroring the fast loop's): :func:`batch_unavailable_reason`
 reports *structural* ineligibility — foreign MAC types, differing configs,
 packet bursting, non-destructive media (contention tags), an armed fault
 injector, per-slot consistency checks, or foreign processes pending at
-entry — and :meth:`BroadcastChannel.run` with ``engine="batch"`` then
+entry — and :meth:`BroadcastChannel.run` under ``batch`` or ``auto`` then
 delegates to the fast loop (which may itself rejoin the DES), returning
 the reason so the run manifest can record it.  If a foreign process
 appears *mid-run* (e.g. registered by a monitor), the kernel writes the
@@ -64,7 +71,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "BatchKernel",
     "batch_unavailable_reason",
-    "numpy_unavailable_reason",
 ]
 
 _SILENCE = ChannelState.SILENCE
@@ -72,40 +78,11 @@ _SUCCESS = ChannelState.SUCCESS
 _COLLISION = ChannelState.COLLISION
 
 #: Sentinel deadline for an empty EDF queue: larger than any real deadline
-#: (horizons are bit-time ints far below 2**62) yet safe in int64 columns.
+#: (horizons are bit-time ints far below 2**62).
 _EMPTY = 1 << 62
 
 #: Sentinel for the next-arrival column when a station has none pending.
 _NEVER = 1 << 62
-
-
-# -- optional numpy ----------------------------------------------------------
-
-#: Lazily resolved ``(module | None, reason | None)``.  Cached so the probe
-#: runs once per process; tests reset it to force the import-failure path.
-_NUMPY_STATE: "tuple[object | None, str | None] | None" = None
-
-
-def _load_numpy() -> "tuple[object | None, str | None]":
-    global _NUMPY_STATE
-    if _NUMPY_STATE is None:
-        try:
-            import numpy
-        except Exception as error:  # pragma: no cover - exercised via tests
-            _NUMPY_STATE = (
-                None,
-                "numpy unavailable "
-                f"({type(error).__name__}): pure-python backend "
-                "(install the [perf] extra for the vectorized one)",
-            )
-        else:
-            _NUMPY_STATE = (numpy, None)
-    return _NUMPY_STATE
-
-
-def numpy_unavailable_reason() -> str | None:
-    """Why the vectorized backend is unavailable (``None`` = it is)."""
-    return _load_numpy()[1]
 
 
 # -- eligibility -------------------------------------------------------------
@@ -180,14 +157,12 @@ def _copy_sts(sts: StaticTreeSearch | None) -> StaticTreeSearch | None:
     )
 
 
-# -- struct-of-arrays backends ----------------------------------------------
+# -- struct-of-arrays columns -----------------------------------------------
 
 
 class _PythonOps:
-    """Pure-Python SoA backend (``array``-free lists; identical integer
-    semantics to the numpy one — Python's floor division IS the spec)."""
-
-    vectorized = False
+    """The struct-of-arrays columns: one plain list per per-station field
+    (Python's floor division IS the spec's integer semantics)."""
 
     def __init__(self, statics: list[tuple[int, ...]]) -> None:
         z = len(statics)
@@ -291,97 +266,6 @@ class _PythonOps:
         return self.cursor[i]
 
 
-class _NumpyOps:
-    """Vectorized SoA backend: one slot's offer mask is a handful of
-    element-wise int64/bool ops over all z stations."""
-
-    vectorized = True
-
-    def __init__(self, statics: list[tuple[int, ...]], np) -> None:
-        z = len(statics)
-        self.z = z
-        self.np = np
-        self.statics = statics
-        self.head_dm = np.full(z, _EMPTY, dtype=np.int64)
-        self.member = np.zeros(z, dtype=bool)
-        self.cursor = np.zeros(z, dtype=np.int64)
-        self._firsts = np.asarray([s[0] for s in statics], dtype=np.int64)
-        self.cur_static = self._firsts.copy()
-        self.nonempty = 0
-        self._offer_mask = np.zeros(z, dtype=bool)
-
-    def set_head(self, i: int, dm: int) -> None:
-        old = int(self.head_dm[i])
-        self.head_dm[i] = dm
-        self.nonempty += (dm != _EMPTY) - (old != _EMPTY)
-
-    def set_private(self, i: int, member: bool, cursor: int) -> None:
-        self.member[i] = member
-        self.cursor[i] = cursor
-        statics = self.statics[i]
-        self.cur_static[i] = statics[cursor] if cursor < len(statics) else -1
-
-    def clear_offers(self) -> None:
-        self._offer_mask = self.np.zeros(self.z, dtype=bool)
-
-    def _resolve(self, mask) -> tuple[int, int]:
-        self._offer_mask = mask
-        wire = int(mask.sum())
-        return wire, int(mask.argmax()) if wire == 1 else -1
-
-    def free_offers(self) -> tuple[int, int]:
-        return self._resolve(self.head_dm != _EMPTY)
-
-    def tts_offers(
-        self, base: int, width: int, frontier: int, lo: int, hi: int
-    ) -> tuple[int, int]:
-        np = self.np
-        index = np.maximum((self.head_dm - base) // width, frontier)
-        mask = (self.head_dm != _EMPTY) & (index >= lo) & (index < hi)
-        return self._resolve(mask)
-
-    def sts_offers(
-        self,
-        base: int,
-        width: int,
-        frontier: int,
-        leaf_lo: int,
-        lo: int,
-        hi: int,
-    ) -> tuple[int, int]:
-        np = self.np
-        index = np.maximum((self.head_dm - base) // width, frontier)
-        mask = (
-            self.member
-            & (self.cur_static >= lo)
-            & (self.cur_static < hi)
-            & (self.head_dm != _EMPTY)
-            & (index == leaf_lo)
-        )
-        return self._resolve(mask)
-
-    def adopt_members(self) -> None:
-        self.member = self._offer_mask.copy()
-        self.cursor = self.np.zeros(self.z, dtype=self.np.int64)
-        self.cur_static = self._firsts.copy()
-
-    def clear_members(self) -> None:
-        self.member = self.np.zeros(self.z, dtype=bool)
-        self.cursor = self.np.zeros(self.z, dtype=self.np.int64)
-
-    def advance_cursor(self, i: int) -> None:
-        cursor = int(self.cursor[i]) + 1
-        self.cursor[i] = cursor
-        statics = self.statics[i]
-        self.cur_static[i] = statics[cursor] if cursor < len(statics) else -1
-
-    def member_of(self, i: int) -> bool:
-        return bool(self.member[i])
-
-    def cursor_of(self, i: int) -> int:
-        return int(self.cursor[i])
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -393,14 +277,10 @@ class BatchKernel:
     """One eligible channel's batch-slot round loop.
 
     Build only after :func:`batch_unavailable_reason` returned ``None``
-    (``BroadcastChannel.run(horizon, engine="batch")`` does this).
-    ``force_python`` pins the pure-Python backend regardless of numpy
-    availability (parity tests).
+    (``BroadcastChannel.run`` under ``batch`` or ``auto`` does this).
     """
 
-    def __init__(
-        self, channel: "BroadcastChannel", force_python: bool = False
-    ) -> None:
+    def __init__(self, channel: "BroadcastChannel") -> None:
         self.channel = channel
         self.env = channel.env
         self.stations = channel.stations
@@ -418,6 +298,8 @@ class BatchKernel:
         self.monitors = channel.monitors
         self.trace = channel.trace
         self.trace_on = channel.trace.enabled
+        self.tracer = channel.tracer
+        self.tracer_on = channel.tracer.enabled
         telemetry = channel.telemetry
         self.telemetry = telemetry
         self.telemetry_on = telemetry.enabled
@@ -439,21 +321,9 @@ class BatchKernel:
 
         config: DDCRConfig = self.stations[0].mac.config
         self.config = config
-        #: Why the vectorized backend was not used (``None`` when it was).
-        self.backend_note: str | None = None
-        np_module, np_reason = _load_numpy()
-        if force_python:
-            np_module = None
-            self.backend_note = "pure-python backend (forced)"
-        elif np_reason is not None:
-            self.backend_note = np_reason
-        statics = [station.static_indices for station in self.stations]
-        if np_module is not None:
-            self.backend: _NumpyOps | _PythonOps = _NumpyOps(
-                statics, np_module
-            )
-        else:
-            self.backend = _PythonOps(statics)
+        self.backend = _PythonOps(
+            [station.static_indices for station in self.stations]
+        )
 
         # The shadow replica: a real DDCR automaton on a dummy station.
         # Its station id (-1) never matches a frame, so ``mine`` is always
@@ -485,10 +355,14 @@ class BatchKernel:
         self._next_due = min(self._next_arrival, default=_NEVER)
         # Idle stretches may be batch-advanced only when nothing demands a
         # per-slot side effect: no noise gates (one RNG draw per slot), no
-        # monitors, no trace records.  Telemetry is fine — the silence
-        # counter supports bulk increments.
+        # trace or flight-recorder records, and only monitors that digest
+        # an idle stretch in one ``on_idle`` call.  Telemetry is fine — the
+        # silence counter supports bulk increments.
         self._leap_ok = (
-            not self.noise_gates and self.monitors is None and not self.trace_on
+            not self.noise_gates
+            and not self.trace_on
+            and not self.tracer_on
+            and (self.monitors is None or self.monitors.digests_idle)
         )
 
     # -- per-station private state refresh --------------------------------
@@ -543,6 +417,8 @@ class BatchKernel:
         theta to ``reft``, one trivial empty run, and restarts the same
         fresh search) — and only up to the next arrival, jam boundary or
         the horizon, so the first *eventful* slot runs on the normal path.
+        Armed monitors digest the n silent, uncorrupted, all-queues-empty
+        slots in one ``on_idle`` call.
         """
         replica = self.replica
         mode = replica.mode
@@ -574,6 +450,8 @@ class BatchKernel:
             replica.reft += n * self.config.theta
             replica.empty_tts_runs += n
             replica.tts.started_at = now + n * slot_time
+        if self.monitors is not None:
+            self.monitors.on_idle(now, n, slot_time)
         return n
 
     # -- one round ---------------------------------------------------------
@@ -662,6 +540,10 @@ class BatchKernel:
                     now, "slot", state="corrupted", duration=slot_time,
                     source=None, msg=None,
                 )
+            if self.tracer_on:
+                self.tracer.emit(
+                    "channel/slot", t=now, state="corrupted", wire=wire,
+                )
             return slot_time
         if wire == 0:
             state = _SILENCE
@@ -733,6 +615,18 @@ class BatchKernel:
                 source=None if frame is None else frame.station_id,
                 msg=None if frame is None else frame.message.msg_class.name,
             )
+        if self.tracer_on:
+            if frame is None:
+                self.tracer.emit(
+                    "channel/slot", t=now, state=state.value,
+                    duration=duration,
+                )
+            else:
+                self.tracer.emit(
+                    "channel/slot", t=now, state=state.value,
+                    duration=duration, source=frame.station_id,
+                    msg=frame.message.msg_class.name,
+                )
         return duration
 
     def _observe(

@@ -20,17 +20,18 @@ resolution happens — and dispatches to one of three internal tiers:
   round.  It composes with arbitrary foreign processes; multi-channel
   topologies (dual bus, the fabric) obtain the raw generator via
   :meth:`BroadcastChannel.process` and register it themselves.
-* the slot-synchronous fast path (``fastloop``/``auto``): a direct Python
-  loop that owns the clock and advances ``env.now`` itself, skipping the
-  event heap, the generator suspend/resume and the per-round timeout
+* the slot-synchronous fast path (``fastloop``): a direct Python loop
+  that owns the clock and advances ``env.now`` itself, skipping the event
+  heap, the generator suspend/resume and the per-round timeout
   allocation.  The moment any foreign event appears on the queue it
   rejoins the DES mid-run, so it is always safe to select.
-* the struct-of-arrays batch kernel (:mod:`repro.net.batch`):
-  per-station state lives in array columns and one shadow protocol
-  replica digests each slot, so the per-slot cost is near-constant in
-  the station count.  It is structurally limited to plain single-bus
-  CSMA/DDCR runs; anything else auto-falls-back to the fast loop with
-  the reason reported (and recorded in run manifests).
+* the struct-of-arrays batch kernel (:mod:`repro.net.batch`, ``batch``
+  and the default ``auto``): per-station state lives in list columns and
+  one shadow protocol replica digests each slot, so the per-slot cost is
+  near-constant in the station count, and idle stretches are leapt in
+  O(1).  It is structurally limited to plain single-bus CSMA/DDCR runs;
+  anything else falls back to the fast loop with the reason returned
+  (and recorded in run manifests).
 
 All engines draw from the same RNG in the same order, so their results
 are byte-identical (the differential tests assert this, three ways).  The
@@ -436,8 +437,8 @@ class BroadcastChannel:
         topology can share one registry with per-bus instruments
         (``bus0/slots/...``).
 
-        ``tracer`` is a :class:`~repro.obs.tracer.FlightRecorder` the
-        round driver emits per-slot trace events into (default: the
+        ``tracer`` is a :class:`~repro.obs.tracer.FlightRecorder` every
+        engine emits per-slot trace events into (default: the
         ambient :func:`~repro.obs.context.current_tracer`, normally the
         disabled :data:`~repro.obs.tracer.NULL_TRACER`).  Picking up the
         ambient recorder at construction lets the SERVE-CHECK simulation
@@ -471,8 +472,9 @@ class BroadcastChannel:
         #: the injector's :meth:`~repro.faults.runtime.FaultInjector.arm`
         #: ran against this channel.
         self.faults = None
-        #: A :class:`~repro.sim.invariants.MonitorSuite`, or None.  The
-        #: round driver feeds it every slot under either engine.
+        #: A :class:`~repro.sim.invariants.MonitorSuite`, or None.  Every
+        #: engine feeds it every slot (the batch kernel's idle leaps
+        #: through :meth:`~repro.sim.invariants.MonitorSuite.on_idle`).
         self.monitors = None
 
     def attach(self, station: "Station") -> None:
@@ -499,16 +501,16 @@ class BroadcastChannel:
         * ``"des"`` registers the channel's generator process
           (:meth:`process`) on the environment and drives the event heap
           to the horizon.
-        * ``"fastloop"`` / ``"auto"`` run the slot-synchronous fast path,
-          which rejoins the DES automatically if foreign events appear.
-        * ``"batch"`` runs the struct-of-arrays kernel, delegating to the
-          fast loop on structurally ineligible runs.
+        * ``"fastloop"`` runs the slot-synchronous fast path, which
+          rejoins the DES automatically if foreign events appear.
+        * ``"batch"`` and ``"auto"`` run the struct-of-arrays kernel,
+          delegating to the fast loop on structurally ineligible runs.
 
-        The return value is ``None`` except when a requested tier
-        degraded: the batch kernel's backend note, or the reason a batch
-        run delegated to the fast loop (the simulation layer records it
-        in the run manifest as ``engine_fallback``).  Results are
-        byte-identical across engines either way.
+        The return value is ``None`` except when the kernel did not run:
+        then it is ``"batch engine unavailable (<reason>): ran fastloop"``
+        (the simulation layer records it in the run manifest as
+        ``engine_fallback``).  Results are byte-identical across engines
+        either way.
 
         Multi-channel topologies that need several channels on one clock
         should register each channel's :meth:`process` generator instead
@@ -521,9 +523,10 @@ class BroadcastChannel:
             env.process(self.process(horizon))
             env.run(until=horizon)
             return None
-        if engine_name == "batch":
-            return self._run_batch(horizon)
-        return self._run_fast(horizon)
+        if engine_name == "fastloop":
+            self._run_fast(horizon)
+            return None
+        return self._run_batch(horizon)
 
     def process(self, horizon: int) -> ProcessGenerator:
         """The channel as a raw DES generator: one timeout yield per round.
@@ -582,11 +585,10 @@ class BroadcastChannel:
         delegate to the fast loop — behavior-identical, just slower —
         and the reason is returned so callers can surface it (the
         simulation layer records it in the run manifest as
-        ``engine_fallback``).  Eligible runs return the kernel's backend
-        note: ``None`` on the vectorized backend, or why the pure-Python
-        one was used (numpy missing).  Either way the result is
-        byte-identical to the other engines, and a foreign event appearing
-        mid-run rejoins the general DES exactly as the fast loop does.
+        ``engine_fallback``).  Eligible runs return ``None``.  Either way
+        the result is byte-identical to the other engines, and a foreign
+        event appearing mid-run rejoins the general DES exactly as the
+        fast loop does.
         """
         self._check_runnable(horizon)
         from repro.net.batch import BatchKernel, batch_unavailable_reason
@@ -595,9 +597,8 @@ class BroadcastChannel:
         if reason is not None:
             self._run_fast(horizon)
             return f"batch engine unavailable ({reason}): ran fastloop"
-        kernel = BatchKernel(self)
-        kernel.run(horizon)
-        return kernel.backend_note
+        BatchKernel(self).run(horizon)
+        return None
 
     def _rejoin_des(self, horizon: int, delay: int) -> ProcessGenerator:
         """Resume the round loop on the event heap after ``delay``."""

@@ -202,11 +202,11 @@ class DualBusSimulation:
 
     A dual-bus network has two time-advancing channel processes on one
     clock, so the slot-loop fast path cannot own it: whatever ``engine``
-    is requested, the run executes on the general DES.  With
-    ``fastloop``/``auto`` this happens through the fast path's own
-    foreign-process fallback (bus B's fast loop finds bus A's process
-    already registered and rejoins the heap), which keeps that fallback
-    exercised by real traffic rather than only by tests.
+    is requested, the run executes on the general DES.  With any engine
+    but ``des`` this happens through the fast path's own foreign-process
+    fallback (bus B's fast loop finds bus A's process already registered
+    and rejoins the heap), which keeps that fallback exercised by real
+    traffic rather than only by tests.
 
     ``monitors=True`` arms a mutual-exclusion
     :class:`~repro.sim.invariants.MonitorSuite` on each bus (per-bus
@@ -322,8 +322,8 @@ class DualBusSimulation:
         # Two channels on one clock: bus A runs as a raw generator
         # process, and bus B goes through the unified entry point.  Under
         # ``des`` it registers its own generator and drives the heap;
-        # under ``fastloop``/``auto`` the fast path detects bus A's
-        # foreign process at entry and rejoins the DES; under ``batch``
+        # under ``fastloop`` the fast path detects bus A's foreign
+        # process at entry and rejoins the DES; under ``batch``/``auto``
         # structural eligibility fails for the same reason and the run
         # delegates through the fast loop — the engine contract's
         # fallback, with the reason surfaced in the manifest.

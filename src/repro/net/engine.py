@@ -14,20 +14,21 @@ Three engines can turn the broadcast channel's crank:
   automatically the moment any foreign event is scheduled (dual-bus
   topologies, host extension processes), so selecting it is always safe.
 * ``batch`` — the struct-of-arrays kernel (:mod:`repro.net.batch`):
-  per-station EDF keys and tree positions live in array columns (numpy
-  when the ``[perf]`` extra is installed, a pure-Python twin otherwise)
-  and one shadow protocol replica digests each slot, so per-slot cost is
-  near-constant in the station count.  Structurally limited to plain
-  single-bus CSMA/DDCR runs; anything else (foreign MAC types, bursting,
-  fault injectors, dual-bus, non-destructive media) auto-falls-back to
-  ``fastloop`` with the reason recorded in the run manifest
-  (``engine_fallback``).  Selecting it is therefore always safe too.
-* ``auto`` — pick ``fastloop`` where structurally possible, ``des``
-  otherwise.  Since the fast loop already self-detects foreign processes,
-  ``auto`` and ``fastloop`` take the same code path today; ``auto`` is the
-  forward-compatible spelling.  ``batch`` stays opt-in for now: it is the
-  newest tier, and keeping ``auto`` on the fast loop preserves one
-  engine-independent reference path in every default run.
+  per-station EDF keys and tree positions live in plain list columns and
+  one shadow protocol replica digests each slot, so per-slot cost is
+  near-constant in the station count, and idle stretches (all queues
+  empty) are leapt in O(1) — also with the standard and
+  bridge-conservation invariant monitors armed, which digest a leap
+  through ``on_idle``.  Structurally limited to plain single-bus
+  CSMA/DDCR runs; anything else (foreign MAC types, bursting, fault
+  injectors, dual-bus, non-destructive media) falls back to ``fastloop``
+  with the reason recorded in the run manifest (``engine_fallback``).
+  Selecting it is therefore always safe too.
+* ``auto`` — the default: takes the ``batch`` path, so every eligible run
+  executes the kernel and every ineligible one runs the fast loop with
+  the same ``batch engine unavailable (...): ran fastloop`` note.  The
+  DES and the fast loop stay the engine-independent references the
+  three-way differential suite holds the kernel to.
 
 All engines execute the *identical* round semantics and draw from the
 same RNG streams in the same order, so results — channel statistics,
@@ -53,7 +54,6 @@ from repro.context import ScopedValue
 
 __all__ = [
     "ENGINES",
-    "batch_capability",
     "default_engine",
     "set_default_engine",
     "resolve_engine",
@@ -103,17 +103,3 @@ def resolve_engine(name: str | None) -> str:
     if name is None:
         return default_engine()
     return _validate(name)
-
-
-def batch_capability() -> str | None:
-    """Why the batch engine's vectorized backend is unavailable, or None.
-
-    ``None`` means numpy imported fine and batch runs vectorized.  A
-    string means batch still works — on the pure-Python twin backend,
-    byte-identical but slower — and explains why; the simulation layer
-    surfaces the same string in the run manifest's ``engine_fallback``
-    field when a batch run degrades.
-    """
-    from repro.net.batch import numpy_unavailable_reason
-
-    return numpy_unavailable_reason()

@@ -232,8 +232,9 @@ class FabricResult:
     #: Fabric-level trace: one ``fabric/hop`` record per forwarded frame
     #: (enabled with the topology's ``trace`` flag).
     hop_trace: TraceLog
-    #: Per-segment engine-degradation notes (from the segment manifests;
-    #: only populated when the fabric owned a telemetry registry).
+    #: Per-segment engine notes (each segment's
+    #: :attr:`RunResult.engine_fallback`; ``None`` where the batch kernel
+    #: ran or was not requested), one entry per segment.
     engine_fallbacks: dict[str, str | None]
     telemetry: RunTelemetry | None = None
 
@@ -404,8 +405,7 @@ class Fabric:
             )
             result = simulation.run(horizon)
             results[name] = result
-            if result.telemetry is not None:
-                fallbacks[name] = result.telemetry.engine_fallback
+            fallbacks[name] = result.engine_fallback
             self._match_inbound(name, inbound, states, result, index)
             self._forward_outbound(
                 name,

@@ -71,6 +71,10 @@ class RunResult:
     #: simulation owned an explicit telemetry registry, ``None`` when
     #: telemetry was off or ambient (the scope owner collects it then).
     telemetry: RunTelemetry | None = None
+    #: Why the batch kernel did not run (the channel's fallback note),
+    #: ``None`` when it ran or was not requested; set with or without
+    #: telemetry.
+    engine_fallback: str | None = None
 
     @functools.cached_property
     def completions(self) -> list[CompletionRecord]:
@@ -253,11 +257,12 @@ class NetworkSimulation:
             channel.monitors = suite
         # The channel's unified entry point owns all engine dispatch:
         # ``des`` registers the round process and drives the heap,
-        # ``fastloop``/``auto`` runs the direct slot loop (rejoining the
-        # DES when foreign processes share the environment), ``batch``
-        # runs the struct-of-arrays kernel with fast-loop fallback on
-        # structurally ineligible runs.  Whatever degraded is returned
-        # as the fallback note and lands in the manifest.
+        # ``fastloop`` runs the direct slot loop (rejoining the DES when
+        # foreign processes share the environment), ``batch``/``auto``
+        # run the struct-of-arrays kernel with fast-loop fallback on
+        # structurally ineligible runs.  Why the kernel did not run is
+        # returned as the fallback note and lands in the result and the
+        # manifest.
         engine_fallback = channel.run(horizon, engine=engine_name)
         invariants = None
         if suite is not None:
@@ -289,6 +294,7 @@ class NetworkSimulation:
             trace=trace,
             invariants=invariants,
             telemetry=manifest,
+            engine_fallback=engine_fallback,
         )
 
     def _resolve_monitors(

@@ -63,15 +63,17 @@ class Scenario:
 
     ``engine`` selects how the channel's round loop is driven (see
     :mod:`repro.net.engine`): ``"des"`` runs it as a process on the
-    event-heap kernel, ``"fastloop"``/``"auto"`` as a direct slot loop
-    that bypasses the heap and falls back to the DES automatically when
-    foreign processes share the environment, and ``"batch"`` on the
+    event-heap kernel, ``"fastloop"`` as a direct slot loop that bypasses
+    the heap and falls back to the DES automatically when foreign
+    processes share the environment, and ``"batch"``/``"auto"`` on the
     struct-of-arrays kernel (:mod:`repro.net.batch`) with automatic
     fallback to the fast loop on structurally ineligible runs (the
-    reason is recorded in the run manifest).  ``None`` (default) defers
-    to the process-wide default (``auto`` unless overridden).  Engines
-    are result-equivalent: the same run under any engine yields
-    byte-identical statistics, completions and traces.
+    reason lands in :attr:`RunResult.engine_fallback
+    <repro.net.network.RunResult.engine_fallback>` and the run
+    manifest).  ``None`` (default) defers to the process-wide default
+    (``auto`` unless overridden).  Engines are result-equivalent: the
+    same run under any engine yields byte-identical statistics,
+    completions and traces.
 
     ``faults`` arms a :class:`~repro.faults.models.FaultPlan` on the
     channel; ``None`` (default) picks up the ambient scoped plan

@@ -4,11 +4,13 @@ The correctness results of the paper — mutual exclusion on the broadcast
 bus, deadline compliance under the feasibility condition FC (theorems
 P5/P6), and the bounded collision-resolution cost ``xi(k, t)`` of Eq. 1 —
 are turned here into *online monitors* hooked into the channel round loop.
-Each monitor watches every slot (under either engine: the round driver is
-engine-independent, so violation reports are byte-identical across ``des``
-and ``fastloop``) and records structured :class:`Violation` entries
-instead of silently passing; the aggregated :class:`InvariantReport` is
-attached to :class:`~repro.net.network.RunResult`.
+Each monitor watches every slot (under every engine: the round driver is
+engine-independent, and the batch kernel digests idle stretches through
+``on_idle``, which leaves a monitor exactly as per-slot calls would — so
+violation reports are byte-identical across ``des``, ``fastloop`` and
+``batch``) and records structured :class:`Violation` entries instead of
+silently passing; the aggregated :class:`InvariantReport` is attached to
+:class:`~repro.net.network.RunResult`.
 
 Monitor-to-theorem mapping:
 
@@ -166,6 +168,17 @@ class InvariantMonitor:
         """Digest one channel round.  ``wire`` counts frames on the wire
         (real transmitters plus injected babble frames)."""
 
+    def on_idle(self, now: int, n: int, slot_time: int) -> None:
+        """Digest ``n`` consecutive idle slots in O(1), the first at ``now``.
+
+        The slots are silent, uncorrupted, unjammed and have every queue
+        empty; afterwards the monitor must be exactly as ``n`` calls of
+        :meth:`on_slot` would leave it.  The batch kernel leaps over such
+        stretches only when every armed monitor's ``on_idle`` comes from
+        the same class as its ``on_slot`` (or a subclass of it), so a
+        monitor that overrides ``on_slot`` alone keeps per-slot execution.
+        """
+
     def finalize(
         self,
         horizon: int,
@@ -173,6 +186,14 @@ class InvariantMonitor:
         down: set[int] | None,
     ) -> None:
         """End-of-run checks (backlog, per-run records)."""
+
+
+def _digests_idle(monitor: InvariantMonitor) -> bool:
+    """True when ``monitor.on_idle`` summarises its own ``on_slot``."""
+    mro = type(monitor).__mro__
+    idle_owner = next(cls for cls in mro if "on_idle" in vars(cls))
+    slot_owner = next(cls for cls in mro if "on_slot" in vars(cls))
+    return issubclass(idle_owner, slot_owner)
 
 
 class MutualExclusionMonitor(InvariantMonitor):
@@ -224,6 +245,9 @@ class MutualExclusionMonitor(InvariantMonitor):
                     wire=wire,
                 )
 
+    def on_idle(self, now, n, slot_time) -> None:
+        pass  # silence with nothing on the wire is the resolution
+
 
 class DeadlineMonitor(InvariantMonitor):
     """Timeliness (P5/P6): no completion past its absolute deadline, no
@@ -252,6 +276,9 @@ class DeadlineMonitor(InvariantMonitor):
                 deadline=message.absolute_deadline,
                 completion=end,
             )
+
+    def on_idle(self, now, n, slot_time) -> None:
+        pass  # nothing completes on a silent slot
 
     def finalize(self, horizon, stations, down) -> None:
         for station in stations:
@@ -320,6 +347,11 @@ class WorkConservationMonitor(InvariantMonitor):
         self._streak = 0
         self._reported = False
 
+    def on_idle(self, now, n, slot_time) -> None:
+        # Every queue is empty: no slot of the stretch is backlogged.
+        self._streak = 0
+        self._reported = False
+
 
 class SearchLengthMonitor(InvariantMonitor):
     """Eq. 1: collision resolution terminates within the ``xi`` budget.
@@ -365,6 +397,11 @@ class SearchLengthMonitor(InvariantMonitor):
                     bound=self._collision_bound,
                 )
             return
+        self._streak = 0
+        self._reported = False
+
+    def on_idle(self, now, n, slot_time) -> None:
+        # Silence ends any collision run; nothing corrupted or babbled.
         self._streak = 0
         self._reported = False
 
@@ -463,15 +500,35 @@ class BridgeConservationMonitor(InvariantMonitor):
         self._forwarded = 0
         self._over_reported = False
 
-    def on_slot(
-        self, now, duration, state, wire, frame, corrupted, jammed,
-        stations, down,
-    ) -> None:
+    def _enter(self, now: int) -> None:
+        """Count every journal entry at or before ``now`` as enqueued."""
         entries = self._entries
         n = self._entered
         while n < len(entries) and entries[n] <= now:
             n += 1
         self._entered = n
+
+    def _check_occupancy(self, now: int) -> None:
+        occupancy = self._entered - self._forwarded
+        if occupancy > self.capacity:
+            if not self._over_reported:
+                self._over_reported = True
+                self.record(
+                    now,
+                    f"bridge queue occupancy {occupancy} exceeds capacity "
+                    f"{self.capacity}",
+                    bridge=self.bridge,
+                    occupancy=occupancy,
+                    capacity=self.capacity,
+                )
+        else:
+            self._over_reported = False
+
+    def on_slot(
+        self, now, duration, state, wire, frame, corrupted, jammed,
+        stations, down,
+    ) -> None:
+        self._enter(now)
         if (
             state is _SUCCESS
             and frame is not None
@@ -508,20 +565,21 @@ class BridgeConservationMonitor(InvariantMonitor):
                 else:
                     self._cursor[name] = i + 1
                 self._forwarded += 1
-        occupancy = self._entered - self._forwarded
-        if occupancy > self.capacity:
-            if not self._over_reported:
-                self._over_reported = True
-                self.record(
-                    now,
-                    f"bridge queue occupancy {occupancy} exceeds capacity "
-                    f"{self.capacity}",
-                    bridge=self.bridge,
-                    occupancy=occupancy,
-                    capacity=self.capacity,
-                )
-        else:
-            self._over_reported = False
+        self._check_occupancy(now)
+
+    def on_idle(self, now, n, slot_time) -> None:
+        # Nothing is forwarded, so occupancy only changes at the slots
+        # that count a new journal entry: apply the per-slot rule at the
+        # first slot and at each of those; in between it is a no-op.
+        self._enter(now)
+        self._check_occupancy(now)
+        last = now + (n - 1) * slot_time
+        entries = self._entries
+        while self._entered < len(entries) and entries[self._entered] <= last:
+            # The entry counts at the first slot starting at or after it.
+            slots = -((now - entries[self._entered]) // slot_time)
+            self._enter(now + slots * slot_time)
+            self._check_occupancy(now + slots * slot_time)
 
     def finalize(self, horizon, stations, down) -> None:
         station = None
@@ -575,16 +633,21 @@ class MonitorSuite:
 
     The round driver calls :meth:`on_slot` exactly once per round — on
     both the corrupted early-return path and the normal resolution path —
-    under either engine, so a suite's report is an engine-independent
-    function of the run."""
+    under every engine; the batch kernel may instead hand a stretch of
+    idle slots to :meth:`on_idle` in one call when :attr:`digests_idle`
+    holds.  Either way a suite's report is an engine-independent function
+    of the run."""
 
-    __slots__ = ("monitors", "slots_checked")
+    __slots__ = ("monitors", "slots_checked", "digests_idle")
 
     def __init__(self, monitors: typing.Sequence[InvariantMonitor]) -> None:
         if not monitors:
             raise ValueError("monitor suite needs at least one monitor")
         self.monitors = tuple(monitors)
         self.slots_checked = 0
+        #: Every monitor's ``on_idle`` summarises its own ``on_slot``, so
+        #: the batch kernel may leap idle stretches with the suite armed.
+        self.digests_idle = all(_digests_idle(m) for m in self.monitors)
 
     def on_slot(
         self,
@@ -604,6 +667,14 @@ class MonitorSuite:
                 now, duration, state, wire, frame, corrupted, jammed,
                 stations, down,
             )
+
+    def on_idle(self, now: int, n: int, slot_time: int) -> None:
+        """Digest ``n`` idle slots starting at ``now`` (see
+        :meth:`InvariantMonitor.on_idle`), as ``n`` :meth:`on_slot` calls
+        would."""
+        self.slots_checked += n
+        for monitor in self.monitors:
+            monitor.on_idle(now, n, slot_time)
 
     def finalize(
         self,

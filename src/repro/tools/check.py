@@ -23,7 +23,8 @@ Then it runs every row of :data:`STEPS`, in order:
 
 * ``invariants`` — one faulted scenario per protocol with online
   invariant monitors (:mod:`repro.sim.invariants`), each re-run on the
-  ``batch`` engine, which must match the default engine exactly;
+  ``fastloop`` reference engine, which must match the default engine
+  exactly;
 * ``obs`` — one telemetry-collecting run, then a ``repro.tools.obs``
   ``summarize`` + ``diff`` round-trip over its manifest;
 * ``sweep`` — a 4-point campaign run cold, then resumed with zero
@@ -185,11 +186,14 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
     sense), so the monitors must stay silent: any violation is a genuine
     protocol/fault-interaction regression and fails CI.
 
-    Every scenario is also re-run on the batch engine, and its statistics,
-    completions and invariant report must match the default engine's
-    exactly — the faulted scenarios exercise the structural fallback path,
-    the clean monitored DDCR scenario the kernel itself.  Returns failure
-    lines (empty = all invariants held, all engines agreed).
+    Every scenario is also re-run on the ``fastloop`` reference engine,
+    and its statistics, completions and invariant report must match the
+    default engine's exactly.  Under the default ``auto`` the faulted
+    scenarios take the batch kernel's structural fallback; the clean
+    monitored DDCR scenario runs the kernel itself, trace off and monitors
+    armed, so its idle leaps digest through ``on_idle`` — this row is the
+    CI check of the leap under monitors.  Returns failure lines (empty =
+    all invariants held, both engines agreed).
     """
     from repro.experiments.harness import (
         csma_cd_factory,
@@ -254,7 +258,7 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
         ),
         # Fault-free but monitored: the one scenario the batch kernel
         # actually executes (armed injectors structurally fall back), so
-        # the batch re-run below covers the kernel, not just the fallback.
+        # the fastloop re-run below checks the kernel, leaps included.
         (
             "ddcr-clean+monitors",
             ddcr_factory(config),
@@ -289,7 +293,8 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
                     (r.message.seq, r.completion, r.started, r.dropped)
                     for r in result.completions
                 ],
-                result.invariants.summary(),
+                # The whole report: violations, slots_checked, truncated.
+                result.invariants,
             )
         )
 
@@ -302,15 +307,15 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
             print(f"invariants-smoke: {name}: {report.summary()}")
         else:
             failures.append(f"{name}: {report.summary()}")
-        batch_result = execute(factory, plan, monitors, engine="batch")
-        if digest(batch_result) != digest(result):
+        reference = execute(factory, plan, monitors, engine="fastloop")
+        if digest(reference) != digest(result):
             failures.append(
-                f"{name}: batch engine diverged from the default engine"
+                f"{name}: default engine diverged from the fastloop reference"
             )
     if not failures:
         print(
-            f"invariants-smoke: batch engine matched the default engine "
-            f"on {len(scenarios)}/{len(scenarios)} scenario(s)"
+            f"invariants-smoke: default engine matched the fastloop "
+            f"reference on {len(scenarios)}/{len(scenarios)} scenario(s)"
         )
     return failures
 

@@ -1,35 +1,42 @@
-"""The batch-slot kernel's own contract: eligibility, backends, leap.
+"""The batch-slot kernel's own contract: eligibility, leap, no numpy.
 
 The three-way byte-identity oracle lives in
 ``test_engine_differential.py``; this file covers what is specific to
 :mod:`repro.net.batch` — the structural eligibility matrix and its
-recorded reasons, the numpy-absent degradation to the pure-Python
-backend, backend parity, the mid-run DES rejoin out of the kernel
-itself, and the idle-leap fast path (which the differential suite never
-exercises, because its runs keep tracing on).
+recorded reasons, that a batch run never imports numpy, the mid-run DES
+rejoin out of the kernel itself, and the idle-leap fast path (which the
+differential suite never exercises, because its runs keep tracing on):
+its gate, and its byte identity with and without invariant monitors.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import pathlib
 import pickle
+import subprocess
 import sys
 
 import pytest
 
-import repro.net.batch as batch_module
 from repro.model.arrival import GreedyBurstArrivals
 from repro.model.workloads import uniform_problem
 from repro.net.batch import BatchKernel, batch_unavailable_reason
 from repro.net.channel import BroadcastChannel
-from repro.net.engine import batch_capability
-from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import ATM_BUS, ideal_medium
 from repro.net.station import Station
+from repro.obs.tracer import FlightRecorder
 from repro.protocols.csma_cd import CSMACDProtocol
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 from repro.sim.engine import Environment
-from repro.sim.invariants import InvariantMonitor, MonitorSuite
+from repro.sim.invariants import (
+    BridgeConservationMonitor,
+    InvariantMonitor,
+    MonitorSuite,
+    WorkConservationMonitor,
+    standard_suite,
+)
 from repro.sim.trace import TraceLog
 
 _HORIZON = 250_000
@@ -59,6 +66,8 @@ def _build_channel(
     trace=False,
     load=True,
     horizon=_HORIZON,
+    tracer=None,
+    noise_rate=0.0,
 ):
     problem = problem if problem is not None else _problem()
     config = config if config is not None else _config(problem)
@@ -67,6 +76,8 @@ def _build_channel(
         env,
         medium if medium is not None else ideal_medium(slot_time=64),
         trace=TraceLog(enabled=trace),
+        tracer=tracer,
+        noise_rate=noise_rate,
     )
     seq_source = itertools.count()
     for source in problem.sources:
@@ -193,71 +204,42 @@ def test_run_batch_falls_back_and_reports_why():
     assert _digest(batched) == _digest(fast)
 
 
-# -- backend selection and parity --------------------------------------------
+# -- one backend, no numpy --------------------------------------------------
 
 
-def test_pure_python_backend_is_byte_identical():
-    reference = _build_channel(trace=True)
-    reference.run(_HORIZON, engine="fastloop")
-    forced = _build_channel(trace=True)
-    kernel = BatchKernel(forced, force_python=True)
-    assert kernel.backend_note == "pure-python backend (forced)"
-    assert not kernel.backend.vectorized
-    kernel.run(_HORIZON)
-    assert forced.env.now == _HORIZON
-    assert _digest(forced) == _digest(reference)
+def test_batch_run_imports_no_numpy():
+    """The kernel's list columns are its only backend: a batch simulation
+    (monitors armed, leaps on) runs without ever importing numpy, which
+    would add ~12 MB of resident memory to every default run."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    script = """
+import sys
+from repro.model.workloads import uniform_problem
+from repro.net.network import NetworkSimulation, Scenario
+from repro.net.phy import ideal_medium
+from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 
-
-def test_numpy_absent_degrades_not_fails(monkeypatch):
-    """With numpy unimportable, the batch engine still runs — on the
-    pure-Python backend, byte-identically — and the run manifest records
-    why the vectorized backend was unavailable."""
-    from repro.obs.instruments import Telemetry
-
-    real_numpy = pytest.importorskip("numpy")
-
-    def run(engine, break_numpy):
-        if break_numpy:
-            monkeypatch.setitem(sys.modules, "numpy", None)
-        else:
-            monkeypatch.setitem(sys.modules, "numpy", real_numpy)
-        monkeypatch.setattr(batch_module, "_NUMPY_STATE", None)
-        problem = _problem()
-        config = _config(problem)
-        simulation = NetworkSimulation.from_scenario(
-            Scenario(
-                problem,
-                ideal_medium(slot_time=64),
-                protocol_factory=lambda source: DDCRProtocol(config),
-                trace=True,
-                root_seed=3,
-                engine=engine,
-                telemetry=Telemetry(),
-            )
-        )
-        result = simulation.run(_HORIZON)
-        return result, result.telemetry
-
-    broken, broken_manifest = run("batch", break_numpy=True)
-    assert "numpy unavailable" in broken_manifest.engine_fallback
-    assert batch_capability() is not None  # the cached probe agrees
-    reference, reference_manifest = run("fastloop", break_numpy=True)
-    vectorized, vectorized_manifest = run("batch", break_numpy=False)
-    assert vectorized_manifest.engine_fallback is None
-
-    def digest(result):
-        return pickle.dumps(
-            (result.stats, result.completions, list(result.trace.records()))
-        )
-
-    assert digest(broken) == digest(reference) == digest(vectorized)
-    assert (
-        broken_manifest.content_json()
-        == reference_manifest.content_json()
-        == vectorized_manifest.content_json()
+problem = uniform_problem(z=5, length=1_000, deadline=400_000, a=1, w=200_000)
+config = DDCRConfig(
+    time_f=16, time_m=2, class_width=65_536,
+    static_q=problem.static_q, static_m=problem.static_m,
+)
+result = NetworkSimulation.from_scenario(Scenario(
+    problem, ideal_medium(slot_time=64),
+    protocol_factory=lambda source: DDCRProtocol(config),
+    engine="batch", monitors=True,
+)).run(250_000)
+assert result.engine_fallback is None, result.engine_fallback
+assert result.invariants.ok and result.stats.successes > 0
+print("numpy" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
     )
-    monkeypatch.setattr(batch_module, "_NUMPY_STATE", None)
-    assert batch_capability() is None  # numpy restored, probe re-runs
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # -- mid-run DES rejoin out of the kernel ------------------------------------
@@ -303,7 +285,7 @@ def _run_with_monitor_process(engine):
     )
     note = channel.run(_HORIZON, engine=engine)
     if engine == "batch":
-        assert note == batch_capability()  # eligible: the kernel itself ran
+        assert note is None  # eligible: the kernel itself ran
     assert env.now == _HORIZON
     return ticks, _digest(channel)
 
@@ -367,29 +349,138 @@ def test_idle_leap_is_byte_identical(case):
     assert len(runs) == 1
 
 
-def test_idle_leap_actually_engages(monkeypatch):
-    """The leap-identity tests are only meaningful if leaps happen: count
-    them on the bursty workload and require multi-slot advances."""
-    leaps = []
+def _leap_spy(monkeypatch):
+    """Record every leap as (first slot, end) of the skipped stretch."""
+    leaps: list[tuple[int, int]] = []
     original = BatchKernel._try_leap
 
     def spy(self, now, horizon):
         n = original(self, now, horizon)
         if n:
-            leaps.append(n)
+            leaps.append((now, now + n * self.slot_time))
         return n
 
     monkeypatch.setattr(BatchKernel, "_try_leap", spy)
+    return leaps
+
+
+def test_idle_leap_actually_engages(monkeypatch):
+    """The leap-identity tests are only meaningful if leaps happen: count
+    them on the bursty workload and require multi-slot advances."""
+    leaps = _leap_spy(monkeypatch)
     _run_untraced("batch")
-    assert leaps and max(leaps) > 1
+    assert leaps and max(end - start for start, end in leaps) > 64
+
+
+class _SlotOnlyMonitor(WorkConservationMonitor):
+    """Overrides ``on_slot`` but inherits ``on_idle``: the inherited
+    summary no longer describes this class's per-slot behaviour."""
+
+    def on_slot(self, *args):
+        super().on_slot(*args)
 
 
 def test_leap_disabled_under_trace_and_monitors():
-    """Tracing (or monitors) force per-slot execution: no leap, and the
-    traced run still matches the DES slot for slot (covered by the
-    differential suite; here we just pin the gate)."""
-    channel = _build_channel(trace=True)
-    kernel = BatchKernel(channel)
-    assert not kernel._leap_ok
-    untraced = _build_channel(trace=False)
-    assert BatchKernel(untraced)._leap_ok
+    """Per-slot side effects disable the leap — a TraceLog, an enabled
+    flight recorder, noise (one RNG draw per slot), or any monitor whose
+    ``on_idle`` does not come with its own ``on_slot`` — while the
+    standard suite and bridge-conservation monitors keep it on."""
+
+    def leap_ok(monitors=None, **kwargs):
+        channel = _build_channel(**kwargs)
+        if monitors is not None:
+            channel.monitors = MonitorSuite(monitors(channel))
+        return BatchKernel(channel)._leap_ok
+
+    assert leap_ok()
+    assert not leap_ok(trace=True)
+    assert not leap_ok(tracer=FlightRecorder())
+    assert not leap_ok(noise_rate=0.01)
+    assert not leap_ok(
+        monitors=lambda ch: [_ProcessRegisteringMonitor(ch.env, [])]
+    )
+    assert not leap_ok(monitors=lambda ch: [_SlotOnlyMonitor(limit=4)])
+    assert leap_ok(monitors=lambda ch: standard_suite(ch.stations).monitors)
+    assert leap_ok(
+        monitors=lambda ch: list(standard_suite(ch.stations).monitors)
+        + [BridgeConservationMonitor("b", 0, {"uniform-0": (0,)}, 1)]
+    )
+    # One non-digesting monitor in an otherwise leap-safe suite is enough.
+    assert not leap_ok(
+        monitors=lambda ch: list(standard_suite(ch.stations).monitors)
+        + [_ProcessRegisteringMonitor(ch.env, [])]
+    )
+
+
+# -- the idle leap with invariant monitors armed -----------------------------
+
+
+def _run_monitored(engine, suite_factory, load=True):
+    """Trace off, monitors armed: leap-eligible since ``on_idle`` exists."""
+    channel = _build_channel(trace=False, load=load)
+    channel.monitors = MonitorSuite(suite_factory(channel))
+    channel.run(_HORIZON, engine=engine)
+    assert channel.env.now == _HORIZON
+    report = channel.monitors.finalize(_HORIZON, channel.stations)
+    assert report.slots_checked == channel.stats.rounds
+    return _digest(channel), report
+
+
+def _assert_engines_agree(suite_factory, load=True):
+    runs = {
+        engine: _run_monitored(engine, suite_factory, load=load)
+        for engine in ("des", "fastloop", "batch")
+    }
+    digests = {digest for digest, _ in runs.values()}
+    assert len(digests) == 1
+    reports = [report for _, report in runs.values()]
+    assert reports[0] == reports[1] == reports[2]
+    assert len({pickle.dumps(report) for report in reports}) == 1
+    return reports[0]
+
+
+@pytest.mark.parametrize("load", [True, False], ids=["bursty", "all-idle"])
+def test_leap_under_standard_suite_is_identical(monkeypatch, load):
+    """The standard suite armed: digest and the full report — violations,
+    slots_checked, truncated — agree across engines, with leaps engaged."""
+    leaps = _leap_spy(monkeypatch)
+    _assert_engines_agree(
+        lambda channel: standard_suite(channel.stations).monitors, load=load
+    )
+    assert leaps and max(end - start for start, end in leaps) > 64
+    if not load:
+        assert leaps == [(0, _HORIZON + (-_HORIZON) % 64)]  # one leap
+
+
+#: Journal entries that fall inside the bursty workload's two idle
+#: stretches (the first burst is served by ~6k bit-times, the second by
+#: ~206k), past each leap's first slot.
+_IDLE_ENTRIES = (50_000, 100_001, 150_007, 220_003)
+
+
+def test_leap_under_bridge_monitor_over_capacity(monkeypatch):
+    """Bridge-conservation monitors whose journal has entries inside idle
+    stretches and whose capacity is exceeded there: the leap's
+    ``on_idle`` counts each entry at the slot the per-slot path would and
+    records the occupancy violations at the same times."""
+
+    def monitors(channel):
+        # Station 0's real arrivals (forwarded, FIFO) plus entries that
+        # never arrive: occupancy only grows inside the idle stretches.
+        schedule = {"uniform-0": (0, 200_000) + _IDLE_ENTRIES}
+        return [
+            BridgeConservationMonitor("tight", 0, schedule, capacity=1),
+            BridgeConservationMonitor("loose", 0, schedule, capacity=3),
+        ]
+
+    leaps = _leap_spy(monkeypatch)
+    report = _assert_engines_agree(monitors)
+    for entry in _IDLE_ENTRIES:
+        assert any(start < entry < end for start, end in leaps), entry
+    over = [v for v in report.violations if "occupancy" in v.message]
+    # tight: over once inside the first stretch and latched from then on;
+    # loose: over at the slot counting the 200_000 entry, back under when
+    # that frame is forwarded, over again inside the second stretch.
+    assert [v.detail("bridge") for v in over] == ["tight", "loose", "loose"]
+    assert any(start < over[0].time < end for start, end in leaps)
+    assert any(start < over[2].time < end for start, end in leaps)

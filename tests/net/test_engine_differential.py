@@ -1,12 +1,14 @@
 """Differential tests: all three engines are byte-identical.
 
 The slot-loop fast path (``BroadcastChannel.run(engine="fastloop")``)
-and the struct-of-arrays batch kernel (``engine="batch"``) must be
-indistinguishable from the general DES by results: same
-:class:`ChannelStats`, same completion records, same trace stream, same
-final clock — across protocols, noise, jamming, bursting, and the
-automatic fallback paths (foreign processes at entry and mid-run,
-structural batch ineligibility).
+and the struct-of-arrays batch kernel (``engine="batch"``, also what the
+default ``auto`` runs) must be indistinguishable from the general DES by
+results: same :class:`ChannelStats`, same completion records, same trace
+stream and flight-recorder dump, same final clock — across protocols,
+noise, jamming, bursting, and the automatic fallback paths (foreign
+processes at entry and mid-run, structural batch ineligibility).  Most
+runs here keep the :class:`TraceLog` on, which disables the kernel's
+idle leap; ``test_batch_kernel.py`` holds the leap to the same oracle.
 """
 
 from __future__ import annotations
@@ -416,11 +418,8 @@ def test_telemetry_identical_across_engines(protocol):
     assert des.engine == "des" and fast.engine == "fastloop"
     assert batch.engine == "batch"
     if protocol == "ddcr":
-        # Eligible run: the kernel itself executed (the note is only
-        # non-None when numpy is missing and the pure-Python twin ran).
-        from repro.net.engine import batch_capability
-
-        assert batch.engine_fallback == batch_capability()
+        # Eligible run: the kernel itself executed, so there is no note.
+        assert batch.engine_fallback is None
     else:
         # Foreign MAC types: structural fallback, reason recorded.
         assert "batch engine unavailable" in batch.engine_fallback
@@ -475,8 +474,81 @@ def test_dualbus_telemetry_identical_across_engines():
     assert "batch engine unavailable" in batch.engine_fallback
 
 
-def test_engine_resolution_and_scoping():
-    """`auto` resolves through the scoped default; bad names are rejected."""
+def test_flight_recorder_dumps_identical_across_engines():
+    """Every engine emits one ``channel/slot`` event per round into an
+    armed flight recorder (the kernel never leaps while one is enabled),
+    so the dumps match event for event."""
+    from repro.obs.context import use_tracer
+    from repro.obs.tracer import FlightRecorder
+
+    problem = uniform_problem(
+        z=5, length=1_000, deadline=400_000, a=1, w=200_000
+    )
+
+    def dump(engine):
+        recorder = FlightRecorder(capacity=100_000)
+        with use_tracer(recorder):
+            result = NetworkSimulation.from_scenario(
+                Scenario(
+                    problem,
+                    ideal_medium(slot_time=64),
+                    protocol_factory=_protocol_factory("ddcr", problem),
+                    engine=engine,
+                )
+            ).run(_HORIZON)
+        assert result.engine_fallback is None
+        events = recorder.snapshot()
+        assert len(events) == result.stats.rounds
+        return events
+
+    des, fast, batch = (dump(engine) for engine in ENGINES)
+    assert des and {event["kind"] for event in des} == {"channel/slot"}
+    assert des == fast == batch
+
+
+def _auto_run(protocol):
+    """One hand-built channel run on ``auto``; returns its note."""
+    problem = uniform_problem(
+        z=4, length=1_000, deadline=400_000, a=1, w=200_000
+    )
+    factory = _protocol_factory(protocol, problem)
+    channel = BroadcastChannel(Environment(), ideal_medium(slot_time=64))
+    seq_source = itertools.count()
+    for source in problem.sources:
+        channel.attach(
+            Station(
+                station_id=source.source_id,
+                mac=factory(source),
+                static_indices=source.static_indices,
+                seq_source=seq_source,
+            )
+        )
+    note = channel.run(60_000, engine="auto")
+    assert channel.env.now == 60_000
+    return note
+
+
+def test_engine_resolution_and_scoping(monkeypatch):
+    """`auto` resolves through the scoped default; bad names are rejected;
+    an ``auto`` run executes the batch kernel when eligible (no note) and
+    otherwise runs the fast loop with the kernel's fallback note."""
+    from repro.net.batch import BatchKernel
+
+    kernel_runs = []
+    original = BatchKernel.run
+
+    def spy(self, horizon):
+        kernel_runs.append(horizon)
+        return original(self, horizon)
+
+    monkeypatch.setattr(BatchKernel, "run", spy)
+    assert _auto_run("ddcr") is None
+    assert kernel_runs == [60_000]
+    assert _auto_run("csma_cd") == (
+        "batch engine unavailable (station MACs are not plain "
+        "DDCRProtocol (station 0: CSMACDProtocol)): ran fastloop"
+    )
+    assert kernel_runs == [60_000]  # the fast loop ran, not the kernel
     assert resolve_engine("des") == "des"
     with pytest.raises(ValueError, match="unknown engine"):
         resolve_engine("warp")

@@ -30,6 +30,7 @@ from repro.net.topology import (
     TopologyError,
 )
 from repro.obs.instruments import Telemetry
+from repro.protocols.csma_cd import CSMACDProtocol
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 from repro.sim.invariants import BridgeConservationMonitor
 
@@ -382,8 +383,38 @@ class TestMultiSegmentExecution:
             assert 0 <= report.backlog
             assert report.max_occupancy <= report.queue_capacity
         # Multi-segment manifests only exist when the topology owns a
-        # registry; the per-segment fallbacks are collected regardless.
-        assert set(result.engine_fallbacks) <= {"seg0", "seg1", "seg2"}
+        # registry; the per-segment notes are collected regardless, and
+        # every segment here is batch-eligible, so none has a note.
+        assert result.telemetry is None
+        assert result.engine_fallbacks == {
+            "seg0": None, "seg1": None, "seg2": None,
+        }
+
+    def test_engine_notes_without_telemetry(self):
+        """A segment the batch kernel cannot run reports why on the
+        fabric result even when no registry (and so no manifest) exists."""
+        topology = Topology(
+            segments=(
+                _segment("seg0"),
+                _segment(
+                    "seg1",
+                    protocol_factory=lambda s: CSMACDProtocol(
+                        seed=s.source_id
+                    ),
+                ),
+            ),
+            engine="batch",
+        )
+        result = Fabric(topology).run(_HORIZON)
+        assert result.telemetry is None
+        assert result.engine_fallbacks == {
+            "seg0": None,
+            "seg1": "batch engine unavailable (station MACs are not "
+            "plain DDCRProtocol (station 0: CSMACDProtocol)): ran fastloop",
+        }
+        assert result.segments["seg1"].engine_fallback == (
+            result.engine_fallbacks["seg1"]
+        )
 
     def test_multi_segment_telemetry_namespaces(self):
         registry = Telemetry()

@@ -121,7 +121,7 @@ class TestCIFastPath:
         out = capsys.readouterr().out
         assert "all repro modules import cleanly" in out
         assert f"0 executed, {len(EXPERIMENTS)} from cache" in out
-        assert "invariants-smoke: batch engine matched" in out
+        assert "invariants-smoke: default engine matched" in out
         assert "obs-smoke: telemetry round-trip ok" in out
         assert "perf-trend: not enough history" in out
         assert "sweep-smoke:" in out
@@ -139,7 +139,7 @@ class TestCIFastPath:
         assert "invariants-smoke: dcr+clock-drift" in out
         assert "invariants-smoke: tdma+crash" in out
         assert "invariants ok" in out
-        assert "batch engine matched the default engine on 5/5" in out
+        assert "default engine matched the fastloop reference on 5/5" in out
 
     def test_no_cache_skips_the_sweep_smoke(self, capsys):
         # The sweep smoke resumes against the result cache; without one
