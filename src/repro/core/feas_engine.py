@@ -1,8 +1,8 @@
 """Incremental feasibility evaluation under class add/remove/rescale.
 
-An admission-control loop (ROADMAP item 5) and a frontier bisection both
-ask the same question over and over: *is this instance still feasible
-after a small change?*  Rebuilding a scalar
+An admission-control loop (:mod:`repro.serve`) and a frontier bisection
+both ask the same question over and over: *is this instance still
+feasible after a small change?*  Rebuilding a scalar
 :class:`~repro.core.feasibility.FeasibilityReport` costs O(C^2) per
 probe; this module maintains the FC integer state and applies deltas.
 
@@ -19,9 +19,14 @@ single source's classes, so a mutation touches one source block.  A
 global density rescale invalidates every window and falls back to the
 vectorized bulk recompute from :mod:`repro.core.feas_grid`.
 
-Reports are exactly equal to the scalar path's: the engine keeps only
-exact integers and hands them to the shared
-:meth:`~repro.core.feas_grid.BatchEvaluator.assemble_rows` float combine.
+The answer to that question is one bool, the binding class and its
+slack, so the engine offers it without building rows:
+:meth:`FeasibilityEngine.verdict` folds the integer columns through the
+same per-class float combine
+(:meth:`~repro.core.feas_grid.BatchEvaluator.class_bound`) that
+:meth:`~repro.core.feas_grid.BatchEvaluator.assemble_rows` uses for the
+full report, so verdicts and reports are exactly equal to the scalar
+path's.
 """
 
 from __future__ import annotations
@@ -95,8 +100,14 @@ class FeasibilityEngine:
     Mutations (:meth:`add_class`, :meth:`remove_class`,
     :meth:`rescale_class`) cost O(C) exact-integer work instead of the
     O(C^2) of a fresh scalar report; :meth:`rescale_density` revalidates
-    everything through the vectorized backend.  :meth:`report` is lazy
-    and cached between mutations, and always equals scalar
+    everything through the vectorized backend.
+
+    Two reads, both lazy and cached until the next mutation:
+    :meth:`verdict` (and :attr:`feasible`) answer "is the set feasible,
+    and which class binds?" in O(C) float work with no row objects —
+    what every admission decision needs — while :meth:`report` builds
+    the full per-class rows for callers that read them (oracle
+    counter-checks, the FC experiments).  Both always equal scalar
     ``check_feasibility`` on the equivalent instance.
 
     Ordering contract (it shapes the report's row order): sources keep
@@ -121,6 +132,9 @@ class FeasibilityEngine:
         )
         self._sources: list[_SourceState] = []
         self._report: FeasibilityReport | None = None
+        self._verdict: tuple[bool, str | None, float | None] | None = None
+        self._class_count = 0
+        self._total_nu = 0
         self._scale = 1.0
         #: Optional flight recorder (:class:`repro.obs.tracer.FlightRecorder`)
         #: mutations emit structured events into; ``None`` (the default)
@@ -139,29 +153,30 @@ class FeasibilityEngine:
         evaluator: BatchEvaluator | None = None,
     ) -> "FeasibilityEngine":
         """Bulk-build the engine state from an instance (vectorized)."""
-        engine = cls(medium, trees, backend=backend, evaluator=evaluator)
-        for source in problem.sources:
-            state = _SourceState(source.source_id, source.nu)
-            for msg in source.message_classes:
-                state.classes.append(
-                    _ClassState(
-                        msg.name,
-                        msg.length,
-                        msg.deadline,
-                        engine.evaluator.encapsulate(msg.length),
-                        msg.bound.a,
-                        msg.bound.w,
-                    )
+        snapshot = (
+            1.0,
+            tuple(
+                (
+                    source.source_id,
+                    source.nu,
+                    tuple(
+                        (msg.name, msg.length, msg.deadline, msg.bound.a,
+                         msg.bound.w, msg.bound.w)
+                        for msg in source.message_classes
+                    ),
                 )
-            engine._sources.append(state)
-        engine._recompute_all()
-        return engine
+                for source in problem.sources
+            ),
+        )
+        return cls.restore(
+            snapshot, medium, trees, backend=backend, evaluator=evaluator
+        )
 
     # -- introspection -------------------------------------------------------
 
     @property
     def class_count(self) -> int:
-        return sum(len(s.classes) for s in self._sources)
+        return self._class_count
 
     @property
     def source_count(self) -> int:
@@ -170,7 +185,7 @@ class FeasibilityEngine:
     @property
     def total_nu(self) -> int:
         """Static leaves claimed by the current sources (sum of nu_i)."""
-        return sum(s.nu for s in self._sources)
+        return self._total_nu
 
     @property
     def scale(self) -> float:
@@ -179,7 +194,7 @@ class FeasibilityEngine:
 
     @property
     def feasible(self) -> bool:
-        return self.report().feasible
+        return self.verdict()[0]
 
     def source_nu(self, source_id: int) -> int | None:
         """The source's nu, or ``None`` when it holds no classes."""
@@ -256,6 +271,8 @@ class FeasibilityEngine:
                 cls_state.w0 = w0
                 state.classes.append(cls_state)
             engine._sources.append(state)
+            engine._class_count += len(state.classes)
+            engine._total_nu += nu
         engine._scale = scale
         engine._recompute_all()
         return engine
@@ -321,6 +338,34 @@ class FeasibilityEngine:
             self._report = self.evaluator.assemble_rows(meta, ranks, u, tx)
         return self._report
 
+    def verdict(self) -> tuple[bool, str | None, float | None]:
+        """``(feasible, worst_class, worst_slack)`` without building rows.
+
+        Equal to ``(report().feasible, report().worst.class_name,
+        report().worst.slack)`` bit for bit — the slack comes out of the
+        same :meth:`~repro.core.feas_grid.BatchEvaluator.class_bound`
+        combine — and a slack tie names the first class in report order,
+        as ``min`` does.  ``(True, None, None)`` when no class is
+        admitted.  Cached until the next mutation.
+        """
+        verdict = self._verdict
+        if verdict is None:
+            feasible = True
+            worst_class = worst_slack = None
+            class_bound = self.evaluator.class_bound
+            for source in self._sources:
+                nu = source.nu
+                for cls in source.classes:
+                    bound = class_bound(cls.rank, nu, cls.u, cls.tx)[3]
+                    deadline = cls.deadline
+                    if bound > deadline:
+                        feasible = False
+                    slack = deadline - bound
+                    if worst_slack is None or slack < worst_slack:
+                        worst_class, worst_slack = cls.name, slack
+            verdict = self._verdict = (feasible, worst_class, worst_slack)
+        return verdict
+
     # -- mutations -----------------------------------------------------------
 
     def add_class(
@@ -336,6 +381,7 @@ class FeasibilityEngine:
                 )
             source = _SourceState(source_id, nu)
             self._sources.append(source)
+            self._total_nu += nu
         elif nu is not None and nu != source.nu:
             raise ValueError(
                 f"source {source_id} already has nu={source.nu}, got {nu}"
@@ -359,6 +405,7 @@ class FeasibilityEngine:
             state.u += term
             state.tx += term * added.lp
         source.classes.append(added)
+        self._class_count += 1
         # Fresh row for the newcomer (includes its own contribution).
         for contrib in self._iter_classes():
             term = _interference_term(added, contrib)
@@ -370,7 +417,7 @@ class FeasibilityEngine:
         added.rank = (
             sum(_rank_term(added.deadline, c) for c in source.classes) - 1
         )
-        self._report = None
+        self._invalidate()
         tracer = self.tracer
         if tracer is not None:
             tracer.emit(
@@ -384,6 +431,7 @@ class FeasibilityEngine:
         """Retire a class; drops the source once its last class goes."""
         source, removed = self._require_class(source_id, class_name)
         source.classes.remove(removed)
+        self._class_count -= 1
         for state in self._iter_classes():
             term = _interference_term(state, removed)
             state.u -= term
@@ -392,7 +440,8 @@ class FeasibilityEngine:
             state.rank -= _rank_term(state.deadline, removed)
         if not source.classes:
             self._sources.remove(source)
-        self._report = None
+            self._total_nu -= source.nu
+        self._invalidate()
         tracer = self.tracer
         if tracer is not None:
             tracer.emit(
@@ -450,7 +499,7 @@ class FeasibilityEngine:
         target.a = new_a
         target.w = new_w
         target.w0 = new_w0
-        self._report = None
+        self._invalidate()
         tracer = self.tracer
         if tracer is not None:
             tracer.emit(
@@ -560,7 +609,12 @@ class FeasibilityEngine:
                 state.rank = rank
                 state.u = ui
                 state.tx = txi
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Drop the cached report and verdict: the columns just moved."""
         self._report = None
+        self._verdict = None
 
 
 def _to_message_class(state: _ClassState) -> MessageClass:

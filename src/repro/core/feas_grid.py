@@ -17,12 +17,15 @@ The S1/S2 search terms are O(1) per class and *memoized* instead of
 vectorized: ``multi_tree_bound_extended`` is evaluated through the exact
 scalar function on the exact integer arguments, so every float in the
 result is bit-identical to the scalar path's — the vectorized, engine
-and scalar paths produce *equal* :class:`FeasibilityReport` objects, and
-``check --ci`` digest-compares them.
+and scalar paths produce *equal* :class:`FeasibilityReport` objects
+(``tests/core/test_feas_grid.py`` and the engine's mutation-sequence
+tests compare them by ``==`` and by pickle digest).  The per-class float
+combine lives in one place, :meth:`BatchEvaluator.class_bound`, which
+both report rows and the engine's row-free verdict go through.
 
-Backends mirror :mod:`repro.net.batch`: :class:`_NumpyFeasOps` (the
+Two backends share one integer contract: :class:`_NumpyFeasOps` (the
 ``[perf]`` numpy extra, int64 columns) and :class:`_PythonFeasOps` (pure
-Python, identical integer semantics).  All integer quantities stay exact
+Python, the scalar loops verbatim).  All integer quantities stay exact
 in either backend; int64 is ample for bit-time spans (< 2^40).
 """
 
@@ -239,6 +242,9 @@ class BatchEvaluator:
         self._encap: dict[int, int] = {}
         self._s1: dict[tuple[int, int], float] = {}
         self._xi_two = xi_two(trees.time_f, trees.time_m)
+        self._static_q = trees.static_q
+        self._static_m = trees.static_m
+        self._slot_time = medium.slot_time
 
     @property
     def backend_name(self) -> str:
@@ -250,15 +256,32 @@ class BatchEvaluator:
             lp = self._encap[length] = self.medium.encapsulate(length)
         return lp
 
-    def search_slots_static(self, u_for_search: int, v: int) -> float:
-        """Memoized ``S1 = v * xi_tilde_extended(u/v, q)`` (exact scalar)."""
+    def class_bound(
+        self, rank: int, nu: int, interference: int, transmission: int
+    ) -> tuple[int, float, int, float]:
+        """``(v, S1, S2, B_DDCR)`` for one class from its exact integers.
+
+        The one float combine of the fast paths: report rows
+        (:meth:`assemble_rows`) and the engine's row-free verdict both
+        call it, and it mirrors ``latency_bound`` value for value, so
+        every bound and slack is bit-identical to the scalar oracle's.
+        ``rank >= 0`` and ``nu >= 1`` are structural here.
+        """
+        # Inlined static_tree_count / clamp / ceil(v/2):
+        # (v + 1) >> 1 == ceil(v/2).
+        v = 1 + rank // nu
+        u_for_search = interference if interference > v else v
+        qv = self._static_q * v
+        if u_for_search > qv:
+            u_for_search = qv
         key = (u_for_search, v)
         s1 = self._s1.get(key)
         if s1 is None:
             s1 = self._s1[key] = multi_tree_bound_extended(
-                float(u_for_search), v, self.trees.static_q, self.trees.static_m
+                float(u_for_search), v, self._static_q, self._static_m
             )
-        return s1
+        s2 = ((v + 1) >> 1) * self._xi_two
+        return v, s1, s2, transmission + self._slot_time * (s1 + s2)
 
     def columns(
         self, problem: HRTDMProblem
@@ -326,37 +349,15 @@ class BatchEvaluator:
         ``meta`` carries ``(source_id, nu, class_name, deadline)`` per
         class; the integer columns must hold Python ints (both backends
         and the engine guarantee this — np.int64 would poison equality).
-        The float combine mirrors ``latency_bound`` value for value so
-        the results digest-compare equal; the incremental engine calls
-        this too, which keeps the combine in exactly one place.
+        The floats come from :meth:`class_bound`.
         """
-        trees = self.trees
-        static_q = trees.static_q
-        static_m = trees.static_m
-        slot_time = self.medium.slot_time
-        xi2 = self._xi_two
-        s1_memo = self._s1
-        combine = multi_tree_bound_extended
+        class_bound = self.class_bound
         rows: list[ClassFeasibility] = []
         append = rows.append
-        for i, (source_id, nu, name, deadline) in enumerate(meta):
-            rank = ranks[i]
-            interference = u[i]
-            transmission = tx[i]
-            # Inlined static_tree_count / clamp / ceil(v/2): rank >= 0 and
-            # nu >= 1 are structural here, and (v + 1) >> 1 == ceil(v/2).
-            v = 1 + rank // nu
-            u_for_search = interference if interference > v else v
-            qv = static_q * v
-            if u_for_search > qv:
-                u_for_search = qv
-            key = (u_for_search, v)
-            s1 = s1_memo.get(key)
-            if s1 is None:
-                s1 = s1_memo[key] = combine(
-                    float(u_for_search), v, static_q, static_m
-                )
-            s2 = ((v + 1) >> 1) * xi2
+        for (source_id, nu, name, deadline), rank, interference, bits in zip(
+            meta, ranks, u, tx
+        ):
+            v, s1, s2, bound = class_bound(rank, nu, interference, bits)
             append(
                 ClassFeasibility(
                     source_id,
@@ -365,10 +366,10 @@ class BatchEvaluator:
                     rank,
                     interference,
                     v,
-                    transmission,
+                    bits,
                     s1,
                     s2,
-                    transmission + slot_time * (s1 + s2),
+                    bound,
                 )
             )
         return FeasibilityReport(classes=tuple(rows))

@@ -72,11 +72,13 @@ class Request:
 
     def to_dict(self) -> dict[str, object]:
         """JSON-ready form with unused (None) fields dropped."""
-        return {
-            key: value
-            for key, value in dataclasses.asdict(self).items()
-            if value is not None
-        }
+        # Every field is a scalar, so no ``dataclasses.asdict`` deep copy.
+        doc = {}
+        for key in _REQUEST_FIELDS:
+            value = getattr(self, key)
+            if value is not None:
+                doc[key] = value
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True,
@@ -84,11 +86,13 @@ class Request:
 
     @classmethod
     def from_dict(cls, doc: dict[str, object]) -> "Request":
-        known = {field.name for field in dataclasses.fields(cls)}
-        unknown = set(doc) - known
+        unknown = set(doc).difference(_REQUEST_FIELDS)
         if unknown:
             raise ValueError(f"unknown request field(s): {sorted(unknown)}")
         return cls(**doc)  # type: ignore[arg-type]
+
+
+_REQUEST_FIELDS = tuple(field.name for field in dataclasses.fields(Request))
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -170,8 +174,8 @@ class Decision:
 class Incident:
     """A counter-check divergence or replay mismatch, as structured data.
 
-    ``kind`` is one of ``oracle-divergence`` (engine report != scalar
-    ``check_feasibility`` on the materialised class set),
+    ``kind`` is one of ``oracle-divergence`` (engine report or verdict
+    != scalar ``check_feasibility`` on the materialised class set),
     ``sim-check-failed`` (the background SERVE-CHECK simulation's checks
     failed on an admitted-as-feasible set), ``replay-mismatch`` (a
     replayed decision differs from the logged one) or ``slo-breach``

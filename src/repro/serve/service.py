@@ -5,8 +5,9 @@
 of :class:`~repro.serve.model.Request` events:
 
 * ``join``/``rescale`` mutate the engine *tentatively* — the class (or
-  its new bound) is applied through the O(C) delta path, the FC report
-  is consulted, and an infeasible outcome is rolled back exactly
+  its new bound) is applied through the O(C) delta path, the engine's
+  row-free :meth:`~repro.core.feas_engine.FeasibilityEngine.verdict` is
+  consulted, and an infeasible outcome is rolled back exactly
   (``rescale_class`` with the saved ``(a, w, w0)`` triple), so a reject
   leaves the engine bit-identical to before the request;
 * ``leave`` retires a class; ``reconfigure`` applies a global density
@@ -16,18 +17,22 @@ of :class:`~repro.serve.model.Request` events:
 Every decision is a pure function of the request stream (see
 :mod:`repro.serve.model`), persisted as JSONL: ``events.jsonl`` (one
 header line with the service config, then one line per request+decision
-pair) and ``decisions.jsonl`` (raw decision lines — the byte-identity
-artifact replay is compared against).
+pair) and ``decisions.jsonl`` (the same decision lines alone, the
+artifact two runs of one trace are byte-compared on).  Replay reads only
+``events.jsonl``: it re-decides each logged request and byte-compares
+the new decision's JSON with the re-serialized decision it parsed from
+the same line.
 
 Counter-checking: :meth:`AdmissionService.counter_check` re-derives the
 admitted set's feasibility two independent ways — the scalar
 ``check_feasibility`` oracle on a materialised
 :class:`~repro.model.problem.HRTDMProblem` (digest-compared per report
-row against the engine's), and, when an executor is attached, a
-``SERVE-CHECK`` simulation spec resolved through the cache-aware sweep
-executor.  Divergence is recorded as a structured
-:class:`~repro.serve.model.Incident`, never an exception: the service
-keeps serving and the operator (or CI) inspects ``incidents``.
+row against the engine's, and compared with the verdict every decision
+read), and, when an executor is attached, a ``SERVE-CHECK`` simulation
+spec resolved through the cache-aware sweep executor.  Divergence is
+recorded as a structured :class:`~repro.serve.model.Incident`, never an
+exception: the service keeps serving and the operator (or CI) inspects
+``incidents``.
 """
 
 from __future__ import annotations
@@ -381,8 +386,7 @@ class AdmissionService:
         reason: str | None = None,
         evicted: tuple[tuple[int, str], ...] = (),
     ) -> Decision:
-        count = self.engine.class_count
-        slack = self.engine.report().worst.slack if count else None
+        engine = self.engine
         return Decision(
             seq=request.seq,
             kind=request.kind,
@@ -390,10 +394,10 @@ class AdmissionService:
             reason=reason,
             source_id=request.source_id,
             name=request.name,
-            class_count=count,
-            total_nu=self.engine.total_nu,
-            scale=self.engine.scale,
-            slack=slack,
+            class_count=engine.class_count,
+            total_nu=engine.total_nu,
+            scale=engine.scale,
+            slack=engine.verdict()[2],
             evicted=evicted,
         )
 
@@ -441,12 +445,11 @@ class AdmissionService:
             self.engine.add_class(request.source_id, message, nu=request.nu)
         except ValueError as error:
             return self._decide_error(request, str(error))
-        report = self.engine.report()
-        if report.feasible:
+        feasible, worst_class, worst_slack = self.engine.verdict()
+        if feasible:
             self._names.add(request.name)
             self._admission_order.append((request.source_id, request.name))
             return self._finish(request, "admit")
-        worst = report.worst
         if self.tracer.enabled:
             self.tracer.emit(
                 "serve/rollback", seq=request.seq, kind="join",
@@ -457,7 +460,7 @@ class AdmissionService:
             request,
             "reject",
             f"infeasible: B_DDCR exceeds deadline for "
-            f"{worst.class_name} (slack {worst.slack})",
+            f"{worst_class} (slack {worst_slack})",
         )
 
     def _decide_leave(self, request: Request) -> Decision:
@@ -490,9 +493,9 @@ class AdmissionService:
             )
         except ValueError as error:
             return self._decide_error(request, str(error))
-        if self.engine.report().feasible:
+        feasible, worst_class, worst_slack = self.engine.verdict()
+        if feasible:
             return self._finish(request, "admit")
-        worst = self.engine.report().worst
         if self.tracer.enabled:
             self.tracer.emit(
                 "serve/rollback", seq=request.seq, kind="rescale",
@@ -506,7 +509,7 @@ class AdmissionService:
             request,
             "reject",
             f"infeasible: B_DDCR exceeds deadline for "
-            f"{worst.class_name} (slack {worst.slack})",
+            f"{worst_class} (slack {worst_slack})",
         )
 
     def _decide_reconfigure(self, request: Request) -> Decision:
@@ -516,7 +519,7 @@ class AdmissionService:
             )
         self.engine.rescale_density(request.scale)
         evicted: list[tuple[int, str]] = []
-        while self._admission_order and not self.engine.report().feasible:
+        while self._admission_order and not self.engine.feasible:
             source_id, name = self._admission_order.pop()
             self.engine.remove_class(source_id, name)
             self._names.discard(name)
@@ -546,7 +549,10 @@ class AdmissionService:
 
         Always runs the scalar oracle (materialise the engine state as an
         :class:`HRTDMProblem`, ``check_feasibility``, digest-compare
-        every report row); runs the SERVE-CHECK simulation through the
+        every report row, and compare the engine's
+        :meth:`~repro.core.feas_engine.FeasibilityEngine.verdict` — what
+        decisions read — with the oracle's ``(feasible, worst class,
+        worst slack)``); runs the SERVE-CHECK simulation through the
         attached executor when one is present.  Returns the incidents
         *this* check raised (also appended to :attr:`incidents`).
         """
@@ -575,6 +581,20 @@ class AdmissionService:
                             f"engine report differs from scalar oracle on "
                             f"{len(mismatches)}/{len(oracle.classes)} "
                             f"class(es): {', '.join(mismatches[:5])}"
+                        ),
+                    )
+                )
+            worst = oracle.worst
+            expected = (oracle.feasible, worst.class_name, worst.slack)
+            verdict = self.engine.verdict()
+            if verdict != expected:
+                raised.append(
+                    Incident(
+                        kind="oracle-divergence",
+                        at_seq=self._last_seq,
+                        detail=(
+                            f"engine verdict {verdict} differs from scalar "
+                            f"oracle {expected}"
                         ),
                     )
                 )

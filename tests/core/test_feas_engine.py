@@ -2,11 +2,14 @@
 
 Parity is checked with ``==`` and with per-report ``pickle.dumps``
 digests: a digest also catches int/float and +-0.0 drift that ``==``
-lets through.
+lets through.  The row-free ``verdict()`` is held to the report's
+``(feasible, worst.class_name, worst.slack)`` with the slack compared
+through ``float.hex``.
 """
 
 from __future__ import annotations
 
+import math
 import pickle
 
 import pytest
@@ -50,11 +53,14 @@ class _ReferenceModel:
 
     def __init__(self):
         self.sources: dict[int, tuple[int, list[MessageClass]]] = {}
+        #: Scale-1.0 base window per class name (rescale_density's w0).
+        self.base_w: dict[str, int] = {}
 
     def add(self, source_id, message_class, nu):
         if source_id not in self.sources:
             self.sources[source_id] = (nu, [])
         self.sources[source_id][1].append(message_class)
+        self.base_w[message_class.name] = message_class.bound.w
 
     def remove(self, source_id, name):
         nu, classes = self.sources[source_id]
@@ -74,6 +80,21 @@ class _ReferenceModel:
                     name=cls.name, length=cls.length,
                     deadline=cls.deadline, bound=bound,
                 )
+                self.base_w[name] = bound.w
+
+    def rescale_density(self, scale):
+        """Every window from its base, as the workload factories scale."""
+        for _, classes in self.sources.values():
+            for i, cls in enumerate(classes):
+                w = max(1, math.ceil(self.base_w[cls.name] / scale))
+                classes[i] = MessageClass(
+                    name=cls.name, length=cls.length, deadline=cls.deadline,
+                    bound=DensityBound(a=cls.bound.a, w=w),
+                )
+
+    @property
+    def total_nu(self):
+        return sum(nu for nu, _ in self.sources.values())
 
     def problem(self) -> HRTDMProblem:
         specs = []
@@ -93,6 +114,16 @@ class _ReferenceModel:
 
     def expected_report(self):
         return check_feasibility(self.problem(), GIGABIT_ETHERNET, _TREES)
+
+
+def _report_verdict(report):
+    return report.feasible, report.worst.class_name, report.worst.slack
+
+
+def _hexed(verdict):
+    """The verdict with its slack as ``float.hex`` (bit-exact compare)."""
+    feasible, name, slack = verdict
+    return feasible, name, None if slack is None else float.hex(slack)
 
 
 _CLASS_PARAMS = {
@@ -118,7 +149,8 @@ class TestMutationSequences:
             ]
             op = data.draw(
                 st.sampled_from(
-                    ["add", "remove", "rescale"] if existing else ["add"]
+                    ["add", "remove", "rescale", "density"]
+                    if existing else ["add", "density"]
                 ),
                 label=f"op{step}",
             )
@@ -142,7 +174,7 @@ class TestMutationSequences:
                 )
                 engine.remove_class(source_id, name)
                 model.remove(source_id, name)
-            else:
+            elif op == "rescale":
                 source_id, name = data.draw(
                     st.sampled_from(existing), label="target"
                 )
@@ -150,13 +182,26 @@ class TestMutationSequences:
                 w = data.draw(_CLASS_PARAMS["w"], label="new-w")
                 engine.rescale_class(source_id, name, a=a, w=w)
                 model.rescale(source_id, name, a=a, w=w)
-            if model.sources:
-                got, expected = engine.report(), model.expected_report()
-                assert got == expected
-                assert pickle.dumps(got) == pickle.dumps(expected)
-                assert engine.class_count == sum(
-                    len(c) for _, c in model.sources.values()
+            else:
+                scale = data.draw(
+                    st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.7]), label="scale"
                 )
+                engine.rescale_density(scale)
+                model.rescale_density(scale)
+            assert engine.class_count == sum(
+                len(c) for _, c in model.sources.values()
+            )
+            assert engine.total_nu == model.total_nu
+            if not model.sources:
+                assert engine.verdict() == (True, None, None)
+                continue
+            # The verdict first: it must not lean on a cached report.
+            verdict = engine.verdict()
+            got, expected = engine.report(), model.expected_report()
+            assert got == expected
+            assert pickle.dumps(got) == pickle.dumps(expected)
+            assert _hexed(verdict) == _hexed(_report_verdict(expected))
+            assert engine.feasible == expected.feasible
 
     def test_add_then_remove_restores_the_report(self):
         problem = uniform_problem(z=4)
@@ -173,6 +218,29 @@ class TestMutationSequences:
         returned = engine.remove_class(99, "guest")
         assert engine.report() == before
         assert returned == _message_class("guest", a=3, w=1 * _MS)
+
+    def test_verdict_tie_names_the_first_class_in_report_order(self):
+        engine = FeasibilityEngine(GIGABIT_ETHERNET, _TREES)
+        engine.add_class(0, _message_class("first"), nu=1)
+        engine.add_class(1, _message_class("second"), nu=1)
+        rows = engine.report().classes
+        assert rows[0].slack == rows[1].slack  # identical classes tie
+        feasible, worst_class, worst_slack = engine.verdict()
+        assert worst_class == "first" == engine.report().worst.class_name
+        assert float.hex(worst_slack) == float.hex(rows[0].slack)
+        assert feasible == engine.report().feasible
+
+    def test_empty_engine_verdict(self):
+        engine = FeasibilityEngine(GIGABIT_ETHERNET, _TREES)
+        assert engine.verdict() == (True, None, None)
+        assert engine.feasible
+        assert (engine.class_count, engine.total_nu) == (0, 0)
+        engine.add_class(0, _message_class("only"), nu=2)
+        assert engine.verdict()[1] == "only"
+        assert (engine.class_count, engine.total_nu) == (1, 2)
+        engine.remove_class(0, "only")
+        assert engine.verdict() == (True, None, None)
+        assert (engine.class_count, engine.total_nu) == (0, 0)
 
     def test_emptied_source_readds_as_last(self):
         engine = FeasibilityEngine(GIGABIT_ETHERNET, _TREES)

@@ -4,6 +4,8 @@ backends and with the persistent xi store disabled."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.feas_grid import _PythonFeasOps
@@ -107,3 +109,30 @@ def test_read_event_log_round_trips(tmp_path):
     assert [r.to_json() for r in requests] == [
         r.to_json() for r in generate_trace(_TRACE)
     ]
+
+
+def test_journal_bytes_match_the_pinned_digests(tmp_path):
+    """The journal bytes themselves, not just run-vs-replay agreement.
+
+    Both digests were measured when decisions still read full FC
+    reports; a change to how decisions or journal lines are computed
+    must leave every byte in place."""
+    log_dir = tmp_path / "log"
+    trace = generate_trace(TraceConfig(events=500, seed=7, template="city"))
+    with use_xi_store(None):
+        with AdmissionService(
+            ServeConfig(check_every=64), log_dir=log_dir
+        ) as service:
+            service.run_trace(trace)
+        assert service.incidents == []
+        digests = {
+            name: hashlib.sha256((log_dir / name).read_bytes()).hexdigest()
+            for name in ("decisions.jsonl", "events.jsonl")
+        }
+        assert digests == {
+            "decisions.jsonl": "b9f90e5bc5418f215f696c8f6db2c87b"
+            "2867a379649f233b48805832b4f04900",
+            "events.jsonl": "dd43892030d089d33b8e8ed532aad195"
+            "dc9f02956e428fda99b362f669d150d4",
+        }
+        assert replay_event_log(log_dir).incidents == []

@@ -231,6 +231,18 @@ class TestCounterCheck:
         assert [i.kind for i in incidents] == ["oracle-divergence"]
         assert service.incidents == incidents
 
+    def test_corrupted_verdict_is_reported(self, service):
+        """The report rows still match the oracle, but the cached verdict
+        every decision reads does not: the check must file it."""
+        service.handle(join(0))
+        service.handle(join(1, source_id=1))
+        feasible, worst_class, worst_slack = service.engine.verdict()
+        service.engine._verdict = (feasible, worst_class, worst_slack + 1.0)
+        incidents = service.counter_check()
+        assert [i.kind for i in incidents] == ["oracle-divergence"]
+        assert "verdict" in incidents[0].detail
+        assert service.incidents == incidents
+
     def test_periodic_checks_run_every_n_requests(self):
         telemetry = Telemetry()
         service = AdmissionService(
