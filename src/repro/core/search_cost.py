@@ -27,10 +27,10 @@ import dataclasses
 import functools
 import itertools
 from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from repro.core import xi_store
-from repro.core.trees import BalancedTree, LeafInterval, TreeShapeError, integer_log
+from repro.core.trees import BalancedTree, LeafInterval, integer_log
 
 __all__ = [
     "SearchCostTable",
@@ -421,9 +421,58 @@ def enumerate_worst_placements(k: int, t: int, m: int) -> list[tuple[int, ...]]:
     ]
 
 
-def xi_bruteforce(k: int, t: int, m: int) -> int:
-    """``xi(k, t)`` by exhaustively searching every k-subset of leaves.
+@functools.lru_cache(maxsize=8)
+def _occupancy_costs(m: int, leaves: int) -> tuple[int, ...]:
+    """Search cost of every occupancy pattern of a ``leaves``-leaf subtree.
 
+    Entry ``mask`` (bit i set = leaf i active) is what
+    :func:`simulate_search` charges that subtree, filled bottom-up from
+    the search rule: an empty subtree costs 1, one active leaf costs 0,
+    otherwise the collision costs 1 plus the children's costs.  Child j
+    holds bits ``[j*w, (j+1)*w)``, so the children's sums come out of a
+    product over the child table in mask order.
+    """
+    if leaves == 1:
+        return (1, 0)
+    child = _occupancy_costs(m, leaves // m)
+    sums: list[int] = list(child)
+    for _ in range(m - 1):
+        sums = [high + low for high in child for low in sums]
+    costs = [1 + total for total in sums]
+    costs[0] = 1
+    for leaf in range(leaves):
+        costs[1 << leaf] = 0
+    return tuple(costs)
+
+
+def _placement_scorer(t: int, m: int) -> Callable[[int], int]:
+    """The search cost of a t-leaf placement given as a leaf bitmask.
+
+    Scores with one table lookup per root child (see
+    :func:`_occupancy_costs`), so its tables hold ``2**(t/m)`` entries,
+    not ``2**t``.  Equals ``simulate_search(placement, t, m).cost``.
+    """
+    width = t // m
+    # (A one-leaf tree has no children: only its empty and lone
+    # placements exist, and the first test below scores both.)
+    child = _occupancy_costs(m, width) if width else ()
+    low = (1 << width) - 1
+    shifts = range(0, t, width) if width else ()
+
+    def score(mask: int) -> int:
+        if not mask & (mask - 1):
+            return 0 if mask else 1
+        return 1 + sum(child[(mask >> shift) & low] for shift in shifts)
+
+    return score
+
+
+def xi_bruteforce(k: int, t: int, m: int) -> int:
+    """``xi(k, t)`` by exhaustively scoring every k-subset of leaves.
+
+    Independent of the Eq. 1 DP it cross-checks: every placement is
+    scored by the search rule itself, through integer bitmask lookups
+    rather than a node-by-node :func:`simulate_search` replay.
     Exponential; for cross-checking the DP on small trees only (t <= 32).
     """
     if t > 32:
@@ -432,11 +481,8 @@ def xi_bruteforce(k: int, t: int, m: int) -> int:
         raise ValueError(f"k={k} out of range [0, {t}]")
     if k == 0:
         return 1
-    try:
-        BalancedTree.of(m=m, leaves=t)
-    except TreeShapeError:
-        raise
+    BalancedTree.of(m=m, leaves=t)  # rejects a non-m-ary shape
+    bits = [1 << leaf for leaf in range(t)]
     return max(
-        simulate_search(placement, t, m).cost
-        for placement in itertools.combinations(range(t), k)
+        map(_placement_scorer(t, m), map(sum, itertools.combinations(bits, k)))
     )

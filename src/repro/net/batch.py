@@ -24,19 +24,26 @@ transitions are correct by construction and results are byte-identical to
 the other engines (the engine-differential suite enforces this, clean and
 faulted).  On top of that, the kernel batch-advances provably invariant
 idle stretches (all queues empty, FREE mode or the fresh-TTs steady
-cycle) in O(1) — the dominant regime of long simulations.  The leap needs
-no per-slot side effect to be skipped: it is off under noise gates (one
-RNG draw per slot), a :class:`~repro.sim.trace.TraceLog` or an enabled
-flight recorder (one record per slot), and under any armed invariant
-monitor that cannot digest an idle stretch in one call
+cycle) in O(1) — the dominant regime of long simulations.  The replica
+itself says whether it is idle-steady and digests the stretch
+(:meth:`~repro.protocols.ddcr.protocol.DDCRProtocol.leap_idle`); the
+channel's shared stretch rule bounds the stretch (horizon, next arrival,
+jam boundary) and keeps the leap off wherever a per-slot side effect
+must happen: noise (one RNG draw per slot), a
+:class:`~repro.sim.trace.TraceLog` or an enabled flight recorder (one
+record per slot), and any armed invariant monitor that cannot digest an
+idle stretch in one call
 (:attr:`~repro.sim.invariants.MonitorSuite.digests_idle`); the standard
-and bridge-conservation monitors can, via ``on_idle``.
+and bridge-conservation monitors can, via ``on_idle``.  Consistency-checked
+fast-loop runs leap under the same rule and the same replica code, on
+every station's own replica.
 
 Fallback contract (mirroring the fast loop's): :func:`batch_unavailable_reason`
 reports *structural* ineligibility — foreign MAC types, differing configs,
 packet bursting, non-destructive media (contention tags), an armed fault
-injector, per-slot consistency checks, or foreign processes pending at
-entry — and :meth:`BroadcastChannel.run` under ``batch`` or ``auto`` then
+injector, consistency checks (they compare every station's own replica,
+which the kernel does not keep), or foreign processes pending at entry —
+and :meth:`BroadcastChannel.run` under ``batch`` or ``auto`` then
 delegates to the fast loop (which may itself rejoin the DES), returning
 the reason so the run manifest can record it.  If a foreign process
 appears *mid-run* (e.g. registered by a monitor), the kernel writes the
@@ -117,7 +124,7 @@ def batch_unavailable_reason(channel: "BroadcastChannel") -> str | None:
     if channel.faults is not None:
         return "fault injector armed"
     if channel.check_consistency:
-        return "per-slot consistency checks requested"
+        return "consistency checks requested"
     return None
 
 
@@ -266,10 +273,6 @@ class _PythonOps:
         return self.cursor[i]
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 # -- the kernel --------------------------------------------------------------
 
 
@@ -353,17 +356,8 @@ class BatchKernel:
             due = station.peek_next_arrival()
             self._next_arrival[i] = _NEVER if due is None else due
         self._next_due = min(self._next_arrival, default=_NEVER)
-        # Idle stretches may be batch-advanced only when nothing demands a
-        # per-slot side effect: no noise gates (one RNG draw per slot), no
-        # trace or flight-recorder records, and only monitors that digest
-        # an idle stretch in one ``on_idle`` call.  Telemetry is fine — the
-        # silence counter supports bulk increments.
-        self._leap_ok = (
-            not self.noise_gates
-            and not self.trace_on
-            and not self.tracer_on
-            and (self.monitors is None or self.monitors.digests_idle)
-        )
+        # Idle stretches are leapt under the channel's shared rule.
+        self._leap_ok = channel._idle_leap_allowed()
 
     # -- per-station private state refresh --------------------------------
 
@@ -393,65 +387,22 @@ class BatchKernel:
 
     # -- idle leap ---------------------------------------------------------
 
-    def _tts_steady_fresh(self) -> bool:
-        tts = self.replica.tts
-        search = tts.search
-        agenda = search.agenda
-        return (
-            not tts.triggered_by_collision
-            and not tts.transmitted
-            and tts.nested_sts_runs == 0
-            and search.probes == 0
-            and search.wasted_slots == 0
-            and search.successes == 0
-            and search.frontier == 0
-            and len(agenda) == 1
-            and agenda[0] == search._root
-        )
-
     def _try_leap(self, now: int, horizon: int) -> int:
         """Batch-advance n invariant idle slots; returns n (0 = no leap).
 
-        Valid only in the two idle steady states — FREE (a silent slot
-        changes nothing) and the fresh-TTs cycle (each silent slot adds
-        theta to ``reft``, one trivial empty run, and restarts the same
-        fresh search) — and only up to the next arrival, jam boundary or
-        the horizon, so the first *eventful* slot runs on the normal path.
-        Armed monitors digest the n silent, uncorrupted, all-queues-empty
-        slots in one ``on_idle`` call.
+        The shadow replica decides whether it is idle-steady and digests
+        the stretch (:meth:`DDCRProtocol.leap_idle`, the same code every
+        station's replica runs on checked fast-loop runs); the channel's
+        shared rule bounds the stretch and books it, monitors included.
         """
         replica = self.replica
-        mode = replica.mode
-        if mode is DDCRMode.TTS:
-            if self.config.exit_to_free_on_idle or not self._tts_steady_fresh():
-                return 0
-        elif mode is not DDCRMode.FREE:
+        if not replica.idle_steady():
             return 0
         channel = self.channel
-        slot_time = self.slot_time
-        jam_from = channel.jam_from
-        n = _ceil_div(horizon - now, slot_time)
-        due = self._next_due
-        if due != _NEVER:
-            n = min(n, _ceil_div(due - now, slot_time))
-        if jam_from is not None:
-            jam_until = channel.jam_until
-            if now >= jam_from and (jam_until is None or now < jam_until):
-                return 0  # jammed: every slot is a collision, no leap
-            if now < jam_from:
-                n = min(n, _ceil_div(jam_from - now, slot_time))
-        stats = self.stats
-        stats.silence_slots += n
-        stats.idle_time += n * slot_time
-        channel.observations += n
-        if self.telemetry_on:
-            self.ctr_silence.inc(n)
-        if mode is DDCRMode.TTS:
-            replica.reft += n * self.config.theta
-            replica.empty_tts_runs += n
-            replica.tts.started_at = now + n * slot_time
-        if self.monitors is not None:
-            self.monitors.on_idle(now, n, slot_time)
+        n = channel._idle_stretch(now, horizon, self._next_due)
+        if n:
+            replica.leap_idle(n, now + n * self.slot_time)
+            channel._count_idle(now, n)
         return n
 
     # -- one round ---------------------------------------------------------

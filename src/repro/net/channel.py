@@ -24,14 +24,25 @@ resolution happens — and dispatches to one of three internal tiers:
   that owns the clock and advances ``env.now`` itself, skipping the event
   heap, the generator suspend/resume and the per-round timeout
   allocation.  The moment any foreign event appears on the queue it
-  rejoins the DES mid-run, so it is always safe to select.
+  rejoins the DES mid-run, so it is always safe to select.  On
+  consistency-checked runs it crosses provably idle stretches in one
+  step: every station's own replica must say it is idle-steady, each
+  advances itself (``MACProtocol.leap_idle``), and lockstep is asserted
+  at the stretch's first and last slot.  Unchecked runs stay per-slot.
 * the struct-of-arrays batch kernel (:mod:`repro.net.batch`, ``batch``
   and the default ``auto``): per-station state lives in list columns and
   one shadow protocol replica digests each slot, so the per-slot cost is
   near-constant in the station count, and idle stretches are leapt in
   O(1).  It is structurally limited to plain single-bus CSMA/DDCR runs;
-  anything else falls back to the fast loop with the reason returned
-  (and recorded in run manifests).
+  anything else (consistency-checked runs included) falls back to the
+  fast loop with the reason returned (and recorded in run manifests).
+
+Both leaping engines share one stretch rule, kept here on the channel:
+a stretch ends at the horizon, the earliest pending arrival or a jam
+boundary, and there is no leap under noise, an armed fault injector, a
+:class:`~repro.sim.trace.TraceLog`, an enabled flight recorder or a
+monitor that cannot digest idle slots in one call.  The DES is always
+per-slot: the reference.
 
 All engines draw from the same RNG in the same order, so their results
 are byte-identical (the differential tests assert this, three ways).  The
@@ -124,6 +135,7 @@ class _RoundDriver:
         "trace",
         "trace_on",
         "check",
+        "leap_ok",
         "telemetry",
         "telemetry_on",
         "tracer",
@@ -163,6 +175,10 @@ class _RoundDriver:
         self.trace = channel.trace
         self.trace_on = channel.trace.enabled
         self.check = channel.check_consistency
+        # Checked runs cross idle stretches on every station's own
+        # replica (see :meth:`leap`); unchecked fast-loop runs stay
+        # per-slot.
+        self.leap_ok = self.check and channel._idle_leap_allowed()
         # Telemetry instruments, hoisted once per driver build.  They are
         # fetched by name from the registry, so a mid-run rebuild (the
         # fast loop's DES rejoin) resumes the same counters.
@@ -186,6 +202,41 @@ class _RoundDriver:
                 )
             #: message-class name -> per-class latency histogram.
             self.latency_hists: dict[str, object] = {}
+
+    def leap(self, now: int, horizon: int) -> int:
+        """Cross the idle stretch starting at ``now`` on every station's
+        own replica; returns its duration (0 = no leap, run the slot).
+
+        Leaps only if every queue is empty and every replica on its own
+        says it is idle-steady, so a replica that left the steady state
+        alone keeps the slot per-slot, where the lockstep check sees it.
+        The replicas digest the stretch's first slot, lockstep is
+        asserted there, then they digest the rest and it is asserted at
+        the last slot.
+        """
+        stations = self.stations
+        due = horizon
+        for station in stations:
+            if station.queue or not station.mac.idle_steady():
+                return 0
+            arrival = station.peek_next_arrival()
+            if arrival is not None and arrival < due:
+                due = arrival
+        channel = self.channel
+        n = channel._idle_stretch(now, horizon, due)
+        if not n:
+            return 0
+        slot_time = self.slot_time
+        for station in stations:
+            station.mac.leap_idle(1, now + slot_time)
+        channel._assert_lockstep(now)
+        if n > 1:
+            end = now + n * slot_time
+            for station in stations:
+                station.mac.leap_idle(n - 1, end)
+            channel._assert_lockstep(end - slot_time)
+        channel._count_idle(now, n)
+        return n * slot_time
 
     def round(self, now: int) -> int:
         """Run one channel round starting at ``now``; returns its duration."""
@@ -567,9 +618,12 @@ class BroadcastChannel:
             return
         driver = _RoundDriver(self)
         round_ = driver.round
+        leap = driver.leap if driver.leap_ok else None
         now = env.now
         while now < horizon:
-            duration = round_(int(now))
+            duration = 0 if leap is None else leap(int(now), horizon)
+            if not duration:
+                duration = round_(int(now))
             if env.pending:
                 env.process(self._rejoin_des(horizon, duration))
                 env.run(until=horizon)
@@ -604,6 +658,56 @@ class BroadcastChannel:
         """Resume the round loop on the event heap after ``delay``."""
         yield self.env.timeout(delay)
         yield from self.process(horizon)
+
+    # -- the idle-stretch rule, shared by every leaping engine --------------
+
+    def _idle_leap_allowed(self) -> bool:
+        """Whether nothing on this channel must see idle slots one by one.
+
+        No noise (one RNG draw per slot), no armed fault injector, no
+        :class:`~repro.sim.trace.TraceLog` or enabled flight recorder (one
+        record per slot), and only monitors that digest an idle stretch in
+        one ``on_idle`` call
+        (:attr:`~repro.sim.invariants.MonitorSuite.digests_idle`).
+        """
+        monitors = self.monitors
+        return (
+            self.noise_rate == 0.0
+            and self.faults is None
+            and not self.trace.enabled
+            and not self.tracer.enabled
+            and (monitors is None or monitors.digests_idle)
+        )
+
+    def _idle_stretch(self, now: int, horizon: int, due: int) -> int:
+        """How many silent slots from ``now`` an idle leap may cross.
+
+        The stretch ends at the horizon, at the earliest pending arrival
+        ``due`` or at a jam boundary, so the first eventful slot runs
+        normally; a jammed slot is never idle.  0 = no leap.
+        """
+        end = min(horizon, due)
+        jam_from = self.jam_from
+        if jam_from is not None:
+            if now < jam_from:
+                end = min(end, jam_from)
+            elif self.jam_until is None or now < self.jam_until:
+                return 0
+        return max(0, -(-(end - now) // self.medium.slot_time))
+
+    def _count_idle(self, now: int, n: int) -> None:
+        """Book ``n`` silent slots from ``now`` as ``n`` rounds would:
+        stats, observations, the silence counter and the monitors."""
+        slot_time = self.medium.slot_time
+        stats = self.stats
+        stats.silence_slots += n
+        stats.idle_time += n * slot_time
+        self.observations += n
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            telemetry.counter(f"{self.telemetry_prefix}slots/silence").inc(n)
+        if self.monitors is not None:
+            self.monitors.on_idle(now, n, slot_time)
 
     def _assert_lockstep(self, now: int) -> None:
         """All stations running the same protocol class must agree on the

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import bisect
 import time
-from collections.abc import Iterator, Sequence
+import typing
+from collections.abc import Iterator, Mapping, Sequence
 from contextlib import contextmanager
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "SEARCH_DEPTH_EDGES",
     "SpanNode",
     "Telemetry",
+    "snapshot_quantile",
 ]
 
 #: Default latency bucket upper bounds, in bit-times: powers of two from
@@ -108,8 +110,8 @@ class Histogram:
     ``edges`` are inclusive upper bounds of the finite buckets, strictly
     increasing; one implicit overflow bucket catches everything above the
     last edge.  Quantiles are estimated as the upper edge of the bucket
-    containing the target rank (overflow reports the exact observed max),
-    so a quantile never under-reports — the conservative direction for
+    containing the target rank, clamped to the exact observed max, so a
+    quantile never under-reports — the conservative direction for
     deadline analysis.
     """
 
@@ -141,33 +143,8 @@ class Histogram:
             self.max = value
 
     def quantile(self, q: float) -> float | None:
-        """Upper-edge estimate of the ``q``-quantile (``0 <= q <= 1``).
-
-        Edge cases are pinned down (the SLO engine leans on them):
-        out-of-range ``q`` (including NaN) raises ``ValueError``; an
-        empty histogram returns ``None``; ``q=0.0`` and ``q=1.0`` return
-        the *exact* observed min/max (both are tracked exactly, so no
-        bucket estimate is needed); interior quantiles return the upper
-        edge of the bucket holding the target rank, with the overflow
-        bucket reporting the exact max — a quantile never under-reports.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return None
-        if q == 0.0:
-            return self.min
-        if q == 1.0:
-            return self.max
-        rank = q * (self.count - 1)
-        seen = 0
-        for index, bucket in enumerate(self.counts):
-            seen += bucket
-            if bucket and seen > rank:
-                if index >= len(self.edges):
-                    return self.max
-                return self.edges[index]
-        return self.max  # pragma: no cover - rank always reached above
+        """Estimate of the ``q``-quantile (see :func:`snapshot_quantile`)."""
+        return snapshot_quantile(self.snapshot(), q)
 
     @property
     def mean(self) -> float | None:
@@ -182,6 +159,43 @@ class Histogram:
             "min": self.min,
             "max": self.max,
         }
+
+
+def snapshot_quantile(
+    snapshot: Mapping[str, typing.Any], q: float
+) -> float | None:
+    """Estimate the ``q``-quantile (``0 <= q <= 1``) of a histogram snapshot.
+
+    The one estimator: :meth:`Histogram.quantile` and every reader of
+    serialised snapshots (manifests, campaign roll-ups) call it.  Edge
+    cases are pinned down (the SLO engine leans on them): out-of-range
+    ``q`` (including NaN) raises ``ValueError``; an empty histogram
+    returns ``None``; ``q=0.0`` and ``q=1.0`` return the *exact*
+    observed min/max.  An interior quantile is the upper edge of the
+    bucket holding the target rank, clamped to [min, max] (the overflow
+    bucket reports the max), so it never under-reports and never lies
+    outside the observed range.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    count = snapshot["count"]
+    if count == 0:
+        return None
+    low, high = snapshot["min"], snapshot["max"]
+    if q == 0.0:
+        return low
+    if q == 1.0:
+        return high
+    edges = snapshot["edges"]
+    rank = q * (count - 1)
+    seen = 0
+    for index, bucket in enumerate(snapshot["counts"]):
+        seen += bucket
+        if bucket and seen > rank:
+            if index >= len(edges):
+                return high
+            return max(low, min(edges[index], high))
+    return high  # pragma: no cover - rank always reached above
 
 
 class SpanNode:

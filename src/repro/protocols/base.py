@@ -139,6 +139,21 @@ class MACProtocol(abc.ABC):
         """
         return None
 
+    def idle_steady(self) -> bool:
+        """May an engine cross an idle stretch on this replica in one step?
+
+        True only where silent, all-queues-empty slots leave the state a
+        function :meth:`leap_idle` computes in O(1).  An engine leaps only
+        if every station's replica says so.  Default: no, every slot runs.
+        """
+        return False
+
+    def leap_idle(self, n: int, end: int) -> None:
+        """Digest ``n`` silent slots, the last ending at ``end``, as ``n``
+        rounds of :meth:`offer` and :meth:`observe` would (only called
+        while :meth:`idle_steady` holds)."""
+        raise NotImplementedError
+
     def public_state(self) -> tuple[object, ...]:
         """Hashable snapshot of the state that must be common knowledge.
 

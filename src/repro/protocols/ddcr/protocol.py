@@ -333,6 +333,52 @@ class DDCRProtocol(MACProtocol):
         tts.restart_fresh(now)
         self.mode = DDCRMode.TTS
 
+    # -- idle stretches -------------------------------------------------------
+
+    def idle_steady(self) -> bool:
+        """Is this replica in one of the two idle steady states?
+
+        FREE, where a silent slot changes nothing, and the fresh-TTs cycle,
+        where each silent slot is one trivial empty run: ``reft`` gains
+        theta, the empty-run counter one, and the same fresh search
+        restarts at the slot's end.  Not while a burst is open (a silent
+        slot closes it) nor under ``exit_to_free_on_idle`` in TTs (a silent
+        slot drops to FREE).
+        """
+        if self._burst_owner is not None:
+            return False
+        mode = self.mode
+        if mode is DDCRMode.FREE:
+            return True
+        if mode is not DDCRMode.TTS or self.config.exit_to_free_on_idle:
+            return False
+        tts = self.tts
+        search = tts.search
+        agenda = search.agenda
+        return (
+            not tts.triggered_by_collision
+            and not tts.transmitted
+            and tts.nested_sts_runs == 0
+            and search.probes == 0
+            and search.wasted_slots == 0
+            and search.successes == 0
+            and search.frontier == 0
+            and len(agenda) == 1
+            and agenda[0] == search._root
+        )
+
+    def leap_idle(self, n: int, end: int) -> None:
+        """Digest ``n`` silent slots, the last ending at ``end``, in O(1).
+
+        Leaves the replica exactly as ``n`` rounds of :meth:`offer` and
+        :meth:`observe` would; valid only while :meth:`idle_steady` holds
+        and every queue is empty.
+        """
+        if self.mode is DDCRMode.TTS:
+            self.reft += n * self._theta
+            self.empty_tts_runs += n
+            self.tts.started_at = end
+
     # -- packet bursting (section 5) --------------------------------------------
 
     def wants_burst_continuation(self, now: int) -> bool:

@@ -24,6 +24,7 @@ import json
 import typing
 
 from repro.analysis.report import format_table, to_csv
+from repro.obs.instruments import snapshot_quantile
 from repro.obs.manifest import RunTelemetry
 from repro.runtime.spec import RunSpec
 
@@ -105,24 +106,6 @@ def _merge_snapshots(snapshots: list[dict]) -> dict | None:
     return merged
 
 
-def _snapshot_quantile(snapshot: dict, q: float) -> float | None:
-    """Upper-edge quantile estimate straight off a snapshot dict
-    (mirrors :meth:`repro.obs.instruments.Histogram.quantile`)."""
-    count = snapshot["count"]
-    if not count:
-        return None
-    rank = q * (count - 1)
-    seen = 0
-    edges = snapshot["edges"]
-    for index, bucket in enumerate(snapshot["counts"]):
-        seen += bucket
-        if bucket and seen > rank:
-            if index >= len(edges):
-                return snapshot["max"]
-            return edges[index]
-    return snapshot["max"]
-
-
 def _quantile_summary(snapshot: dict) -> dict[str, object]:
     summary: dict[str, object] = {
         "count": snapshot["count"],
@@ -130,7 +113,7 @@ def _quantile_summary(snapshot: dict) -> dict[str, object]:
         "max": snapshot["max"],
     }
     for q, label in _QUANTILES:
-        summary[label] = _snapshot_quantile(snapshot, q)
+        summary[label] = snapshot_quantile(snapshot, q)
     return summary
 
 
@@ -230,7 +213,7 @@ class CampaignResult:
             latency = self._point_latency(outcome)
             for q, _ in _QUANTILES:
                 row.append(
-                    _snapshot_quantile(latency, q)
+                    snapshot_quantile(latency, q)
                     if latency is not None
                     else ""
                 )

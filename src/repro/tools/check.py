@@ -22,9 +22,10 @@ results replay from ``.repro-cache``, so a no-change run is near-instant.
 Then it runs every row of :data:`STEPS`, in order:
 
 * ``invariants`` — one faulted scenario per protocol with online
-  invariant monitors (:mod:`repro.sim.invariants`), each re-run on the
-  ``fastloop`` reference engine, which must match the default engine
-  exactly;
+  invariant monitors (:mod:`repro.sim.invariants`), plus clean and
+  consistency-checked monitored DDCR runs, each re-run on a reference
+  engine (``fastloop``; ``des`` for the checked run), which must match
+  the default engine exactly;
 * ``obs`` — one telemetry-collecting run, then a ``repro.tools.obs``
   ``summarize`` + ``diff`` round-trip over its manifest;
 * ``sweep`` — a 4-point campaign run cold, then resumed with zero
@@ -186,14 +187,17 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
     sense), so the monitors must stay silent: any violation is a genuine
     protocol/fault-interaction regression and fails CI.
 
-    Every scenario is also re-run on the ``fastloop`` reference engine,
-    and its statistics, completions and invariant report must match the
-    default engine's exactly.  Under the default ``auto`` the faulted
-    scenarios take the batch kernel's structural fallback; the clean
-    monitored DDCR scenario runs the kernel itself, trace off and monitors
-    armed, so its idle leaps digest through ``on_idle`` — this row is the
-    CI check of the leap under monitors.  Returns failure lines (empty =
-    all invariants held, both engines agreed).
+    Every scenario is also re-run on a reference engine, and its
+    statistics, completions and invariant report must match the default
+    engine's exactly.  Under the default ``auto`` the faulted scenarios
+    take the batch kernel's structural fallback; the clean monitored DDCR
+    scenario runs the kernel itself, trace off and monitors armed, so its
+    idle leaps digest through ``on_idle``, and its reference is the
+    ``fastloop``.  The consistency-checked one runs the fast loop, which
+    leaps idle stretches on every station's replica, so its reference is
+    the per-slot ``des`` — this row is the CI check of both leaps under
+    monitors.  Returns failure lines (empty = all invariants held, both
+    engines agreed).
     """
     from repro.experiments.harness import (
         csma_cd_factory,
@@ -229,24 +233,28 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
     # BEB offers no deadline guarantee and TDMA idles by design in foreign
     # slots, so those scenarios check the invariants their protocols
     # actually promise; DDCR and DCR run the full auto-armed suite.
+    # (name, protocol, fault plan, monitors, consistency-checked)
     scenarios = [
         (
             "ddcr+burst-noise+crash",
             ddcr_factory(config),
             FaultPlan((burst_noise, crash)),
             None,
+            False,
         ),
         (
             "csma-cd+burst-noise",
             csma_cd_factory(),
             FaultPlan((burst_noise,)),
             lambda: MonitorSuite([MutualExclusionMonitor()]),
+            False,
         ),
         (
             "dcr+clock-drift",
             dcr_factory(problem),
             FaultPlan((ClockDrift(0, skew_per_slot=4.0),)),
             None,
+            False,
         ),
         (
             "tdma+crash",
@@ -255,6 +263,7 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
             lambda: MonitorSuite(
                 [MutualExclusionMonitor(), DeadlineMonitor()]
             ),
+            False,
         ),
         # Fault-free but monitored: the one scenario the batch kernel
         # actually executes (armed injectors structurally fall back), so
@@ -264,15 +273,26 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
             ddcr_factory(config),
             None,
             True,
+            False,
+        ),
+        # Checked and monitored: the fast loop leaps on every station's
+        # own replica, so the per-slot DES is the reference.
+        (
+            "ddcr-checked+monitors",
+            ddcr_factory(config),
+            None,
+            True,
+            True,
         ),
     ]
 
-    def execute(factory, plan, monitors, engine=None):
+    def execute(factory, plan, monitors, checked, engine=None):
         simulation = NetworkSimulation.from_scenario(
             Scenario(
                 problem=problem,
                 medium=medium,
                 protocol_factory=factory,
+                check_consistency=checked,
                 # Monitor suites are stateful, so scenarios supply them
                 # as factories — each engine run gets its own fresh
                 # suite.
@@ -299,24 +319,28 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
         )
 
     failures: list[str] = []
-    for name, factory, plan, monitors in scenarios:
-        result = execute(factory, plan, monitors)
+    matched = {"fastloop": 0, "des": 0}
+    for name, factory, plan, monitors, checked in scenarios:
+        result = execute(factory, plan, monitors, checked)
         report = result.invariants
         assert report is not None  # every scenario arms monitors
         if report.ok:
             print(f"invariants-smoke: {name}: {report.summary()}")
         else:
             failures.append(f"{name}: {report.summary()}")
-        reference = execute(factory, plan, monitors, engine="fastloop")
+        engine = "des" if checked else "fastloop"
+        reference = execute(factory, plan, monitors, checked, engine=engine)
         if digest(reference) != digest(result):
             failures.append(
-                f"{name}: default engine diverged from the fastloop reference"
+                f"{name}: default engine diverged from the {engine} reference"
             )
+        matched[engine] += 1
     if not failures:
-        print(
-            f"invariants-smoke: default engine matched the fastloop "
-            f"reference on {len(scenarios)}/{len(scenarios)} scenario(s)"
-        )
+        for engine, count in matched.items():
+            print(
+                f"invariants-smoke: default engine matched the {engine} "
+                f"reference on {count}/{count} scenario(s)"
+            )
     return failures
 
 

@@ -35,6 +35,7 @@ import sys
 from collections.abc import Iterator
 
 from repro.obs.export import iter_jsonl_tail, parse_prometheus
+from repro.obs.instruments import snapshot_quantile
 from repro.obs.manifest import RunTelemetry, read_manifests
 
 __all__ = [
@@ -56,35 +57,6 @@ QUANTILES: tuple[tuple[str, float], ...] = (
 
 #: Baseline spans shorter than this are too noisy to gate on.
 DEFAULT_MIN_SECONDS = 0.001
-
-
-def snapshot_quantile(snap: dict, q: float) -> float | None:
-    """Upper-edge quantile estimate from a histogram snapshot dict.
-
-    Mirrors :meth:`repro.obs.instruments.Histogram.quantile`, but works
-    on the serialised form found in manifests (no live instrument) —
-    including the edge cases: out-of-range ``q`` raises ``ValueError``,
-    empty returns ``None``, ``q=0``/``q=1`` return the exact min/max.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    count = snap["count"]
-    if count == 0:
-        return None
-    if q == 0.0:
-        return snap["min"]
-    if q == 1.0:
-        return snap["max"]
-    edges = snap["edges"]
-    rank = q * (count - 1)
-    seen = 0
-    for index, bucket in enumerate(snap["counts"]):
-        seen += bucket
-        if bucket and seen > rank:
-            if index >= len(edges):
-                return snap["max"]
-            return edges[index]
-    return snap["max"]
 
 
 def _format_value(value: float | None) -> str:

@@ -63,6 +63,12 @@ class TestExactTable:
         with pytest.raises(ValueError):
             xi_bruteforce(2, 64, 2)
 
+    def test_bruteforce_at_the_guard(self):
+        # t = 32 (the guard) scores through 2**16-entry child tables; a
+        # root table would need 2**32.
+        for k in (2, 3):
+            assert xi_bruteforce(k, 32, 2) == xi_exact(k, 32, 2)
+
 
 class TestSimulateSearch:
     def test_empty_tree_one_slot(self):

@@ -14,7 +14,11 @@ import random
 
 import pytest
 
-from repro.core.search_cost import SearchOutcome, simulate_search
+from repro.core.search_cost import (
+    SearchOutcome,
+    _placement_scorer,
+    simulate_search,
+)
 from repro.core.trees import BalancedTree, LeafInterval
 
 
@@ -67,14 +71,18 @@ def _simulate_search_reference(active, t, m, heavy=(), skip_empty=False):
 @pytest.mark.parametrize("m,t", [(2, 8), (3, 9), (4, 16), (2, 16)])
 @pytest.mark.parametrize("skip_empty", [False, True])
 def test_exhaustive_active_only(m, t, skip_empty):
-    """Every active-leaf subset of small trees, both bus semantics."""
+    """Every active-leaf subset of small trees, both bus semantics; on the
+    destructive bus also the bitmask scorer ``xi_bruteforce`` uses."""
+    score = _placement_scorer(t, m)
     for k in range(t + 1):
         for placement in itertools.combinations(range(t), k):
-            assert simulate_search(
-                placement, t, m, skip_empty=skip_empty
-            ) == _simulate_search_reference(
+            outcome = simulate_search(placement, t, m, skip_empty=skip_empty)
+            assert outcome == _simulate_search_reference(
                 placement, t, m, skip_empty=skip_empty
             )
+            if not skip_empty:
+                mask = sum(1 << leaf for leaf in placement)
+                assert score(mask) == outcome.cost
 
 
 @pytest.mark.parametrize("m,t", [(2, 8), (3, 9)])

@@ -1,0 +1,282 @@
+"""Consistency-checked runs keep the idle leap, and the check stays whole.
+
+With ``check_consistency`` on, the fast loop crosses a provably idle
+stretch by advancing every station's *own* DDCR replica in O(1)
+(:meth:`DDCRProtocol.leap_idle`) and asserts lockstep at the stretch's
+first and last slot.  This file holds that path to the per-slot DES
+(byte-identical results and replica state), shows the leap engages, and
+desynchronises one replica around a stretch to show the lockstep check
+still fails the run wherever the desync happens.  Every run keeps the
+:class:`TraceLog` off, which would turn the leap off.
+"""
+
+from __future__ import annotations
+
+import itertools
+import pickle
+
+import pytest
+
+from repro.model.arrival import GreedyBurstArrivals
+from repro.model.workloads import uniform_problem
+from repro.net.channel import BroadcastChannel, _RoundDriver
+from repro.net.phy import ideal_medium
+from repro.net.station import Station
+from repro.protocols.base import ChannelState, SlotObservation
+from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
+from repro.protocols.ddcr.protocol import DDCRMode
+from repro.sim.engine import Environment
+from repro.sim.invariants import standard_suite
+
+_HORIZON = 250_000
+_SLOT = 64
+
+
+def _build_channel(
+    a=1, destructive=True, monitors=False, jam=None, load=True, **config
+):
+    """A checked, untraced DDCR channel on the bursty uniform workload."""
+    problem = uniform_problem(
+        z=5, length=1_000, deadline=400_000, a=a, w=200_000
+    )
+    ddcr = DDCRConfig(
+        time_f=16,
+        time_m=2,
+        class_width=65_536,
+        static_q=problem.static_q,
+        static_m=problem.static_m,
+        **config,
+    )
+    channel = BroadcastChannel(
+        Environment(),
+        ideal_medium(slot_time=_SLOT, destructive=destructive),
+        check_consistency=True,
+    )
+    seq_source = itertools.count()
+    for source in problem.sources:
+        station = Station(
+            station_id=source.source_id,
+            mac=DDCRProtocol(ddcr),
+            static_indices=source.static_indices,
+            seq_source=seq_source,
+        )
+        if load:
+            for msg_class in source.message_classes:
+                station.load_arrivals(
+                    msg_class,
+                    GreedyBurstArrivals(bound=msg_class.bound),
+                    _HORIZON,
+                )
+        channel.attach(station)
+    if monitors:
+        channel.monitors = standard_suite(channel.stations)
+    if jam is not None:
+        channel.jam_from, channel.jam_until = jam
+    return channel
+
+
+def _run(engine, **case):
+    """One checked run; returns (digest, DDCR observe calls, rounds)."""
+    channel = _build_channel(**case)
+    calls = [0]
+    for station in channel.stations:
+        observe = station.mac.observe
+
+        def counted(observation, _observe=observe):
+            calls[0] += 1
+            _observe(observation)
+
+        station.mac.observe = counted
+    channel.run(_HORIZON, engine=engine)
+    assert channel.env.now == _HORIZON
+    report = (
+        channel.monitors.finalize(_HORIZON, channel.stations)
+        if channel.monitors is not None
+        else None
+    )
+    digest = pickle.dumps(
+        (
+            channel.stats,
+            channel.observations,
+            [list(station.completions) for station in channel.stations],
+            [station.backlog() for station in channel.stations],
+            report,
+            [
+                (
+                    station.mac.public_state(),
+                    station.mac.tts_records,
+                    station.mac.sts_records,
+                    station.mac.empty_tts_runs,
+                )
+                for station in channel.stations
+            ],
+        )
+    )
+    return digest, calls[0], channel.stats.rounds
+
+
+_CASES = {
+    "plain": {},
+    "bursting": {"a": 3, "burst_limit": 3_000},
+    "non-destructive": {"destructive": False},
+    "monitors": {"monitors": True},
+    "jam-window": {"jam": (80_000, 120_000)},
+    "exit-to-free": {"exit_to_free_on_idle": True},
+}
+
+
+@pytest.mark.parametrize("case", list(_CASES.values()), ids=list(_CASES))
+def test_checked_leap_is_byte_identical(case):
+    """des vs fastloop vs default: stats, completions, invariant reports
+    and every station's replica state and run records agree; the fast
+    loop (what the default runs for checked channels) leaps."""
+    runs = {engine: _run(engine, **case) for engine in ("des", "fastloop", None)}
+    assert len({digest for digest, _, _ in runs.values()}) == 1
+    des_calls, (_, fast_calls, rounds) = runs["des"][1], runs["fastloop"]
+    assert des_calls == rounds * 5  # the reference digests every slot
+    assert fast_calls < des_calls // 4
+
+
+def test_checked_leap_engages():
+    """An idle-heavy checked run makes far fewer ``DDCRProtocol.observe``
+    calls than rounds x stations, and none at all on an idle channel."""
+    _, calls, rounds = _run("fastloop")
+    assert rounds > 3_000 and calls < rounds * 5 // 20
+    _, calls, rounds = _run("fastloop", load=False)
+    assert rounds == -(-_HORIZON // _SLOT) and calls == 0
+
+
+# -- the check still fails a desynchronised replica ---------------------------
+
+
+def _stretches():
+    """(first slot, end) of every leap a clean checked run makes."""
+    leaps = []
+    original = _RoundDriver.leap
+
+    def spy(self, now, horizon):
+        duration = original(self, now, horizon)
+        if duration:
+            leaps.append((now, now + duration))
+        return duration
+
+    _RoundDriver.leap = spy
+    try:
+        _build_channel().run(_HORIZON, engine="fastloop")
+    finally:
+        _RoundDriver.leap = original
+    return leaps
+
+
+def _stretch():
+    """The idle stretch between the workload's two bursts: multi-slot, in
+    the fresh-TTs cycle, and ended by an arrival (the second stretch runs
+    to the horizon)."""
+    leaps = _stretches()
+    assert len(leaps) == 2
+    start, end = leaps[0]
+    assert end - start > 2 * _SLOT and end < _HORIZON
+    return start, end
+
+
+def _desync(station):
+    station.mac.reft += 1  # idle-steady still, but out of lockstep
+
+
+def _leap_hook(monkeypatch, start, before):
+    """Call ``before(channel)`` as the fast loop reaches ``start``; returns
+    the leap durations seen there."""
+    seen = []
+    original = _RoundDriver.leap
+
+    def hooked(self, now, horizon):
+        if now == start:
+            before(self.channel)
+        duration = original(self, now, horizon)
+        if now == start:
+            seen.append(duration)
+        return duration
+
+    monkeypatch.setattr(_RoundDriver, "leap", hooked)
+    return seen
+
+
+def test_desync_just_before_a_stretch_fails(monkeypatch):
+    start, _ = _stretch()
+    _leap_hook(monkeypatch, start, lambda ch: _desync(ch.stations[2]))
+    with pytest.raises(AssertionError, match=f"t={start}: stations disagree"):
+        _build_channel().run(_HORIZON, engine="fastloop")
+
+
+def test_desync_at_a_stretchs_first_slot_fails():
+    start, _ = _stretch()
+    channel = _build_channel()
+    mac = channel.stations[3].mac
+    leap_idle = mac.leap_idle
+
+    def desynced(n, end):
+        leap_idle(n, end)
+        if end == start + _SLOT:
+            mac.reft += 1
+
+    mac.leap_idle = desynced
+    with pytest.raises(AssertionError, match=f"t={start}: stations disagree"):
+        channel.run(_HORIZON, engine="fastloop")
+
+
+def test_desync_inside_a_stretch_fails_at_its_last_slot():
+    _, end = _stretch()
+    channel = _build_channel()
+    mac = channel.stations[1].mac
+    leap_idle = mac.leap_idle
+
+    def desynced(n, stretch_end):
+        leap_idle(n, stretch_end)
+        if stretch_end == end:
+            mac.reft += 1
+
+    mac.leap_idle = desynced
+    with pytest.raises(
+        AssertionError, match=f"t={end - _SLOT}: stations disagree"
+    ):
+        channel.run(_HORIZON, engine="fastloop")
+
+
+def test_desync_right_after_a_stretch_fails():
+    _, end = _stretch()
+    channel = _build_channel()
+    assert_lockstep = channel._assert_lockstep
+
+    def desync_after_last_slot(now):
+        assert_lockstep(now)
+        if now == end - _SLOT:
+            _desync(channel.stations[0])
+
+    channel._assert_lockstep = desync_after_last_slot
+    with pytest.raises(AssertionError, match=f"t={end}: stations disagree"):
+        channel.run(_HORIZON, engine="fastloop")
+
+
+def test_replica_out_of_steady_state_blocks_the_leap(monkeypatch):
+    """One replica digests a phantom root collision right before a
+    stretch: it is mid-search while the others are idle-steady, so no
+    leap happens and the per-slot check fails the run at that slot."""
+    start, _ = _stretch()
+
+    def phantom_collision(channel):
+        mac = channel.stations[4].mac
+        assert mac.mode is DDCRMode.TTS and mac.idle_steady()
+        mac.observe(
+            SlotObservation(
+                state=ChannelState.COLLISION,
+                start=start - _SLOT,
+                duration=_SLOT,
+            )
+        )
+        assert not mac.idle_steady()
+        assert all(s.mac.idle_steady() for s in channel.stations[:4])
+
+    seen = _leap_hook(monkeypatch, start, phantom_collision)
+    with pytest.raises(AssertionError, match=f"t={start}: stations disagree"):
+        _build_channel().run(_HORIZON, engine="fastloop")
+    assert seen == [0]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.obs.instruments import (
@@ -71,9 +73,32 @@ class TestHistogram:
     def test_quantile_single_bucket(self):
         hist = Histogram("h", edges=(10,))
         hist.record(4)
-        assert hist.quantile(0.5) == 10  # upper-edge estimate
+        assert hist.quantile(0.5) == 4  # upper edge 10, clamped to the max
         assert hist.quantile(0.0) == 4
         assert hist.quantile(1.0) == 4
+
+    def test_interior_quantiles_lie_in_the_observed_range(self):
+        # A bucket's upper edge may exceed the largest sample in it; the
+        # estimate is clamped to [min, max], and still never under-reports
+        # the empirical quantile.
+        rng = random.Random(20261018)
+        for _ in range(300):
+            edges = sorted(rng.sample(range(1, 5_000), rng.randint(1, 8)))
+            hist = Histogram("h", edges)
+            values = [rng.randint(0, 6_000) for _ in range(rng.randint(1, 30))]
+            for value in values:
+                hist.record(value)
+            ordered = sorted(values)
+            for q in (0.01, 0.25, 0.5, 0.9, 0.99):
+                estimate = hist.quantile(q)
+                assert hist.min <= estimate <= hist.max
+                assert estimate >= ordered[int(q * (len(values) - 1))]
+        # Per-class wire latencies on the default edges: every sample
+        # sits in the (32768, 65536] bucket, and p50/p99 report the max.
+        hist = Histogram("latency/audio-0", LATENCY_EDGES)
+        for value in (40_960, 43_008, 45_056):
+            hist.record(value)
+        assert hist.quantile(0.5) == hist.quantile(0.99) == 45_056
 
     def test_quantile_overflow_reports_observed_max(self):
         hist = Histogram("h", edges=(10,))
