@@ -21,6 +21,8 @@ from repro.model.problem import HRTDMProblem
 from repro.model.source import SourceSpec
 from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import ideal_medium
+from repro.obs.context import use_tracer
+from repro.obs.tracer import FlightRecorder
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 
 
@@ -55,20 +57,24 @@ def build() -> tuple[HRTDMProblem, DDCRConfig]:
 
 def run_once(noise_rate: float) -> str:
     problem, config = build()
-    simulation = NetworkSimulation.from_scenario(
-        Scenario(
-            problem,
-            ideal_medium(slot_time=64),
-            protocol_factory=lambda source: DDCRProtocol(config),
-            trace=True,
-            check_consistency=True,
-            noise_rate=noise_rate,
-            noise_seed=3,
+    # The channel records into the ambient flight recorder: one event per
+    # busy slot and one per run of silent slots.
+    recorder = FlightRecorder()
+    with use_tracer(recorder):
+        simulation = NetworkSimulation.from_scenario(
+            Scenario(
+                problem,
+                ideal_medium(slot_time=64),
+                protocol_factory=lambda source: DDCRProtocol(config),
+                check_consistency=True,
+                noise_rate=noise_rate,
+                noise_seed=3,
+            )
         )
-    )
-    result = simulation.run(horizon=80_000)
+        result = simulation.run(horizon=80_000)
+    assert recorder.emitted == len(recorder)  # the ring kept every event
     mac = result.stations[0].mac
-    lines = [render_timeline(result.trace, width=80)]
+    lines = [render_timeline(recorder.events(), width=80)]
     if mac.sts_records:
         record = mac.sts_records[0]
         lines.append(

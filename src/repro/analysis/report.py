@@ -87,30 +87,39 @@ _TIMELINE_GLYPHS = {
 }
 
 
-def render_timeline(trace, width: int = 96, start: int = 0) -> str:
-    """Render a channel trace as a per-slot activity strip.
+def render_timeline(events, width: int = 96, start: int = 0) -> str:
+    """Render a channel's flight-recorder events as a per-slot activity strip.
 
     One character per channel round, reading left to right in time:
     ``.`` silence, ``X`` collision, ``!`` noise-corrupted slot, and a
     digit/letter identifying the transmitting station on a success
-    (station id modulo 36).  Requires a trace produced by
-    :class:`~repro.net.channel.BroadcastChannel` with tracing enabled.
+    (station id modulo 36).  ``events`` are
+    :class:`~repro.obs.tracer.TraceEvent` objects (``recorder.events()``
+    or :func:`~repro.obs.tracer.load_trace`); the strip reads an
+    unprefixed channel's ``channel/slot`` events and expands each
+    ``channel/idle`` run of ``n`` slots into ``n`` dots.  Slots that
+    start before ``start`` are left out, also inside an idle run.
 
     >>> # '0X12.' reads: station 0 sent, collision, stations 1 then 2
     >>> # sent after resolution, then one idle slot.
     """
     symbols: list[str] = []
+    limit = width * 8
     alphabet = "0123456789abcdefghijklmnopqrstuvwxyz"
-    for record in trace.records("slot"):
-        if record.time < start:
-            continue
-        state = record["state"]
-        if state == "success":
-            source = record["source"]
-            symbols.append(alphabet[int(source) % len(alphabet)])
-        else:
-            symbols.append(_TIMELINE_GLYPHS.get(str(state), "?"))
-        if len(symbols) >= width * 8:
+    for event in events:
+        data = event.data
+        if event.kind == "channel/idle":
+            # Idle slots starting before ``start``: ceil((start - t) / slot).
+            early = max(0, -((data["t"] - start) // data["slot"]))
+            symbols.extend("." * min(data["n"] - early, limit - len(symbols)))
+        elif event.kind == "channel/slot" and data["t"] >= start:
+            state = data["state"]
+            if state == "success":
+                source = data["source"]
+                symbols.append(alphabet[int(source) % len(alphabet)])
+            else:
+                symbols.append(_TIMELINE_GLYPHS.get(str(state), "?"))
+        if len(symbols) >= limit:
             break
     if not symbols:
         return "(empty timeline)"

@@ -24,7 +24,6 @@ from repro.model.workloads import uniform_problem
 from repro.net.dualbus import DualBusSimulation, suggested_jam_threshold
 from repro.net.network import NetworkSimulation, RunResult, Scenario
 from repro.net.phy import GIGABIT_ETHERNET, MediumProfile
-from repro.sim.trace import TraceLog
 
 __all__ = ["run"]
 
@@ -84,7 +83,6 @@ def run(
             horizon=horizon,
             stations=single_failed.stations,
             stats=single_failed.bus_stats[0],
-            trace=TraceLog(enabled=False),
         )
     )
     rows.append(
@@ -111,7 +109,6 @@ def run(
             horizon=horizon,
             stations=dual.stations,
             stats=dual.bus_stats[1],
-            trace=TraceLog(enabled=False),
         )
     )
     rows.append(
@@ -137,7 +134,6 @@ def run(
             horizon=horizon,
             stations=dual_clean.stations,
             stats=dual_clean.bus_stats[0],
-            trace=TraceLog(enabled=False),
         )
     )
     rows.append(

@@ -149,7 +149,6 @@ def build_chain_topology(
     a: int = 1,
     w: int = 5 * _MS,
     engine: str | None = None,
-    trace: bool = False,
     root_seed: int = 0,
     monitors: object = None,
     telemetry: object = None,
@@ -196,7 +195,6 @@ def build_chain_topology(
     topology = Topology(
         segments=tuple(specs),
         bridges=bridges,
-        trace=trace,
         root_seed=root_seed,
         engine=engine,
         monitors=monitors,  # type: ignore[arg-type]

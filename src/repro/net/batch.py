@@ -29,14 +29,16 @@ itself says whether it is idle-steady and digests the stretch
 (:meth:`~repro.protocols.ddcr.protocol.DDCRProtocol.leap_idle`); the
 channel's shared stretch rule bounds the stretch (horizon, next arrival,
 jam boundary) and keeps the leap off wherever a per-slot side effect
-must happen: noise (one RNG draw per slot), a
-:class:`~repro.sim.trace.TraceLog` or an enabled flight recorder (one
-record per slot), and any armed invariant monitor that cannot digest an
-idle stretch in one call
+must happen: noise (one RNG draw per slot) and any armed invariant
+monitor that cannot digest an idle stretch in one call
 (:attr:`~repro.sim.invariants.MonitorSuite.digests_idle`); the standard
-and bridge-conservation monitors can, via ``on_idle``.  Consistency-checked
-fast-loop runs leap under the same rule and the same replica code, on
-every station's own replica.
+and bridge-conservation monitors can, via ``on_idle``.  An armed flight
+recorder keeps the leap: the channel books a leapt stretch and a
+stepped silent slot through the same ``channel/idle`` rule
+(:meth:`~repro.net.channel.BroadcastChannel._trace_idle`), so the dump
+is the same either way.  Consistency-checked fast-loop runs leap under
+the same rule and the same replica code, on every station's own
+replica.
 
 Fallback contract (mirroring the fast loop's): :func:`batch_unavailable_reason`
 reports *structural* ineligibility — foreign MAC types, differing configs,
@@ -299,8 +301,6 @@ class BatchKernel:
             gates.append(BernoulliGate(channel.noise_rate, channel._noise_rng))
         self.noise_gates = tuple(gates)
         self.monitors = channel.monitors
-        self.trace = channel.trace
-        self.trace_on = channel.trace.enabled
         self.tracer = channel.tracer
         self.tracer_on = channel.tracer.enabled
         telemetry = channel.telemetry
@@ -393,7 +393,8 @@ class BatchKernel:
         The shadow replica decides whether it is idle-steady and digests
         the stretch (:meth:`DDCRProtocol.leap_idle`, the same code every
         station's replica runs on checked fast-loop runs); the channel's
-        shared rule bounds the stretch and books it, monitors included.
+        shared rule bounds the stretch and books it, monitors and flight
+        recorder included.
         """
         replica = self.replica
         if not replica.idle_steady():
@@ -486,14 +487,9 @@ class BatchKernel:
                     now, slot_time, _COLLISION, wire, None, True, jammed,
                     self.stations, None,
                 )
-            if self.trace_on:
-                self.trace.emit(
-                    now, "slot", state="corrupted", duration=slot_time,
-                    source=None, msg=None,
-                )
             if self.tracer_on:
                 self.tracer.emit(
-                    "channel/slot", t=now, state="corrupted", wire=wire,
+                    channel._slot_kind, t=now, state="corrupted", wire=wire,
                 )
             return slot_time
         if wire == 0:
@@ -557,24 +553,17 @@ class BatchKernel:
                 now, duration, state, wire, frame, False, False,
                 self.stations, None,
             )
-        if self.trace_on:
-            self.trace.emit(
-                now,
-                "slot",
-                state=state.value,
-                duration=duration,
-                source=None if frame is None else frame.station_id,
-                msg=None if frame is None else frame.message.msg_class.name,
-            )
         if self.tracer_on:
-            if frame is None:
+            if state is _SILENCE:
+                channel._trace_idle(now, 1)
+            elif frame is None:
                 self.tracer.emit(
-                    "channel/slot", t=now, state=state.value,
+                    channel._slot_kind, t=now, state=state.value,
                     duration=duration,
                 )
             else:
                 self.tracer.emit(
-                    "channel/slot", t=now, state=state.value,
+                    channel._slot_kind, t=now, state=state.value,
                     duration=duration, source=frame.station_id,
                     msg=frame.message.msg_class.name,
                 )

@@ -39,16 +39,17 @@ resolution happens — and dispatches to one of three internal tiers:
 
 Both leaping engines share one stretch rule, kept here on the channel:
 a stretch ends at the horizon, the earliest pending arrival or a jam
-boundary, and there is no leap under noise, an armed fault injector, a
-:class:`~repro.sim.trace.TraceLog`, an enabled flight recorder or a
-monitor that cannot digest idle slots in one call.  The DES is always
+boundary, and there is no leap under noise, an armed fault injector or
+a monitor that cannot digest idle slots in one call.  The DES is always
 per-slot: the reference.
 
 All engines draw from the same RNG in the same order, so their results
 are byte-identical (the differential tests assert this, three ways).  The
 channel also keeps slot-level accounting (how many slots of each kind,
-payload bits delivered) and emits one trace record per round when tracing
-is enabled.
+payload bits delivered) and, when a flight recorder is armed, records
+each busy slot as one ``channel/slot`` event and each run of silent
+slots as one ``channel/idle`` event (:meth:`BroadcastChannel._trace_idle`),
+so a recorder dump is the same whether a stretch was leapt or stepped.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from repro.obs.tracer import FlightRecorder
 from repro.protocols.base import ChannelState, SlotObservation
 from repro.sim.engine import Environment
 from repro.sim.process import ProcessGenerator
-from repro.sim.trace import NULL_TRACE, TraceLog
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.station import Station
@@ -132,8 +132,6 @@ class _RoundDriver:
         "noise_gates",
         "faults",
         "monitors",
-        "trace",
-        "trace_on",
         "check",
         "leap_ok",
         "telemetry",
@@ -172,8 +170,6 @@ class _RoundDriver:
             gates.extend(self.faults.noise_gates)
         self.noise_gates = tuple(gates)
         self.monitors = channel.monitors
-        self.trace = channel.trace
-        self.trace_on = channel.trace.enabled
         self.check = channel.check_consistency
         # Checked runs cross idle stretches on every station's own
         # replica (see :meth:`leap`); unchecked fast-loop runs stay
@@ -331,14 +327,9 @@ class _RoundDriver:
                     now, slot_time, _COLLISION, wire, None, True, jammed,
                     stations, down,
                 )
-            if self.trace_on:
-                self.trace.emit(
-                    now, "slot", state="corrupted", duration=slot_time,
-                    source=None, msg=None,
-                )
             if self.tracer_on:
                 self.tracer.emit(
-                    "channel/slot", t=now, state="corrupted", wire=wire,
+                    channel._slot_kind, t=now, state="corrupted", wire=wire,
                 )
             if self.check:
                 channel._assert_lockstep(now)
@@ -422,24 +413,17 @@ class _RoundDriver:
                 now, duration, state, wire, frame, False, False,
                 stations, down,
             )
-        if self.trace_on:
-            self.trace.emit(
-                now,
-                "slot",
-                state=state.value,
-                duration=duration,
-                source=None if frame is None else frame.station_id,
-                msg=None if frame is None else frame.message.msg_class.name,
-            )
         if self.tracer_on:
-            if frame is None:
+            if state is _SILENCE:
+                channel._trace_idle(now, 1)
+            elif frame is None:
                 self.tracer.emit(
-                    "channel/slot", t=now, state=state.value,
+                    channel._slot_kind, t=now, state=state.value,
                     duration=duration,
                 )
             else:
                 self.tracer.emit(
-                    "channel/slot", t=now, state=state.value,
+                    channel._slot_kind, t=now, state=state.value,
                     duration=duration, source=frame.station_id,
                     msg=frame.message.msg_class.name,
                 )
@@ -455,7 +439,6 @@ class BroadcastChannel:
         self,
         env: Environment,
         medium: MediumProfile,
-        trace: TraceLog | None = None,
         check_consistency: bool = False,
         noise_rate: float = 0.0,
         noise_seed: int = 0,
@@ -489,17 +472,18 @@ class BroadcastChannel:
         (``bus0/slots/...``).
 
         ``tracer`` is a :class:`~repro.obs.tracer.FlightRecorder` every
-        engine emits per-slot trace events into (default: the
-        ambient :func:`~repro.obs.context.current_tracer`, normally the
-        disabled :data:`~repro.obs.tracer.NULL_TRACER`).  Picking up the
-        ambient recorder at construction lets the SERVE-CHECK simulation
-        parent its slot outcomes under a serve request's trace root
-        without threading a parameter through every layer."""
+        engine records slot outcomes into (default: the ambient
+        :func:`~repro.obs.context.current_tracer`, normally the disabled
+        :data:`~repro.obs.tracer.NULL_TRACER`).  Picking up the ambient
+        recorder at construction lets the SERVE-CHECK simulation parent
+        its slot outcomes under a serve request's trace root without
+        threading a parameter through every layer.  A non-empty
+        ``telemetry_prefix`` prefixes the event kinds too
+        (``bus0/channel/slot``), so one dump tells channels apart."""
         if not 0.0 <= noise_rate < 1.0:
             raise ValueError(f"noise_rate must be in [0, 1), got {noise_rate}")
         self.env = env
         self.medium = medium
-        self.trace = trace if trace is not None else NULL_TRACE
         self.check_consistency = check_consistency
         self.noise_rate = noise_rate
         self._noise_rng = (
@@ -508,6 +492,11 @@ class BroadcastChannel:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.telemetry_prefix = telemetry_prefix
         self.tracer = tracer if tracer is not None else current_tracer()
+        self._slot_kind = f"{telemetry_prefix}channel/slot"
+        self._idle_kind = f"{telemetry_prefix}channel/idle"
+        #: The ``channel/idle`` event this channel's silent slots extend
+        #: (see :meth:`_trace_idle`).
+        self._idle_run = None
         self.stations: list["Station"] = []
         self.stats = ChannelStats()
         self.observations: int = 0
@@ -604,7 +593,7 @@ class BroadcastChannel:
 
         Fallback is automatic and exact: if foreign events are pending at
         entry, the whole run happens on the DES; if one appears mid-run
-        (a process registered by a trace subscriber, a host extension),
+        (a process registered by a monitor, a host extension),
         the loop re-enters the event queue *after the current round's
         slot*, which is precisely where the DES path would interleave it.
         On return, ``env.now == horizon`` exactly as with
@@ -664,18 +653,16 @@ class BroadcastChannel:
     def _idle_leap_allowed(self) -> bool:
         """Whether nothing on this channel must see idle slots one by one.
 
-        No noise (one RNG draw per slot), no armed fault injector, no
-        :class:`~repro.sim.trace.TraceLog` or enabled flight recorder (one
-        record per slot), and only monitors that digest an idle stretch in
-        one ``on_idle`` call
-        (:attr:`~repro.sim.invariants.MonitorSuite.digests_idle`).
+        No noise (one RNG draw per slot), no armed fault injector, and
+        only monitors that digest an idle stretch in one ``on_idle`` call
+        (:attr:`~repro.sim.invariants.MonitorSuite.digests_idle`).  An
+        armed flight recorder does not count: it records a stretch as
+        one event (:meth:`_trace_idle`).
         """
         monitors = self.monitors
         return (
             self.noise_rate == 0.0
             and self.faults is None
-            and not self.trace.enabled
-            and not self.tracer.enabled
             and (monitors is None or monitors.digests_idle)
         )
 
@@ -697,7 +684,8 @@ class BroadcastChannel:
 
     def _count_idle(self, now: int, n: int) -> None:
         """Book ``n`` silent slots from ``now`` as ``n`` rounds would:
-        stats, observations, the silence counter and the monitors."""
+        stats, observations, the silence counter, the monitors and the
+        flight recorder."""
         slot_time = self.medium.slot_time
         stats = self.stats
         stats.silence_slots += n
@@ -708,6 +696,22 @@ class BroadcastChannel:
             telemetry.counter(f"{self.telemetry_prefix}slots/silence").inc(n)
         if self.monitors is not None:
             self.monitors.on_idle(now, n, slot_time)
+        if self.tracer.enabled:
+            self._trace_idle(now, n)
+
+    def _trace_idle(self, now: int, n: int) -> None:
+        """Record ``n`` silent slots from ``now`` in the flight recorder.
+
+        The one rule every engine's per-slot silent branch and idle leap
+        calls: a run of silent slots is one ``channel/idle`` event (start
+        ``t``, count ``n``, slot length ``slot``), and later silent slots
+        of this channel extend it for as long as nothing else has been
+        recorded (:meth:`~repro.obs.tracer.FlightRecorder.coalesce`).
+        """
+        self._idle_run = self.tracer.coalesce(
+            self._idle_run, self._idle_kind, n,
+            t=now, slot=self.medium.slot_time,
+        )
 
     def _assert_lockstep(self, now: int) -> None:
         """All stations running the same protocol class must agree on the

@@ -44,7 +44,6 @@ from repro.sim.invariants import (
     MonitorSuite,
     MutualExclusionMonitor,
 )
-from repro.sim.trace import TraceLog
 
 __all__ = [
     "BusFailoverController",
@@ -167,7 +166,6 @@ class DualBusResult:
     stations: list[Station]
     bus_stats: tuple[ChannelStats, ChannelStats]
     failovers: int
-    traces: tuple[TraceLog, TraceLog]
     #: Per-bus invariant reports (``monitors=True``), else ``None``.
     invariants: tuple[InvariantReport, InvariantReport] | None = None
     #: Telemetry manifest with per-bus instruments (``bus0/...``,
@@ -214,6 +212,11 @@ class DualBusSimulation:
     slot-level safety invariant applies per bus: deadline and
     work-conservation accounting spans both busses (shared queues), so
     those monitors belong to single-bus runs.
+
+    A flight recorder scoped around :meth:`run`
+    (:func:`repro.obs.context.use_tracer`) records both busses into one
+    dump, their event kinds prefixed like their instruments
+    (``bus0/channel/slot``, ``bus1/channel/idle``).
     """
 
     def __init__(
@@ -225,7 +228,6 @@ class DualBusSimulation:
         arrivals: Mapping[str, ArrivalProcess] | None = None,
         fail_bus_at: int | None = None,
         check_consistency: bool = False,
-        trace: bool = False,
         engine: str | None = None,
         monitors: bool = False,
         telemetry: Telemetry | None = None,
@@ -237,7 +239,6 @@ class DualBusSimulation:
         self.arrivals = dict(arrivals) if arrivals else {}
         self.fail_bus_at = fail_bus_at
         self.check_consistency = check_consistency
-        self.trace_enabled = trace
         if engine is not None:
             resolve_engine(engine)  # validate eagerly
         self.engine = engine
@@ -257,15 +258,10 @@ class DualBusSimulation:
             self.telemetry if self.telemetry is not None
             else current_telemetry()
         )
-        traces = (
-            TraceLog(enabled=self.trace_enabled),
-            TraceLog(enabled=self.trace_enabled),
-        )
         busses = tuple(
             BroadcastChannel(
                 env,
                 self.medium,
-                trace=traces[i],
                 check_consistency=self.check_consistency,
                 telemetry=telemetry,
                 telemetry_prefix=f"bus{i}/",
@@ -351,7 +347,6 @@ class DualBusSimulation:
             stations=primary_stations,
             bus_stats=(busses[0].stats, busses[1].stats),
             failovers=failovers,
-            traces=traces,
             invariants=invariants,
             telemetry=manifest,
         )

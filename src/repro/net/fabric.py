@@ -63,7 +63,6 @@ from repro.net.topology import BridgeSpec, Topology
 from repro.obs.context import current_telemetry, current_tracer
 from repro.obs.manifest import RunTelemetry
 from repro.sim.invariants import BridgeConservationMonitor
-from repro.sim.trace import TraceLog
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.instruments import Telemetry
@@ -229,9 +228,6 @@ class FabricResult:
     segments: dict[str, RunResult]
     bridges: tuple[BridgeReport, ...]
     journeys: tuple[EndToEndRecord, ...]
-    #: Fabric-level trace: one ``fabric/hop`` record per forwarded frame
-    #: (enabled with the topology's ``trace`` flag).
-    hop_trace: TraceLog
     #: Per-segment engine notes (each segment's
     #: :attr:`RunResult.engine_fallback`; ``None`` where the batch kernel
     #: ran or was not requested), one entry per segment.
@@ -337,7 +333,6 @@ class Fabric:
         order = topology.segment_order()
         single = len(topology.segments) == 1
         tracer = current_tracer()
-        hop_trace = TraceLog(enabled=topology.trace)
         declaration = {
             seg.name: index for index, seg in enumerate(topology.segments)
         }
@@ -376,7 +371,6 @@ class Fabric:
                 medium=segment.medium,
                 protocol_factory=segment.protocol_factory,
                 arrivals=arrivals if arrivals else None,
-                trace=topology.trace,
                 check_consistency=topology.check_consistency,
                 noise_rate=segment.noise_rate,
                 noise_seed=segment.noise_seed,
@@ -415,7 +409,6 @@ class Fabric:
                 index,
                 journeys,
                 horizon,
-                hop_trace,
                 tracer,
             )
         reports = tuple(
@@ -438,7 +431,6 @@ class Fabric:
             segments=results,
             bridges=reports,
             journeys=records,
-            hop_trace=hop_trace,
             engine_fallbacks=fallbacks,
             telemetry=manifest,
         )
@@ -491,7 +483,6 @@ class Fabric:
         index: dict,
         journeys: list[_Journey],
         horizon: int,
-        hop_trace: TraceLog,
         tracer,
     ) -> None:
         """Journal every heard completion onto its outgoing bridge."""
@@ -525,19 +516,12 @@ class Fabric:
                     index[key] = journey
                 relay = class_map[class_name]
                 ready = record.completion + bridge.forwarding_latency
-                hop_trace.emit(
-                    ready,
-                    "fabric/hop",
-                    bridge=bridge.name,
-                    msg_class=class_name,
-                    relay_class=relay,
-                    completion=record.completion,
-                )
                 tracer.emit(
                     "fabric/hop",
                     bridge=bridge.name,
                     msg_class=class_name,
                     relay_class=relay,
+                    completion=record.completion,
                     ready=ready,
                 )
                 if ready >= horizon:

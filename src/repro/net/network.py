@@ -41,7 +41,6 @@ from repro.obs.manifest import RunTelemetry
 from repro.sim.engine import Environment
 from repro.sim.invariants import InvariantReport, MonitorSuite, standard_suite
 from repro.sim.rng import SeedSequenceRegistry
-from repro.sim.trace import TraceLog
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.fabric import Fabric
@@ -63,7 +62,6 @@ class RunResult:
     horizon: int
     stations: list[Station]
     stats: ChannelStats
-    trace: TraceLog
     #: Invariant-monitor report (:mod:`repro.sim.invariants`); ``None``
     #: when the run had no monitors armed.
     invariants: InvariantReport | None = None
@@ -123,7 +121,6 @@ class NetworkSimulation:
         self.medium = scenario.medium
         self.protocol_factory = scenario.protocol_factory
         self.arrivals = dict(scenario.arrivals) if scenario.arrivals else {}
-        self.trace_enabled = scenario.trace
         self.check_consistency = scenario.check_consistency
         self.noise_rate = scenario.noise_rate
         self.noise_seed = scenario.noise_seed
@@ -186,11 +183,9 @@ class NetworkSimulation:
         if env is None:
             env = Environment()
         rng = SeedSequenceRegistry(self.root_seed)
-        trace = TraceLog(enabled=self.trace_enabled)
         channel = BroadcastChannel(
             env,
             self.medium,
-            trace=trace,
             check_consistency=self.check_consistency,
             noise_rate=self.noise_rate,
             noise_rng=rng.stream(f"channel/noise/{self.noise_seed}"),
@@ -291,7 +286,6 @@ class NetworkSimulation:
             horizon=horizon,
             stations=stations,
             stats=channel.stats,
-            trace=trace,
             invariants=invariants,
             telemetry=manifest,
             engine_fallback=engine_fallback,

@@ -73,7 +73,7 @@ class Scenario:
     manifest).  ``None`` (default) defers to the process-wide default
     (``auto`` unless overridden).  Engines are result-equivalent: the
     same run under any engine yields byte-identical statistics,
-    completions and traces.
+    completions and flight-recorder dumps.
 
     ``faults`` arms a :class:`~repro.faults.models.FaultPlan` on the
     channel; ``None`` (default) picks up the ambient scoped plan
@@ -103,13 +103,18 @@ class Scenario:
     :data:`~repro.obs.instruments.NULL_TELEMETRY` outside any scope.
     Instrument values are a pure function of the run, identical under
     every engine.
+
+    A scenario has no tracing field: to trace a run, scope
+    ``use_tracer(FlightRecorder(capacity=...))``
+    (:func:`repro.obs.context.use_tracer`) around building and running
+    it.  The channel picks the recorder up at construction and records
+    busy slots and runs of silent slots into it; the idle leap stays on.
     """
 
     problem: "HRTDMProblem"
     medium: "MediumProfile"
     protocol_factory: ProtocolFactory
     arrivals: Mapping[str, "ArrivalProcess"] | None = None
-    trace: bool = False
     check_consistency: bool = False
     noise_rate: float = 0.0
     noise_seed: int = 0
@@ -148,7 +153,7 @@ class Scenario:
         The single-segment sugar of the fabric API: a
         :class:`~repro.net.fabric.Fabric` built from the result is
         byte-identical to ``NetworkSimulation.from_scenario(self)`` —
-        stats, traces, telemetry content — under every engine (the
+        stats, recorder dumps, telemetry content — under every engine (the
         differential suite holds the two surfaces together).
         """
         from repro.net.topology import SegmentSpec, Topology
@@ -166,7 +171,6 @@ class Scenario:
                 ),
             ),
             bridges=(),
-            trace=self.trace,
             check_consistency=self.check_consistency,
             root_seed=self.root_seed,
             engine=self.engine,

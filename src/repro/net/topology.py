@@ -165,7 +165,6 @@ class Topology:
 
     segments: tuple[SegmentSpec, ...]
     bridges: tuple[BridgeSpec, ...] = ()
-    trace: bool = False
     check_consistency: bool = False
     root_seed: int = 0
     engine: str | None = None

@@ -7,13 +7,14 @@ carries them out of the process as a JSONL manifest the
 ``python -m repro.tools.obs`` tooling can render and diff.
 
 The disabled state is the shared :data:`~repro.obs.instruments.NULL_TELEMETRY`
-singleton, following the ``NULL_TRACE`` hoisted-gate pattern: hot call
-sites check ``telemetry.enabled`` once per run and skip all instrument
-work when it is off, so the slot-loop fast path stays allocation-free.
+singleton, following the hoisted-gate pattern of the flight recorder's
+:data:`~repro.obs.tracer.NULL_TRACER`: hot call sites check
+``telemetry.enabled`` once per run and skip all instrument work when it
+is off, so the slot-loop fast path stays allocation-free.
 
 The *v2 ops plane* layers three live views on the same substrate: the
 flight recorder (:mod:`repro.obs.tracer` — a bounded ring of causally
-linked trace events, disabled state :data:`~repro.obs.tracer.NULL_TRACER`),
+linked trace events and the repository's one trace substrate),
 the streaming exporter (:mod:`repro.obs.export` — Prometheus text file +
 JSONL delta stream, rewritten/appended while a service runs), and the
 SLO engine (:mod:`repro.obs.slo` — declarative objectives evaluated as

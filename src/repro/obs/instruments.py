@@ -20,10 +20,11 @@ byte-identical snapshots (the differential suite asserts this).  Span
 *durations* are wall-clock and excluded from the determinism contract.
 
 The disabled state is :data:`NULL_TELEMETRY`, a process-wide singleton
-whose instruments are inert.  Hot loops follow the ``NULL_TRACE``
-hoisted-gate idiom: check ``telemetry.enabled`` once, outside the loop,
-and skip instrument calls entirely when it is off — the null instruments
-exist only so that unconditioned call sites stay safe.
+whose instruments are inert.  Hot loops follow the hoisted-gate idiom
+of :data:`~repro.obs.tracer.NULL_TRACER`: check ``telemetry.enabled``
+once, outside the loop, and skip instrument calls entirely when it is
+off — the null instruments exist only so that unconditioned call sites
+stay safe.
 """
 
 from __future__ import annotations

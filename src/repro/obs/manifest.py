@@ -16,6 +16,7 @@ run was driven, not what it computed).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import pathlib
@@ -39,8 +40,14 @@ __all__ = [
 MANIFEST_SCHEMA = 1
 
 
+@functools.cache
 def git_rev() -> str:
-    """Short git revision of the working tree, or ``"unknown"``."""
+    """Short git revision of the working tree, or ``"unknown"``.
+
+    Memoized once per process: the code a process runs is the revision
+    it imported, and every manifest would otherwise pay a ``git``
+    subprocess.
+    """
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],

@@ -7,15 +7,15 @@ what*.  It keeps the last N structured events in a
 id and the id of its causal parent — the innermost open span at emit
 time — so a serve request's whole causal chain (request -> engine
 mutation -> rollback -> decision, plus any counter-check simulation's
-per-slot outcomes) is reconstructible by a parent-id walk.
+slot outcomes) is reconstructible by a parent-id walk.
 
 Determinism contract: events carry **no wall-clock fields** — ids, kinds
 and payloads are a pure function of the traced run, so two recordings of
 the same request stream dump byte-identical JSONL.
 
 The disabled state is :data:`NULL_TRACER`, a process-wide singleton
-whose :meth:`~FlightRecorder.emit` and :meth:`~FlightRecorder.span` are
-inert — the same hoisted-gate idiom as
+whose :meth:`~FlightRecorder.emit`, :meth:`~FlightRecorder.coalesce` and
+:meth:`~FlightRecorder.span` are inert — the same hoisted-gate idiom as
 :data:`~repro.obs.instruments.NULL_TELEMETRY`: hot loops check
 ``tracer.enabled`` once, outside the loop, and skip event construction
 entirely when it is off.
@@ -25,6 +25,12 @@ matter how long the service runs, dumpable on demand
 (:meth:`~FlightRecorder.dump_jsonl`) or snapshotted automatically when
 an incident lands (the admission service attaches the last N events to
 the structured :class:`~repro.serve.model.Incident`).
+
+It is the repository's one trace substrate.  Channels record busy slots
+as ``channel/slot`` events and each run of silent slots as one
+``channel/idle`` event whose count grows in place
+(:meth:`~FlightRecorder.coalesce`), so an idle stretch costs one event
+whether an engine leapt it or stepped it slot by slot.
 """
 
 from __future__ import annotations
@@ -66,7 +72,8 @@ class TraceEvent:
         if self.parent is not None:
             doc["parent"] = self.parent
         if self.data:
-            doc["data"] = self.data
+            # A copy: a run-length event may still grow after the snapshot.
+            doc["data"] = dict(self.data)
         return doc
 
     def to_json(self) -> str:
@@ -133,6 +140,31 @@ class FlightRecorder:
         parent = self._stack[-1] if self._stack else None
         self._events.append(TraceEvent(event_id, parent, kind, data))
         return event_id
+
+    def coalesce(
+        self, run: TraceEvent | None, kind: str, n: int, /, **data: object
+    ) -> TraceEvent:
+        """Add ``n`` to the run-length event ``run``, or start a new one.
+
+        ``run`` grows (``data["n"] += n``) only while it is the newest
+        event and still has the innermost open span as its parent: any
+        event recorded since ends it, and a new ``kind`` event carrying
+        ``n`` and ``data`` starts the next run.  The caller keeps the
+        returned event and passes it back next time, so only the caller
+        that started a run ever extends it.  Growing a run records no
+        event: ids and :attr:`emitted` count events, not slots.
+        """
+        parent = self._stack[-1] if self._stack else None
+        if (
+            run is not None
+            and self._events
+            and self._events[-1] is run
+            and run.parent == parent
+        ):
+            run.data["n"] += n
+            return run
+        self.emit(kind, n=n, **data)
+        return self._events[-1]
 
     @contextmanager
     def span(self, kind: str, /, **data: object) -> Iterator[int]:
@@ -204,9 +236,9 @@ class FlightRecorder:
 class _NullRecorder(FlightRecorder):
     """The shared always-disabled recorder (see :data:`NULL_TRACER`).
 
-    ``emit`` records nothing and ``span`` opens no scope, so call sites
-    that did not hoist the ``enabled`` gate stay correct and
-    allocation-free.
+    ``emit`` and ``coalesce`` record nothing and ``span`` opens no
+    scope, so call sites that did not hoist the ``enabled`` gate stay
+    correct and allocation-free.
     """
 
     enabled = False
@@ -216,6 +248,11 @@ class _NullRecorder(FlightRecorder):
 
     def emit(self, kind: str, /, **data: object) -> int:
         return -1
+
+    def coalesce(
+        self, run: TraceEvent | None, kind: str, n: int, /, **data: object
+    ) -> TraceEvent | None:
+        return run
 
     @contextmanager
     def span(self, kind: str, /, **data: object) -> Iterator[int]:

@@ -2,9 +2,9 @@
 
 A compact generator-based kernel in the SimPy tradition: processes yield
 :class:`Event` objects and the :class:`Environment` drives the event queue,
-plus deterministic RNG streams, structured tracing and a running-statistics
-accumulator.  The broadcast network simulator (:mod:`repro.net`) runs
-entirely on this kernel.
+plus deterministic RNG streams and a running-statistics accumulator.  The
+broadcast network simulator (:mod:`repro.net`) runs entirely on this
+kernel.
 """
 
 from repro.sim.engine import Environment
@@ -13,7 +13,6 @@ from repro.sim.events import AllOf, AnyOf, Condition, Event, Timeout
 from repro.sim.monitor import RunningStats
 from repro.sim.process import Process, ProcessGenerator
 from repro.sim.rng import SeedSequenceRegistry
-from repro.sim.trace import TraceLog, TraceRecord
 
 __all__ = [
     "Environment",
@@ -29,6 +28,4 @@ __all__ = [
     "Process",
     "ProcessGenerator",
     "SeedSequenceRegistry",
-    "TraceLog",
-    "TraceRecord",
 ]

@@ -39,7 +39,6 @@ import json
 import pathlib
 import platform
 import statistics
-import subprocess
 import sys
 import time
 import typing
@@ -47,6 +46,7 @@ from collections.abc import Callable
 
 from repro.cliopts import execution_options
 from repro.net.engine import default_engine, use_engine
+from repro.obs.manifest import git_rev
 
 __all__ = [
     "BENCHES",
@@ -471,10 +471,11 @@ def _bench_telemetry_overhead(smoke: bool, seed: int = 0) -> tuple[float, str]:
 
 def _bench_tracer_overhead(smoke: bool, seed: int = 0) -> tuple[float, str]:
     """The 16-station fastloop workload with an armed flight recorder
-    (one ``channel/slot`` event appended to the bounded ring every
-    round); compare against ``channel_slot_rate_16_fastloop`` for the
-    per-round cost of enabled tracing.  As with telemetry, the disabled
-    case *is* the baseline bench — the NULL_TRACER hoisted gate."""
+    (one ``channel/slot`` event per busy slot, and one ``channel/idle``
+    event per run of silent slots, grown in place); compare against
+    ``channel_slot_rate_16_fastloop`` for the per-round cost of enabled
+    tracing.  As with telemetry, the disabled case *is* the baseline
+    bench — the NULL_TRACER hoisted gate."""
     return _channel_slot_rate(16, "fastloop", smoke, tracer=True, seed=seed)
 
 
@@ -626,22 +627,6 @@ def run_benches(
     return results
 
 
-def _git_rev() -> str:
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=pathlib.Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=False,
-        )
-    except OSError:
-        return "unknown"
-    rev = proc.stdout.strip()
-    return rev if proc.returncode == 0 and rev else "unknown"
-
-
 def _default_output() -> pathlib.Path:
     """``BENCH_micro.json`` at the repo root (fallback: current directory)."""
     root = pathlib.Path(__file__).resolve().parents[3]
@@ -656,7 +641,7 @@ def report_payload(
     """The JSON document ``BENCH_micro.json`` holds."""
     return {
         "schema": 1,
-        "git_rev": _git_rev(),
+        "git_rev": git_rev(),
         "python": platform.python_version(),
         "default_engine": default_engine(),
         "smoke": smoke,
@@ -674,7 +659,7 @@ def history_entry(results: list[BenchResult], smoke: bool) -> dict[str, object]:
     return {
         "schema": 1,
         "time": time.time(),
-        "git_rev": _git_rev(),
+        "git_rev": git_rev(),
         "smoke": smoke,
         "benches": {
             result.name: {

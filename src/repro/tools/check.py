@@ -191,7 +191,7 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
     statistics, completions and invariant report must match the default
     engine's exactly.  Under the default ``auto`` the faulted scenarios
     take the batch kernel's structural fallback; the clean monitored DDCR
-    scenario runs the kernel itself, trace off and monitors armed, so its
+    scenario runs the kernel itself with monitors armed, so its
     idle leaps digest through ``on_idle``, and its reference is the
     ``fastloop``.  The consistency-checked one runs the fast loop, which
     leaps idle stretches on every station's replica, so its reference is
@@ -580,7 +580,7 @@ def _run_obs2_smoke(context: CIContext) -> list[str]:
             every=4,
         )
         # force=True: a cache *replay* of the counter-check leg cannot
-        # emit the channel/slot trace events this smoke asserts on, so
+        # emit the channel trace events this smoke asserts on, so
         # the leg must execute live on warm caches too (it still writes
         # through, keeping the cache interplay exercised).
         executor = (
@@ -643,7 +643,9 @@ def _run_obs2_smoke(context: CIContext) -> list[str]:
             kinds = {event.kind for event in events}
             wanted = {"serve/request", "serve/decision"}
             if use_cache:
-                wanted.add("channel/slot")
+                # The counter-check simulation's busy slots, and its
+                # silent slots coalesced into idle runs.
+                wanted |= {"channel/slot", "channel/idle"}
             missing = wanted - kinds
             if missing:
                 failures.append(f"dump lacks {sorted(missing)} event(s)")

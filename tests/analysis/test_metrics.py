@@ -8,7 +8,6 @@ from repro.net.channel import ChannelStats
 from repro.net.network import RunResult
 from repro.net.station import CompletionRecord, Station
 from repro.protocols.csma_cd import CSMACDProtocol
-from repro.sim.trace import TraceLog
 
 
 def _cls(name="c", deadline=1000):
@@ -31,7 +30,6 @@ def _result(records_by_station, backlog_by_station=None, horizon=10_000):
         horizon=horizon,
         stations=stations,
         stats=ChannelStats(payload_bits=100),
-        trace=TraceLog(enabled=False),
     )
 
 

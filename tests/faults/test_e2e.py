@@ -30,6 +30,8 @@ from repro.faults.models import (
 from repro.model.workloads import uniform_problem
 from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import ideal_medium
+from repro.obs.context import use_tracer
+from repro.obs.tracer import NULL_TRACER, FlightRecorder
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 from repro.protocols.tdma import TDMAProtocol
 
@@ -53,21 +55,23 @@ def _config(problem):
     )
 
 
-def _run(engine, plan, *, monitors=None, z=6, horizon=_HORIZON, trace=False):
+def _run(
+    engine, plan, *, monitors=None, z=6, horizon=_HORIZON, tracer=NULL_TRACER
+):
     problem = _problem(z)
     config = _config(problem)
-    simulation = NetworkSimulation.from_scenario(
-        Scenario(
-            problem,
-            ideal_medium(slot_time=64),
-            protocol_factory=lambda source: DDCRProtocol(config),
-            trace=trace,
-            engine=engine,
-            faults=plan,
-            monitors=monitors,
+    with use_tracer(tracer):
+        simulation = NetworkSimulation.from_scenario(
+            Scenario(
+                problem,
+                ideal_medium(slot_time=64),
+                protocol_factory=lambda source: DDCRProtocol(config),
+                engine=engine,
+                faults=plan,
+                monitors=monitors,
+            )
         )
-    )
-    return simulation.run(horizon)
+        return simulation.run(horizon)
 
 
 IN_BOUND_PLANS = {
@@ -102,13 +106,15 @@ def test_mutual_exclusion_never_violated_under_noise_and_crash():
     yields two simultaneous successful transmitters."""
     snapshots = []
     for engine in ENGINES:
-        result = _run(engine, FaultPlan((_GE, _CRASH)), trace=True)
+        recorder = FlightRecorder(capacity=100_000)
+        result = _run(engine, FaultPlan((_GE, _CRASH)), tracer=recorder)
         report = result.invariants
         assert report.by_invariant("mutual_exclusion") == ()
+        assert recorder.emitted == len(recorder)
         snapshots.append(
             pickle.dumps(
                 (result.stats, result.completions,
-                 list(result.trace.records()), report)
+                 recorder.snapshot(), report)
             )
         )
     assert snapshots[0] == snapshots[1]

@@ -4,9 +4,9 @@ The three-way byte-identity oracle lives in
 ``test_engine_differential.py``; this file covers what is specific to
 :mod:`repro.net.batch` — the structural eligibility matrix and its
 recorded reasons, that a batch run never imports numpy, the mid-run DES
-rejoin out of the kernel itself, and the idle-leap fast path (which the
-differential suite never exercises, because its runs keep tracing on):
-its gate, and its byte identity with and without invariant monitors.
+rejoin out of the kernel itself, and the idle-leap fast path: its gate,
+and its byte identity with and without invariant monitors and an armed
+flight recorder.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.sim.invariants import (
     WorkConservationMonitor,
     standard_suite,
 )
-from repro.sim.trace import TraceLog
 
 _HORIZON = 250_000
 
@@ -63,7 +62,6 @@ def _build_channel(
     config=None,
     medium=None,
     mac_factory=None,
-    trace=False,
     load=True,
     horizon=_HORIZON,
     tracer=None,
@@ -75,7 +73,6 @@ def _build_channel(
     channel = BroadcastChannel(
         env,
         medium if medium is not None else ideal_medium(slot_time=64),
-        trace=TraceLog(enabled=trace),
         tracer=tracer,
         noise_rate=noise_rate,
     )
@@ -102,17 +99,24 @@ def _build_channel(
     return channel
 
 
+def _recorder():
+    """A ring large enough to keep every event of one run here."""
+    return FlightRecorder(capacity=100_000)
+
+
 def _digest(channel):
     completions = [
         record
         for station in channel.stations
         for record in station.completions
     ]
+    recorder = channel.tracer
+    assert recorder.emitted == len(recorder)
     return pickle.dumps(
         (
             channel.stats,
             completions,
-            list(channel.trace.records()),
+            recorder.snapshot(),
             channel.observations,
             [
                 (s.mac.mode, s.mac.reft, s.mac.empty_tts_runs,
@@ -190,12 +194,12 @@ def test_consistency_checks_are_ineligible():
 def test_run_batch_falls_back_and_reports_why():
     """Ineligible runs execute on the fast loop, byte-identically."""
     fast = _build_channel(
-        trace=True,
+        tracer=_recorder(),
         mac_factory=lambda source: CSMACDProtocol(seed=source.source_id),
     )
     fast.run(_HORIZON, engine="fastloop")
     batched = _build_channel(
-        trace=True,
+        tracer=_recorder(),
         mac_factory=lambda source: CSMACDProtocol(seed=source.source_id),
     )
     note = batched.run(_HORIZON, engine="batch")
@@ -277,7 +281,7 @@ class _ProcessRegisteringMonitor(InvariantMonitor):
 
 
 def _run_with_monitor_process(engine):
-    channel = _build_channel(trace=True)
+    channel = _build_channel(tracer=_recorder())
     env = channel.env
     ticks: list[float] = []
     channel.monitors = MonitorSuite(
@@ -307,10 +311,13 @@ def test_kernel_rejoins_des_mid_run():
 # -- the idle leap -----------------------------------------------------------
 
 
-def _run_untraced(engine, config=None, jam=None, load=True, problem=None):
-    """Trace/monitors/telemetry all off — the leap-eligible regime."""
+def _run_leaping(
+    engine, config=None, jam=None, load=True, problem=None, tracer=None
+):
+    """No noise, monitors or telemetry — the leap-eligible regime, with
+    or without a flight recorder armed."""
     channel = _build_channel(
-        trace=False, config=config, load=load, problem=problem
+        config=config, load=load, problem=problem, tracer=tracer
     )
     if jam is not None:
         channel.jam_from, channel.jam_until = jam
@@ -336,17 +343,19 @@ def test_idle_leap_is_byte_identical(case):
         if case.get("exit_on_idle")
         else None
     )
-    runs = {
-        _run_untraced(
-            engine,
-            config=config,
-            jam=case.get("jam"),
-            load=case.get("load", True),
-            problem=problem,
-        )
-        for engine in ("des", "fastloop", "batch")
-    }
-    assert len(runs) == 1
+    for recorder in (lambda: None, _recorder):
+        runs = {
+            _run_leaping(
+                engine,
+                config=config,
+                jam=case.get("jam"),
+                load=case.get("load", True),
+                problem=problem,
+                tracer=recorder(),
+            )
+            for engine in ("des", "fastloop", "batch")
+        }
+        assert len(runs) == 1
 
 
 def _leap_spy(monkeypatch):
@@ -366,10 +375,15 @@ def _leap_spy(monkeypatch):
 
 def test_idle_leap_actually_engages(monkeypatch):
     """The leap-identity tests are only meaningful if leaps happen: count
-    them on the bursty workload and require multi-slot advances."""
+    them on the bursty workload and require multi-slot advances, with and
+    without a flight recorder armed."""
     leaps = _leap_spy(monkeypatch)
-    _run_untraced("batch")
+    _run_leaping("batch")
     assert leaps and max(end - start for start, end in leaps) > 64
+    untraced = list(leaps)
+    leaps.clear()
+    _run_leaping("batch", tracer=_recorder())
+    assert leaps == untraced
 
 
 class _SlotOnlyMonitor(WorkConservationMonitor):
@@ -380,11 +394,12 @@ class _SlotOnlyMonitor(WorkConservationMonitor):
         super().on_slot(*args)
 
 
-def test_leap_disabled_under_trace_and_monitors():
-    """Per-slot side effects disable the leap — a TraceLog, an enabled
-    flight recorder, noise (one RNG draw per slot), or any monitor whose
-    ``on_idle`` does not come with its own ``on_slot`` — while the
-    standard suite and bridge-conservation monitors keep it on."""
+def test_leap_gate_keeps_recorder_blocks_noise_and_monitors():
+    """An enabled flight recorder keeps the leap on (it records a stretch
+    as one ``channel/idle`` event), as do the standard suite and
+    bridge-conservation monitors; per-slot side effects still turn it
+    off — noise (one RNG draw per slot), or any monitor whose ``on_idle``
+    does not come with its own ``on_slot``."""
 
     def leap_ok(monitors=None, **kwargs):
         channel = _build_channel(**kwargs)
@@ -393,13 +408,17 @@ def test_leap_disabled_under_trace_and_monitors():
         return BatchKernel(channel)._leap_ok
 
     assert leap_ok()
-    assert not leap_ok(trace=True)
-    assert not leap_ok(tracer=FlightRecorder())
+    assert leap_ok(tracer=FlightRecorder())
     assert not leap_ok(noise_rate=0.01)
+    assert not leap_ok(noise_rate=0.01, tracer=FlightRecorder())
     assert not leap_ok(
         monitors=lambda ch: [_ProcessRegisteringMonitor(ch.env, [])]
     )
     assert not leap_ok(monitors=lambda ch: [_SlotOnlyMonitor(limit=4)])
+    assert not leap_ok(
+        tracer=FlightRecorder(),
+        monitors=lambda ch: [_SlotOnlyMonitor(limit=4)],
+    )
     assert leap_ok(monitors=lambda ch: standard_suite(ch.stations).monitors)
     assert leap_ok(
         monitors=lambda ch: list(standard_suite(ch.stations).monitors)
@@ -416,8 +435,9 @@ def test_leap_disabled_under_trace_and_monitors():
 
 
 def _run_monitored(engine, suite_factory, load=True):
-    """Trace off, monitors armed: leap-eligible since ``on_idle`` exists."""
-    channel = _build_channel(trace=False, load=load)
+    """Monitors and a flight recorder armed: leap-eligible since
+    ``on_idle`` exists."""
+    channel = _build_channel(load=load, tracer=_recorder())
     channel.monitors = MonitorSuite(suite_factory(channel))
     channel.run(_HORIZON, engine=engine)
     assert channel.env.now == _HORIZON

@@ -5,10 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.model.arrival import PeriodicArrivals, TraceArrivals
+from repro.net.batch import BatchKernel
 from repro.net.channel import BroadcastChannel
 from repro.net.phy import GIGABIT_ETHERNET, ideal_medium
 from repro.net.station import CompletionRecord, Station
+from repro.obs.tracer import FlightRecorder
 from repro.protocols.csma_cd import CSMACDProtocol
+from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 from repro.protocols.tdma import TDMAProtocol
 from repro.sim.engine import Environment
 from tests.protocols.conftest import make_class, run_network
@@ -76,18 +79,127 @@ class TestChannelAccounting:
             channel.run(1000)
 
     def test_trace_records_slots(self):
-        from repro.sim.trace import TraceLog
-
         env = Environment()
-        trace = TraceLog()
-        channel = BroadcastChannel(env, ideal_medium(slot_time=64), trace=trace)
+        recorder = FlightRecorder()
+        channel = BroadcastChannel(
+            env, ideal_medium(slot_time=64), tracer=recorder
+        )
         station = Station(0, TDMAProtocol((0,)))
         station.load_arrivals(make_class(), TraceArrivals(trace=(0,)), 10_000)
         channel.attach(station)
         env.process(channel.process(10_000))
         env.run(until=10_000)
-        kinds = {record["state"] for record in trace.records("slot")}
-        assert "success" in kinds
+        events = recorder.events()
+        states = {
+            event.data["state"]
+            for event in events
+            if event.kind == "channel/slot"
+        }
+        assert "success" in states
+        idle = [event for event in events if event.kind == "channel/idle"]
+        assert idle and sum(event.data["n"] for event in idle) == (
+            channel.stats.silence_slots
+        )
+
+
+_IDLE_HORIZON = 64_000  # 1,000 slots
+
+
+def _idle_channel(env=None, tracer=None, prefix=""):
+    """Three DDCR stations with nothing to send: every slot is silent."""
+    config = DDCRConfig(
+        time_f=16, time_m=2, class_width=65_536, static_q=4, static_m=2
+    )
+    channel = BroadcastChannel(
+        env if env is not None else Environment(),
+        ideal_medium(slot_time=64),
+        tracer=tracer,
+        telemetry_prefix=prefix,
+    )
+    for i in range(3):
+        channel.attach(Station(i, DDCRProtocol(config), static_indices=(i,)))
+    return channel
+
+
+def _events(recorder):
+    return [
+        (event.kind, event.data, event.parent) for event in recorder.events()
+    ]
+
+
+class TestIdleRuns:
+    """The run-length rule for silent slots, on hand-built channels."""
+
+    @pytest.mark.parametrize("engine", ["des", "fastloop", "batch"])
+    def test_leap_and_per_slot_slots_give_one_event(self, engine, monkeypatch):
+        leaps = []
+        original = BatchKernel._try_leap
+
+        def spy(self, now, horizon):
+            n = original(self, now, horizon)
+            leaps.append(n)
+            return n
+
+        monkeypatch.setattr(BatchKernel, "_try_leap", spy)
+        recorder = FlightRecorder()
+        _idle_channel(tracer=recorder).run(_IDLE_HORIZON, engine=engine)
+        # The kernel crosses all 1,000 slots in one leap; the DES and the
+        # unchecked fast loop step them one by one.
+        assert leaps == ([1_000] if engine == "batch" else [])
+        assert _events(recorder) == [
+            ("channel/idle", {"n": 1_000, "t": 0, "slot": 64}, None)
+        ]
+        assert recorder.emitted == 1
+
+    @pytest.mark.parametrize("engine", ["des", "fastloop", "batch"])
+    def test_any_event_in_between_starts_a_new_run(self, engine):
+        recorder = FlightRecorder()
+        channel = _idle_channel(tracer=recorder)
+        channel.run(6_400, engine=engine)
+        recorder.emit("mark")
+        channel.run(12_800, engine=engine)
+        # A span that closed in between changes the parent: new run too.
+        with recorder.span("scope") as scope:
+            channel.run(19_200, engine=engine)
+        channel.run(25_600, engine=engine)
+        assert _events(recorder) == [
+            ("channel/idle", {"n": 100, "t": 0, "slot": 64}, None),
+            ("mark", {}, None),
+            ("channel/idle", {"n": 100, "t": 6_400, "slot": 64}, None),
+            ("scope", {}, None),
+            ("channel/idle", {"n": 100, "t": 12_800, "slot": 64}, scope),
+            ("channel/idle", {"n": 100, "t": 19_200, "slot": 64}, None),
+        ]
+
+    @pytest.mark.parametrize("engine", ["des", "batch"])
+    def test_channels_sharing_a_recorder_never_extend_each_others_runs(
+        self, engine
+    ):
+        recorder = FlightRecorder()
+        # One after the other: the second channel's first silent slot is
+        # the newest-event candidate, yet it is not this channel's run.
+        for _ in range(2):
+            _idle_channel(tracer=recorder).run(6_400, engine=engine)
+        assert _events(recorder) == [
+            ("channel/idle", {"n": 100, "t": 0, "slot": 64}, None),
+        ] * 2
+
+    def test_two_channels_on_one_clock_alternate(self):
+        recorder = FlightRecorder()
+        env = Environment()
+        busses = [
+            _idle_channel(env, tracer=recorder, prefix=f"bus{i}/")
+            for i in range(2)
+        ]
+        for bus in busses:
+            env.process(bus.process(320))
+        env.run(until=320)
+        # Each bus's slot interrupts the other's run: no run ever grows.
+        assert _events(recorder) == [
+            (f"bus{i}/channel/idle", {"n": 1, "t": t, "slot": 64}, None)
+            for t in range(0, 320, 64)
+            for i in range(2)
+        ]
 
 
 class TestStation:

@@ -4,10 +4,11 @@ With ``check_consistency`` on, the fast loop crosses a provably idle
 stretch by advancing every station's *own* DDCR replica in O(1)
 (:meth:`DDCRProtocol.leap_idle`) and asserts lockstep at the stretch's
 first and last slot.  This file holds that path to the per-slot DES
-(byte-identical results and replica state), shows the leap engages, and
-desynchronises one replica around a stretch to show the lockstep check
-still fails the run wherever the desync happens.  Every run keeps the
-:class:`TraceLog` off, which would turn the leap off.
+(byte-identical results, replica state and flight-recorder dumps), shows
+the leap engages, and desynchronises one replica around a stretch to
+show the lockstep check still fails the run wherever the desync happens.
+The byte-identity runs arm a flight recorder, which keeps the leap on: a
+leapt stretch and a stepped one are both one ``channel/idle`` event.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.model.workloads import uniform_problem
 from repro.net.channel import BroadcastChannel, _RoundDriver
 from repro.net.phy import ideal_medium
 from repro.net.station import Station
+from repro.obs.tracer import FlightRecorder
 from repro.protocols.base import ChannelState, SlotObservation
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 from repro.protocols.ddcr.protocol import DDCRMode
@@ -33,9 +35,10 @@ _SLOT = 64
 
 
 def _build_channel(
-    a=1, destructive=True, monitors=False, jam=None, load=True, **config
+    a=1, destructive=True, monitors=False, jam=None, load=True, tracer=None,
+    **config,
 ):
-    """A checked, untraced DDCR channel on the bursty uniform workload."""
+    """A checked DDCR channel on the bursty uniform workload."""
     problem = uniform_problem(
         z=5, length=1_000, deadline=400_000, a=a, w=200_000
     )
@@ -51,6 +54,7 @@ def _build_channel(
         Environment(),
         ideal_medium(slot_time=_SLOT, destructive=destructive),
         check_consistency=True,
+        tracer=tracer,
     )
     seq_source = itertools.count()
     for source in problem.sources:
@@ -76,8 +80,10 @@ def _build_channel(
 
 
 def _run(engine, **case):
-    """One checked run; returns (digest, DDCR observe calls, rounds)."""
-    channel = _build_channel(**case)
+    """One checked, traced run; returns (digest, DDCR observe calls,
+    rounds)."""
+    recorder = FlightRecorder(capacity=100_000)
+    channel = _build_channel(tracer=recorder, **case)
     calls = [0]
     for station in channel.stations:
         observe = station.mac.observe
@@ -94,8 +100,10 @@ def _run(engine, **case):
         if channel.monitors is not None
         else None
     )
+    assert recorder.emitted == len(recorder) < channel.stats.rounds
     digest = pickle.dumps(
         (
+            recorder.snapshot(),
             channel.stats,
             channel.observations,
             [list(station.completions) for station in channel.stations],
@@ -127,9 +135,10 @@ _CASES = {
 
 @pytest.mark.parametrize("case", list(_CASES.values()), ids=list(_CASES))
 def test_checked_leap_is_byte_identical(case):
-    """des vs fastloop vs default: stats, completions, invariant reports
-    and every station's replica state and run records agree; the fast
-    loop (what the default runs for checked channels) leaps."""
+    """des vs fastloop vs default: stats, completions, invariant reports,
+    recorder dumps and every station's replica state and run records
+    agree; the fast loop (what the default runs for checked channels)
+    leaps with the recorder armed."""
     runs = {engine: _run(engine, **case) for engine in ("des", "fastloop", None)}
     assert len({digest for digest, _, _ in runs.values()}) == 1
     des_calls, (_, fast_calls, rounds) = runs["des"][1], runs["fastloop"]

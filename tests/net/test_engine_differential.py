@@ -3,12 +3,15 @@
 The slot-loop fast path (``BroadcastChannel.run(engine="fastloop")``)
 and the struct-of-arrays batch kernel (``engine="batch"``, also what the
 default ``auto`` runs) must be indistinguishable from the general DES by
-results: same :class:`ChannelStats`, same completion records, same trace
-stream and flight-recorder dump, same final clock — across protocols,
-noise, jamming, bursting, and the automatic fallback paths (foreign
-processes at entry and mid-run, structural batch ineligibility).  Most
-runs here keep the :class:`TraceLog` on, which disables the kernel's
-idle leap; ``test_batch_kernel.py`` holds the leap to the same oracle.
+results: same :class:`ChannelStats`, same completion records, same
+flight-recorder dump, same final clock — across protocols, noise,
+jamming, bursting, and the automatic fallback paths (foreign processes
+at entry and mid-run, structural batch ineligibility).  Most runs here
+arm a flight recorder, which keeps the kernel's idle leap on: a leapt
+stretch and a stepped one both record one ``channel/idle`` event, so
+the clean DDCR cases hold the leap to the per-slot DES oracle.  Noise
+(one RNG draw per slot) keeps every engine per-slot, so the noise cases
+cover the kernel's per-slot path.
 """
 
 from __future__ import annotations
@@ -36,12 +39,13 @@ from repro.net.engine import resolve_engine, use_engine
 from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import ideal_medium
 from repro.net.station import Station
+from repro.obs.context import use_tracer
+from repro.obs.tracer import FlightRecorder
 from repro.protocols.base import MACProtocol
 from repro.protocols.csma_cd import CSMACDProtocol
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 from repro.protocols.tdma import TDMAProtocol
 from repro.sim.engine import Environment
-from repro.sim.trace import TraceLog
 
 ENGINES = ("des", "fastloop", "batch")
 _HORIZON = 250_000
@@ -68,9 +72,20 @@ def _protocol_factory(protocol: str, problem, burst_limit=0):
     return lambda source: TDMAProtocol(roster)
 
 
-def _snapshot(stats, completions, trace):
+def _recorder():
+    """A ring large enough to keep every event of one run here."""
+    return FlightRecorder(capacity=100_000)
+
+
+def _dump(recorder):
+    """The recorder's events, after checking the ring dropped none."""
+    assert recorder.emitted == len(recorder)
+    return recorder.snapshot()
+
+
+def _snapshot(stats, completions, recorder):
     """Picklable byte-for-byte digest of one run's observable output."""
-    return pickle.dumps((stats, completions, list(trace.records())))
+    return pickle.dumps((stats, completions, _dump(recorder)))
 
 
 def _run_network(
@@ -80,26 +95,29 @@ def _run_network(
     problem = uniform_problem(
         z=z, length=1_000, deadline=400_000, a=1, w=200_000
     )
-    simulation = NetworkSimulation.from_scenario(
-        Scenario(
-            problem,
-            ideal_medium(slot_time=64),
-            protocol_factory=_protocol_factory(protocol, problem, burst_limit),
-            trace=True,
-            noise_rate=noise,
-            noise_seed=seed,
-            root_seed=seed,
-            engine=engine,
-            faults=faults,
-            monitors=None if faults is not None else False,
+    recorder = _recorder()
+    with use_tracer(recorder):
+        simulation = NetworkSimulation.from_scenario(
+            Scenario(
+                problem,
+                ideal_medium(slot_time=64),
+                protocol_factory=_protocol_factory(
+                    protocol, problem, burst_limit
+                ),
+                noise_rate=noise,
+                noise_seed=seed,
+                root_seed=seed,
+                engine=engine,
+                faults=faults,
+                monitors=None if faults is not None else False,
+            )
         )
-    )
-    result = simulation.run(horizon)
+        result = simulation.run(horizon)
     return pickle.dumps(
         (
             result.stats,
             result.completions,
-            list(result.trace.records()),
+            _dump(recorder),
             result.invariants,
         )
     )
@@ -108,7 +126,8 @@ def _run_network(
 @pytest.mark.parametrize("protocol", ["ddcr", "csma_cd", "tdma"])
 @pytest.mark.parametrize("noise", [0.0, 0.02])
 def test_engines_identical_across_protocols(protocol, noise):
-    """Stats, completions and traces match byte-for-byte, noise or not."""
+    """Stats, completions and recorder dumps match byte-for-byte, noise
+    or not."""
     runs = [_run_network(engine, protocol, noise=noise) for engine in ENGINES]
     assert len(set(runs)) == 1
 
@@ -129,11 +148,11 @@ def _run_manual_channel(engine, jam_from=None, noise=0.0):
     )
     config = _ddcr_config(problem)
     env = Environment()
-    trace = TraceLog(enabled=True)
+    recorder = _recorder()
     channel = BroadcastChannel(
         env,
         ideal_medium(slot_time=64),
-        trace=trace,
+        tracer=recorder,
         noise_rate=noise,
         noise_seed=11,
     )
@@ -159,7 +178,7 @@ def _run_manual_channel(engine, jam_from=None, noise=0.0):
     completions = [
         record for station in stations for record in station.completions
     ]
-    return _snapshot(channel.stats, completions, trace)
+    return _snapshot(channel.stats, completions, recorder)
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.03])
@@ -225,9 +244,9 @@ def _run_with_foreign_process(engine):
     )
     config = _ddcr_config(problem)
     env = Environment()
-    trace = TraceLog(enabled=True)
+    recorder = _recorder()
     channel = BroadcastChannel(
-        env, ideal_medium(slot_time=64), trace=trace
+        env, ideal_medium(slot_time=64), tracer=recorder
     )
     seq_source = itertools.count()
     ticks: list[float] = []
@@ -256,7 +275,7 @@ def _run_with_foreign_process(engine):
     completions = [
         record for station in stations for record in station.completions
     ]
-    return ticks, _snapshot(channel.stats, completions, trace)
+    return ticks, _snapshot(channel.stats, completions, recorder)
 
 
 def test_fast_loop_rejoins_des_mid_run():
@@ -280,17 +299,18 @@ def _run_dualbus(engine):
         protocol_factory=lambda source: DDCRProtocol(config),
         jam_threshold=suggested_jam_threshold(config),
         fail_bus_at=_HORIZON // 3,
-        trace=True,
         engine=engine,
     )
-    result = simulation.run(_HORIZON)
+    recorder = _recorder()
+    with use_tracer(recorder):
+        result = simulation.run(_HORIZON)
+    dump = _dump(recorder)
+    # One dump for both busses: each bus's kinds carry its prefix.
+    assert {event["kind"] for event in dump} == {
+        f"bus{i}/channel/{kind}" for i in (0, 1) for kind in ("slot", "idle")
+    }
     return pickle.dumps(
-        (
-            result.bus_stats,
-            result.failovers,
-            result.completions,
-            [list(trace.records()) for trace in result.traces],
-        )
+        (result.bus_stats, result.failovers, result.completions, dump)
     )
 
 
@@ -366,7 +386,8 @@ _FAULT_POOL = (
 
 def test_seed_randomized_faulted_equivalence():
     """Random (plan, protocol, seed) combos agree across engines — stats,
-    completions, traces AND invariant-violation reports byte-for-byte."""
+    completions, recorder dumps AND invariant-violation reports
+    byte-for-byte."""
     rng = random.Random(0xFA017)
     for _ in range(6):
         plan = rng.choice(_FAULT_POOL)
@@ -474,19 +495,30 @@ def test_dualbus_telemetry_identical_across_engines():
     assert "batch engine unavailable" in batch.engine_fallback
 
 
-def test_flight_recorder_dumps_identical_across_engines():
-    """Every engine emits one ``channel/slot`` event per round into an
-    armed flight recorder (the kernel never leaps while one is enabled),
-    so the dumps match event for event."""
-    from repro.obs.context import use_tracer
-    from repro.obs.tracer import FlightRecorder
+def test_flight_recorder_dumps_identical_across_engines(monkeypatch):
+    """An armed flight recorder keeps the kernel's idle leap on: busy
+    slots are one ``channel/slot`` event each and every run of silent
+    slots is one ``channel/idle`` event, whether the kernel leapt it or
+    the DES stepped it, so the dumps match event for event and account
+    for every round."""
+    from repro.net.batch import BatchKernel
 
+    leaps = []
+    original = BatchKernel._try_leap
+
+    def spy(self, now, horizon):
+        n = original(self, now, horizon)
+        if n:
+            leaps.append(n)
+        return n
+
+    monkeypatch.setattr(BatchKernel, "_try_leap", spy)
     problem = uniform_problem(
         z=5, length=1_000, deadline=400_000, a=1, w=200_000
     )
 
     def dump(engine):
-        recorder = FlightRecorder(capacity=100_000)
+        recorder = _recorder()
         with use_tracer(recorder):
             result = NetworkSimulation.from_scenario(
                 Scenario(
@@ -497,12 +529,22 @@ def test_flight_recorder_dumps_identical_across_engines():
                 )
             ).run(_HORIZON)
         assert result.engine_fallback is None
-        events = recorder.snapshot()
-        assert len(events) == result.stats.rounds
+        events = _dump(recorder)
+        rounds = result.stats.rounds
+        assert len(events) < rounds
+        slots = sum(event["kind"] == "channel/slot" for event in events)
+        idle = [e["data"]["n"] for e in events if e["kind"] == "channel/idle"]
+        assert slots + sum(idle) == rounds
+        assert max(idle) > 1
         return events
 
-    des, fast, batch = (dump(engine) for engine in ENGINES)
-    assert des and {event["kind"] for event in des} == {"channel/slot"}
+    des, fast = dump("des"), dump("fastloop")
+    assert not leaps
+    batch = dump("batch")
+    assert leaps and max(leaps) > 1  # the kernel leapt, recorder armed
+    assert {event["kind"] for event in des} == {
+        "channel/slot", "channel/idle"
+    }
     assert des == fast == batch
 
 

@@ -4,7 +4,8 @@ The two load-bearing claims of the multi-segment API:
 
 * a one-segment :class:`~repro.net.fabric.Fabric` is byte-identical to
   the bare ``NetworkSimulation.from_scenario`` run — stats, completions,
-  traces, invariants and telemetry content — under every engine;
+  flight-recorder events, invariants and telemetry content — under every
+  engine;
 * at feasible loads, the composed route bound (sum of per-hop B_DDCR
   plus bridge forwarding latencies) dominates every observed end-to-end
   journey latency.
@@ -29,7 +30,9 @@ from repro.net.topology import (
     Topology,
     TopologyError,
 )
+from repro.obs.context import use_tracer
 from repro.obs.instruments import Telemetry
+from repro.obs.tracer import FlightRecorder
 from repro.protocols.csma_cd import CSMACDProtocol
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 from repro.sim.invariants import BridgeConservationMonitor
@@ -302,7 +305,6 @@ class TestSingleSegmentByteIdentity:
             problem=problem,
             medium=ideal_medium(slot_time=64),
             protocol_factory=_ddcr_factory(problem),
-            trace=True,
             noise_rate=0.01,
             noise_seed=3,
             root_seed=3,
@@ -312,25 +314,41 @@ class TestSingleSegmentByteIdentity:
         )
 
     @staticmethod
-    def _digest(result):
+    def _digest(result, recorder):
+        # The fabric adds one ``fabric/segment`` event ahead of the
+        # channel's, so compare the channel events without their ids.
+        assert recorder.emitted == len(recorder)
+        channel_events = [
+            (event.kind, event.parent, event.data)
+            for event in recorder.events()
+            if event.kind.startswith("channel/")
+        ]
         return pickle.dumps(
             (
                 result.stats,
                 result.completions,
-                list(result.trace.records()),
+                channel_events,
                 result.invariants,
             )
         )
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_results_byte_identical(self, engine):
-        bare = NetworkSimulation.from_scenario(self._scenario(engine)).run(
-            _HORIZON
-        )
-        fabric = Fabric.from_scenario(self._scenario(engine)).run(_HORIZON)
+        bare_recorder = FlightRecorder(capacity=100_000)
+        with use_tracer(bare_recorder):
+            bare = NetworkSimulation.from_scenario(
+                self._scenario(engine)
+            ).run(_HORIZON)
+        fabric_recorder = FlightRecorder(capacity=100_000)
+        with use_tracer(fabric_recorder):
+            fabric = Fabric.from_scenario(self._scenario(engine)).run(
+                _HORIZON
+            )
         assert len(fabric.segments) == 1
         (segment_result,) = fabric.segments.values()
-        assert self._digest(segment_result) == self._digest(bare)
+        assert self._digest(segment_result, fabric_recorder) == self._digest(
+            bare, bare_recorder
+        )
         assert fabric.bridges == () and fabric.journeys == ()
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -464,6 +482,40 @@ class TestMultiSegmentExecution:
             record.message.arrival for record in relayed
         }
         assert len(schedule) == len(relayed)  # unique ready times
+
+    def test_traced_chain_records_hops_and_prefixed_slots(self):
+        """One recorder for the whole chain: each segment's slot events
+        carry its name, and every forwarded frame is one ``fabric/hop``
+        event with its completion and ready time."""
+        topology = _two_segment_topology()
+        recorder = FlightRecorder(capacity=100_000)
+        with use_tracer(recorder):
+            result = Fabric(topology).run(4 * _MS)
+        assert recorder.emitted == len(recorder)
+        events = recorder.events()
+        kinds = {event.kind for event in events}
+        assert {
+            "seg0/channel/slot", "seg0/channel/idle",
+            "seg1/channel/slot", "seg1/channel/idle",
+        } <= kinds
+        assert not any(kind.startswith("channel/") for kind in kinds)
+        for name, segment in result.segments.items():
+            slots = sum(e.kind == f"{name}/channel/slot" for e in events)
+            idle = sum(
+                e.data["n"] for e in events if e.kind == f"{name}/channel/idle"
+            )
+            assert slots + idle == segment.stats.rounds
+        hops = [event.data for event in events if event.kind == "fabric/hop"]
+        (report,) = result.bridges
+        assert len(hops) == report.heard > 0
+        heard = sorted(
+            record.completion
+            for record in result.segments["seg0"].completions
+            if record.message.msg_class.name == "local-0"
+            and not record.dropped
+        )
+        assert sorted(hop["completion"] for hop in hops) == heard
+        assert all(hop["ready"] == hop["completion"] + 1_024 for hop in hops)
 
     def test_same_seed_repeats_are_identical(self):
         topology, _ = build_chain_topology(segments=2, z=3)

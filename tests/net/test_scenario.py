@@ -80,4 +80,7 @@ class TestInvariants:
     def test_field_names_cover_the_constructor(self):
         names = _scenario().field_names()
         assert names[:3] == ("problem", "medium", "protocol_factory")
-        assert len(names) == 14  # + telemetry_prefix (fabric segments)
+        # + telemetry_prefix (fabric segments); tracing is scoped with
+        # ``use_tracer``, not a field.
+        assert len(names) == 13
+        assert "trace" not in names

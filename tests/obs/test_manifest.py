@@ -45,6 +45,24 @@ class TestFromRegistry:
         assert doc.seed == 7
         assert doc.git_rev == git_rev()
 
+    def test_git_rev_runs_git_at_most_once_per_process(self, monkeypatch):
+        import subprocess
+
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        git_rev.cache_clear()
+        first = RunTelemetry.from_registry(Telemetry(), run_id="a")
+        second = RunTelemetry.from_registry(Telemetry(), run_id="b")
+        assert len(calls) <= 1
+        assert first.git_rev == second.git_rev == git_rev()
+        assert len(calls) <= 1
+
     def test_fault_plan_hash_is_stable_across_forms(self):
         plan = FaultPlan((StationCrash(0, at=10),))
         assert fault_plan_hash(plan) == fault_plan_hash(plan.dumps())

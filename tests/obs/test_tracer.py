@@ -102,6 +102,44 @@ class TestRing:
         assert rec.last(0) == []
 
 
+class TestCoalesce:
+    def test_run_grows_while_newest(self):
+        rec = FlightRecorder()
+        run = rec.coalesce(None, "idle", 1, t=0)
+        assert rec.coalesce(run, "idle", 4, t=64) is run
+        assert rec.snapshot() == [
+            {"id": 0, "kind": "idle", "data": {"n": 5, "t": 0}}
+        ]
+        # Growing records nothing: ids and ``emitted`` count events.
+        assert rec.emitted == 1 and rec.emit("next") == 1
+
+    def test_event_in_between_starts_a_new_run(self):
+        rec = FlightRecorder()
+        run = rec.coalesce(None, "idle", 2, t=0)
+        rec.emit("other")
+        again = rec.coalesce(run, "idle", 3, t=128)
+        assert again is not run
+        assert [event.data for event in rec.events()] == [
+            {"n": 2, "t": 0}, {}, {"n": 3, "t": 128},
+        ]
+
+    def test_parent_change_starts_a_new_run(self):
+        rec = FlightRecorder()
+        with rec.span("root") as root:
+            run = rec.coalesce(None, "idle", 1, t=0)
+        again = rec.coalesce(run, "idle", 1, t=64)
+        assert again is not run
+        assert [event.parent for event in rec.events()] == [None, root, None]
+
+    def test_snapshot_does_not_alias_a_growing_run(self):
+        rec = FlightRecorder()
+        run = rec.coalesce(None, "idle", 1, t=0)
+        snapshot = rec.snapshot()
+        rec.coalesce(run, "idle", 9)
+        assert snapshot[0]["data"] == {"n": 1, "t": 0}
+        assert rec.snapshot()[0]["data"] == {"n": 10, "t": 0}
+
+
 class TestDeterminism:
     def test_no_wall_clock_fields(self):
         rec = FlightRecorder()
@@ -185,6 +223,7 @@ class TestNullTracer:
     def test_disabled_and_inert(self):
         assert NULL_TRACER.enabled is False
         assert NULL_TRACER.emit("x", a=1) == -1
+        assert NULL_TRACER.coalesce(None, "idle", 3, t=0) is None
         with NULL_TRACER.span("y") as span_id:
             assert span_id == -1
         assert len(NULL_TRACER) == 0

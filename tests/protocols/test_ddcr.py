@@ -287,7 +287,6 @@ class TestEDFEmulation:
     def test_no_inversions_in_feasible_run(self):
         from repro.analysis.metrics import count_inversions
         from repro.net.network import RunResult
-        from repro.sim.trace import TraceLog
 
         macs = _macs(4)
         channel, stations = run_network(
@@ -297,6 +296,5 @@ class TestEDFEmulation:
             horizon=4_000_000,
             stations=stations,
             stats=channel.stats,
-            trace=TraceLog(enabled=False),
         )
         assert count_inversions(result) == 0

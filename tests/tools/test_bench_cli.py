@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -186,29 +187,44 @@ def test_feasibility_grid_bench_runs_in_smoke():
     assert result.unit == "reports"
 
 
-def test_telemetry_overhead_within_budget():
+def _overhead_ratio(engine: str, **instrument) -> float:
+    """Instrumented over plain throughput of the 16-station smoke workload
+    (``bench._channel_slot_rate``, same run length as the benches), best
+    against best.  After one warm-up of each side, plain and instrumented
+    samples alternate, so a slow stretch of the host hits both sides."""
+
+    def sample(**kwargs) -> float:
+        started = time.perf_counter()
+        bench._channel_slot_rate(16, engine, True, **kwargs)
+        return time.perf_counter() - started
+
+    sample()
+    sample(**instrument)
+    plain, instrumented = [], []
+    for _ in range(7):
+        plain.append(sample())
+        instrumented.append(sample(**instrument))
+    return min(plain) / min(instrumented)
+
+
+@pytest.mark.parametrize("engine", ["fastloop", "batch"])
+def test_telemetry_overhead_within_budget(engine):
     """Enabled telemetry must stay within a modest fraction of the plain
-    fastloop throughput (the ISSUE budget is <=10%; the assertion allows
-    3x that to keep CI machines' scheduling noise from flaking the
-    suite), and the disabled path IS the plain bench — NULL_TELEMETRY
-    short-circuits before any instrument work."""
-    plain, instrumented = bench.run_benches(
-        names=["channel_slot_rate_16_fastloop", "telemetry_overhead"],
-        smoke=True,
-        repeats=2,
-    )
-    assert instrumented.ops_per_sec > plain.ops_per_sec * 0.70
+    throughput (the budget is <=10%; the assertion allows 3x that to keep
+    CI machines' scheduling noise from flaking the suite), and the
+    disabled path IS the plain bench — NULL_TELEMETRY short-circuits
+    before any instrument work.  On ``batch`` the plain run leaps its
+    idle stretches, so the instrumented one must too, and the per-run
+    manifest must not pay a ``git`` subprocess each time."""
+    assert _overhead_ratio(engine, telemetry=True) > 0.70
 
 
-def test_tracer_overhead_within_budget():
+@pytest.mark.parametrize("engine", ["fastloop", "batch"])
+def test_tracer_overhead_within_budget(engine):
     """An armed flight recorder must stay within a modest fraction of the
-    plain fastloop throughput (the ISSUE budget is <=10%; the assertion
-    allows 3x that for CI scheduling noise).  The disabled path needs no
-    separate bench: the hoisted ``tracer_on`` gate makes it the plain
-    ``channel_slot_rate`` bench itself."""
-    plain, traced = bench.run_benches(
-        names=["channel_slot_rate_16_fastloop", "tracer_overhead"],
-        smoke=True,
-        repeats=2,
-    )
-    assert traced.ops_per_sec > plain.ops_per_sec * 0.70
+    plain throughput (the budget is <=10%; the assertion allows 3x that
+    for CI scheduling noise).  The disabled path needs no separate bench:
+    the hoisted ``tracer_on`` gate makes it the plain ``channel_slot_rate``
+    bench itself.  On ``batch`` the recorder must keep the idle leap: a
+    run of silent slots is one ``channel/idle`` event."""
+    assert _overhead_ratio(engine, tracer=True) > 0.70
