@@ -11,10 +11,10 @@ Public surface:
   (Eq. 19) and the exhaustive :func:`multi_tree_exact_optimum` (Eq. 16).
 * Feasibility conditions — :func:`check_feasibility` and
   :func:`latency_bound` (``B_DDCR``, section 4.3), plus the fast path:
-  vectorized :func:`check_feasibility_batch` / :func:`feasibility_grid`,
-  the incremental :class:`FeasibilityEngine`, and the persistent xi-table
-  store in :mod:`repro.core.xi_store` — all value-identical to the scalar
-  oracle.
+  profile-deduplicated :func:`check_feasibility_batch` /
+  :func:`feasibility_grid`, the incremental :class:`FeasibilityEngine`,
+  and the persistent xi-table store in :mod:`repro.core.xi_store` — all
+  value-identical to the scalar oracle.
 """
 
 from repro.core.asymptotic import (

@@ -17,7 +17,9 @@ sum, weighted by ``l'_j``) moves by ``f(i, k)`` — an O(C) update — and
 only the mutated class needs a fresh O(C) row.  Ranks ``r(M)`` involve a
 single source's classes, so a mutation touches one source block.  A
 global density rescale invalidates every window and falls back to the
-vectorized bulk recompute from :mod:`repro.core.feas_grid`.
+bulk recompute: the same two integer passes
+(:func:`~repro.core.feas_grid.rank_sums`,
+:func:`~repro.core.feas_grid.interference_sums`) that batch reports use.
 
 The answer to that question is one bool, the binding class and its
 slack, so the engine offers it without building rows:
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 import typing
 
-from repro.core.feas_grid import BatchEvaluator
+from repro.core.feas_grid import BatchEvaluator, interference_sums, rank_sums
 from repro.core.feasibility import FeasibilityReport, TreeParameters
 from repro.model.message import MessageClass
 from repro.model.problem import HRTDMProblem
@@ -100,7 +102,7 @@ class FeasibilityEngine:
     Mutations (:meth:`add_class`, :meth:`remove_class`,
     :meth:`rescale_class`) cost O(C) exact-integer work instead of the
     O(C^2) of a fresh scalar report; :meth:`rescale_density` revalidates
-    everything through the vectorized backend.
+    everything through the bulk integer passes.
 
     Two reads, both lazy and cached until the next mutation:
     :meth:`verdict` (and :attr:`feasible`) answer "is the set feasible,
@@ -120,7 +122,6 @@ class FeasibilityEngine:
         self,
         medium: "MediumProfile",
         trees: TreeParameters,
-        backend=None,
         evaluator: BatchEvaluator | None = None,
     ) -> None:
         # Sharing one evaluator across engines shares its encapsulation
@@ -128,7 +129,7 @@ class FeasibilityEngine:
         self.evaluator = (
             evaluator
             if evaluator is not None
-            else BatchEvaluator(medium, trees, backend=backend)
+            else BatchEvaluator(medium, trees)
         )
         self._sources: list[_SourceState] = []
         self._report: FeasibilityReport | None = None
@@ -149,10 +150,9 @@ class FeasibilityEngine:
         problem: HRTDMProblem,
         medium: "MediumProfile",
         trees: TreeParameters,
-        backend=None,
         evaluator: BatchEvaluator | None = None,
     ) -> "FeasibilityEngine":
-        """Bulk-build the engine state from an instance (vectorized)."""
+        """Bulk-build the engine state from an instance."""
         snapshot = (
             1.0,
             tuple(
@@ -168,9 +168,7 @@ class FeasibilityEngine:
                 for source in problem.sources
             ),
         )
-        return cls.restore(
-            snapshot, medium, trees, backend=backend, evaluator=evaluator
-        )
+        return cls.restore(snapshot, medium, trees, evaluator=evaluator)
 
     # -- introspection -------------------------------------------------------
 
@@ -245,10 +243,9 @@ class FeasibilityEngine:
         snapshot: tuple,
         medium: "MediumProfile",
         trees: TreeParameters,
-        backend=None,
         evaluator: BatchEvaluator | None = None,
     ) -> "FeasibilityEngine":
-        """Rebuild an engine from :meth:`snapshot` output (vectorized).
+        """Rebuild an engine from :meth:`snapshot` output.
 
         The restored engine's :meth:`report` equals the original's
         exactly: source/class ordering is part of the snapshot, and the
@@ -256,7 +253,7 @@ class FeasibilityEngine:
         ``from_problem`` uses.
         """
         scale, sources = snapshot
-        engine = cls(medium, trees, backend=backend, evaluator=evaluator)
+        engine = cls(medium, trees, evaluator=evaluator)
         for source_id, nu, classes in sources:
             state = _SourceState(source_id, nu)
             for name, length, deadline, a, w, w0 in classes:
@@ -517,12 +514,23 @@ class FeasibilityEngine:
         expression as :func:`repro.model.workloads._scaled_bound` — so an
         engine built from a scale-1.0 workload instance matches the
         workload factory at any scale.  Every window changes, so this
-        revalidates through the vectorized backend instead of deltas.
+        revalidates through the bulk integer passes instead of deltas.
+
+        Raises ``ValueError`` — with the engine untouched — on a scale
+        that is not a finite number > 0, or one whose window overflows:
+        every new window is computed before any is assigned.
         """
-        if scale <= 0:
-            raise ValueError(f"scale must be > 0, got {scale}")
-        for state in self._iter_classes():
-            state.w = max(1, math.ceil(state.w0 / scale))
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(
+                f"scale must be a finite number > 0, got {scale}"
+            )
+        states = list(self._iter_classes())
+        try:
+            windows = [max(1, math.ceil(s.w0 / scale)) for s in states]
+        except OverflowError:
+            raise ValueError(f"scale {scale} overflows a window") from None
+        for state, w in zip(states, windows):
+            state.w = w
         self._scale = scale
         self._recompute_all()
         tracer = self.tracer
@@ -585,7 +593,7 @@ class FeasibilityEngine:
         return source, state
 
     def _recompute_all(self) -> None:
-        """Vectorized bulk refresh of every rank/u/tx column."""
+        """Bulk refresh of every rank/u/tx column."""
         d: list[int] = []
         lp: list[int] = []
         a: list[int] = []
@@ -602,9 +610,8 @@ class FeasibilityEngine:
                 states.append(cls)
             blocks.append((lo, len(d)))
         if states:
-            ops = self.evaluator.ops
-            ranks = ops.ranks(d, a, w, blocks)
-            u, tx = ops.interference(d, lp, a, w)
+            ranks = rank_sums(d, a, w, blocks)
+            u, tx = interference_sums(d, lp, a, w)
             for state, rank, ui, txi in zip(states, ranks, u, tx):
                 state.rank = rank
                 state.u = ui

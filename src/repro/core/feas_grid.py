@@ -1,38 +1,36 @@
-"""Vectorized evaluation of the feasibility conditions over whole grids.
+"""Fast evaluation of the feasibility conditions over whole grids.
 
 The scalar path (:func:`repro.core.feasibility.check_feasibility`) costs
 O(C^2) Python-interpreter work per instance — for every target class it
 loops over every contributor class to accumulate ``u(M)`` and the
 transmission term.  Frontier campaigns, bisections and admission checks
 evaluate thousands of instances, so this module restates the integer
-inner loops as array operations:
+sums as two column passes over plain Python ints:
 
-* ``r(M)`` — per-source block: ``ceil(d_i / w_j) * a_j`` summed over the
-  source's own classes (one outer product per source);
-* ``u(M)`` and the transmission bits — one C x C matrix
-  ``ceil((d_i + d_j - l'_i) / w_j) * a_j`` masked to positive windows,
-  summed along the contributor axis (plain, and weighted by ``l'_j``).
+* ``r(M)`` (:func:`rank_sums`) — per-source block:
+  ``ceil(d_i / w_j) * a_j`` summed over the source's own classes;
+* ``u(M)`` and the transmission bits (:func:`interference_sums`) —
+  ``ceil((d_i + d_j - l'_i) / w_j) * a_j`` over every contributor with
+  a positive window span, plain and weighted by ``l'_j``.  Both sides
+  are deduplicated by class profile, so an instance that repeats a
+  handful of profiles across its stations costs a handful of cells.
 
-The S1/S2 search terms are O(1) per class and *memoized* instead of
-vectorized: ``multi_tree_bound_extended`` is evaluated through the exact
-scalar function on the exact integer arguments, so every float in the
-result is bit-identical to the scalar path's — the vectorized, engine
-and scalar paths produce *equal* :class:`FeasibilityReport` objects
+The S1/S2 search terms are O(1) per class and *memoized*:
+``multi_tree_bound_extended`` is evaluated through the exact scalar
+function on the exact integer arguments, so every float in the result
+is bit-identical to the scalar path's — the batch, engine and scalar
+paths produce *equal* :class:`FeasibilityReport` objects
 (``tests/core/test_feas_grid.py`` and the engine's mutation-sequence
 tests compare them by ``==`` and by pickle digest).  The per-class float
 combine lives in one place, :meth:`BatchEvaluator.class_bound`, which
 both report rows and the engine's row-free verdict go through.
-
-Two backends share one integer contract: :class:`_NumpyFeasOps` (the
-``[perf]`` numpy extra, int64 columns) and :class:`_PythonFeasOps` (pure
-Python, the scalar loops verbatim).  All integer quantities stay exact
-in either backend; int64 is ample for bit-time spans (< 2^40).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 import typing
 from collections.abc import Callable, Mapping, Sequence
 
@@ -52,172 +50,80 @@ __all__ = [
     "BatchEvaluator",
     "FeasibilityGrid",
     "check_feasibility_batch",
-    "default_backend",
     "feasibility_grid",
-    "numpy_unavailable_reason",
 ]
 
 
-# -- optional numpy ----------------------------------------------------------
-
-#: Lazily resolved ``(module | None, reason | None)``.  Cached so the probe
-#: runs once per process; tests reset it to force the import-failure path.
-_NUMPY_STATE: "tuple[object | None, str | None] | None" = None
+# -- the two integer passes --------------------------------------------------
 
 
-def _load_numpy() -> "tuple[object | None, str | None]":
-    global _NUMPY_STATE
-    if _NUMPY_STATE is None:
-        try:
-            import numpy
-        except Exception as error:  # pragma: no cover - exercised via tests
-            _NUMPY_STATE = (
-                None,
-                "numpy unavailable "
-                f"({type(error).__name__}): pure-python backend "
-                "(install the [perf] extra for the vectorized one)",
-            )
-        else:
-            _NUMPY_STATE = (numpy, None)
-    return _NUMPY_STATE
+def rank_sums(
+    d: Sequence[int],
+    a: Sequence[int],
+    w: Sequence[int],
+    blocks: Sequence[tuple[int, int]],
+) -> list[int]:
+    """``r(M_i)`` for every class; ``blocks`` are per-source ``[lo, hi)``.
 
-
-def numpy_unavailable_reason() -> str | None:
-    """Why the vectorized backend is unavailable (``None`` = it is)."""
-    return _load_numpy()[1]
-
-
-# -- backends ----------------------------------------------------------------
-
-
-class _PythonFeasOps:
-    """Pure-Python backend: the scalar integer loops, verbatim."""
-
-    name = "python"
-
-    def ranks(
-        self,
-        d: Sequence[int],
-        a: Sequence[int],
-        w: Sequence[int],
-        blocks: Sequence[tuple[int, int]],
-    ) -> list[int]:
-        """``r(M_i)`` for every class; ``blocks`` are per-source spans."""
-        out = [0] * len(d)
-        for lo, hi in blocks:
-            for i in range(lo, hi):
-                total = 0
-                for j in range(lo, hi):
-                    total += -(-d[i] // w[j]) * a[j]
-                out[i] = total - 1
-        return out
-
-    def interference(
-        self,
-        d: Sequence[int],
-        lp: Sequence[int],
-        a: Sequence[int],
-        w: Sequence[int],
-    ) -> tuple[list[int], list[int]]:
-        """``(u(M_i), transmission_bits_i)`` for every class."""
-        count = len(d)
-        u = [0] * count
-        tx = [0] * count
-        for i in range(count):
-            base = d[i] - lp[i]
+    O(C) when every source has one class (the paper's station model).
+    """
+    out = [0] * len(d)
+    for lo, hi in blocks:
+        for i in range(lo, hi):
             total = 0
-            bits = 0
-            for j in range(count):
-                span = base + d[j]
-                if span <= 0:
-                    continue
-                n = -(-span // w[j]) * a[j]
-                total += n
-                bits += n * lp[j]
-            u[i] = total
-            tx[i] = bits
-        return u, tx
+            for j in range(lo, hi):
+                total += -(-d[i] // w[j]) * a[j]
+            out[i] = total - 1
+    return out
 
 
-class _NumpyFeasOps:
-    """Struct-of-arrays backend over int64 columns (exact for bit-times)."""
+def interference_sums(
+    d: Sequence[int],
+    lp: Sequence[int],
+    a: Sequence[int],
+    w: Sequence[int],
+) -> tuple[list[int], list[int]]:
+    """``(u(M_i), transmission_bits_i)`` for every class.
 
-    name = "numpy"
-
-    def __init__(self, np_module=None):
-        if np_module is None:
-            np_module, reason = _load_numpy()
-            if np_module is None:  # pragma: no cover - guarded by default_backend
-                raise RuntimeError(reason)
-        self.np = np_module
-
-    def ranks(self, d, a, w, blocks) -> list[int]:
-        np = self.np
-        d_col = np.asarray(d, dtype=np.int64)
-        a_col = np.asarray(a, dtype=np.int64)
-        w_col = np.asarray(w, dtype=np.int64)
-        if len(blocks) == len(d):
-            # Every source has exactly one class — the paper's standard
-            # station model — and r(M) collapses to the diagonal.
-            return (-(-d_col // w_col) * a_col - 1).tolist()
-        # General case: one C x C pass with a same-source mask instead of
-        # a numpy call per block (tiny blocks drown in dispatch overhead).
-        counts = -(-d_col[:, None] // w_col[None, :]) * a_col[None, :]
-        block_id = np.repeat(
-            np.arange(len(blocks)), [hi - lo for lo, hi in blocks]
-        )
-        counts *= block_id[:, None] == block_id[None, :]
-        return (counts.sum(axis=1) - 1).tolist()
-
-    def interference(self, d, lp, a, w) -> tuple[list[int], list[int]]:
-        # f(i, j) depends on the target only through base_i = d_i - l'_i
-        # and on the contributor only through its (d, w, a, l') profile,
-        # so both sides are deduplicated: each distinct (base, profile)
-        # pair is evaluated once, weighted by the profile's multiplicity,
-        # and scattered back.  Realistic HRTDM instances repeat a handful
-        # of class profiles across many stations, collapsing the C x C
-        # division work to a few cells; worst case it stays C x C.
-        np = self.np
-        d_col = np.asarray(d, dtype=np.int64)
-        lp_col = np.asarray(lp, dtype=np.int64)
-        profiles = np.stack(
-            [
-                d_col,
-                np.asarray(w, dtype=np.int64),
-                np.asarray(a, dtype=np.int64),
-                lp_col,
-            ],
-            axis=1,
-        )
-        groups, multiplicity = np.unique(
-            profiles, axis=0, return_counts=True
-        )
-        bases, inverse = np.unique(d_col - lp_col, return_inverse=True)
-        span = bases[:, None] + groups[None, :, 0]
-        counts = -(-span // groups[None, :, 1]) * (
-            groups[:, 2] * multiplicity
-        )[None, :]
-        counts *= span > 0
-        u = counts.sum(axis=1)[inverse]
-        tx = (counts * groups[None, :, 3]).sum(axis=1)[inverse]
-        # tolist() yields Python ints — np.int64 must never leak into the
-        # frozen report rows (it would break exact-equality comparison).
-        return u.tolist(), tx.tolist()
-
-
-def default_backend() -> "_NumpyFeasOps | _PythonFeasOps":
-    """The fastest available backend: numpy, else the pure-Python one."""
-    np_module, _ = _load_numpy()
-    if np_module is None:
-        return _PythonFeasOps()
-    return _NumpyFeasOps(np_module)
+    ``f(i, j) = ceil((base_i + d_j) / w_j) * a_j`` (0 when the span is
+    <= 0) reads the target only through ``base_i = d_i - l'_i`` and is
+    linear in ``a_j``, so contributors are keyed by ``(d, w, l')`` with
+    their ``a`` summed, targets by ``base``, and each distinct
+    ``(base, profile)`` cell is evaluated once.  Realistic HRTDM
+    instances repeat a handful of profiles across many stations; the
+    worst case stays C x C.
+    """
+    weights: dict[tuple[int, int, int], int] = {}
+    for profile, a_j in zip(zip(d, w, lp), a):
+        weights[profile] = weights.get(profile, 0) + a_j
+    profiles = [
+        (d_j, w_j, lp_j, a_j) for (d_j, w_j, lp_j), a_j in weights.items()
+    ]
+    cells: dict[int, tuple[int, int]] = {}
+    u: list[int] = []
+    tx: list[int] = []
+    for d_i, lp_i in zip(d, lp):
+        base = d_i - lp_i
+        cell = cells.get(base)
+        if cell is None:
+            total = bits = 0
+            for d_j, w_j, lp_j, a_j in profiles:
+                span = base + d_j
+                if span > 0:
+                    n = -(-span // w_j) * a_j
+                    total += n
+                    bits += n * lp_j
+            cell = cells[base] = (total, bits)
+        u.append(cell[0])
+        tx.append(cell[1])
+    return u, tx
 
 
 # -- the evaluator -----------------------------------------------------------
 
 
 class BatchEvaluator:
-    """Vectorized drop-in for ``check_feasibility`` with shared memo state.
+    """Drop-in for ``check_feasibility`` with shared memo state.
 
     One evaluator binds a ``(medium, trees)`` pair and amortises across
     every instance it sees: the encapsulation map ``l -> l'(l)``, the
@@ -225,30 +131,21 @@ class BatchEvaluator:
     evaluation — exactly the quantities a frontier bisection or sweep
     shard recomputes when it rebuilds scalar reports per probe.
 
-    Reports are *equal* to the scalar path's: integers come out of exact
-    array arithmetic, floats out of the same scalar expressions on the
-    same arguments.
+    Reports are *equal* to the scalar path's: integers come out of
+    :func:`rank_sums` and :func:`interference_sums` as exact Python
+    ints, floats out of the same scalar expressions on the same
+    arguments.
     """
 
-    def __init__(
-        self,
-        medium: "MediumProfile",
-        trees: TreeParameters,
-        backend: "_NumpyFeasOps | _PythonFeasOps | None" = None,
-    ) -> None:
+    def __init__(self, medium: "MediumProfile", trees: TreeParameters) -> None:
         self.medium = medium
         self.trees = trees
-        self.ops = backend if backend is not None else default_backend()
         self._encap: dict[int, int] = {}
         self._s1: dict[tuple[int, int], float] = {}
         self._xi_two = xi_two(trees.time_f, trees.time_m)
         self._static_q = trees.static_q
         self._static_m = trees.static_m
         self._slot_time = medium.slot_time
-
-    @property
-    def backend_name(self) -> str:
-        return self.ops.name
 
     def encapsulate(self, length: int) -> int:
         lp = self._encap.get(length)
@@ -297,6 +194,11 @@ class BatchEvaluator:
         declared, classes as declared within each), which keeps one
         source's classes contiguous — ``blocks`` holds the per-source
         ``[lo, hi)`` spans the rank computation needs.
+
+        Class integers pass through ``operator.index``: a numpy (or any
+        other) integer scalar becomes a Python int, so none reaches a
+        report and reports stay pickle-equal to the scalar oracle's on
+        the int-typed instance; a float raises instead of truncating.
         """
         meta: list[tuple[int, int, str, int]] = []
         d: list[int] = []
@@ -312,29 +214,30 @@ class BatchEvaluator:
         encap = self._encap
         encap_get = encap.get
         encapsulate = self.medium.encapsulate
+        index = operator.index
         for source in problem.sources:
             lo = len(d)
             source_id = source.source_id
             nu = source.nu
             for cls in source.message_classes:
                 bound = cls.bound
-                deadline = cls.deadline
-                length = cls.length
+                deadline = index(cls.deadline)
+                length = index(cls.length)
                 meta_append((source_id, nu, cls.name, deadline))
                 d_append(deadline)
                 lp_value = encap_get(length)
                 if lp_value is None:
                     lp_value = encap[length] = encapsulate(length)
                 lp_append(lp_value)
-                a_append(bound.a)
-                w_append(bound.w)
+                a_append(index(bound.a))
+                w_append(index(bound.w))
             blocks.append((lo, len(d)))
         return meta, d, lp, a, w, blocks
 
     def evaluate(self, problem: HRTDMProblem) -> FeasibilityReport:
         meta, d, lp, a, w, blocks = self.columns(problem)
-        ranks = self.ops.ranks(d, a, w, blocks)
-        u, tx = self.ops.interference(d, lp, a, w)
+        ranks = rank_sums(d, a, w, blocks)
+        u, tx = interference_sums(d, lp, a, w)
         return self.assemble_rows(meta, ranks, u, tx)
 
     def assemble_rows(
@@ -347,9 +250,9 @@ class BatchEvaluator:
         """Combine integer columns into per-class rows, floats last.
 
         ``meta`` carries ``(source_id, nu, class_name, deadline)`` per
-        class; the integer columns must hold Python ints (both backends
-        and the engine guarantee this — np.int64 would poison equality).
-        The floats come from :meth:`class_bound`.
+        class; the integer columns hold exact Python ints (from the two
+        passes or the engine's delta updates).  The floats come from
+        :meth:`class_bound`.
         """
         class_bound = self.class_bound
         rows: list[ClassFeasibility] = []
@@ -381,15 +284,15 @@ def check_feasibility_batch(
     problems: Sequence[HRTDMProblem],
     medium: "MediumProfile",
     trees: TreeParameters,
-    backend: "_NumpyFeasOps | _PythonFeasOps | None" = None,
 ) -> tuple[FeasibilityReport, ...]:
     """Feasibility reports for many instances through one shared evaluator.
 
     Equal, element for element, to mapping
     :func:`repro.core.feasibility.check_feasibility` over ``problems`` —
-    just evaluated as array operations with shared S1/encapsulation memos.
+    just evaluated through the profile-deduplicated passes with shared
+    S1/encapsulation memos.
     """
-    evaluator = BatchEvaluator(medium, trees, backend=backend)
+    evaluator = BatchEvaluator(medium, trees)
     return tuple(evaluator(problem) for problem in problems)
 
 
@@ -408,7 +311,6 @@ class FeasibilityGrid:
     axes: tuple[tuple[str, tuple[object, ...]], ...]
     points: tuple[tuple[object, ...], ...]
     reports: tuple[FeasibilityReport, ...]
-    backend: str
 
     @property
     def size(self) -> int:
@@ -458,7 +360,6 @@ def feasibility_grid(
     axes: Mapping[str, Sequence[object]],
     medium: "MediumProfile",
     trees: TreeParameters,
-    backend: "_NumpyFeasOps | _PythonFeasOps | None" = None,
 ) -> FeasibilityGrid:
     """Evaluate the FCs over the cartesian product of ``axes``.
 
@@ -473,7 +374,7 @@ def feasibility_grid(
     for name, values in frozen:
         if not values:
             raise ValueError(f"axis {name!r} has no values")
-    evaluator = BatchEvaluator(medium, trees, backend=backend)
+    evaluator = BatchEvaluator(medium, trees)
     names = tuple(name for name, _ in frozen)
     points = tuple(
         itertools.product(*(values for _, values in frozen))
@@ -482,9 +383,4 @@ def feasibility_grid(
         evaluator(problem_factory(**dict(zip(names, point))))
         for point in points
     )
-    return FeasibilityGrid(
-        axes=frozen,
-        points=points,
-        reports=reports,
-        backend=evaluator.backend_name,
-    )
+    return FeasibilityGrid(axes=frozen, points=points, reports=reports)

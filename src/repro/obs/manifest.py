@@ -87,8 +87,8 @@ class RunTelemetry:
     run_id: str
     engine: str | None = None
     #: Why the requested engine degraded or delegated (e.g. the batch
-    #: kernel ran on the pure-Python backend, or fell back to the fast
-    #: loop on a structurally ineligible run); ``None`` when it ran as
+    #: kernel fell back to the fast loop on a structurally ineligible
+    #: run, such as one with consistency checks); ``None`` when it ran as
     #: requested.  Execution provenance, excluded from the content
     #: projection like ``engine`` itself.
     engine_fallback: str | None = None

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 __all__ = [
     "Decision",
@@ -71,12 +72,19 @@ class Request:
             )
 
     def to_dict(self) -> dict[str, object]:
-        """JSON-ready form with unused (None) fields dropped."""
+        """JSON-ready form with unused (None) fields dropped.
+
+        JSON has no NaN or Infinity, so a non-finite float (a malformed
+        ``scale``, say) is kept as its repr string: the journal stays
+        strict JSON and still says what was asked.
+        """
         # Every field is a scalar, so no ``dataclasses.asdict`` deep copy.
         doc = {}
         for key in _REQUEST_FIELDS:
             value = getattr(self, key)
             if value is not None:
+                if isinstance(value, float) and not math.isfinite(value):
+                    value = repr(value)
                 doc[key] = value
         return doc
 

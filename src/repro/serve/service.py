@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import pathlib
 import pickle
 import time
@@ -143,7 +144,6 @@ class AdmissionService:
         self,
         config: ServeConfig | None = None,
         *,
-        backend=None,
         telemetry=None,
         executor: "ParallelExecutor | None" = None,
         log_dir: "str | pathlib.Path | None" = None,
@@ -170,7 +170,7 @@ class AdmissionService:
         # construction, not at the first decision.
         medium = self.config.medium_profile()
         trees = self.config.trees()
-        self.engine = FeasibilityEngine(medium, trees, backend=backend)
+        self.engine = FeasibilityEngine(medium, trees)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.executor = executor
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -513,11 +513,21 @@ class AdmissionService:
         )
 
     def _decide_reconfigure(self, request: Request) -> Decision:
-        if request.scale is None or request.scale <= 0:
+        scale = request.scale
+        # A journaled non-finite scale replays as its repr string (see
+        # Request.to_dict), and gets the same error as the float did.
+        if not (
+            isinstance(scale, (int, float))
+            and math.isfinite(scale)
+            and scale > 0
+        ):
             return self._decide_error(
-                request, f"reconfigure needs scale > 0, got {request.scale}"
+                request, f"reconfigure needs a finite scale > 0, got {scale}"
             )
-        self.engine.rescale_density(request.scale)
+        try:
+            self.engine.rescale_density(scale)
+        except ValueError as error:
+            return self._decide_error(request, str(error))
         evicted: list[tuple[int, str]] = []
         while self._admission_order and not self.engine.feasible:
             source_id, name = self._admission_order.pop()
@@ -684,7 +694,6 @@ def read_incidents(log_dir: "str | pathlib.Path") -> list[Incident]:
 def replay_event_log(
     log_dir: "str | pathlib.Path",
     *,
-    backend=None,
     telemetry=None,
     executor: "ParallelExecutor | None" = None,
     upto: int | None = None,
@@ -706,7 +715,6 @@ def replay_event_log(
     service = AdmissionService(
         # check_every=0 during replay; restored before handing back.
         config._replace(check_every=0),
-        backend=backend,
         telemetry=telemetry,
         executor=executor,
         tracer=tracer,

@@ -201,7 +201,7 @@ def _feas_grid_workload(smoke: bool):
 
 
 def _bench_feasibility_grid(smoke: bool, seed: int = 0) -> tuple[float, str]:
-    """Vectorized FC evaluation of a deadline x scale grid (128 sources)."""
+    """Batch FC evaluation of a deadline x scale grid (128 sources)."""
     from repro.core.feas_grid import check_feasibility_batch
 
     problems, medium, trees = _feas_grid_workload(smoke)
@@ -214,7 +214,7 @@ def _bench_feasibility_grid_scalar(
     smoke: bool, seed: int = 0
 ) -> tuple[float, str]:
     """The same grid through scalar ``check_feasibility`` — the baseline
-    the vectorized bench is measured against."""
+    the batch bench is measured against."""
     from repro.core.feasibility import check_feasibility
 
     problems, medium, trees = _feas_grid_workload(smoke)

@@ -857,7 +857,7 @@ def main(argv: list[str] | None = None) -> int:
         static_q=problem.static_q,
         static_m=problem.static_m,
     )
-    # The vectorized path; value-identical to scalar check_feasibility
+    # The batch path; value-identical to scalar check_feasibility
     # (tests/core/test_feas_grid.py digest-compares them).
     (report,) = check_feasibility_batch([problem], medium, trees)
     print(problem.describe())

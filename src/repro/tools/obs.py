@@ -88,7 +88,8 @@ def summarize_manifest(doc: RunTelemetry) -> str:
     ]
     if doc.engine_fallback is not None:
         # Execution-provenance note: the run did not execute on the
-        # engine it asked for (batch kernel ineligible, numpy missing...)
+        # engine it asked for (batch kernel ineligible: fault plan armed,
+        # consistency checks...)
         # — worth its own loud line, since quietly slower runs are
         # exactly what perf triage goes hunting for.
         lines.append(f"  engine fallback: {doc.engine_fallback}")

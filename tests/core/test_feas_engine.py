@@ -421,3 +421,18 @@ class TestErrors:
             engine.rescale_density(0.0)
         with pytest.raises(ValueError):
             engine.rescale_density(-1.0)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 1e-302])
+    def test_rejected_rescale_density_changes_nothing(self, scale):
+        # At 1e-302 the 1 ms window still fits a float; the 40 ms one
+        # overflows, after the first would already have been written.
+        engine = FeasibilityEngine(GIGABIT_ETHERNET, _TREES)
+        engine.add_class(0, _message_class("a", w=1_000_000), nu=1)
+        engine.add_class(1, _message_class("b", w=40_000_000), nu=1)
+        before = engine.snapshot()
+        with pytest.raises(ValueError):
+            engine.rescale_density(scale)
+        assert engine.snapshot() == before
+        assert engine.report() == check_feasibility(
+            engine.to_problem(), GIGABIT_ETHERNET, _TREES
+        )

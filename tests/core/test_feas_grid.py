@@ -1,28 +1,34 @@
-"""Vectorized feasibility: exact parity with the scalar oracle + grid API.
+"""Batch feasibility: exact parity with the scalar oracle + grid API.
 
-The uniform-family and grid parity tests compare per-report
-``pickle.dumps`` digests next to ``==``: a digest also catches int/float
-and +-0.0 drift that ``==`` lets through.  Reports are pickled one at a
-time because a whole-list pickle memoizes string objects that one path
-shares across reports and the other does not.
+The parity tests compare per-report ``pickle.dumps`` digests next to
+``==``: a digest also catches int/float and +-0.0 drift that ``==`` lets
+through.  Reports are pickled one at a time because a whole-list pickle
+memoizes string objects that one path shares across reports and the
+other does not.
+
+The ``[python]``/``[numpy]`` cases type the evaluated instance's class
+integers as Python ints or as numpy ``int64`` scalars.  The package
+never imports numpy, but a caller may sweep parameters with it; either
+way the report must equal the scalar oracle's on the int-typed instance,
+digest included, so no numpy scalar can leak into a report.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import math
 import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import feas_grid
+from repro.core.feas_engine import FeasibilityEngine
 from repro.core.feas_grid import (
     BatchEvaluator,
-    _PythonFeasOps,
     check_feasibility_batch,
-    default_backend,
     feasibility_grid,
-    numpy_unavailable_reason,
 )
 from repro.core.feasibility import TreeParameters, check_feasibility
 from repro.model.message import DensityBound, MessageClass
@@ -89,142 +95,209 @@ def hrtdm_problems(draw) -> HRTDMProblem:
     return HRTDMProblem(sources=sources, static_q=q, static_m=static_m)
 
 
-def _backends():
-    backends = [("python", _PythonFeasOps())]
-    if numpy_unavailable_reason() is None:
-        backends.append(("numpy", feas_grid._NumpyFeasOps()))
-    return backends
+@st.composite
+def pooled_problems(draw) -> HRTDMProblem:
+    """Instances whose classes repeat 1-3 ``(length, deadline, a, w)``
+    profiles over up to 24 single- and multi-class sources — the shape
+    the profile dedup collapses.  The small value sets make profiles
+    share a deadline or window while differing in length, and the short
+    deadlines and windows give window spans <= 0 (and <= -w, where an
+    unmasked ceiling would go negative)."""
+    profiles = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from((100, 300, 2_000, 8_000, 20_000)),
+                st.sampled_from((500, 4_000, 9_000, 50_000, 2 * _MS)),
+                st.integers(1, 3),
+                st.sampled_from((1_000, 7_000, 60_000, 4 * _MS)),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    z = draw(st.integers(1, 24))
+    per_source = [
+        draw(st.lists(st.sampled_from(profiles), min_size=1, max_size=3))
+        for _ in range(z)
+    ]
+    static_m = 2
+    q = _next_power(static_m, max(z, static_m))
+    allocations = allocate_static_indices([1] * z, q)
+    sources = tuple(
+        SourceSpec(
+            source_id=i,
+            message_classes=tuple(
+                MessageClass(
+                    name=f"s{i}c{c}",
+                    length=length,
+                    deadline=deadline,
+                    bound=DensityBound(a=a, w=w),
+                )
+                for c, (length, deadline, a, w) in enumerate(classes)
+            ),
+            static_indices=allocations[i],
+        )
+        for i, classes in enumerate(per_source)
+    )
+    return HRTDMProblem(sources=sources, static_q=q, static_m=static_m)
 
 
-@pytest.fixture(params=_backends(), ids=lambda b: b[0])
-def backend(request):
-    return request.param[1]
+def _map_classes(problem: HRTDMProblem, fn) -> HRTDMProblem:
+    """``problem`` with every message class replaced by ``fn(cls)``."""
+    return HRTDMProblem(
+        sources=tuple(
+            dataclasses.replace(
+                source,
+                message_classes=tuple(
+                    fn(cls) for cls in source.message_classes
+                ),
+            )
+            for source in problem.sources
+        ),
+        static_q=problem.static_q,
+        static_m=problem.static_m,
+    )
+
+
+def _rescaled(problem: HRTDMProblem, scale: float) -> HRTDMProblem:
+    """``problem`` with every window at ``max(1, ceil(w / scale))``."""
+    return _map_classes(
+        problem,
+        lambda cls: dataclasses.replace(
+            cls,
+            bound=DensityBound(
+                a=cls.bound.a, w=max(1, math.ceil(cls.bound.w / scale))
+            ),
+        ),
+    )
+
+
+def _retyped(integer: type, problem: HRTDMProblem) -> HRTDMProblem:
+    """``problem`` with every class's length, deadline, a and w cast to
+    ``integer``."""
+    return _map_classes(
+        problem,
+        lambda cls: MessageClass(
+            name=cls.name,
+            length=integer(cls.length),
+            deadline=integer(cls.deadline),
+            bound=DensityBound(a=integer(cls.bound.a), w=integer(cls.bound.w)),
+        ),
+    )
+
+
+@pytest.fixture(params=("python", "numpy"))
+def typed(request):
+    """Maps an int-typed instance to the one the case evaluates."""
+    if request.param == "python":
+        return lambda problem: problem
+    np = pytest.importorskip("numpy")
+    return functools.partial(_retyped, np.int64)
+
+
+def _assert_identical(got, expected):
+    assert got == expected
+    assert pickle.dumps(got) == pickle.dumps(expected)
 
 
 class TestScalarParity:
-    @given(hrtdm_problems())
-    def test_batch_equals_scalar_on_random_instances(self, problem):
+    @given(
+        st.one_of(hrtdm_problems(), pooled_problems()),
+        st.sampled_from((0.5, 1.0, 3.0)),
+    )
+    def test_batch_equals_scalar_on_random_instances(self, problem, scale):
         trees = _trees(problem)
-        expected = check_feasibility(problem, GIGABIT_ETHERNET, trees)
-        for _, ops in _backends():
-            (got,) = check_feasibility_batch(
-                [problem], GIGABIT_ETHERNET, trees, backend=ops
-            )
-            assert got == expected
+        (got,) = check_feasibility_batch([problem], GIGABIT_ETHERNET, trees)
+        _assert_identical(
+            got, check_feasibility(problem, GIGABIT_ETHERNET, trees)
+        )
+        # The engine's bulk recompute runs the same passes on rescaled
+        # windows.
+        engine = FeasibilityEngine.from_problem(
+            problem, GIGABIT_ETHERNET, trees
+        )
+        engine.rescale_density(scale)
+        _assert_identical(
+            engine.report(),
+            check_feasibility(
+                _rescaled(problem, scale), GIGABIT_ETHERNET, trees
+            ),
+        )
 
-    @given(hrtdm_problems())
-    def test_backends_agree_exactly(self, problem):
-        trees = _trees(problem)
-        reports = [
-            check_feasibility_batch(
-                [problem], GIGABIT_ETHERNET, trees, backend=ops
-            )[0]
-            for _, ops in _backends()
-        ]
-        assert all(report == reports[0] for report in reports)
-
-    def test_uniform_family_across_scales(self, backend):
+    def test_uniform_family_across_scales(self, typed):
         for scale in (0.25, 0.5, 1.0, 2.0, 8.0, 32.0):
             problem = uniform_problem(z=8, scale=scale)
             trees = _trees(problem)
             (got,) = check_feasibility_batch(
-                [problem], GIGABIT_ETHERNET, trees, backend=backend
+                [typed(problem)], GIGABIT_ETHERNET, trees
             )
-            expected = check_feasibility(problem, GIGABIT_ETHERNET, trees)
-            assert got == expected
-            assert pickle.dumps(got) == pickle.dumps(expected)
+            _assert_identical(
+                got, check_feasibility(problem, GIGABIT_ETHERNET, trees)
+            )
 
     @pytest.mark.parametrize(
         "factory", [videoconference_problem, trading_floor_problem]
     )
-    def test_heterogeneous_workloads(self, backend, factory):
+    def test_heterogeneous_workloads(self, typed, factory):
         problem = factory()
         trees = _trees(problem)
         (got,) = check_feasibility_batch(
-            [problem], GIGABIT_ETHERNET, trees, backend=backend
+            [typed(problem)], GIGABIT_ETHERNET, trees
         )
-        assert got == check_feasibility(problem, GIGABIT_ETHERNET, trees)
+        _assert_identical(
+            got, check_feasibility(problem, GIGABIT_ETHERNET, trees)
+        )
 
-    def test_classic_ethernet_medium(self, backend):
+    def test_classic_ethernet_medium(self, typed):
         problem = uniform_problem(z=4, deadline=40 * _MS, w=20 * _MS)
         trees = _trees(problem)
         (got,) = check_feasibility_batch(
-            [problem], CLASSIC_ETHERNET, trees, backend=backend
+            [typed(problem)], CLASSIC_ETHERNET, trees
         )
-        assert got == check_feasibility(problem, CLASSIC_ETHERNET, trees)
+        _assert_identical(
+            got, check_feasibility(problem, CLASSIC_ETHERNET, trees)
+        )
 
-    def test_report_fields_are_python_ints(self, backend):
+    def test_report_fields_are_python_ints(self, typed):
         problem = uniform_problem(z=4)
         trees = _trees(problem)
-        evaluator = BatchEvaluator(GIGABIT_ETHERNET, trees, backend=backend)
-        for row in evaluator(problem).classes:
+        evaluator = BatchEvaluator(GIGABIT_ETHERNET, trees)
+        for row in evaluator(typed(problem)).classes:
+            assert type(row.deadline) is int
             assert type(row.rank) is int
             assert type(row.interference) is int
             assert type(row.transmission_bits) is int
             assert type(row.static_trees) is int
 
-    def test_shared_evaluator_is_stateless_across_instances(self, backend):
+    def test_shared_evaluator_is_stateless_across_instances(self, typed):
         # Memo state (encapsulation, S1) must not bleed between instances.
         problems = [uniform_problem(z=z, scale=s)
                     for z in (2, 4, 8) for s in (0.5, 4.0)]
-        trees = _trees(problems[0])
         fresh = [
-            check_feasibility_batch(
-                [p], GIGABIT_ETHERNET, _trees(p), backend=backend
-            )[0]
+            check_feasibility_batch([p], GIGABIT_ETHERNET, _trees(p))[0]
             for p in problems
         ]
-        del trees
-        evaluator = BatchEvaluator(
-            GIGABIT_ETHERNET, _trees(problems[0]), backend=backend
-        )
-        shared = [evaluator(p) for p in problems if p.static_q ==
+        evaluator = BatchEvaluator(GIGABIT_ETHERNET, _trees(problems[0]))
+        shared = [evaluator(typed(p)) for p in problems if p.static_q ==
                   problems[0].static_q]
         fresh_same_q = [r for p, r in zip(problems, fresh)
                         if p.static_q == problems[0].static_q]
-        assert shared == fresh_same_q
-
-
-class TestPurePythonFallback:
-    def test_forced_numpy_failure_selects_python_backend(self, monkeypatch):
-        monkeypatch.setattr(
-            feas_grid, "_NUMPY_STATE", (None, "numpy unavailable (forced)")
-        )
-        assert numpy_unavailable_reason() == "numpy unavailable (forced)"
-        assert isinstance(default_backend(), _PythonFeasOps)
-
-    def test_forced_fallback_matches_scalar(self, monkeypatch):
-        problem = videoconference_problem(participants=4)
-        trees = _trees(problem)
-        expected = check_feasibility(problem, GIGABIT_ETHERNET, trees)
-        monkeypatch.setattr(
-            feas_grid, "_NUMPY_STATE", (None, "numpy unavailable (forced)")
-        )
-        (got,) = check_feasibility_batch([problem], GIGABIT_ETHERNET, trees)
-        assert got == expected
-
-    def test_numpy_available_reports_no_reason(self):
-        if feas_grid._load_numpy()[0] is None:
-            pytest.skip("numpy genuinely unavailable")
-        assert numpy_unavailable_reason() is None
-        assert default_backend().name == "numpy"
+        assert len(shared) == len(fresh_same_q)
+        for got, expected in zip(shared, fresh_same_q):
+            _assert_identical(got, expected)
 
 
 class TestGridApi:
-    def _grid(self, **kwargs):
+    def _grid(self):
         problem = uniform_problem()
         trees = _trees(problem)
-        axes = kwargs.pop(
-            "axes", {"deadline": (2 * _MS, 8 * _MS), "scale": (0.5, 1.0, 2.0)}
-        )
         return feasibility_grid(
             lambda deadline, scale: uniform_problem(
                 z=8, deadline=deadline, scale=scale
             ),
-            axes,
+            {"deadline": (2 * _MS, 8 * _MS), "scale": (0.5, 1.0, 2.0)},
             GIGABIT_ETHERNET,
             trees,
-            **kwargs,
         )
 
     def test_point_order_last_axis_fastest(self):
@@ -286,7 +359,3 @@ class TestGridApi:
             feasibility_grid(
                 uniform_problem, {"scale": ()}, GIGABIT_ETHERNET, trees
             )
-
-    def test_backend_recorded(self):
-        grid = self._grid(backend=_PythonFeasOps())
-        assert grid.backend == "python"

@@ -3,7 +3,7 @@
 The three-way byte-identity oracle lives in
 ``test_engine_differential.py``; this file covers what is specific to
 :mod:`repro.net.batch` — the structural eligibility matrix and its
-recorded reasons, that a batch run never imports numpy, the mid-run DES
+recorded reasons, that nothing in the package imports numpy, the mid-run DES
 rejoin out of the kernel itself, and the idle-leap fast path: its gate,
 and its byte identity with and without invariant monitors and an armed
 flight recorder.
@@ -211,18 +211,26 @@ def test_run_batch_falls_back_and_reports_why():
 # -- one backend, no numpy --------------------------------------------------
 
 
-def test_batch_run_imports_no_numpy():
-    """The kernel's list columns are its only backend: a batch simulation
-    (monitors armed, leaps on) runs without ever importing numpy, which
-    would add ~12 MB of resident memory to every default run."""
+def test_batch_run_imports_no_numpy(tmp_path):
+    """Nothing in the package imports numpy, which would add ~12 MB of
+    resident memory to every process: not the import sweep over every
+    ``repro`` module, not a batch simulation (monitors armed, leaps on),
+    not FC's grids nor SERVE-CHECK, and not an admission session with
+    counter-checks, a journal and its replay."""
     src = pathlib.Path(__file__).resolve().parents[2] / "src"
     script = """
 import sys
+from repro.experiments.registry import run_spec
 from repro.model.workloads import uniform_problem
 from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import ideal_medium
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
+from repro.runtime.spec import RunSpec
+from repro.serve.service import AdmissionService, ServeConfig, replay_event_log
+from repro.serve.traces import TraceConfig, generate_trace
+from repro.tools.check import _import_all_modules
 
+assert _import_all_modules() == []
 problem = uniform_problem(z=5, length=1_000, deadline=400_000, a=1, w=200_000)
 config = DDCRConfig(
     time_f=16, time_m=2, class_width=65_536,
@@ -235,11 +243,22 @@ result = NetworkSimulation.from_scenario(Scenario(
 )).run(250_000)
 assert result.engine_fallback is None, result.engine_fallback
 assert result.invariants.ok and result.stats.successes > 0
+for experiment_id in ("FC", "SERVE-CHECK"):
+    experiment = run_spec(RunSpec.make(experiment_id))
+    assert experiment.all_checks_pass, experiment.failed_checks()
+trace = generate_trace(
+    TraceConfig(events=120, stations=12, seed=21, template="city")
+)
+config = ServeConfig(static_q=64, check_every=25)
+with AdmissionService(config, log_dir=sys.argv[1]) as service:
+    service.run_trace(trace)
+    assert not service.incidents
+assert replay_event_log(sys.argv[1]).incidents == []
 print("numpy" in sys.modules)
 """
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, str(tmp_path / "log")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

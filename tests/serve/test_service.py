@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from repro.obs.instruments import Telemetry
 from repro.serve.model import Request
-from repro.serve.service import MEDIA, AdmissionService, ServeConfig
+from repro.serve.service import (
+    MEDIA,
+    AdmissionService,
+    ServeConfig,
+    replay_event_log,
+)
 
 _MS = 1_000_000
 
@@ -194,6 +200,38 @@ class TestReconfigure:
             Request(seq=0, kind="reconfigure", scale=0.0)
         )
         assert decision.verdict == "error"
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 1e-302])
+    def test_unusable_scale_is_an_error_that_changes_nothing(
+        self, tmp_path, scale
+    ):
+        """NaN and inf are no density scale, and at 1e-302 the first
+        window still fits a float while the second overflows.  Each must
+        be an error decision that leaves the engine as it was, the oracle
+        silent and every journal line strict JSON."""
+        log_dir = tmp_path / "log"
+        with AdmissionService(
+            ServeConfig(static_q=16), log_dir=log_dir
+        ) as service:
+            for seq, w in enumerate((1_000_000, 40_000_000)):
+                assert service.handle(
+                    join(seq, source_id=seq, deadline=40 * _MS, w=w)
+                ).verdict == "admit"
+            before = service.engine.snapshot()
+            decision = service.handle(
+                Request(seq=2, kind="reconfigure", scale=scale)
+            )
+            assert decision.verdict == "error"
+            assert service.engine.snapshot() == before
+            assert service.counter_check() == []
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        for path in sorted(log_dir.glob("*.jsonl")):
+            for line in path.read_text().splitlines():
+                json.loads(line, parse_constant=reject)
+        assert replay_event_log(log_dir).incidents == []
 
 
 class TestSequencing:
