@@ -9,8 +9,9 @@ increasing rates and measures each protocol's degradation.
 Shape claims:
 
 * the deterministic protocols (DDCR, DCR, TDMA) stay *consistent* — the
-  lockstep invariant holds at every noise rate (asserted slot by slot) —
-  and keep delivering, with latency degrading gracefully;
+  lockstep invariant holds at every noise rate (asserted at every
+  stepped slot and at both ends of each leapt stretch) — and keep
+  delivering, with latency degrading gracefully;
 * DDCR still misses nothing at moderate noise on a feasible instance
   (the FC slack absorbs retransmissions);
 * noise costs BEB the most: its backoff doubles on every corrupted

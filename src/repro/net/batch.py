@@ -29,16 +29,20 @@ itself says whether it is idle-steady and digests the stretch
 (:meth:`~repro.protocols.ddcr.protocol.DDCRProtocol.leap_idle`); the
 channel's shared stretch rule bounds the stretch (horizon, next arrival,
 jam boundary) and keeps the leap off wherever a per-slot side effect
-must happen: noise (one RNG draw per slot) and any armed invariant
-monitor that cannot digest an idle stretch in one call
+must happen: any armed invariant monitor that cannot digest an idle
+stretch in one call
 (:attr:`~repro.sim.invariants.MonitorSuite.digests_idle`); the standard
-and bridge-conservation monitors can, via ``on_idle``.  An armed flight
-recorder keeps the leap: the channel books a leapt stretch and a
-stepped silent slot through the same ``channel/idle`` rule
+and bridge-conservation monitors can, via ``on_idle``.  Noise keeps the
+leap: the channel draws the gates slot by slot over the stretch, in the
+per-slot order
+(:meth:`~repro.net.channel.BroadcastChannel._quiet_slots`), the leap
+stops before the first slot a gate corrupts, and the kernel runs that
+slot as a corrupted round.  An armed flight recorder keeps the leap
+too: the channel books a leapt stretch and a stepped silent slot
+through the same ``channel/idle`` rule
 (:meth:`~repro.net.channel.BroadcastChannel._trace_idle`), so the dump
-is the same either way.  Consistency-checked fast-loop runs leap under
-the same rule and the same replica code, on every station's own
-replica.
+is the same either way.  Fast-loop runs leap under the same rule and
+the same replica code, on every station's own replica.
 
 Fallback contract (mirroring the fast loop's): :func:`batch_unavailable_reason`
 reports *structural* ineligibility — foreign MAC types, differing configs,
@@ -392,23 +396,37 @@ class BatchKernel:
 
         The shadow replica decides whether it is idle-steady and digests
         the stretch (:meth:`DDCRProtocol.leap_idle`, the same code every
-        station's replica runs on checked fast-loop runs); the channel's
-        shared rule bounds the stretch and books it, monitors and flight
-        recorder included.
+        station's replica runs on fast-loop runs); the channel's shared
+        rule bounds the stretch and books it, monitors and flight
+        recorder included.  If a noise gate fires inside the stretch
+        (:meth:`~repro.net.channel.BroadcastChannel._quiet_slots`), the
+        leap stops before that slot and runs it through :meth:`_round`
+        as a corrupted slot, counted in n.
         """
         replica = self.replica
         if not replica.idle_steady():
             return 0
         channel = self.channel
         n = channel._idle_stretch(now, horizon, self._next_due)
+        if not n:
+            return 0
+        fired = 0
+        if self.noise_gates:
+            n, fired = channel._quiet_slots(self.noise_gates, now, n)
         if n:
             replica.leap_idle(n, now + n * self.slot_time)
             channel._count_idle(now, n)
+        if fired:
+            self._round(now + n * self.slot_time, horizon, fired)
+            return n + 1
         return n
 
     # -- one round ---------------------------------------------------------
 
-    def _round(self, now: int, horizon: int) -> int:
+    def _round(self, now: int, horizon: int, fired: int = 0) -> int:
+        """Run one round from ``now``; returns its duration (a leapt
+        stretch's, if the round leaps).  ``fired`` > 0: the idle leap
+        drew this slot's noise gates and that many fired."""
         channel = self.channel
         stats = self.stats
         slot_time = self.slot_time
@@ -417,7 +435,7 @@ class BatchKernel:
         if self._next_due <= now:
             self._deliver_arrivals(now)
         if backend.nonempty == 0:
-            if self._leap_ok:
+            if self._leap_ok and not fired:
                 leaped = self._try_leap(now, horizon)
                 if leaped:
                     return leaped * slot_time
@@ -454,13 +472,18 @@ class BatchKernel:
         if jammed:
             corrupted = True
         elif self.noise_gates:
-            corrupted = False
-            telemetry_on = self.telemetry_on
-            for gate in self.noise_gates:
-                if gate(now, wire):
-                    corrupted = True
-                    if telemetry_on:
-                        self.ctr_noise_fires.inc()
+            if fired:
+                corrupted = True
+                if self.telemetry_on:
+                    self.ctr_noise_fires.inc(fired)
+            else:
+                corrupted = False
+                telemetry_on = self.telemetry_on
+                for gate in self.noise_gates:
+                    if gate(now, wire):
+                        corrupted = True
+                        if telemetry_on:
+                            self.ctr_noise_fires.inc()
         else:
             corrupted = False
         if corrupted:

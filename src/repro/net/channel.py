@@ -24,11 +24,11 @@ resolution happens — and dispatches to one of three internal tiers:
   that owns the clock and advances ``env.now`` itself, skipping the event
   heap, the generator suspend/resume and the per-round timeout
   allocation.  The moment any foreign event appears on the queue it
-  rejoins the DES mid-run, so it is always safe to select.  On
-  consistency-checked runs it crosses provably idle stretches in one
-  step: every station's own replica must say it is idle-steady, each
-  advances itself (``MACProtocol.leap_idle``), and lockstep is asserted
-  at the stretch's first and last slot.  Unchecked runs stay per-slot.
+  rejoins the DES mid-run, so it is always safe to select.  It crosses
+  provably idle stretches in one step: every station's own replica must
+  say it is idle-steady, and each advances itself
+  (``MACProtocol.leap_idle``); on consistency-checked runs lockstep is
+  asserted at the stretch's first and last slot.
 * the struct-of-arrays batch kernel (:mod:`repro.net.batch`, ``batch``
   and the default ``auto``): per-station state lives in list columns and
   one shadow protocol replica digests each slot, so the per-slot cost is
@@ -38,8 +38,10 @@ resolution happens — and dispatches to one of three internal tiers:
   fast loop with the reason returned (and recorded in run manifests).
 
 Both leaping engines share one stretch rule, kept here on the channel:
-a stretch ends at the horizon, the earliest pending arrival or a jam
-boundary, and there is no leap under noise, an armed fault injector or
+a stretch ends at the horizon, the earliest pending arrival, a jam
+boundary or the first slot a noise gate corrupts (the gates are drawn
+slot by slot, in the per-slot order, and that slot then runs as a
+corrupted round), and there is no leap under an armed fault injector or
 a monitor that cannot digest idle slots in one call.  The DES is always
 per-slot: the reference.
 
@@ -171,10 +173,9 @@ class _RoundDriver:
         self.noise_gates = tuple(gates)
         self.monitors = channel.monitors
         self.check = channel.check_consistency
-        # Checked runs cross idle stretches on every station's own
-        # replica (see :meth:`leap`); unchecked fast-loop runs stay
-        # per-slot.
-        self.leap_ok = self.check and channel._idle_leap_allowed()
+        # The fast loop crosses idle stretches on every station's own
+        # replica (see :meth:`leap`); the DES never asks.
+        self.leap_ok = channel._idle_leap_allowed()
         # Telemetry instruments, hoisted once per driver build.  They are
         # fetched by name from the registry, so a mid-run rebuild (the
         # fast loop's DES rejoin) resumes the same counters.
@@ -206,9 +207,11 @@ class _RoundDriver:
         Leaps only if every queue is empty and every replica on its own
         says it is idle-steady, so a replica that left the steady state
         alone keeps the slot per-slot, where the lockstep check sees it.
-        The replicas digest the stretch's first slot, lockstep is
-        asserted there, then they digest the rest and it is asserted at
-        the last slot.
+        On checked runs the replicas digest the stretch's first slot,
+        lockstep is asserted there, then they digest the rest and it is
+        asserted at the last slot.  If a noise gate fires inside the
+        stretch (:meth:`BroadcastChannel._quiet_slots`), the leap stops
+        before that slot and runs it here as a corrupted round.
         """
         stations = self.stations
         due = horizon
@@ -222,20 +225,36 @@ class _RoundDriver:
         n = channel._idle_stretch(now, horizon, due)
         if not n:
             return 0
+        fired = 0
+        if self.noise_gates:
+            n, fired = channel._quiet_slots(self.noise_gates, now, n)
         slot_time = self.slot_time
-        for station in stations:
-            station.mac.leap_idle(1, now + slot_time)
-        channel._assert_lockstep(now)
-        if n > 1:
-            end = now + n * slot_time
-            for station in stations:
-                station.mac.leap_idle(n - 1, end)
-            channel._assert_lockstep(end - slot_time)
-        channel._count_idle(now, n)
+        end = now + n * slot_time
+        if n:
+            check = self.check
+            first = 0
+            if check:
+                for station in stations:
+                    station.mac.leap_idle(1, now + slot_time)
+                channel._assert_lockstep(now)
+                first = 1
+            if n > first:
+                for station in stations:
+                    station.mac.leap_idle(n - first, end)
+                if check:
+                    channel._assert_lockstep(end - slot_time)
+            channel._count_idle(now, n)
+        if fired:
+            return n * slot_time + self.round(end, fired)
         return n * slot_time
 
-    def round(self, now: int) -> int:
-        """Run one channel round starting at ``now``; returns its duration."""
+    def round(self, now: int, fired: int = 0) -> int:
+        """Run one channel round starting at ``now``; returns its duration.
+
+        ``fired`` > 0 says an idle leap already consulted the noise gates
+        for this slot and that many fired: the slot is corrupted without
+        drawing them again.
+        """
         channel = self.channel
         stations = self.stations
         stats = self.stats
@@ -287,15 +306,21 @@ class _RoundDriver:
         if jammed:
             corrupted = True
         elif self.noise_gates:
-            # Every gate is consulted every slot (stateful chains must
-            # advance even after the slot is already corrupt).
-            corrupted = False
-            telemetry_on = self.telemetry_on
-            for gate in self.noise_gates:
-                if gate(now, wire):
-                    corrupted = True
-                    if telemetry_on:
-                        self.ctr_noise_fires.inc()
+            if fired:
+                # The idle leap drew this slot's gates (see :meth:`leap`).
+                corrupted = True
+                if self.telemetry_on:
+                    self.ctr_noise_fires.inc(fired)
+            else:
+                # Every gate is consulted every slot (stateful chains
+                # must advance even after the slot is already corrupt).
+                corrupted = False
+                telemetry_on = self.telemetry_on
+                for gate in self.noise_gates:
+                    if gate(now, wire):
+                        corrupted = True
+                        if telemetry_on:
+                            self.ctr_noise_fires.inc()
         else:
             corrupted = False
         if corrupted:
@@ -653,17 +678,17 @@ class BroadcastChannel:
     def _idle_leap_allowed(self) -> bool:
         """Whether nothing on this channel must see idle slots one by one.
 
-        No noise (one RNG draw per slot), no armed fault injector, and
-        only monitors that digest an idle stretch in one ``on_idle`` call
-        (:attr:`~repro.sim.invariants.MonitorSuite.digests_idle`).  An
-        armed flight recorder does not count: it records a stretch as
-        one event (:meth:`_trace_idle`).
+        No armed fault injector, and only monitors that digest an idle
+        stretch in one ``on_idle`` call
+        (:attr:`~repro.sim.invariants.MonitorSuite.digests_idle`).
+        Noise does not count: a leap draws its gates slot by slot and
+        stops at the first one that fires (:meth:`_quiet_slots`).  Nor
+        does an armed flight recorder: it records a stretch as one event
+        (:meth:`_trace_idle`).
         """
         monitors = self.monitors
-        return (
-            self.noise_rate == 0.0
-            and self.faults is None
-            and (monitors is None or monitors.digests_idle)
+        return self.faults is None and (
+            monitors is None or monitors.digests_idle
         )
 
     def _idle_stretch(self, now: int, horizon: int, due: int) -> int:
@@ -681,6 +706,32 @@ class BroadcastChannel:
             elif self.jam_until is None or now < self.jam_until:
                 return 0
         return max(0, -(-(end - now) // self.medium.slot_time))
+
+    def _quiet_slots(
+        self, gates: tuple, now: int, n: int
+    ) -> tuple[int, int]:
+        """Draw the noise gates over the idle stretch of ``n`` slots from
+        ``now``; returns ``(quiet, fired)``.
+
+        Each slot consults every gate in the per-slot order with nothing
+        on the wire, exactly as its round would, so the RNG draw sequence
+        is the per-slot one.  The draws stop at the first slot where a
+        gate fires, after every gate of that slot: ``quiet`` slots precede
+        it and ``fired`` gates fired there.  ``(n, 0)`` = no gate fired.
+        The caller leaps the quiet slots and runs the fired one as a
+        corrupted round in the same call, so no drawn slot outlives it.
+        """
+        slot_time = self.medium.slot_time
+        t = now
+        for quiet in range(n):
+            fired = 0
+            for gate in gates:
+                if gate(t, 0):
+                    fired += 1
+            if fired:
+                return quiet, fired
+            t += slot_time
+        return n, 0
 
     def _count_idle(self, now: int, n: int) -> None:
         """Book ``n`` silent slots from ``now`` as ``n`` rounds would:

@@ -10,9 +10,11 @@ Three engines can turn the broadcast channel's crank:
   only time-advancing activity (the common case — stations are driven
   synchronously through ``offer()``/``observe()``), the round loop runs as
   a direct Python loop that owns the clock and advances ``env.now``
-  itself, bypassing the event heap entirely.  It falls back to the DES
-  automatically the moment any foreign event is scheduled (dual-bus
-  topologies, host extension processes), so selecting it is always safe.
+  itself, bypassing the event heap entirely.  Idle stretches are leapt
+  on every station's own replica, any MAC protocol, noise or not.  It
+  falls back to the DES automatically the moment any foreign event is
+  scheduled (dual-bus topologies, host extension processes), so
+  selecting it is always safe.
 * ``batch`` — the struct-of-arrays kernel (:mod:`repro.net.batch`):
   per-station EDF keys and tree positions live in plain list columns and
   one shadow protocol replica digests each slot, so per-slot cost is
@@ -27,8 +29,8 @@ Three engines can turn the broadcast channel's crank:
 * ``auto`` — the default: takes the ``batch`` path, so every eligible run
   executes the kernel and every ineligible one runs the fast loop with
   the same ``batch engine unavailable (...): ran fastloop`` note.  The
-  DES and the fast loop stay the engine-independent references the
-  three-way differential suite holds the kernel to.
+  per-slot DES stays the reference the three-way differential suite
+  holds both leaping engines to.
 
 All engines execute the *identical* round semantics and draw from the
 same RNG streams in the same order, so results — channel statistics,

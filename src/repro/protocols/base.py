@@ -143,8 +143,12 @@ class MACProtocol(abc.ABC):
         """May an engine cross an idle stretch on this replica in one step?
 
         True only where silent, all-queues-empty slots leave the state a
-        function :meth:`leap_idle` computes in O(1).  An engine leaps only
-        if every station's replica says so.  Default: no, every slot runs.
+        function :meth:`leap_idle` computes in O(1) (the engine checks the
+        queues).  An engine leaps only if every station's replica says
+        so; a slot that noise corrupts is never leapt, it runs as a
+        round.  DDCR is steady in FREE and the fresh-TTs cycle, DCR in
+        FREE, CSMA-CD/BEB with no backoff pending, TDMA and slotted ALOHA
+        always.  Default: no, every slot runs.
         """
         return False
 

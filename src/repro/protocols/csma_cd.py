@@ -73,6 +73,14 @@ class CSMACDProtocol(MACProtocol):
         if self._backoff > 0:
             self._backoff -= 1
 
+    def idle_steady(self) -> bool:
+        """No backoff pending: with an empty queue a silent slot then
+        changes nothing (a pending backoff counts down per slot)."""
+        return self._backoff == 0
+
+    def leap_idle(self, n: int, end: int) -> None:
+        """Nothing to digest: no backoff is counting down."""
+
     def public_state(self) -> tuple[object, ...]:
         # Backoff state is private by design (random per station).
         return ()

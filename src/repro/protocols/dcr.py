@@ -117,6 +117,15 @@ class DCRProtocol(MACProtocol):
             self.mode = DCRMode.FREE
             self._index_cursor = 0
 
+    # -- idle stretches -----------------------------------------------------
+
+    def idle_steady(self) -> bool:
+        """FREE with every queue empty: a silent slot changes nothing."""
+        return self.mode is DCRMode.FREE
+
+    def leap_idle(self, n: int, end: int) -> None:
+        """Nothing to digest: FREE mode ignores silence."""
+
     def public_state(self) -> tuple[object, ...]:
         key: tuple[object, ...] = (self.mode.value,)
         if self.search is not None:

@@ -79,6 +79,14 @@ class SlottedAlohaProtocol(MACProtocol):
         if observation.state is ChannelState.COLLISION and offered is not None:
             self._backlogged = True
 
+    def idle_steady(self) -> bool:
+        """Always: an empty queue makes no retry draw, and silence leaves
+        the backlog flag alone."""
+        return True
+
+    def leap_idle(self, n: int, end: int) -> None:
+        """Nothing to digest: silent slots change no state."""
+
     def public_state(self) -> tuple[object, ...]:
         # Retry state is private by design (random per station).
         return ()

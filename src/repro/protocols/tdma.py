@@ -61,5 +61,13 @@ class TDMAProtocol(MACProtocol):
             self.noisy_slots += 1
         self._turn = (self._turn + 1) % len(self.roster)
 
+    def idle_steady(self) -> bool:
+        """Always: a silent slot only passes the turn on."""
+        return True
+
+    def leap_idle(self, n: int, end: int) -> None:
+        """``n`` silent slots pass the turn on ``n`` times."""
+        self._turn = (self._turn + n) % len(self.roster)
+
     def public_state(self) -> tuple[object, ...]:
         return (self._turn,)

@@ -94,6 +94,22 @@ BLACKBOX_FILE = "blackbox.jsonl"
 BLACKBOX_EVENTS = 64
 
 
+def _non_integer(request: Request, fields: tuple[str, ...]) -> str | None:
+    """Why one of ``fields`` is no integer (``None`` = all are, or unset).
+
+    Bools do not count as integers.  The value prints with ``str()``, so a
+    non-finite float, which the journal keeps as its repr string
+    (:meth:`Request.to_dict`), replays to the same reason bytes.
+    """
+    for field in fields:
+        value = getattr(request, field)
+        if value is not None and (
+            type(value) is bool or not isinstance(value, int)
+        ):
+            return f"needs an integer {field}, got {value}"
+    return None
+
+
 class ServeConfig(typing.NamedTuple):
     """Deterministic service parameters (everything replay needs).
 
@@ -414,6 +430,11 @@ class AdmissionService:
             return self._decide_error(
                 request, f"join needs {', '.join(missing)}"
             )
+        reason = _non_integer(
+            request, ("source_id", "nu", "length", "deadline", "a", "w")
+        )
+        if reason is not None:
+            return self._decide_error(request, f"join {reason}")
         if request.name in self._names:
             return self._decide_error(
                 request, f"class name {request.name!r} already admitted"
@@ -481,6 +502,9 @@ class AdmissionService:
             )
         if request.a is None and request.w is None:
             return self._decide_error(request, "rescale needs a and/or w")
+        reason = _non_integer(request, ("a", "w"))
+        if reason is not None:
+            return self._decide_error(request, f"rescale {reason}")
         try:
             old_a, old_w, old_w0 = self.engine.class_state(
                 request.source_id, request.name

@@ -5,7 +5,7 @@ bus, deadline compliance under the feasibility condition FC (theorems
 P5/P6), and the bounded collision-resolution cost ``xi(k, t)`` of Eq. 1 —
 are turned here into *online monitors* hooked into the channel round loop.
 Each monitor watches every slot (under every engine: the round driver is
-engine-independent, and the batch kernel digests idle stretches through
+engine-independent, and the leaping engines digest idle stretches through
 ``on_idle``, which leaves a monitor exactly as per-slot calls would — so
 violation reports are byte-identical across ``des``, ``fastloop`` and
 ``batch``) and records structured :class:`Violation` entries instead of
@@ -173,7 +173,7 @@ class InvariantMonitor:
 
         The slots are silent, uncorrupted, unjammed and have every queue
         empty; afterwards the monitor must be exactly as ``n`` calls of
-        :meth:`on_slot` would leave it.  The batch kernel leaps over such
+        :meth:`on_slot` would leave it.  The engines leap over such
         stretches only when every armed monitor's ``on_idle`` comes from
         the same class as its ``on_slot`` (or a subclass of it), so a
         monitor that overrides ``on_slot`` alone keeps per-slot execution.
@@ -646,7 +646,7 @@ class MonitorSuite:
         self.monitors = tuple(monitors)
         self.slots_checked = 0
         #: Every monitor's ``on_idle`` summarises its own ``on_slot``, so
-        #: the batch kernel may leap idle stretches with the suite armed.
+        #: the engines may leap idle stretches with the suite armed.
         self.digests_idle = all(_digests_idle(m) for m in self.monitors)
 
     def on_slot(

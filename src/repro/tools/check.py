@@ -187,17 +187,18 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
     sense), so the monitors must stay silent: any violation is a genuine
     protocol/fault-interaction regression and fails CI.
 
-    Every scenario is also re-run on a reference engine, and its
-    statistics, completions and invariant report must match the default
-    engine's exactly.  Under the default ``auto`` the faulted scenarios
-    take the batch kernel's structural fallback; the clean monitored DDCR
-    scenario runs the kernel itself with monitors armed, so its
-    idle leaps digest through ``on_idle``, and its reference is the
-    ``fastloop``.  The consistency-checked one runs the fast loop, which
-    leaps idle stretches on every station's replica, so its reference is
-    the per-slot ``des`` — this row is the CI check of both leaps under
-    monitors.  Returns failure lines (empty = all invariants held, both
-    engines agreed).
+    Every scenario is also re-run on the per-slot ``des``, the one
+    reference engine, and its statistics, completions and invariant
+    report must match the default engine's exactly.  Under the default
+    ``auto`` the faulted scenarios take the batch kernel's structural
+    fallback to the fast loop; the clean monitored DDCR scenario runs the
+    kernel itself with monitors armed, so its idle leaps digest through
+    ``on_idle``; the consistency-checked ones run the fast loop, which
+    leaps idle stretches on every station's replica — on the noisy DCR
+    one a phantom collision starts a search, so the leap must stop
+    before it and resume after it.  This row is the CI check of both
+    leaps under monitors.  Returns failure lines (empty = all invariants
+    held, both engines agreed).
     """
     from repro.experiments.harness import (
         csma_cd_factory,
@@ -233,7 +234,7 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
     # BEB offers no deadline guarantee and TDMA idles by design in foreign
     # slots, so those scenarios check the invariants their protocols
     # actually promise; DDCR and DCR run the full auto-armed suite.
-    # (name, protocol, fault plan, monitors, consistency-checked)
+    # (name, protocol, fault plan, monitors, consistency-checked, noise)
     scenarios = [
         (
             "ddcr+burst-noise+crash",
@@ -241,6 +242,7 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
             FaultPlan((burst_noise, crash)),
             None,
             False,
+            0.0,
         ),
         (
             "csma-cd+burst-noise",
@@ -248,6 +250,7 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
             FaultPlan((burst_noise,)),
             lambda: MonitorSuite([MutualExclusionMonitor()]),
             False,
+            0.0,
         ),
         (
             "dcr+clock-drift",
@@ -255,6 +258,7 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
             FaultPlan((ClockDrift(0, skew_per_slot=4.0),)),
             None,
             False,
+            0.0,
         ),
         (
             "tdma+crash",
@@ -264,35 +268,48 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
                 [MutualExclusionMonitor(), DeadlineMonitor()]
             ),
             False,
+            0.0,
         ),
         # Fault-free but monitored: the one scenario the batch kernel
-        # actually executes (armed injectors structurally fall back), so
-        # the fastloop re-run below checks the kernel, leaps included.
+        # actually executes (armed injectors structurally fall back).
         (
             "ddcr-clean+monitors",
             ddcr_factory(config),
             None,
             True,
             False,
+            0.0,
         ),
         # Checked and monitored: the fast loop leaps on every station's
-        # own replica, so the per-slot DES is the reference.
+        # own replica.
         (
             "ddcr-checked+monitors",
             ddcr_factory(config),
             None,
             True,
             True,
+            0.0,
+        ),
+        # Checked and noisy: a phantom collision in FREE starts a search,
+        # which the leap must stop before and resume after.
+        (
+            "dcr-checked+noise",
+            dcr_factory(problem),
+            None,
+            lambda: MonitorSuite([MutualExclusionMonitor()]),
+            True,
+            0.02,
         ),
     ]
 
-    def execute(factory, plan, monitors, checked, engine=None):
+    def execute(factory, plan, monitors, checked, noise, engine=None):
         simulation = NetworkSimulation.from_scenario(
             Scenario(
                 problem=problem,
                 medium=medium,
                 protocol_factory=factory,
                 check_consistency=checked,
+                noise_rate=noise,
                 # Monitor suites are stateful, so scenarios supply them
                 # as factories — each engine run gets its own fresh
                 # suite.
@@ -319,28 +336,26 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
         )
 
     failures: list[str] = []
-    matched = {"fastloop": 0, "des": 0}
-    for name, factory, plan, monitors, checked in scenarios:
-        result = execute(factory, plan, monitors, checked)
+    for name, factory, plan, monitors, checked, noise in scenarios:
+        result = execute(factory, plan, monitors, checked, noise)
         report = result.invariants
         assert report is not None  # every scenario arms monitors
         if report.ok:
             print(f"invariants-smoke: {name}: {report.summary()}")
         else:
             failures.append(f"{name}: {report.summary()}")
-        engine = "des" if checked else "fastloop"
-        reference = execute(factory, plan, monitors, checked, engine=engine)
+        reference = execute(
+            factory, plan, monitors, checked, noise, engine="des"
+        )
         if digest(reference) != digest(result):
             failures.append(
-                f"{name}: default engine diverged from the {engine} reference"
+                f"{name}: default engine diverged from the des reference"
             )
-        matched[engine] += 1
     if not failures:
-        for engine, count in matched.items():
-            print(
-                f"invariants-smoke: default engine matched the {engine} "
-                f"reference on {count}/{count} scenario(s)"
-            )
+        print(
+            "invariants-smoke: default engine matched the des reference "
+            f"on {len(scenarios)}/{len(scenarios)} scenario(s)"
+        )
     return failures
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.analysis.metrics import count_inversions, summarize
 from repro.model.message import DensityBound, MessageClass, MessageInstance
 from repro.net.channel import ChannelStats
@@ -99,6 +102,44 @@ class TestSummarize:
         assert metrics.meets_hrtdm
 
 
+def _quadratic_inversions(result):
+    """The definition, pair by pair: is some delivered B with a strictly
+    earlier deadline already arrived when A starts, and started later?"""
+    completions = [r for r in result.completions if not r.dropped]
+    inversions = 0
+    for record in completions:
+        a = record.message
+        for other in completions:
+            b = other.message
+            if b.seq == a.seq:
+                continue
+            if (
+                b.absolute_deadline < a.absolute_deadline
+                and b.arrival <= record.started
+                and other.started > record.started
+            ):
+                inversions += 1
+                break
+    return inversions
+
+
+#: One class per relative deadline: few values, so absolute deadlines tie.
+_CLASSES = {d: _cls(f"d{d}", deadline=d) for d in (5, 10, 20)}
+
+#: (station, arrival, relative deadline, wait before the start, dropped):
+#: narrow ranges, so starts, arrivals and deadlines tie often.
+_DELIVERIES = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.integers(0, 12),
+        st.sampled_from(sorted(_CLASSES)),
+        st.integers(0, 8),
+        st.sampled_from((False, False, False, True)),
+    ),
+    max_size=30,
+)
+
+
 class TestInversions:
     def test_clean_edf_order_no_inversions(self):
         cls = _cls(deadline=100)
@@ -146,3 +187,18 @@ class TestInversions:
         }
         # The lax transmission overtook two urgent messages: one inversion.
         assert count_inversions(_result(records)) == 1
+
+    @settings(max_examples=300)
+    @given(deliveries=_DELIVERIES)
+    def test_sweep_matches_the_quadratic_definition(self, deliveries):
+        records: dict[int, list] = {0: []}
+        for station, arrival, deadline, wait, dropped in deliveries:
+            started = arrival + wait
+            records.setdefault(station, []).append(
+                _record(
+                    _CLASSES[deadline], arrival, started + 10,
+                    started=started, dropped=dropped,
+                )
+            )
+        result = _result(records)
+        assert count_inversions(result) == _quadratic_inversions(result)

@@ -227,16 +227,22 @@ def test_default_directory_is_under_repro_cache():
 # process boundary.  The fork start method keeps the workers cheap and is
 # always available on the platforms CI runs on (linux).
 
-def _hammer_writer(directory: str, rounds: int, table: tuple) -> None:
+def _hammer_writer(directory: str, rounds: int, table: tuple,
+                   stored) -> None:
     store = XiTableStore(directory)
-    for _ in range(rounds):
+    store.store("cost", 2, 8, 1, table)
+    stored.set()
+    for _ in range(rounds - 1):
         store.store("cost", 2, 8, 1, table)
 
 
 def _hammer_reader(directory: str, rounds: int, expected: tuple,
-                   queue) -> None:
+                   queue, stored) -> None:
     store = XiTableStore(directory)
     seen = corrupt = 0
+    # 200 loads of a missing entry take milliseconds: start once the
+    # first write has landed, so the loads overlap the later ones.
+    stored.wait(timeout=30)
     for _ in range(rounds):
         value = store.load("cost", 2, 8, 1)
         if value is not None:
@@ -268,17 +274,19 @@ class TestMultiProcessContention:
         search_cost._cost_tuple.cache_clear()
         context = multiprocessing.get_context("fork")
         queue = context.Queue()
+        stored = context.Event()
         rounds = 200
         writers = [
             context.Process(
-                target=_hammer_writer, args=(directory, rounds, table)
+                target=_hammer_writer,
+                args=(directory, rounds, table, stored),
             )
             for _ in range(2)
         ]
         readers = [
             context.Process(
                 target=_hammer_reader,
-                args=(directory, rounds, table, queue),
+                args=(directory, rounds, table, queue, stored),
             )
             for _ in range(2)
         ]
@@ -293,8 +301,8 @@ class TestMultiProcessContention:
             total_seen += seen
             assert corrupt == 0, "a reader served a wrong table"
             assert evictions == 0, "a reader evicted a mid-write entry"
-        # The writers started immediately, so readers overlapped live
-        # writes; at least some loads must have hit.
+        # Readers start after the first write landed and overlap the
+        # rest; at least some loads must have hit.
         assert total_seen > 0
         # The surviving entry is intact.
         assert XiTableStore(directory).load("cost", 2, 8, 1) == table

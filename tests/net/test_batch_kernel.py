@@ -20,10 +20,12 @@ import sys
 
 import pytest
 
+from repro.faults.models import FaultPlan
+from repro.faults.runtime import FaultInjector
 from repro.model.arrival import GreedyBurstArrivals
 from repro.model.workloads import uniform_problem
 from repro.net.batch import BatchKernel, batch_unavailable_reason
-from repro.net.channel import BroadcastChannel
+from repro.net.channel import BroadcastChannel, _RoundDriver
 from repro.net.phy import ATM_BUS, ideal_medium
 from repro.net.station import Station
 from repro.obs.tracer import FlightRecorder
@@ -413,30 +415,47 @@ class _SlotOnlyMonitor(WorkConservationMonitor):
         super().on_slot(*args)
 
 
-def test_leap_gate_keeps_recorder_blocks_noise_and_monitors():
+def test_leap_gate_keeps_recorder_and_noise_blocks_faults_and_monitors():
     """An enabled flight recorder keeps the leap on (it records a stretch
-    as one ``channel/idle`` event), as do the standard suite and
-    bridge-conservation monitors; per-slot side effects still turn it
-    off — noise (one RNG draw per slot), or any monitor whose ``on_idle``
-    does not come with its own ``on_slot``."""
+    as one ``channel/idle`` event), as do noise (the leap draws the gates
+    slot by slot and stops at the first slot one fires) and the standard
+    suite and bridge-conservation monitors; per-slot side effects still
+    turn it off — an armed fault injector, or any monitor whose
+    ``on_idle`` does not come with its own ``on_slot``.  The fast loop's
+    gate is the same rule."""
 
-    def leap_ok(monitors=None, **kwargs):
+    def leap_ok(monitors=None, faults=False, **kwargs):
         channel = _build_channel(**kwargs)
         if monitors is not None:
             channel.monitors = MonitorSuite(monitors(channel))
-        return BatchKernel(channel)._leap_ok
+        if faults:
+            injector = FaultInjector(FaultPlan())
+            injector.arm(channel)
+            channel.faults = injector
+        allowed = BatchKernel(channel)._leap_ok
+        assert _RoundDriver(channel).leap_ok is allowed
+        return allowed
 
     assert leap_ok()
     assert leap_ok(tracer=FlightRecorder())
-    assert not leap_ok(noise_rate=0.01)
-    assert not leap_ok(noise_rate=0.01, tracer=FlightRecorder())
+    assert leap_ok(noise_rate=0.01)
+    assert leap_ok(noise_rate=0.01, tracer=FlightRecorder())
+    assert not leap_ok(faults=True)
+    assert not leap_ok(faults=True, noise_rate=0.01)
     assert not leap_ok(
         monitors=lambda ch: [_ProcessRegisteringMonitor(ch.env, [])]
+    )
+    assert not leap_ok(
+        noise_rate=0.01,
+        monitors=lambda ch: [_ProcessRegisteringMonitor(ch.env, [])],
     )
     assert not leap_ok(monitors=lambda ch: [_SlotOnlyMonitor(limit=4)])
     assert not leap_ok(
         tracer=FlightRecorder(),
         monitors=lambda ch: [_SlotOnlyMonitor(limit=4)],
+    )
+    assert not leap_ok(
+        noise_rate=0.01, monitors=lambda ch: [_SlotOnlyMonitor(limit=4)]
     )
     assert leap_ok(monitors=lambda ch: standard_suite(ch.stations).monitors)
     assert leap_ok(

@@ -6,7 +6,7 @@ import pytest
 
 from repro.model.arrival import PeriodicArrivals, TraceArrivals
 from repro.net.batch import BatchKernel
-from repro.net.channel import BroadcastChannel
+from repro.net.channel import BroadcastChannel, _RoundDriver
 from repro.net.phy import GIGABIT_ETHERNET, ideal_medium
 from repro.net.station import CompletionRecord, Station
 from repro.obs.tracer import FlightRecorder
@@ -133,19 +133,26 @@ class TestIdleRuns:
     @pytest.mark.parametrize("engine", ["des", "fastloop", "batch"])
     def test_leap_and_per_slot_slots_give_one_event(self, engine, monkeypatch):
         leaps = []
-        original = BatchKernel._try_leap
+        kernel_leap = BatchKernel._try_leap
+        driver_leap = _RoundDriver.leap
 
-        def spy(self, now, horizon):
-            n = original(self, now, horizon)
+        def kernel_spy(self, now, horizon):
+            n = kernel_leap(self, now, horizon)
             leaps.append(n)
             return n
 
-        monkeypatch.setattr(BatchKernel, "_try_leap", spy)
+        def driver_spy(self, now, horizon):
+            duration = driver_leap(self, now, horizon)
+            leaps.append(duration // self.slot_time)
+            return duration
+
+        monkeypatch.setattr(BatchKernel, "_try_leap", kernel_spy)
+        monkeypatch.setattr(_RoundDriver, "leap", driver_spy)
         recorder = FlightRecorder()
         _idle_channel(tracer=recorder).run(_IDLE_HORIZON, engine=engine)
-        # The kernel crosses all 1,000 slots in one leap; the DES and the
-        # unchecked fast loop step them one by one.
-        assert leaps == ([1_000] if engine == "batch" else [])
+        # The kernel and the (unchecked) fast loop cross all 1,000 slots
+        # in one leap; the DES steps them one by one.
+        assert leaps == ([] if engine == "des" else [1_000])
         assert _events(recorder) == [
             ("channel/idle", {"n": 1_000, "t": 0, "slot": 64}, None)
         ]

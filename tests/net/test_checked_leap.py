@@ -1,14 +1,17 @@
 """Consistency-checked runs keep the idle leap, and the check stays whole.
 
 With ``check_consistency`` on, the fast loop crosses a provably idle
-stretch by advancing every station's *own* DDCR replica in O(1)
-(:meth:`DDCRProtocol.leap_idle`) and asserts lockstep at the stretch's
-first and last slot.  This file holds that path to the per-slot DES
-(byte-identical results, replica state and flight-recorder dumps), shows
-the leap engages, and desynchronises one replica around a stretch to
-show the lockstep check still fails the run wherever the desync happens.
-The byte-identity runs arm a flight recorder, which keeps the leap on: a
-leapt stretch and a stepped one are both one ``channel/idle`` event.
+stretch by advancing every station's *own* replica in O(1)
+(:meth:`MACProtocol.leap_idle`: DDCR's and the four baselines') and
+asserts lockstep at the stretch's first and last slot.  Under noise the
+leap stops at the first slot a gate fires and runs it as a corrupted
+round, checked like any stepped slot.  This file holds that path to the
+per-slot DES (byte-identical results, replica state and flight-recorder
+dumps), shows the leap engages, and desynchronises one replica around a
+stretch to show the lockstep check still fails the run wherever the
+desync happens.  The byte-identity runs arm a flight recorder, which
+keeps the leap on: a leapt stretch and a stepped one are both one
+``channel/idle`` event.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import pickle
 
 import pytest
 
+from repro.core.trees import BalancedTree
 from repro.model.arrival import GreedyBurstArrivals
 from repro.model.workloads import uniform_problem
 from repro.net.channel import BroadcastChannel, _RoundDriver
@@ -25,8 +29,12 @@ from repro.net.phy import ideal_medium
 from repro.net.station import Station
 from repro.obs.tracer import FlightRecorder
 from repro.protocols.base import ChannelState, SlotObservation
+from repro.protocols.csma_cd import CSMACDProtocol
+from repro.protocols.dcr import DCRProtocol
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 from repro.protocols.ddcr.protocol import DDCRMode
+from repro.protocols.slotted_aloha import SlottedAlohaProtocol
+from repro.protocols.tdma import TDMAProtocol
 from repro.sim.engine import Environment
 from repro.sim.invariants import standard_suite
 
@@ -34,33 +42,52 @@ _HORIZON = 250_000
 _SLOT = 64
 
 
+def _mac_factory(protocol, problem, config):
+    if protocol == "ddcr":
+        ddcr = DDCRConfig(
+            time_f=16,
+            time_m=2,
+            class_width=65_536,
+            static_q=problem.static_q,
+            static_m=problem.static_m,
+            **config,
+        )
+        return lambda source: DDCRProtocol(ddcr)
+    if protocol == "dcr":
+        tree = BalancedTree.of(m=problem.static_m, leaves=problem.static_q)
+        return lambda source: DCRProtocol(tree)
+    if protocol == "tdma":
+        roster = tuple(source.source_id for source in problem.sources)
+        return lambda source: TDMAProtocol(roster)
+    if protocol == "csma_cd":
+        return lambda source: CSMACDProtocol(seed=source.source_id)
+    assert protocol == "slotted_aloha"
+    return lambda source: SlottedAlohaProtocol(seed=source.source_id)
+
+
 def _build_channel(
     a=1, destructive=True, monitors=False, jam=None, load=True, tracer=None,
-    **config,
+    protocol="ddcr", noise=0.0, **config,
 ):
-    """A checked DDCR channel on the bursty uniform workload."""
+    """A checked channel on the bursty uniform workload (DDCR unless
+    ``protocol`` names a baseline)."""
     problem = uniform_problem(
         z=5, length=1_000, deadline=400_000, a=a, w=200_000
     )
-    ddcr = DDCRConfig(
-        time_f=16,
-        time_m=2,
-        class_width=65_536,
-        static_q=problem.static_q,
-        static_m=problem.static_m,
-        **config,
-    )
+    mac_factory = _mac_factory(protocol, problem, config)
     channel = BroadcastChannel(
         Environment(),
         ideal_medium(slot_time=_SLOT, destructive=destructive),
         check_consistency=True,
+        noise_rate=noise,
+        noise_seed=3,
         tracer=tracer,
     )
     seq_source = itertools.count()
     for source in problem.sources:
         station = Station(
             station_id=source.source_id,
-            mac=DDCRProtocol(ddcr),
+            mac=mac_factory(source),
             static_indices=source.static_indices,
             seq_source=seq_source,
         )
@@ -80,7 +107,7 @@ def _build_channel(
 
 
 def _run(engine, **case):
-    """One checked, traced run; returns (digest, DDCR observe calls,
+    """One checked, traced run; returns (digest, ``observe`` calls,
     rounds)."""
     recorder = FlightRecorder(capacity=100_000)
     channel = _build_channel(tracer=recorder, **case)
@@ -112,9 +139,9 @@ def _run(engine, **case):
             [
                 (
                     station.mac.public_state(),
-                    station.mac.tts_records,
-                    station.mac.sts_records,
-                    station.mac.empty_tts_runs,
+                    getattr(station.mac, "tts_records", None),
+                    getattr(station.mac, "sts_records", None),
+                    getattr(station.mac, "empty_tts_runs", None),
                 )
                 for station in channel.stations
             ],
@@ -130,6 +157,16 @@ _CASES = {
     "monitors": {"monitors": True},
     "jam-window": {"jam": (80_000, 120_000)},
     "exit-to-free": {"exit_to_free_on_idle": True},
+    "noisy": {"noise": 0.02},
+    "noisy-monitors": {"noise": 0.02, "monitors": True},
+    "dcr": {"protocol": "dcr", "monitors": True},
+    "dcr-noisy": {"protocol": "dcr", "noise": 0.02, "monitors": True},
+    "tdma": {"protocol": "tdma"},
+    "tdma-noisy": {"protocol": "tdma", "noise": 0.02},
+    "csma-cd": {"protocol": "csma_cd"},
+    "csma-cd-noisy": {"protocol": "csma_cd", "noise": 0.02},
+    "slotted-aloha": {"protocol": "slotted_aloha"},
+    "slotted-aloha-noisy": {"protocol": "slotted_aloha", "noise": 0.02},
 }
 
 
@@ -138,7 +175,7 @@ def test_checked_leap_is_byte_identical(case):
     """des vs fastloop vs default: stats, completions, invariant reports,
     recorder dumps and every station's replica state and run records
     agree; the fast loop (what the default runs for checked channels)
-    leaps with the recorder armed."""
+    leaps with the recorder armed, noise or not."""
     runs = {engine: _run(engine, **case) for engine in ("des", "fastloop", None)}
     assert len({digest for digest, _, _ in runs.values()}) == 1
     des_calls, (_, fast_calls, rounds) = runs["des"][1], runs["fastloop"]
@@ -155,11 +192,35 @@ def test_checked_leap_engages():
     assert rounds == -(-_HORIZON // _SLOT) and calls == 0
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.02])
+@pytest.mark.parametrize(
+    "protocol", ["ddcr", "dcr", "tdma", "csma_cd", "slotted_aloha"]
+)
+def test_checked_leap_engages_for_every_protocol(
+    protocol, noise, monkeypatch
+):
+    """Every protocol's checked runs leap multi-slot idle stretches, and
+    under noise the leaps run the slots a gate corrupts as rounds."""
+    corrupted = []
+    original = _RoundDriver.round
+
+    def spy(self, now, fired=0):
+        if fired:
+            corrupted.append(now)
+        return original(self, now, fired)
+
+    monkeypatch.setattr(_RoundDriver, "round", spy)
+    leaps, _ = _stretches(protocol=protocol, noise=noise)
+    assert max(end - start for start, end in leaps) > 16 * _SLOT
+    assert bool(corrupted) == (noise > 0)
+
+
 # -- the check still fails a desynchronised replica ---------------------------
 
 
-def _stretches():
-    """(first slot, end) of every leap a clean checked run makes."""
+def _stretches(**case):
+    """(first slot, end) of every leap a checked run makes, and the
+    channel it ran on (a leap ended by a corrupted slot includes it)."""
     leaps = []
     original = _RoundDriver.leap
 
@@ -171,17 +232,18 @@ def _stretches():
 
     _RoundDriver.leap = spy
     try:
-        _build_channel().run(_HORIZON, engine="fastloop")
+        channel = _build_channel(**case)
+        channel.run(_HORIZON, engine="fastloop")
     finally:
         _RoundDriver.leap = original
-    return leaps
+    return leaps, channel
 
 
-def _stretch():
+def _stretch(**case):
     """The idle stretch between the workload's two bursts: multi-slot, in
-    the fresh-TTs cycle, and ended by an arrival (the second stretch runs
-    to the horizon)."""
-    leaps = _stretches()
+    the fresh-TTs cycle for DDCR, and ended by an arrival (the second
+    stretch runs to the horizon)."""
+    leaps, _ = _stretches(**case)
     assert len(leaps) == 2
     start, end = leaps[0]
     assert end - start > 2 * _SLOT and end < _HORIZON
@@ -243,6 +305,26 @@ def test_desync_inside_a_stretch_fails_at_its_last_slot():
         leap_idle(n, stretch_end)
         if stretch_end == end:
             mac.reft += 1
+
+    mac.leap_idle = desynced
+    with pytest.raises(
+        AssertionError, match=f"t={end - _SLOT}: stations disagree"
+    ):
+        channel.run(_HORIZON, engine="fastloop")
+
+
+def test_tdma_desync_inside_a_stretch_fails_at_its_last_slot():
+    """A TDMA replica whose turn slips inside a stretch is only caught
+    at the stretch's last slot, the next point the check looks at."""
+    _, end = _stretch(protocol="tdma")
+    channel = _build_channel(protocol="tdma")
+    mac = channel.stations[2].mac
+    leap_idle = mac.leap_idle
+
+    def desynced(n, stretch_end):
+        leap_idle(n, stretch_end)
+        if stretch_end == end:
+            mac._turn = (mac._turn + 1) % len(mac.roster)
 
     mac.leap_idle = desynced
     with pytest.raises(

@@ -7,15 +7,18 @@ results: same :class:`ChannelStats`, same completion records, same
 flight-recorder dump, same final clock — across protocols, noise,
 jamming, bursting, and the automatic fallback paths (foreign processes
 at entry and mid-run, structural batch ineligibility).  Most runs here
-arm a flight recorder, which keeps the kernel's idle leap on: a leapt
-stretch and a stepped one both record one ``channel/idle`` event, so
-the clean DDCR cases hold the leap to the per-slot DES oracle.  Noise
-(one RNG draw per slot) keeps every engine per-slot, so the noise cases
-cover the kernel's per-slot path.
+arm a flight recorder, which keeps the idle leap on: a leapt stretch
+and a stepped one both record one ``channel/idle`` event, so every
+protocol's runs hold the fast loop's leap (and, for DDCR, the kernel's)
+to the per-slot DES oracle.  Noise keeps the leap too: a leap draws the
+gates slot by slot and stops at the first slot one fires, which then
+runs as a corrupted round, so the noisy cases hold that rule to the DES
+as well.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import pickle
 import random
@@ -24,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.trees import BalancedTree
 from repro.faults.models import (
     BabblingStation,
     ClockDrift,
@@ -33,7 +37,8 @@ from repro.faults.models import (
 )
 from repro.model.arrival import GreedyBurstArrivals
 from repro.model.workloads import uniform_problem
-from repro.net.channel import BroadcastChannel
+from repro.net.batch import BatchKernel
+from repro.net.channel import BroadcastChannel, _RoundDriver
 from repro.net.dualbus import DualBusSimulation, suggested_jam_threshold
 from repro.net.engine import resolve_engine, use_engine
 from repro.net.network import NetworkSimulation, Scenario
@@ -43,11 +48,14 @@ from repro.obs.context import use_tracer
 from repro.obs.tracer import FlightRecorder
 from repro.protocols.base import MACProtocol
 from repro.protocols.csma_cd import CSMACDProtocol
+from repro.protocols.dcr import DCRProtocol
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
+from repro.protocols.slotted_aloha import SlottedAlohaProtocol
 from repro.protocols.tdma import TDMAProtocol
 from repro.sim.engine import Environment
 
 ENGINES = ("des", "fastloop", "batch")
+PROTOCOLS = ("ddcr", "csma_cd", "tdma", "dcr", "slotted_aloha")
 _HORIZON = 250_000
 
 
@@ -68,6 +76,11 @@ def _protocol_factory(protocol: str, problem, burst_limit=0):
         return lambda source: DDCRProtocol(config)
     if protocol == "csma_cd":
         return lambda source: CSMACDProtocol(seed=source.source_id)
+    if protocol == "dcr":
+        tree = BalancedTree.of(m=problem.static_m, leaves=problem.static_q)
+        return lambda source: DCRProtocol(tree)
+    if protocol == "slotted_aloha":
+        return lambda source: SlottedAlohaProtocol(seed=source.source_id)
     roster = tuple(source.source_id for source in problem.sources)
     return lambda source: TDMAProtocol(roster)
 
@@ -90,7 +103,7 @@ def _snapshot(stats, completions, recorder):
 
 def _run_network(
     engine, protocol, z=6, noise=0.0, burst_limit=0, seed=0,
-    faults=None, horizon=_HORIZON,
+    faults=None, horizon=_HORIZON, monitors=False,
 ):
     problem = uniform_problem(
         z=z, length=1_000, deadline=400_000, a=1, w=200_000
@@ -109,7 +122,7 @@ def _run_network(
                 root_seed=seed,
                 engine=engine,
                 faults=faults,
-                monitors=None if faults is not None else False,
+                monitors=None if faults is not None else monitors,
             )
         )
         result = simulation.run(horizon)
@@ -123,12 +136,65 @@ def _run_network(
     )
 
 
-@pytest.mark.parametrize("protocol", ["ddcr", "csma_cd", "tdma"])
+def _spy_leaps(monkeypatch):
+    """Count the multi-slot leaps of each leaping engine, and the slots a
+    leap ran as corrupted rounds (a noise gate fired inside its
+    stretch)."""
+    seen: collections.Counter = collections.Counter()
+    driver_leap, driver_round = _RoundDriver.leap, _RoundDriver.round
+    kernel_leap, kernel_round = BatchKernel._try_leap, BatchKernel._round
+
+    def driver_leap_spy(self, now, horizon):
+        duration = driver_leap(self, now, horizon)
+        if duration > self.slot_time:
+            seen["fastloop"] += 1
+        return duration
+
+    def driver_round_spy(self, now, fired=0):
+        if fired:
+            seen["fired"] += 1
+        return driver_round(self, now, fired)
+
+    def kernel_leap_spy(self, now, horizon):
+        n = kernel_leap(self, now, horizon)
+        if n > 1:
+            seen["batch"] += 1
+        return n
+
+    def kernel_round_spy(self, now, horizon, fired=0):
+        if fired:
+            seen["fired"] += 1
+        return kernel_round(self, now, horizon, fired)
+
+    monkeypatch.setattr(_RoundDriver, "leap", driver_leap_spy)
+    monkeypatch.setattr(_RoundDriver, "round", driver_round_spy)
+    monkeypatch.setattr(BatchKernel, "_try_leap", kernel_leap_spy)
+    monkeypatch.setattr(BatchKernel, "_round", kernel_round_spy)
+    return seen
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("noise", [0.0, 0.02])
-def test_engines_identical_across_protocols(protocol, noise):
-    """Stats, completions and recorder dumps match byte-for-byte, noise
-    or not."""
-    runs = [_run_network(engine, protocol, noise=noise) for engine in ENGINES]
+def test_engines_identical_across_protocols(protocol, noise, monkeypatch):
+    """Stats, completions, recorder dumps and the standard suite's
+    invariant reports match byte-for-byte, noise or not, and the leaps
+    engage: the unchecked fast loop leaps every protocol's idle stretches
+    (also as ``batch``'s fallback for the baselines), the kernel DDCR's,
+    and under noise both leap up to a fired gate and run that slot as a
+    corrupted round."""
+    seen = _spy_leaps(monkeypatch)
+    runs = []
+    for engine in ENGINES:
+        seen.clear()
+        runs.append(
+            _run_network(engine, protocol, noise=noise, monitors=True)
+        )
+        if engine == "des":
+            assert not seen  # the reference steps every slot
+            continue
+        kernel_ran = engine == "batch" and protocol == "ddcr"
+        assert seen["batch" if kernel_ran else "fastloop"] > 0, (engine, seen)
+        assert (seen["fired"] > 0) == (noise > 0), (engine, seen)
     assert len(set(runs)) == 1
 
 
@@ -425,7 +491,7 @@ def _run_telemetry(engine, protocol="ddcr", noise=0.0, seed=0, faults=None):
     return manifest
 
 
-@pytest.mark.parametrize("protocol", ["ddcr", "csma_cd", "tdma"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_telemetry_identical_across_engines(protocol):
     """The deterministic manifest projection — counters, gauges,
     histograms, span structure — is byte-identical across engines.

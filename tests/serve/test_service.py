@@ -234,6 +234,45 @@ class TestReconfigure:
         assert replay_event_log(log_dir).incidents == []
 
 
+#: Requests carrying a field that is no integer: floats (one a whole
+#: number, one infinite), a bool and a float source id.  Each must be an
+#: error decision before the engine is touched.
+_NON_INTEGER = {
+    "join-nu": join(1, source_id=1, nu=1.5),
+    "join-deadline": join(1, source_id=1, deadline=4e7),
+    "join-w-inf": join(1, source_id=1, w=math.inf),
+    "join-length": join(1, source_id=1, length=8000.0),
+    "join-a-bool": join(1, source_id=1, a=True),
+    "join-source-id": join(1, source_id=1.5),
+    "rescale-w": Request(seq=1, kind="rescale", source_id=0, name="c0",
+                         w=2.5),
+}
+
+
+class TestNonIntegerFields:
+    @pytest.mark.parametrize(
+        "request_", list(_NON_INTEGER.values()), ids=list(_NON_INTEGER)
+    )
+    def test_is_an_error_that_changes_nothing(self, tmp_path, request_):
+        """The engine state stays as it was, a later leave of another
+        class still works, the oracle is silent and the journal replays
+        to the same decisions."""
+        log_dir = tmp_path / "log"
+        with AdmissionService(
+            ServeConfig(static_q=16), log_dir=log_dir
+        ) as service:
+            assert service.handle(join(0, name="c0")).verdict == "admit"
+            before = service.engine.snapshot()
+            decision = service.handle(request_)
+            assert decision.verdict == "error"
+            assert "needs an integer" in decision.reason
+            assert service.engine.snapshot() == before
+            leave = Request(seq=2, kind="leave", source_id=0, name="c0")
+            assert service.handle(leave).verdict == "ok"
+            assert service.counter_check() == []
+        assert replay_event_log(log_dir).incidents == []
+
+
 class TestSequencing:
     def test_out_of_order_seq_is_an_error(self, service):
         service.handle(join(5))

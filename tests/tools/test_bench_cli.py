@@ -207,24 +207,27 @@ def _overhead_ratio(engine: str, **instrument) -> float:
     return min(plain) / min(instrumented)
 
 
-@pytest.mark.parametrize("engine", ["fastloop", "batch"])
+@pytest.mark.parametrize("engine", ["des", "fastloop", "batch"])
 def test_telemetry_overhead_within_budget(engine):
     """Enabled telemetry must stay within a modest fraction of the plain
     throughput (the budget is <=10%; the assertion allows 3x that to keep
     CI machines' scheduling noise from flaking the suite), and the
     disabled path IS the plain bench — NULL_TELEMETRY short-circuits
-    before any instrument work.  On ``batch`` the plain run leaps its
-    idle stretches, so the instrumented one must too, and the per-run
-    manifest must not pay a ``git`` subprocess each time."""
+    before any instrument work.  The ``des`` case runs every slot through
+    the round, so it bounds the per-slot instrument cost; on
+    ``fastloop`` and ``batch`` the plain run leaps its idle stretches, so
+    the instrumented one must too, and the per-run manifest must not pay
+    a ``git`` subprocess each time."""
     assert _overhead_ratio(engine, telemetry=True) > 0.70
 
 
-@pytest.mark.parametrize("engine", ["fastloop", "batch"])
+@pytest.mark.parametrize("engine", ["des", "fastloop", "batch"])
 def test_tracer_overhead_within_budget(engine):
     """An armed flight recorder must stay within a modest fraction of the
     plain throughput (the budget is <=10%; the assertion allows 3x that
     for CI scheduling noise).  The disabled path needs no separate bench:
     the hoisted ``tracer_on`` gate makes it the plain ``channel_slot_rate``
-    bench itself.  On ``batch`` the recorder must keep the idle leap: a
+    bench itself.  The ``des`` case records every slot from the round;
+    on ``fastloop`` and ``batch`` the recorder must keep the idle leap: a
     run of silent slots is one ``channel/idle`` event."""
     assert _overhead_ratio(engine, tracer=True) > 0.70

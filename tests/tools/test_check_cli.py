@@ -138,10 +138,11 @@ class TestCIFastPath:
         assert "invariants-smoke: csma-cd+burst-noise" in out
         assert "invariants-smoke: dcr+clock-drift" in out
         assert "invariants-smoke: tdma+crash" in out
+        assert "invariants-smoke: ddcr-clean+monitors" in out
         assert "invariants-smoke: ddcr-checked+monitors" in out
+        assert "invariants-smoke: dcr-checked+noise" in out
         assert "invariants ok" in out
-        assert "default engine matched the fastloop reference on 5/5" in out
-        assert "default engine matched the des reference on 1/1" in out
+        assert "default engine matched the des reference on 7/7" in out
 
     def test_no_cache_skips_the_sweep_smoke(self, capsys):
         # The sweep smoke resumes against the result cache; without one
