@@ -51,10 +51,12 @@ injector, consistency checks (they compare every station's own replica,
 which the kernel does not keep), or foreign processes pending at entry —
 and :meth:`BroadcastChannel.run` under ``batch`` or ``auto`` then
 delegates to the fast loop (which may itself rejoin the DES), returning
-the reason so the run manifest can record it.  If a foreign process
-appears *mid-run* (e.g. registered by a monitor), the kernel writes the
-shared state back into every station's MAC and rejoins the general DES
-after the current slot, exactly where the DES path would interleave it.
+the reason so the run manifest can record it.  Channels sharing a clock
+(the dual bus) never reach the kernel: ``run`` sends them to the joint
+fast loop with a note of its own.  If a foreign process appears
+*mid-run* (e.g. registered by a monitor), the kernel writes the shared
+state back into every station's MAC and rejoins the general DES after
+the current slot, exactly where the DES path would interleave it.
 
 Known limitation (structural, not silent): the kernel caches each
 station's next pending-arrival time, so injecting arrivals *mid-run* from
@@ -662,7 +664,9 @@ class BatchKernel:
             duration = self._round(int(now), horizon)
             if env.pending:
                 self._writeback()
-                env.process(channel._rejoin_des(horizon, duration))
+                env.process(channel._rejoin_des(
+                    horizon, env.timeout(duration)
+                ))
                 env.run(until=horizon)
                 return
             now += duration

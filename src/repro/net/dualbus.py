@@ -111,6 +111,9 @@ class BusPort(MACProtocol):
 
     Wraps an inner protocol replica: offers pass through only while this
     port's bus is active; observations always pass through (warm standby).
+    An idle stretch is the inner replica's (:meth:`idle_steady`,
+    :meth:`leap_idle`), plus what its silent slots do to the shared
+    controller: they end the active bus's collision run.
     """
 
     def __init__(
@@ -143,6 +146,15 @@ class BusPort(MACProtocol):
         # to this very slot is already on the new regime.
         self.controller.note(self.bus_index, observation.state)
         self.inner.observe(observation)
+
+    def idle_steady(self) -> bool:
+        return self.inner.idle_steady()
+
+    def leap_idle(self, n: int, end: int) -> None:
+        # n silent slots: the first resets the collision run if this
+        # port's bus is active, the rest change nothing more.
+        self.controller.note(self.bus_index, ChannelState.SILENCE)
+        self.inner.leap_idle(n, end)
 
     def wants_burst_continuation(self, now: int) -> bool:
         return self.inner.wants_burst_continuation(now)
@@ -198,13 +210,17 @@ class DualBusSimulation:
     failure).  Arrival handling mirrors
     :class:`~repro.net.network.NetworkSimulation`.
 
-    A dual-bus network has two time-advancing channel processes on one
-    clock, so the slot-loop fast path cannot own it: whatever ``engine``
-    is requested, the run executes on the general DES.  With any engine
-    but ``des`` this happens through the fast path's own foreign-process
-    fallback (bus B's fast loop finds bus A's process already registered
-    and rejoins the heap), which keeps that fallback exercised by real
-    traffic rather than only by tests.
+    A dual-bus network is two channels on one clock, run through the one
+    entry point (:meth:`BroadcastChannel.run` with bus B as bus A's
+    peer): ``des`` registers both generator processes, bus A's first;
+    every other engine runs the joint fast loop, which steps the bus
+    whose round starts first in the DES's schedule order and leaps an
+    idle stretch on both busses at once when every station of both is
+    steady (:meth:`BusPort.idle_steady`).  So a healthy run leaps
+    end to end and a failed one until the jam; the jammed tail steps
+    both busses.  ``batch`` and ``auto`` return the kernel's
+    ``batch engine unavailable (...): ran fastloop`` note, recorded in
+    the manifest.
 
     ``monitors=True`` arms a mutual-exclusion
     :class:`~repro.sim.invariants.MonitorSuite` on each bus (per-bus
@@ -216,7 +232,9 @@ class DualBusSimulation:
     A flight recorder scoped around :meth:`run`
     (:func:`repro.obs.context.use_tracer`) records both busses into one
     dump, their event kinds prefixed like their instruments
-    (``bus0/channel/slot``, ``bus1/channel/idle``).
+    (``bus0/channel/slot``, ``bus1/channel/idle``).  Each bus's silent
+    slots grow its own ``channel/idle`` run past the other bus's runs,
+    so a joint leap and the per-slot DES record the same dump.
     """
 
     def __init__(
@@ -315,16 +333,13 @@ class DualBusSimulation:
             bus_stations[0].append(station_a)
             bus_stations[1].append(station_b)
         engine_name = resolve_engine(self.engine)
-        # Two channels on one clock: bus A runs as a raw generator
-        # process, and bus B goes through the unified entry point.  Under
-        # ``des`` it registers its own generator and drives the heap;
-        # under ``fastloop`` the fast path detects bus A's foreign
-        # process at entry and rejoins the DES; under ``batch``/``auto``
-        # structural eligibility fails for the same reason and the run
-        # delegates through the fast loop — the engine contract's
-        # fallback, with the reason surfaced in the manifest.
-        env.process(busses[0].process(horizon))
-        engine_fallback = busses[1].run(horizon, engine=engine_name)
+        # Two channels on one clock, both through the one entry point:
+        # ``des`` registers both processes, bus A's first; every other
+        # engine runs the joint fast loop, ``batch``/``auto`` with the
+        # kernel's fallback note, surfaced in the manifest.
+        engine_fallback = busses[0].run(
+            horizon, engine=engine_name, peers=busses[1:]
+        )
         invariants = None
         if suites is not None:
             invariants = tuple(

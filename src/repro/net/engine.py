@@ -6,15 +6,17 @@ Three engines can turn the broadcast channel's crank:
   generator process on :class:`~repro.sim.engine.Environment`, every round
   is a heap push/pop plus a generator suspend/resume.  Always correct,
   composes with arbitrary foreign processes.
-* ``fastloop`` — the slot-synchronous fast path: when the channel is the
-  only time-advancing activity (the common case — stations are driven
-  synchronously through ``offer()``/``observe()``), the round loop runs as
-  a direct Python loop that owns the clock and advances ``env.now``
-  itself, bypassing the event heap entirely.  Idle stretches are leapt
-  on every station's own replica, any MAC protocol, noise or not.  It
-  falls back to the DES automatically the moment any foreign event is
-  scheduled (dual-bus topologies, host extension processes), so
-  selecting it is always safe.
+* ``fastloop`` — the slot-synchronous fast path: when the channels on
+  one clock are the only time-advancing activity (the common case —
+  stations are driven synchronously through ``offer()``/``observe()``),
+  the round loop runs as one direct Python loop over them (a lone
+  channel, or both busses of a dual bus) that owns the clock and
+  advances ``env.now`` itself, bypassing the event heap entirely.  Idle
+  stretches are leapt on every station's own replica, any MAC protocol,
+  noise or not on a lone channel, and jointly across channels sharing a
+  clock.  It falls back to the DES automatically the moment any foreign
+  event is scheduled (host extension processes), so selecting it is
+  always safe.
 * ``batch`` — the struct-of-arrays kernel (:mod:`repro.net.batch`):
   per-station EDF keys and tree positions live in plain list columns and
   one shadow protocol replica digests each slot, so per-slot cost is
@@ -23,8 +25,9 @@ Three engines can turn the broadcast channel's crank:
   bridge-conservation invariant monitors armed, which digest a leap
   through ``on_idle``.  Structurally limited to plain single-bus
   CSMA/DDCR runs; anything else (foreign MAC types, bursting, fault
-  injectors, dual-bus, non-destructive media) falls back to ``fastloop``
-  with the reason recorded in the run manifest (``engine_fallback``).
+  injectors, channels sharing a clock, non-destructive media) falls back
+  to ``fastloop`` with the reason recorded in the run manifest
+  (``engine_fallback``).
   Selecting it is therefore always safe too.
 * ``auto`` — the default: takes the ``batch`` path, so every eligible run
   executes the kernel and every ineligible one runs the fast loop with

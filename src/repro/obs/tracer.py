@@ -123,10 +123,23 @@ class FlightRecorder:
         )
         self._next_id = 0
         self._stack: list[int] = []
+        #: Id of the newest event that is not a run (:meth:`emit`,
+        #: :meth:`span`): no run recorded before it grows again.
+        self._barrier = -1
         #: Total events ever emitted (>= len(self) once the ring wraps).
         self.emitted = 0
 
     # -- recording -------------------------------------------------------
+
+    def _record(self, kind: str, data: dict) -> TraceEvent:
+        event = TraceEvent(
+            self._next_id, self._stack[-1] if self._stack else None, kind,
+            data,
+        )
+        self._next_id += 1
+        self.emitted += 1
+        self._events.append(event)
+        return event
 
     def emit(self, kind: str, /, **data: object) -> int:
         """Record one event under the innermost open span; returns its id.
@@ -134,22 +147,22 @@ class FlightRecorder:
         The event kind is positional-only so payloads may themselves
         carry a ``kind`` key (e.g. a request's kind).
         """
-        event_id = self._next_id
-        self._next_id += 1
-        self.emitted += 1
-        parent = self._stack[-1] if self._stack else None
-        self._events.append(TraceEvent(event_id, parent, kind, data))
-        return event_id
+        self._barrier = self._record(kind, data).id
+        return self._barrier
 
     def coalesce(
         self, run: TraceEvent | None, kind: str, n: int, /, **data: object
     ) -> TraceEvent:
         """Add ``n`` to the run-length event ``run``, or start a new one.
 
-        ``run`` grows (``data["n"] += n``) only while it is the newest
-        event and still has the innermost open span as its parent: any
-        event recorded since ends it, and a new ``kind`` event carrying
-        ``n`` and ``data`` starts the next run.  The caller keeps the
+        ``run`` grows (``data["n"] += n``) while every event recorded
+        after it is another run under the same parent, and it still has
+        the innermost open span as its parent: any :meth:`emit` or
+        :meth:`span` ends it, and so does a parent change; a new ``kind``
+        event carrying ``n`` and ``data`` then starts the next run.  So
+        channels sharing one clock, whose silent slots interleave, each
+        grow their own run, and one leap per channel records the same
+        dump as the per-slot interleaving.  The caller keeps the
         returned event and passes it back next time, so only the caller
         that started a run ever extends it.  Growing a run records no
         event: ids and :attr:`emitted` count events, not slots.
@@ -157,14 +170,12 @@ class FlightRecorder:
         parent = self._stack[-1] if self._stack else None
         if (
             run is not None
-            and self._events
-            and self._events[-1] is run
+            and run.id > self._barrier
             and run.parent == parent
         ):
             run.data["n"] += n
             return run
-        self.emit(kind, n=n, **data)
-        return self._events[-1]
+        return self._record(kind, {"n": n, **data})
 
     @contextmanager
     def span(self, kind: str, /, **data: object) -> Iterator[int]:

@@ -23,9 +23,9 @@ Then it runs every row of :data:`STEPS`, in order:
 
 * ``invariants`` — one faulted scenario per protocol with online
   invariant monitors (:mod:`repro.sim.invariants`), plus clean and
-  consistency-checked monitored DDCR runs, each re-run on a reference
-  engine (``fastloop``; ``des`` for the checked run), which must match
-  the default engine exactly;
+  consistency-checked monitored DDCR runs, a checked noisy DCR run and
+  a checked dual-bus failover, each re-run on the per-slot ``des``,
+  which must match the default engine exactly;
 * ``obs`` — one telemetry-collecting run, then a ``repro.tools.obs``
   ``summarize`` + ``diff`` round-trip over its manifest;
 * ``sweep`` — a 4-point campaign run cold, then resumed with zero
@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import importlib
 import os
 import pkgutil
@@ -196,9 +197,13 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
     ``on_idle``; the consistency-checked ones run the fast loop, which
     leaps idle stretches on every station's replica — on the noisy DCR
     one a phantom collision starts a search, so the leap must stop
-    before it and resume after it.  This row is the CI check of both
-    leaps under monitors.  Returns failure lines (empty = all invariants
-    held, both engines agreed).
+    before it and resume after it.  The checked dual-bus run, a
+    mutual-exclusion monitor on each bus and bus A jammed at a third of
+    the run, takes the joint fast loop over both busses, which leaps
+    their idle stretches together until the jam, and must fail over
+    exactly once.  This row is the CI check of the leaps under
+    monitors.  Returns failure lines (empty = all invariants held, both
+    engines agreed).
     """
     from repro.experiments.harness import (
         csma_cd_factory,
@@ -214,6 +219,7 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
         StationCrash,
     )
     from repro.model.workloads import uniform_problem
+    from repro.net.dualbus import DualBusSimulation, suggested_jam_threshold
     from repro.net.network import NetworkSimulation, Scenario
     from repro.net.phy import ideal_medium
     from repro.sim.invariants import (
@@ -302,6 +308,21 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
         ),
     ]
 
+    def digest(stats, completions, invariants) -> bytes:
+        import pickle
+
+        return pickle.dumps(
+            (
+                stats,
+                [
+                    (r.message.seq, r.completion, r.started, r.dropped)
+                    for r in completions
+                ],
+                # The whole report: violations, slots_checked, truncated.
+                invariants,
+            )
+        )
+
     def execute(factory, plan, monitors, checked, noise, engine=None):
         simulation = NetworkSimulation.from_scenario(
             Scenario(
@@ -318,43 +339,60 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
                 engine=engine,
             )
         )
-        return simulation.run(_SMOKE_HORIZON)
+        result = simulation.run(_SMOKE_HORIZON)
+        return (result.invariants,), digest(
+            result.stats, result.completions, result.invariants
+        ), []
 
-    def digest(result) -> bytes:
-        import pickle
+    def execute_dualbus(engine=None):
+        # Two busses on one clock, checked, a mutual-exclusion monitor
+        # on each: bus A jams at a third of the run and every station
+        # fails over to bus B in the same slot.
+        result = DualBusSimulation(
+            problem,
+            medium,
+            protocol_factory=ddcr_factory(config),
+            jam_threshold=suggested_jam_threshold(config),
+            fail_bus_at=_SMOKE_HORIZON // 3,
+            check_consistency=True,
+            monitors=True,
+            engine=engine,
+        ).run(_SMOKE_HORIZON)
+        problems = []
+        if result.failovers != 1:
+            problems.append(f"{result.failovers} failover(s), expected 1")
+        return result.invariants, digest(
+            (result.bus_stats, result.failovers),
+            result.completions,
+            result.invariants,
+        ), problems
 
-        return pickle.dumps(
-            (
-                result.stats,
-                [
-                    (r.message.seq, r.completion, r.started, r.dropped)
-                    for r in result.completions
-                ],
-                # The whole report: violations, slots_checked, truncated.
-                result.invariants,
-            )
-        )
-
+    runs = [
+        (name, functools.partial(execute, *scenario))
+        for name, *scenario in scenarios
+    ]
+    runs.append(("dualbus-checked+failover", execute_dualbus))
     failures: list[str] = []
-    for name, factory, plan, monitors, checked, noise in scenarios:
-        result = execute(factory, plan, monitors, checked, noise)
-        report = result.invariants
-        assert report is not None  # every scenario arms monitors
-        if report.ok:
-            print(f"invariants-smoke: {name}: {report.summary()}")
-        else:
-            failures.append(f"{name}: {report.summary()}")
-        reference = execute(
-            factory, plan, monitors, checked, noise, engine="des"
+    for name, run in runs:
+        reports, observed, problems = run()
+        # Every scenario arms monitors (one suite per bus on the dual bus).
+        summary = "; ".join(
+            report.summary() if len(reports) == 1
+            else f"bus{index} {report.summary()}"
+            for index, report in enumerate(reports)
         )
-        if digest(reference) != digest(result):
+        if all(report.ok for report in reports) and not problems:
+            print(f"invariants-smoke: {name}: {summary}")
+        else:
+            failures.append(f"{name}: {'; '.join([summary, *problems])}")
+        if run(engine="des")[1] != observed:
             failures.append(
                 f"{name}: default engine diverged from the des reference"
             )
     if not failures:
         print(
             "invariants-smoke: default engine matched the des reference "
-            f"on {len(scenarios)}/{len(scenarios)} scenario(s)"
+            f"on {len(runs)}/{len(runs)} scenario(s)"
         )
     return failures
 

@@ -78,6 +78,11 @@ class TestChannelAccounting:
         with pytest.raises(RuntimeError):
             channel.run(1000)
 
+    def test_peers_must_share_the_environment(self):
+        channels = [_idle_channel() for _ in range(2)]
+        with pytest.raises(ValueError, match="one environment"):
+            channels[0].run(1000, peers=channels[1:])
+
     def test_trace_records_slots(self):
         env = Environment()
         recorder = FlightRecorder()
@@ -141,8 +146,8 @@ class TestIdleRuns:
             leaps.append(n)
             return n
 
-        def driver_spy(self, now, horizon):
-            duration = driver_leap(self, now, horizon)
+        def driver_spy(self, now, end):
+            duration = driver_leap(self, now, end)
             leaps.append(duration // self.slot_time)
             return duration
 
@@ -192,21 +197,38 @@ class TestIdleRuns:
         ] * 2
 
     def test_two_channels_on_one_clock_alternate(self):
-        recorder = FlightRecorder()
-        env = Environment()
-        busses = [
-            _idle_channel(env, tracer=recorder, prefix=f"bus{i}/")
+        """The two busses' silent slots alternate on the clock, yet each
+        bus's slots grow its own run past the other bus's run: the
+        per-slot interleaving on the event heap and every engine's joint
+        run record one event per bus."""
+
+        def events(run):
+            recorder = FlightRecorder()
+            env = Environment()
+            busses = [
+                _idle_channel(env, tracer=recorder, prefix=f"bus{i}/")
+                for i in range(2)
+            ]
+            run(env, busses)
+            assert env.now == 320
+            return _events(recorder)
+
+        def by_hand(env, busses):
+            for bus in busses:
+                env.process(bus.process(320))
+            env.run(until=320)
+
+        expected = [
+            (f"bus{i}/channel/idle", {"n": 5, "t": 0, "slot": 64}, None)
             for i in range(2)
         ]
-        for bus in busses:
-            env.process(bus.process(320))
-        env.run(until=320)
-        # Each bus's slot interrupts the other's run: no run ever grows.
-        assert _events(recorder) == [
-            (f"bus{i}/channel/idle", {"n": 1, "t": t, "slot": 64}, None)
-            for t in range(0, 320, 64)
-            for i in range(2)
-        ]
+        assert events(by_hand) == expected
+        for engine in ("des", "fastloop", "batch"):
+            assert events(
+                lambda env, busses: busses[0].run(
+                    320, engine=engine, peers=busses[1:]
+                )
+            ) == expected
 
 
 class TestStation:

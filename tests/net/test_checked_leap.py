@@ -24,6 +24,7 @@ import pytest
 from repro.core.trees import BalancedTree
 from repro.model.arrival import GreedyBurstArrivals
 from repro.model.workloads import uniform_problem
+from repro.net import channel as channel_module
 from repro.net.channel import BroadcastChannel, _RoundDriver
 from repro.net.phy import ideal_medium
 from repro.net.station import Station
@@ -224,8 +225,8 @@ def _stretches(**case):
     leaps = []
     original = _RoundDriver.leap
 
-    def spy(self, now, horizon):
-        duration = original(self, now, horizon)
+    def spy(self, now, end):
+        duration = original(self, now, end)
         if duration:
             leaps.append((now, now + duration))
         return duration
@@ -255,20 +256,22 @@ def _desync(station):
 
 
 def _leap_hook(monkeypatch, start, before):
-    """Call ``before(channel)`` as the fast loop reaches ``start``; returns
-    the leap durations seen there."""
+    """Call ``before(channel)`` as the fast loop reaches ``start``, before
+    it checks whether the stretch may be leapt; returns the leap
+    durations seen there (0 = no leap)."""
     seen = []
-    original = _RoundDriver.leap
+    original = channel_module._leap
 
-    def hooked(self, now, horizon):
+    def hooked(drivers, pending, horizon, order):
+        now = pending[0][0]
         if now == start:
-            before(self.channel)
-        duration = original(self, now, horizon)
+            before(drivers[0].channel)
+        leapt = original(drivers, pending, horizon, order)
         if now == start:
-            seen.append(duration)
-        return duration
+            seen.append(pending[0][0] - now if leapt else 0)
+        return leapt
 
-    monkeypatch.setattr(_RoundDriver, "leap", hooked)
+    monkeypatch.setattr(channel_module, "_leap", hooked)
     return seen
 
 

@@ -7,11 +7,12 @@ import pytest
 from repro.model.workloads import uniform_problem
 from repro.net.dualbus import (
     BusFailoverController,
+    BusPort,
     DualBusSimulation,
     suggested_jam_threshold,
 )
 from repro.net.phy import ideal_medium
-from repro.protocols.base import ChannelState
+from repro.protocols.base import ChannelState, MACProtocol, SlotObservation
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 
 
@@ -79,6 +80,82 @@ class TestController:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             BusFailoverController(jam_threshold=1)
+
+
+class _Steady(MACProtocol):
+    """An inner replica that is always idle-steady and logs its leaps."""
+
+    def __init__(self):
+        super().__init__()
+        self.leaps = []
+
+    def offer(self, now):
+        return None
+
+    def observe(self, observation):
+        pass
+
+    def idle_steady(self):
+        return True
+
+    def leap_idle(self, n, end):
+        self.leaps.append((n, end))
+
+
+def _collide(port, times):
+    for _ in range(times):
+        port.observe(SlotObservation(
+            state=ChannelState.COLLISION, start=0, duration=64,
+        ))
+
+
+class TestBusPortIdle:
+    """A leapt idle stretch acts on the controller as its silent slots
+    would: it ends the active bus's collision run, and the standby
+    bus's stretch leaves it alone."""
+
+    def _ports(self, threshold=4):
+        controller = BusFailoverController(jam_threshold=threshold)
+        return controller, [
+            BusPort(controller, index, _Steady()) for index in range(2)
+        ]
+
+    def test_idle_methods_delegate_to_the_inner_replica(self):
+        _, (active, standby) = self._ports()
+        assert active.idle_steady() and standby.idle_steady()
+        standby.leap_idle(7, 448)
+        assert standby.inner.leaps == [(7, 448)]
+
+    def test_active_ports_leap_clears_the_collision_run(self):
+        controller, (active, _) = self._ports(threshold=4)
+        _collide(active, 3)
+        assert controller.state_key() == (0, 0, 3)
+        active.leap_idle(5, 320)
+        assert controller.state_key() == (0, 0, 0)
+
+    def test_standby_ports_leap_leaves_the_count_alone(self):
+        controller, (active, standby) = self._ports(threshold=4)
+        _collide(active, 3)
+        standby.leap_idle(5, 320)
+        assert controller.state_key() == (0, 0, 3)
+
+    def test_after_a_leap_threshold_minus_one_collisions_do_not_fail_over(
+        self,
+    ):
+        stepped, (stepped_port, _) = self._ports(threshold=4)
+        leapt, (leapt_port, _) = self._ports(threshold=4)
+        _collide(stepped_port, 3)
+        _collide(leapt_port, 3)
+        for _ in range(5):
+            stepped_port.observe(SlotObservation(
+                state=ChannelState.SILENCE, start=0, duration=64,
+            ))
+        leapt_port.leap_idle(5, 320)
+        _collide(stepped_port, 3)
+        _collide(leapt_port, 3)
+        assert leapt.state_key() == stepped.state_key() == (0, 0, 3)
+        _collide(leapt_port, 1)
+        assert leapt.active_bus == 1 and leapt.failovers == 1
 
 
 class TestSuggestedThreshold:

@@ -123,6 +123,27 @@ class TestCoalesce:
             {"n": 2, "t": 0}, {}, {"n": 3, "t": 128},
         ]
 
+    def test_run_grows_past_another_run_but_not_past_an_event(self):
+        rec = FlightRecorder()
+        a = rec.coalesce(None, "a/idle", 1, t=0)
+        b = rec.coalesce(None, "b/idle", 1, t=0)
+        # Two callers' runs interleave: each grows past the other's.
+        assert rec.coalesce(a, "a/idle", 1, t=64) is a
+        assert rec.coalesce(b, "b/idle", 1, t=64) is b
+        rec.emit("b/slot")
+        assert rec.coalesce(b, "b/idle", 1, t=192) is not b
+        again = rec.coalesce(a, "a/idle", 1, t=128)
+        assert again is not a
+        assert [(event.kind, event.data) for event in rec.events()] == [
+            ("a/idle", {"n": 2, "t": 0}),
+            ("b/idle", {"n": 2, "t": 0}),
+            ("b/slot", {}),
+            ("b/idle", {"n": 1, "t": 192}),
+            ("a/idle", {"n": 1, "t": 128}),
+        ]
+        assert rec.coalesce(again, "a/idle", 1) is again
+        assert rec.emitted == 5
+
     def test_parent_change_starts_a_new_run(self):
         rec = FlightRecorder()
         with rec.span("root") as root:
