@@ -86,6 +86,9 @@ _TIMELINE_GLYPHS = {
     "success": None,  # replaced by the transmitting station's digit
 }
 
+#: Timeline glyphs of the run-length events, one per slot of the run.
+_TIMELINE_RUNS = {"channel/idle": ".", "channel/jammed": "!"}
+
 
 def render_timeline(events, width: int = 96, start: int = 0) -> str:
     """Render a channel's flight-recorder events as a per-slot activity strip.
@@ -97,8 +100,10 @@ def render_timeline(events, width: int = 96, start: int = 0) -> str:
     :class:`~repro.obs.tracer.TraceEvent` objects (``recorder.events()``
     or :func:`~repro.obs.tracer.load_trace`); the strip reads an
     unprefixed channel's ``channel/slot`` events and expands each
-    ``channel/idle`` run of ``n`` slots into ``n`` dots.  Slots that
-    start before ``start`` are left out, also inside an idle run.
+    ``channel/idle`` run of ``n`` slots into ``n`` dots and each
+    ``channel/jammed`` run into ``n`` ``!`` (a jammed slot is
+    corrupted).  Slots that start before ``start`` are left out, also
+    inside a run.
 
     >>> # '0X12.' reads: station 0 sent, collision, stations 1 then 2
     >>> # sent after resolution, then one idle slot.
@@ -108,10 +113,12 @@ def render_timeline(events, width: int = 96, start: int = 0) -> str:
     alphabet = "0123456789abcdefghijklmnopqrstuvwxyz"
     for event in events:
         data = event.data
-        if event.kind == "channel/idle":
-            # Idle slots starting before ``start``: ceil((start - t) / slot).
+        run = _TIMELINE_RUNS.get(event.kind)
+        if run is not None:
+            # Slots of the run starting before ``start``:
+            # ceil((start - t) / slot).
             early = max(0, -((data["t"] - start) // data["slot"]))
-            symbols.extend("." * min(data["n"] - early, limit - len(symbols)))
+            symbols.extend(run * min(data["n"] - early, limit - len(symbols)))
         elif event.kind == "channel/slot" and data["t"] >= start:
             state = data["state"]
             if state == "success":

@@ -42,7 +42,9 @@ too: the channel books a leapt stretch and a stepped silent slot
 through the same ``channel/idle`` rule
 (:meth:`~repro.net.channel.BroadcastChannel._trace_idle`), so the dump
 is the same either way.  Fast-loop runs leap under the same rule and
-the same replica code, on every station's own replica.
+the same replica code, on every station's own replica; they also leap
+jammed stretches, which the kernel steps slot by slot (its jammed
+slots record the same ``channel/jammed`` runs).
 
 Fallback contract (mirroring the fast loop's): :func:`batch_unavailable_reason`
 reports *structural* ineligibility — foreign MAC types, differing configs,
@@ -513,9 +515,13 @@ class BatchKernel:
                     self.stations, None,
                 )
             if self.tracer_on:
-                self.tracer.emit(
-                    channel._slot_kind, t=now, state="corrupted", wire=wire,
-                )
+                if jammed:
+                    channel._trace_jammed(now, 1)
+                else:
+                    self.tracer.emit(
+                        channel._slot_kind, t=now, state="corrupted",
+                        wire=wire,
+                    )
             return slot_time
         if wire == 0:
             state = _SILENCE

@@ -31,7 +31,10 @@ resolution happens — and dispatches to one of three internal tiers:
   (:func:`_leap`): every station's own replica, on every channel, must
   say it is idle-steady, and each advances itself
   (``MACProtocol.leap_idle``); on consistency-checked runs lockstep is
-  asserted at the stretch's first and last slot.
+  asserted at the stretch's first and last slot.  A jammed channel
+  takes part in the same stretch once every replica on it is
+  jam-steady (``MACProtocol.jam_steady``, ``leap_jammed``: DDCR stuck
+  re-probing a static-tree leaf, where n jammed slots are n retries).
 * the struct-of-arrays batch kernel (:mod:`repro.net.batch`, ``batch``
   and the default ``auto``): per-station state lives in list columns and
   one shadow protocol replica digests each slot, so the per-slot cost is
@@ -46,19 +49,23 @@ a stretch ends at the horizon, the earliest pending arrival, a jam
 boundary or the first slot a noise gate corrupts (the gates are drawn
 slot by slot, in the per-slot order, and that slot then runs as a
 corrupted round), and there is no leap under an armed fault injector or
-a monitor that cannot digest idle slots in one call.  On a shared clock
-the stretch ends at the earliest such end of any channel, and noise
-keeps every channel stepping.  The DES is always per-slot: the
+a monitor that cannot digest idle slots in one call (nor a jammed leap
+under one that cannot digest jammed slots).  On a shared clock the
+stretch ends at the earliest such end of any channel, and noise keeps
+every channel stepping.  Only the fast loop leaps jammed stretches; the
+kernel steps its jammed slots.  The DES is always per-slot: the
 reference.
 
 All engines draw from the same RNG in the same order, so their results
 are byte-identical (the differential tests assert this, three ways).  The
 channel also keeps slot-level accounting (how many slots of each kind,
 payload bits delivered) and, when a flight recorder is armed, records
-each busy slot as one ``channel/slot`` event and each run of silent
-slots as one ``channel/idle`` event (:meth:`BroadcastChannel._trace_idle`),
-so a recorder dump is the same whether a stretch was leapt or stepped,
-on one channel or several sharing a clock.
+each busy slot as one ``channel/slot`` event, each run of silent slots
+as one ``channel/idle`` event (:meth:`BroadcastChannel._trace_idle`)
+and each run of jammed slots as one ``channel/jammed`` event
+(:meth:`BroadcastChannel._trace_jammed`), so a recorder dump is the
+same whether a stretch was leapt or stepped, on one channel or several
+sharing a clock.
 """
 
 from __future__ import annotations
@@ -75,7 +82,7 @@ from repro.net.phy import MediumProfile
 from repro.obs.context import current_tracer
 from repro.obs.instruments import LATENCY_EDGES, NULL_TELEMETRY, Telemetry
 from repro.obs.tracer import FlightRecorder
-from repro.protocols.base import ChannelState, SlotObservation
+from repro.protocols.base import JAM_UNBOUNDED, ChannelState, SlotObservation
 from repro.sim.engine import Environment
 from repro.sim.process import ProcessGenerator
 
@@ -145,6 +152,7 @@ class _RoundDriver:
         "monitors",
         "check",
         "leap_ok",
+        "jam_leap_ok",
         "telemetry",
         "telemetry_on",
         "tracer",
@@ -182,9 +190,12 @@ class _RoundDriver:
         self.noise_gates = tuple(gates)
         self.monitors = channel.monitors
         self.check = channel.check_consistency
-        # The fast loop crosses idle stretches on every station's own
-        # replica (see :meth:`leap`); the DES never asks.
+        # The fast loop crosses idle and jammed stretches on every
+        # station's own replica (see :meth:`leap`); the DES never asks.
         self.leap_ok = channel._idle_leap_allowed()
+        self.jam_leap_ok = self.leap_ok and (
+            self.monitors is None or self.monitors.digests_jammed
+        )
         # Telemetry instruments, hoisted once per driver build.  They are
         # fetched by name from the registry, so a mid-run rebuild (the
         # fast loop's DES rejoin) resumes the same counters.
@@ -210,44 +221,58 @@ class _RoundDriver:
             self.latency_hists: dict[str, object] = {}
 
     def leap(self, now: int, end: int) -> int:
-        """Cross the silent slots from ``now`` that start before ``end`` on
-        every station's own replica; returns their duration.
+        """Cross the slots from ``now`` that start before ``end`` on every
+        station's own replica; returns their duration.
 
-        The caller (:func:`_leap`) has checked that ``now < end``, that
-        every queue is empty and that every replica on its own says it is
-        idle-steady, so a replica that left the steady state alone keeps
-        the slot per-slot, where the lockstep check sees it.  On checked
-        runs the replicas digest the stretch's first slot, lockstep is
-        asserted there, then they digest the rest and it is asserted at
-        the last slot.  If a noise gate fires inside the stretch
+        The slots are silent, or jammed if the slot at ``now`` is.  The
+        caller (:func:`_leap`) has checked that ``now < end`` and that
+        every replica on its own says it is idle-steady (every queue
+        empty) or jam-steady for that many slots, so a replica that left
+        the steady state alone keeps the slot per-slot, where the
+        lockstep check sees it.  On checked runs the replicas digest the
+        stretch's first slot, lockstep is asserted there, then they
+        digest the rest and it is asserted at the last slot.  If a noise
+        gate fires inside an idle stretch
         (:meth:`BroadcastChannel._quiet_slots`), the leap stops before
-        that slot and runs it here as a corrupted round.
+        that slot and runs it here as a corrupted round; a jammed slot
+        draws no gate.
         """
         channel = self.channel
-        stations = self.stations
         slot_time = self.slot_time
         n = -(-(end - now) // slot_time)
+        jammed = channel._jammed(now)
         fired = 0
-        if self.noise_gates:
+        if self.noise_gates and not jammed:
             n, fired = channel._quiet_slots(self.noise_gates, now, n)
         stop = now + n * slot_time
         if n:
             check = self.check
             first = 0
             if check:
-                for station in stations:
-                    station.mac.leap_idle(1, now + slot_time)
+                self._digest(jammed, 1, now + slot_time)
                 channel._assert_lockstep(now)
                 first = 1
             if n > first:
-                for station in stations:
-                    station.mac.leap_idle(n - first, stop)
+                self._digest(jammed, n - first, stop)
                 if check:
                     channel._assert_lockstep(stop - slot_time)
-            channel._count_idle(now, n)
+            if jammed:
+                channel._count_jammed(now, n)
+            else:
+                channel._count_idle(now, n)
         if fired:
             return n * slot_time + self.round(stop, fired)
         return n * slot_time
+
+    def _digest(self, jammed: bool, n: int, end: int) -> None:
+        """Advance every station's own replica over ``n`` jammed or
+        silent slots, the last ending at ``end``."""
+        if jammed:
+            for station in self.stations:
+                station.mac.leap_jammed(n, end)
+        else:
+            for station in self.stations:
+                station.mac.leap_idle(n, end)
 
     def round(self, now: int, fired: int = 0) -> int:
         """Run one channel round starting at ``now``; returns its duration.
@@ -354,9 +379,13 @@ class _RoundDriver:
                     stations, down,
                 )
             if self.tracer_on:
-                self.tracer.emit(
-                    channel._slot_kind, t=now, state="corrupted", wire=wire,
-                )
+                if jammed:
+                    channel._trace_jammed(now, 1)
+                else:
+                    self.tracer.emit(
+                        channel._slot_kind, t=now, state="corrupted",
+                        wire=wire,
+                    )
             if self.check:
                 channel._assert_lockstep(now)
             return slot_time
@@ -464,13 +493,22 @@ def _leap(
     horizon: int,
     order: typing.Iterator[int],
 ) -> bool:
-    """Cross the idle stretch all channels on one clock are in; returns
+    """Cross the stretch all channels on one clock are in; returns
     whether there was one.
 
-    Every station of every channel must have an empty queue and a
-    replica that on its own says it is idle-steady; the stretch ends at
-    the earliest horizon, pending arrival or jam boundary of any channel,
-    and each channel leaps the slots that start before that end.
+    Each channel's next slot is idle or jammed.  On an idle channel
+    every station must have an empty queue (a :meth:`muted
+    <repro.protocols.base.MACProtocol.muted>` replica's may hold
+    messages) and a replica that on its own says it is idle-steady.  On
+    a jammed channel every slot is a frameless collision that draws no
+    noise, whatever is offered, so the queues do not matter: every
+    replica must be jam-steady and the channel's monitors must digest
+    jammed slots, and the stretch ends where the replica with the least
+    room (:meth:`~repro.protocols.base.MACProtocol.jam_steady`) says.
+    The stretch ends at the earliest horizon, pending arrival or jam
+    boundary of any channel (``jam_until`` of a jammed one, ``jam_from``
+    of an idle one), and each channel leaps the slots that start before
+    that end.
     ``pending`` gets each leapt channel's next round, in the order the
     DES would have scheduled it: after every round already run, and
     among the leapt channels by the start of their last leapt round (it
@@ -482,16 +520,38 @@ def _leap(
     first, so this is the DES's order wherever it is ever consulted.
     """
     end = horizon
-    for driver in drivers:
+    for start, _, i in pending:
+        driver = drivers[i]
+        channel = driver.channel
+        # An unjammed channel (the common case) costs one attribute load.
+        jam_from = channel.jam_from
+        if jam_from is not None and channel._jammed(start):
+            if not driver.jam_leap_ok:
+                return False
+            room = JAM_UNBOUNDED
+            for station in driver.stations:
+                steady = station.mac.jam_steady()
+                if not steady:
+                    return False
+                if steady < room:
+                    room = steady
+                arrival = station.peek_next_arrival()
+                if arrival is not None and arrival < end:
+                    end = arrival
+            end = min(end, start + room * driver.slot_time)
+            if channel.jam_until is not None:
+                end = min(end, channel.jam_until)
+            continue
         for station in driver.stations:
-            if station.queue or not station.mac.idle_steady():
+            mac = station.mac
+            if (station.queue and not mac.muted()) or not mac.idle_steady():
                 return False
             arrival = station.peek_next_arrival()
             if arrival is not None and arrival < end:
                 end = arrival
+        if jam_from is not None:
+            end = channel._idle_end(start, end)
     pending.sort()
-    for start, _, i in pending:
-        end = drivers[i].channel._idle_end(start, end)
     if end <= pending[0][0]:
         return False
     leapt = []
@@ -570,9 +630,12 @@ class BroadcastChannel:
         self.tracer = tracer if tracer is not None else current_tracer()
         self._slot_kind = f"{telemetry_prefix}channel/slot"
         self._idle_kind = f"{telemetry_prefix}channel/idle"
+        self._jammed_kind = f"{telemetry_prefix}channel/jammed"
         #: The ``channel/idle`` event this channel's silent slots extend
-        #: (see :meth:`_trace_idle`).
+        #: (see :meth:`_trace_idle`), and the ``channel/jammed`` one its
+        #: jammed slots extend (:meth:`_trace_jammed`).
         self._idle_run = None
+        self._jam_run = None
         self.stations: list["Station"] = []
         self.stats = ChannelStats()
         self.observations: int = 0
@@ -692,14 +755,14 @@ class BroadcastChannel:
         order, then the order in which rounds ran), and advances
         ``env.now`` itself.  A lone channel is the case ``N = 1``.
 
-        Idle stretches are crossed jointly (:func:`_leap`): only while
-        every station of every channel has an empty queue and an
-        idle-steady replica, and each channel leaps the slots that start
-        before the earliest horizon, pending arrival or jam boundary of
-        any channel.  Noise keeps the leap on a lone channel only: a
-        gate fired on one channel would end the other channels' trace
-        runs mid-stretch, so noisy channels sharing a clock step every
-        slot.
+        Stretches are crossed jointly (:func:`_leap`): only while every
+        station of every channel has an empty queue and an idle-steady
+        replica, or on a jammed channel a jam-steady one, and each
+        channel leaps the slots that start before the earliest horizon,
+        pending arrival or jam boundary of any channel.  Noise keeps the
+        leap on a lone channel only: a gate fired on one channel would
+        end the other channels' trace runs mid-stretch, so noisy
+        channels sharing a clock step every slot.
 
         Fallback is automatic and exact: if foreign events are pending at
         entry, the whole run happens on the DES; if one appears mid-run
@@ -783,7 +846,9 @@ class BroadcastChannel:
 
         No armed fault injector, and only monitors that digest an idle
         stretch in one ``on_idle`` call
-        (:attr:`~repro.sim.invariants.MonitorSuite.digests_idle`).
+        (:attr:`~repro.sim.invariants.MonitorSuite.digests_idle`).  A
+        jammed stretch needs this and monitors that digest it in one
+        ``on_jammed`` call too (``_RoundDriver.jam_leap_ok``).
         Noise does not count: a leap draws its gates slot by slot and
         stops at the first one that fires (:meth:`_quiet_slots`).  Nor
         does an armed flight recorder: it records a stretch as one event
@@ -792,6 +857,13 @@ class BroadcastChannel:
         monitors = self.monitors
         return self.faults is None and (
             monitors is None or monitors.digests_idle
+        )
+
+    def _jammed(self, now: int) -> bool:
+        """Is the slot starting at ``now`` inside the jam window?"""
+        jam_from = self.jam_from
+        return jam_from is not None and now >= jam_from and (
+            self.jam_until is None or now < self.jam_until
         )
 
     def _idle_end(self, now: int, end: int) -> int:
@@ -859,6 +931,26 @@ class BroadcastChannel:
         if self.tracer.enabled:
             self._trace_idle(now, n)
 
+    def _count_jammed(self, now: int, n: int) -> None:
+        """Book ``n`` jammed slots from ``now`` as ``n`` rounds would:
+        stats, observations, the collision and jammed counters, the
+        monitors and the flight recorder."""
+        slot_time = self.medium.slot_time
+        stats = self.stats
+        stats.jammed_slots += n
+        stats.collision_slots += n
+        stats.collision_time += n * slot_time
+        self.observations += n
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            prefix = self.telemetry_prefix
+            telemetry.counter(f"{prefix}slots/collision").inc(n)
+            telemetry.counter(f"{prefix}slots/jammed").inc(n)
+        if self.monitors is not None:
+            self.monitors.on_jammed(now, n, slot_time)
+        if self.tracer.enabled:
+            self._trace_jammed(now, n)
+
     def _trace_idle(self, now: int, n: int) -> None:
         """Record ``n`` silent slots from ``now`` in the flight recorder.
 
@@ -867,10 +959,24 @@ class BroadcastChannel:
         ``t``, count ``n``, slot length ``slot``), and later silent slots
         of this channel extend it for as long as nothing but other
         channels' runs has been recorded
-        (:meth:`~repro.obs.tracer.FlightRecorder.coalesce`).
+        (:meth:`~repro.obs.tracer.FlightRecorder.coalesce`).  Runs never
+        end one another, so this channel's own jammed run ends here: a
+        later jammed slot starts a new one.
         """
+        self._jam_run = None
         self._idle_run = self.tracer.coalesce(
             self._idle_run, self._idle_kind, n,
+            t=now, slot=self.medium.slot_time,
+        )
+
+    def _trace_jammed(self, now: int, n: int) -> None:
+        """Record ``n`` jammed slots from ``now`` in the flight recorder:
+        one ``channel/jammed`` event per run (``t``, ``n``, ``slot``),
+        by the rule of :meth:`_trace_idle`, which it mirrors (this
+        channel's idle run ends here)."""
+        self._idle_run = None
+        self._jam_run = self.tracer.coalesce(
+            self._jam_run, self._jammed_kind, n,
             t=now, slot=self.medium.slot_time,
         )
 

@@ -36,7 +36,12 @@ from repro.net.station import Station
 from repro.obs.context import current_telemetry
 from repro.obs.instruments import Telemetry
 from repro.obs.manifest import RunTelemetry
-from repro.protocols.base import ChannelState, MACProtocol, SlotObservation
+from repro.protocols.base import (
+    JAM_UNBOUNDED,
+    ChannelState,
+    MACProtocol,
+    SlotObservation,
+)
 from repro.protocols.ddcr.config import DDCRConfig
 from repro.sim.engine import Environment
 from repro.sim.invariants import (
@@ -85,18 +90,29 @@ class BusFailoverController:
         self.failovers = 0
         self._consecutive_collisions = 0
 
-    def note(self, bus_index: int, state: ChannelState) -> None:
-        """Digest one slot of bus ``bus_index``."""
+    def note(self, bus_index: int, state: ChannelState, n: int = 1) -> None:
+        """Digest ``n`` slots of bus ``bus_index`` in ``state``.
+
+        Once the collision run reaches the threshold the bus is standby,
+        so any collisions after that slot change nothing."""
         if bus_index != self.active_bus:
             return
         if state is ChannelState.COLLISION:
-            self._consecutive_collisions += 1
+            self._consecutive_collisions += n
             if self._consecutive_collisions >= self.jam_threshold:
                 self.active_bus = 1 - self.active_bus
                 self.failovers += 1
                 self._consecutive_collisions = 0
         else:
             self._consecutive_collisions = 0
+
+    def jam_room(self, bus_index: int) -> int:
+        """How many collision slots of bus ``bus_index`` leave the active
+        bus as it is: one short of the threshold on the active bus, any
+        number on the standby one."""
+        if bus_index != self.active_bus:
+            return JAM_UNBOUNDED
+        return self.jam_threshold - 1 - self._consecutive_collisions
 
     def state_key(self) -> tuple[int, int, int]:
         return (
@@ -113,7 +129,23 @@ class BusPort(MACProtocol):
     port's bus is active; observations always pass through (warm standby).
     An idle stretch is the inner replica's (:meth:`idle_steady`,
     :meth:`leap_idle`), plus what its silent slots do to the shared
-    controller: they end the active bus's collision run.
+    controller: they end the active bus's collision run.  A jammed
+    stretch is the inner replica's too (:meth:`jam_steady`,
+    :meth:`leap_jammed`), plus what its collisions do to the controller:
+    they extend the active bus's collision run, so an active port ends
+    the stretch one slot before the run would reach the threshold, and
+    the failover slot runs as a round in which every station flips.
+
+    A standby port is :meth:`muted`: its offers never reach the wire, so
+    a queue stranded in it does not bar its bus's idle leap.  That case
+    arises only beside a jammed active bus: on an unjammed active bus
+    the shared queue must already be empty for the stretch to leap.  The
+    jammed bus's replicas are then jam-steady, hence DDCR, and both of a
+    station's ports wrap replicas of one protocol factory, so the
+    standby replica is DDCR too, whose :meth:`offer` changes nothing but
+    the offer itself, which the port retracts: skipping those offers
+    changes nothing.  A replica whose offer draws (slotted ALOHA) would
+    break this, and none is ever jam-steady.
     """
 
     def __init__(
@@ -133,7 +165,7 @@ class BusPort(MACProtocol):
 
     def offer(self, now: int):
         message = self.inner.offer(now)
-        if self.controller.active_bus != self.bus_index:
+        if self.muted():
             if message is not None:
                 # The replica must not believe it transmitted this slot.
                 self.inner.suppress_offer()
@@ -155,6 +187,21 @@ class BusPort(MACProtocol):
         # port's bus is active, the rest change nothing more.
         self.controller.note(self.bus_index, ChannelState.SILENCE)
         self.inner.leap_idle(n, end)
+
+    def muted(self) -> bool:
+        return self.controller.active_bus != self.bus_index
+
+    def jam_steady(self) -> int:
+        return min(
+            self.inner.jam_steady(), self.controller.jam_room(self.bus_index)
+        )
+
+    def leap_jammed(self, n: int, end: int) -> None:
+        # n collision slots, at most jam_steady() of them: the active
+        # port's run grows by n and stays short of the threshold, the
+        # standby port's leaves the controller alone.
+        self.controller.note(self.bus_index, ChannelState.COLLISION, n)
+        self.inner.leap_jammed(n, end)
 
     def wants_burst_continuation(self, now: int) -> bool:
         return self.inner.wants_burst_continuation(now)
@@ -216,9 +263,14 @@ class DualBusSimulation:
     every other engine runs the joint fast loop, which steps the bus
     whose round starts first in the DES's schedule order and leaps an
     idle stretch on both busses at once when every station of both is
-    steady (:meth:`BusPort.idle_steady`).  So a healthy run leaps
-    end to end and a failed one until the jam; the jammed tail steps
-    both busses.  ``batch`` and ``auto`` return the kernel's
+    steady (:meth:`BusPort.idle_steady`).  The jammed bus takes part in
+    such a stretch once its replicas are stuck re-probing a static-tree
+    leaf (:meth:`BusPort.jam_steady`): the active bus's stretch stops one
+    slot short of the failover, which runs as a round, and a queue
+    stranded on the standby bus does not bar that bus's idle leap.  So
+    a healthy run leaps end to end and a failed one too, but for the
+    busy slots, the jam's descent and the failover slot.  ``batch`` and
+    ``auto`` return the kernel's
     ``batch engine unavailable (...): ran fastloop`` note, recorded in
     the manifest.
 
@@ -233,8 +285,9 @@ class DualBusSimulation:
     (:func:`repro.obs.context.use_tracer`) records both busses into one
     dump, their event kinds prefixed like their instruments
     (``bus0/channel/slot``, ``bus1/channel/idle``).  Each bus's silent
-    slots grow its own ``channel/idle`` run past the other bus's runs,
-    so a joint leap and the per-slot DES record the same dump.
+    slots grow its own ``channel/idle`` run, and its jammed slots its
+    own ``channel/jammed`` run, past the other bus's runs, so a joint
+    leap and the per-slot DES record the same dump.
     """
 
     def __init__(

@@ -14,9 +14,10 @@ Three engines can turn the broadcast channel's crank:
   advances ``env.now`` itself, bypassing the event heap entirely.  Idle
   stretches are leapt on every station's own replica, any MAC protocol,
   noise or not on a lone channel, and jointly across channels sharing a
-  clock.  It falls back to the DES automatically the moment any foreign
-  event is scheduled (host extension processes), so selecting it is
-  always safe.
+  clock; so are jammed stretches on DDCR replicas stuck re-probing a
+  static-tree leaf (a failed dual bus's tail).  It falls back to the
+  DES automatically the moment any foreign event is scheduled (host
+  extension processes), so selecting it is always safe.
 * ``batch`` — the struct-of-arrays kernel (:mod:`repro.net.batch`):
   per-station EDF keys and tree positions live in plain list columns and
   one shadow protocol replica digests each slot, so per-slot cost is

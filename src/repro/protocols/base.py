@@ -20,6 +20,13 @@ path (see :mod:`repro.net.engine`), a MAC sees the identical call sequence
 — one ``offer`` then one ``observe`` per slot, at the same simulated times
 with the same observations.  Protocols therefore never interact with the
 event queue and must not assume one exists.
+
+The leaping engines skip that call sequence only where a replica says
+the skipped slots are a closed form: an idle stretch
+(:meth:`MACProtocol.idle_steady`, :meth:`MACProtocol.leap_idle`) or a
+jammed one (:meth:`MACProtocol.jam_steady`,
+:meth:`MACProtocol.leap_jammed`), each leaving the replica exactly as
+the per-slot calls would.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import enum
+import sys
 import typing
 
 from repro.model.message import MessageInstance
@@ -35,7 +43,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.frames import Frame
     from repro.net.station import Station
 
-__all__ = ["ChannelState", "SlotObservation", "MACProtocol"]
+__all__ = ["ChannelState", "JAM_UNBOUNDED", "SlotObservation", "MACProtocol"]
+
+#: :meth:`MACProtocol.jam_steady` of a replica that may cross any number
+#: of jammed slots in one step.
+JAM_UNBOUNDED = sys.maxsize
 
 
 class ChannelState(enum.Enum):
@@ -144,11 +156,12 @@ class MACProtocol(abc.ABC):
 
         True only where silent, all-queues-empty slots leave the state a
         function :meth:`leap_idle` computes in O(1) (the engine checks the
-        queues).  An engine leaps only if every station's replica says
-        so; a slot that noise corrupts is never leapt, it runs as a
-        round.  DDCR is steady in FREE and the fresh-TTs cycle, DCR in
-        FREE, CSMA-CD/BEB with no backoff pending, TDMA and slotted ALOHA
-        always.  Default: no, every slot runs.
+        queues, but for a :meth:`muted` replica's).  An engine leaps only
+        if every station's replica says so; a slot that noise corrupts is
+        never leapt, it runs as a round.  DDCR is steady in FREE and the
+        fresh-TTs cycle, DCR in FREE, CSMA-CD/BEB with no backoff
+        pending, TDMA and slotted ALOHA always.  Default: no, every slot
+        runs.
         """
         return False
 
@@ -156,6 +169,36 @@ class MACProtocol(abc.ABC):
         """Digest ``n`` silent slots, the last ending at ``end``, as ``n``
         rounds of :meth:`offer` and :meth:`observe` would (only called
         while :meth:`idle_steady` holds)."""
+        raise NotImplementedError
+
+    def muted(self) -> bool:
+        """Does nothing this replica offers reach the wire?
+
+        Then its station's queue does not bar an idle leap, which the
+        engine otherwise requires to be empty.  Only a standby dual-bus
+        port says so.  Default: no.
+        """
+        return False
+
+    def jam_steady(self) -> int:
+        """How many jammed slots an engine may cross on this replica in one
+        step (:meth:`leap_jammed`); 0 = none, every jammed slot runs.
+
+        A jammed slot is a frameless collision, with no noise draw,
+        whatever the stations offer, so nonzero only where such slots
+        leave the state a function :meth:`leap_jammed` computes in O(1)
+        and :meth:`offer` changes nothing but the offer itself: then the
+        queue does not matter.  DDCR re-probing a static-tree leaf is
+        jam-steady without limit (:data:`JAM_UNBOUNDED`); an active
+        dual-bus port caps that one slot short of its failover.
+        Default: 0.
+        """
+        return 0
+
+    def leap_jammed(self, n: int, end: int) -> None:
+        """Digest ``n`` jammed slots, the last ending at ``end``, as ``n``
+        rounds of :meth:`offer` and :meth:`observe` would (only called
+        for at most :meth:`jam_steady` slots)."""
         raise NotImplementedError
 
     def public_state(self) -> tuple[object, ...]:

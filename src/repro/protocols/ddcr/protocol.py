@@ -36,7 +36,12 @@ import enum
 
 from repro.core.trees import LeafInterval
 from repro.model.message import MessageInstance
-from repro.protocols.base import ChannelState, MACProtocol, SlotObservation
+from repro.protocols.base import (
+    JAM_UNBOUNDED,
+    ChannelState,
+    MACProtocol,
+    SlotObservation,
+)
 from repro.protocols.ddcr.config import DDCRConfig
 from repro.protocols.ddcr.indexing import mac_visible_deadline, time_index
 from repro.protocols.ddcr.sts import StaticTreeSearch, STsRecord
@@ -378,6 +383,35 @@ class DDCRProtocol(MACProtocol):
             self.reft += n * self._theta
             self.empty_tts_runs += n
             self.tts.started_at = end
+
+    # -- jammed stretches -----------------------------------------------------
+
+    def jam_steady(self) -> int:
+        """Any number of jammed slots while this replica is stuck
+        re-probing a static-tree leaf, else none.
+
+        Stuck means mode STS, no burst open and a leaf on top of the STS
+        agenda: a collision there is commonly attributed to noise and
+        re-probed (:meth:`SplittingSearch.retry_current`), which leaves
+        everything but the probe and waste counters as it was, so under
+        a jam the state is absorbing: every later slot is the same
+        retry, whatever the queue holds (an offer sets nothing but
+        ``_offered``, which the observation clears).  A replica fed
+        collisions from any state gets here within one time-tree and
+        one static-tree descent.  DCR's search has the same stuck leaf,
+        but no caller jams a DCR channel, so it steps.
+        """
+        if self._burst_owner is None and self.mode is DDCRMode.STS:
+            agenda = self.sts.search.agenda
+            if agenda and agenda[-1].is_leaf():
+                return JAM_UNBOUNDED
+        return 0
+
+    def leap_jammed(self, n: int, end: int) -> None:
+        """Digest ``n`` jammed slots in O(1): ``n`` retries of the stuck
+        leaf, exactly as ``n`` rounds of :meth:`offer` and :meth:`observe`
+        would (valid only while :meth:`jam_steady` holds)."""
+        self.sts.search.retry_current(n)
 
     # -- packet bursting (section 5) --------------------------------------------
 

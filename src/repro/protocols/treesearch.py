@@ -153,16 +153,18 @@ class SplittingSearch:
             self.frontier = node.hi
         return node
 
-    def retry_current(self) -> LeafInterval:
-        """Count a noise-corrupted probe and leave the node on the agenda.
+    def retry_current(self, n: int = 1) -> LeafInterval:
+        """Count ``n`` noise-corrupted probes and leave the node on the
+        agenda.
 
         Used when a collision is observed on a probe that *cannot* really
         collide (a static-tree leaf: its index has a unique owner).  All
         replicas can commonly attribute it to channel noise and re-probe
-        the same node next slot.
+        the same node next slot.  Nothing else changes, so ``n`` such
+        collisions in a row (a jammed bus) are this one call.
         """
-        self.probes += 1
-        self.wasted_slots += 1
+        self.probes += n
+        self.wasted_slots += n
         return self.current
 
     def begin_leaf_resolution(self) -> LeafInterval:

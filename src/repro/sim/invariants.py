@@ -6,9 +6,9 @@ P5/P6), and the bounded collision-resolution cost ``xi(k, t)`` of Eq. 1 —
 are turned here into *online monitors* hooked into the channel round loop.
 Each monitor watches every slot (under every engine: the round driver is
 engine-independent, and the leaping engines digest idle stretches through
-``on_idle``, which leaves a monitor exactly as per-slot calls would — so
-violation reports are byte-identical across ``des``, ``fastloop`` and
-``batch``) and records structured :class:`Violation` entries instead of
+``on_idle`` and the fast loop jammed ones through ``on_jammed``, which
+leave a monitor exactly as per-slot calls would — so violation reports
+are byte-identical across ``des``, ``fastloop`` and ``batch``) and records structured :class:`Violation` entries instead of
 silently passing; the aggregated :class:`InvariantReport` is attached to
 :class:`~repro.net.network.RunResult`.
 
@@ -179,6 +179,19 @@ class InvariantMonitor:
         monitor that overrides ``on_slot`` alone keeps per-slot execution.
         """
 
+    def on_jammed(self, now: int, n: int, slot_time: int) -> None:
+        """Digest ``n`` consecutive jammed slots in O(1), the first at
+        ``now``.
+
+        Each is a frameless collision that the jam corrupted; afterwards
+        the monitor must be exactly as ``n`` calls of :meth:`on_slot`
+        with ``corrupted`` and ``jammed`` set would leave it, whatever
+        was on the wire.  The engines leap a jammed stretch only when
+        every armed monitor's ``on_jammed`` comes from the class that
+        defines its ``on_slot`` or a subclass of it, as for
+        :meth:`on_idle`.
+        """
+
     def finalize(
         self,
         horizon: int,
@@ -188,12 +201,13 @@ class InvariantMonitor:
         """End-of-run checks (backlog, per-run records)."""
 
 
-def _digests_idle(monitor: InvariantMonitor) -> bool:
-    """True when ``monitor.on_idle`` summarises its own ``on_slot``."""
+def _digests(monitor: InvariantMonitor, hook: str) -> bool:
+    """True when ``monitor``'s stretch hook ``hook`` (``on_idle``,
+    ``on_jammed``) summarises its own ``on_slot``."""
     mro = type(monitor).__mro__
-    idle_owner = next(cls for cls in mro if "on_idle" in vars(cls))
+    hook_owner = next(cls for cls in mro if hook in vars(cls))
     slot_owner = next(cls for cls in mro if "on_slot" in vars(cls))
-    return issubclass(idle_owner, slot_owner)
+    return issubclass(hook_owner, slot_owner)
 
 
 class MutualExclusionMonitor(InvariantMonitor):
@@ -247,6 +261,9 @@ class MutualExclusionMonitor(InvariantMonitor):
 
     def on_idle(self, now, n, slot_time) -> None:
         pass  # silence with nothing on the wire is the resolution
+
+    def on_jammed(self, now, n, slot_time) -> None:
+        pass  # a frameless collision is a jammed slot's own resolution
 
 
 class DeadlineMonitor(InvariantMonitor):
@@ -633,12 +650,13 @@ class MonitorSuite:
 
     The round driver calls :meth:`on_slot` exactly once per round — on
     both the corrupted early-return path and the normal resolution path —
-    under every engine; the batch kernel may instead hand a stretch of
+    under every engine; the leaping engines may instead hand a stretch of
     idle slots to :meth:`on_idle` in one call when :attr:`digests_idle`
-    holds.  Either way a suite's report is an engine-independent function
-    of the run."""
+    holds, and the fast loop a stretch of jammed slots to
+    :meth:`on_jammed` when :attr:`digests_jammed` holds.  Either way a
+    suite's report is an engine-independent function of the run."""
 
-    __slots__ = ("monitors", "slots_checked", "digests_idle")
+    __slots__ = ("monitors", "slots_checked", "digests_idle", "digests_jammed")
 
     def __init__(self, monitors: typing.Sequence[InvariantMonitor]) -> None:
         if not monitors:
@@ -647,7 +665,11 @@ class MonitorSuite:
         self.slots_checked = 0
         #: Every monitor's ``on_idle`` summarises its own ``on_slot``, so
         #: the engines may leap idle stretches with the suite armed.
-        self.digests_idle = all(_digests_idle(m) for m in self.monitors)
+        self.digests_idle = all(_digests(m, "on_idle") for m in self.monitors)
+        #: The same for jammed stretches (``on_jammed``).
+        self.digests_jammed = all(
+            _digests(m, "on_jammed") for m in self.monitors
+        )
 
     def on_slot(
         self,
@@ -675,6 +697,14 @@ class MonitorSuite:
         self.slots_checked += n
         for monitor in self.monitors:
             monitor.on_idle(now, n, slot_time)
+
+    def on_jammed(self, now: int, n: int, slot_time: int) -> None:
+        """Digest ``n`` jammed slots starting at ``now`` (see
+        :meth:`InvariantMonitor.on_jammed`), as ``n`` :meth:`on_slot`
+        calls would."""
+        self.slots_checked += n
+        for monitor in self.monitors:
+            monitor.on_jammed(now, n, slot_time)
 
     def finalize(
         self,

@@ -200,10 +200,11 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
     before it and resume after it.  The checked dual-bus run, a
     mutual-exclusion monitor on each bus and bus A jammed at a third of
     the run, takes the joint fast loop over both busses, which leaps
-    their idle stretches together until the jam, and must fail over
-    exactly once.  This row is the CI check of the leaps under
-    monitors.  Returns failure lines (empty = all invariants held, both
-    engines agreed).
+    their idle stretches together and, once bus A's replicas are stuck
+    re-probing a static-tree leaf, its jammed tail beside them (the
+    failover slot runs as a round), and must fail over exactly once.
+    This row is the CI check of the leaps under monitors.  Returns
+    failure lines (empty = all invariants held, both engines agreed).
     """
     from repro.experiments.harness import (
         csma_cd_factory,

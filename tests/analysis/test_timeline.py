@@ -54,6 +54,14 @@ class TestRenderTimeline:
         _slot(recorder, 384, "success", source=2)
         assert render_timeline(recorder.events()).splitlines()[1] == "X.....2"
 
+    def test_jammed_run_expands_to_n_corrupted_slots(self):
+        recorder = FlightRecorder()
+        _slot(recorder, 0, "success", source=1)
+        recorder.emit("channel/jammed", t=64, n=3, slot=64)
+        recorder.emit("channel/idle", t=256, n=2, slot=64)
+        text = render_timeline(recorder.events(), start=128)
+        assert text.splitlines()[1] == "!!.."
+
     def test_idle_run_straddling_start_is_cut_at_start(self):
         # Idle slots start at 64, 128, ..., 320; start=200 drops the
         # three that start before it (64, 128, 192) and keeps 256, 320.

@@ -37,7 +37,11 @@ from repro.protocols.ddcr.protocol import DDCRMode
 from repro.protocols.slotted_aloha import SlottedAlohaProtocol
 from repro.protocols.tdma import TDMAProtocol
 from repro.sim.engine import Environment
-from repro.sim.invariants import standard_suite
+from repro.sim.invariants import (
+    MonitorSuite,
+    MutualExclusionMonitor,
+    standard_suite,
+)
 
 _HORIZON = 250_000
 _SLOT = 64
@@ -157,6 +161,7 @@ _CASES = {
     "non-destructive": {"destructive": False},
     "monitors": {"monitors": True},
     "jam-window": {"jam": (80_000, 120_000)},
+    "jam-tail": {"jam": (125_000, None)},
     "exit-to-free": {"exit_to_free_on_idle": True},
     "noisy": {"noise": 0.02},
     "noisy-monitors": {"noise": 0.02, "monitors": True},
@@ -214,6 +219,64 @@ def test_checked_leap_engages_for_every_protocol(
     leaps, _ = _stretches(protocol=protocol, noise=noise)
     assert max(end - start for start, end in leaps) > 16 * _SLOT
     assert bool(corrupted) == (noise > 0)
+
+
+class _SlotOnlyExclusion(MutualExclusionMonitor):
+    """Overrides ``on_slot`` but inherits ``on_jammed``: the inherited
+    digest no longer describes this class's per-slot behaviour."""
+
+    def on_slot(self, *args):
+        super().on_slot(*args)
+
+
+@pytest.mark.parametrize("suite, leaps", [
+    (None, True),
+    (lambda ch: [MutualExclusionMonitor()], True),
+    (lambda ch: standard_suite(ch.stations).monitors, False),
+    (lambda ch: [_SlotOnlyExclusion()], False),
+], ids=["unmonitored", "exclusion", "standard", "slot-only"])
+def test_jammed_leap_needs_a_suite_that_digests_jammed_slots(
+    suite, leaps, monkeypatch
+):
+    """A checked channel jammed from mid-run leaps its jam only when its
+    monitors digest jammed slots (``on_jammed`` from the class of their
+    ``on_slot``); otherwise the jam steps while idle stretches still
+    leap.  Either way the run, replicas and reports match the DES."""
+    jammed = []
+    original = _RoundDriver.leap
+
+    def spy(self, now, end):
+        duration = original(self, now, end)
+        if self.channel._jammed(now):
+            jammed.append(duration // _SLOT)
+        return duration
+
+    monkeypatch.setattr(_RoundDriver, "leap", spy)
+    runs = []
+    for engine in ("des", "fastloop"):
+        jammed.clear()
+        channel = _build_channel(jam=(125_000, None))
+        if suite is not None:
+            channel.monitors = MonitorSuite(suite(channel))
+        channel.run(_HORIZON, engine=engine)
+        if engine == "fastloop":
+            assert bool(jammed) == leaps
+            if leaps:
+                assert sum(jammed) > 1_900
+        report = (
+            channel.monitors.finalize(_HORIZON, channel.stations)
+            if channel.monitors is not None
+            else None
+        )
+        if report is not None:
+            assert report.ok and report.slots_checked == channel.stats.rounds
+        runs.append(pickle.dumps((
+            channel.stats,
+            report,
+            [station.mac.public_state() for station in channel.stations],
+            [list(station.completions) for station in channel.stations],
+        )))
+    assert runs[0] == runs[1]
 
 
 # -- the check still fails a desynchronised replica ---------------------------

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.model.workloads import uniform_problem
+from repro.net.channel import BroadcastChannel, _leap, _RoundDriver
 from repro.net.dualbus import (
     BusFailoverController,
     BusPort,
@@ -12,8 +15,16 @@ from repro.net.dualbus import (
     suggested_jam_threshold,
 )
 from repro.net.phy import ideal_medium
-from repro.protocols.base import ChannelState, MACProtocol, SlotObservation
+from repro.net.station import Station
+from repro.protocols.base import (
+    JAM_UNBOUNDED,
+    ChannelState,
+    MACProtocol,
+    SlotObservation,
+)
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
+from repro.sim.engine import Environment
+from tests.protocols.conftest import make_class
 
 
 def _problem():
@@ -83,23 +94,32 @@ class TestController:
 
 
 class _Steady(MACProtocol):
-    """An inner replica that is always idle-steady and logs its leaps."""
+    """An inner replica that is always idle- and jam-steady, never
+    offers, and logs its leaps and the slots it observes."""
 
     def __init__(self):
         super().__init__()
         self.leaps = []
+        self.jam_leaps = []
+        self.observed = []
 
     def offer(self, now):
         return None
 
     def observe(self, observation):
-        pass
+        self.observed.append(observation.start)
 
     def idle_steady(self):
         return True
 
     def leap_idle(self, n, end):
         self.leaps.append((n, end))
+
+    def jam_steady(self):
+        return JAM_UNBOUNDED
+
+    def leap_jammed(self, n, end):
+        self.jam_leaps.append((n, end))
 
 
 def _collide(port, times):
@@ -156,6 +176,116 @@ class TestBusPortIdle:
         assert leapt.state_key() == stepped.state_key() == (0, 0, 3)
         _collide(leapt_port, 1)
         assert leapt.active_bus == 1 and leapt.failovers == 1
+
+
+class TestBusPortJam:
+    """A leapt jammed stretch acts on the controller as its collision
+    slots would, and never crosses a failover: an active port's stretch
+    stops one slot short of it, and the failover slot runs as a round."""
+
+    def _ports(self, threshold=4):
+        controller = BusFailoverController(jam_threshold=threshold)
+        return controller, [
+            BusPort(controller, index, _Steady()) for index in range(2)
+        ]
+
+    def test_jam_methods_delegate_to_the_inner_replica(self):
+        _, (active, standby) = self._ports()
+        assert standby.jam_steady() == JAM_UNBOUNDED
+        standby.leap_jammed(7, 448)
+        active.leap_jammed(2, 128)
+        assert standby.inner.jam_leaps == [(7, 448)]
+        assert active.inner.jam_leaps == [(2, 128)]
+
+    def test_an_active_port_stops_one_slot_short_of_failover(self):
+        controller, (active, _) = self._ports(threshold=4)
+        assert active.jam_steady() == 3
+        _collide(active, 1)
+        assert active.jam_steady() == 2
+        active.leap_jammed(2, 192)
+        assert controller.state_key() == (0, 0, 3)
+        assert active.jam_steady() == 0  # the next slot fails over
+        _collide(active, 1)
+        assert controller.state_key() == (1, 1, 0)
+
+    def test_a_standby_ports_leap_leaves_the_count_alone(self):
+        controller, (active, standby) = self._ports(threshold=4)
+        _collide(active, 2)
+        standby.leap_jammed(50, 3_200)
+        assert controller.state_key() == (0, 0, 2)
+        assert standby.jam_steady() == JAM_UNBOUNDED
+
+    def _busses(self, stations=3, threshold=4, queued=False):
+        """Two channels on one clock, one dual-homed station each per
+        source (stub replicas), bus A jammed from 0."""
+        env = Environment()
+        busses = [
+            BroadcastChannel(env, ideal_medium(slot_time=64))
+            for _ in range(2)
+        ]
+        controllers = []
+        for station_id in range(stations):
+            controller = BusFailoverController(jam_threshold=threshold)
+            controllers.append(controller)
+            queue = None
+            for index, bus in enumerate(busses):
+                station = Station(
+                    station_id, BusPort(controller, index, _Steady()),
+                    static_indices=(station_id,),
+                )
+                if queue is None:
+                    queue = station.queue
+                    if queued:
+                        station.add_arrival(make_class(), 0)
+                        station.deliver_due(0)
+                station.queue = queue
+                bus.attach(station)
+        busses[0].jam_from = 0
+        return busses, controllers
+
+    def _try_leap(self, busses, horizon=6_400):
+        drivers = [_RoundDriver(bus) for bus in busses]
+        pending = [(0, i, i) for i in range(len(busses))]
+        leapt = _leap(drivers, pending, horizon, itertools.count(2))
+        return leapt, sorted(pending, key=lambda entry: entry[2])
+
+    def test_a_standby_port_with_a_queue_is_steady_an_active_one_not(self):
+        busses, controllers = self._busses(queued=True)
+        # Bus A is jammed and active; the queue on standby bus B does not
+        # bar its idle leap, which ends with bus A's one slot short of
+        # the failover.
+        leapt, pending = self._try_leap(busses)
+        assert leapt and [start for start, _, _ in pending] == [192, 192]
+        assert all(c.state_key() == (0, 0, 3) for c in controllers)
+        for station in busses[1].stations:
+            assert station.queue and station.mac.muted()
+            assert station.mac.inner.leaps == [(3, 192)]
+        # With bus B active, its queue bars the leap.
+        busses, controllers = self._busses(queued=True)
+        for controller in controllers:
+            controller.active_bus = 1
+        assert not any(s.mac.muted() for s in busses[1].stations)
+        assert self._try_leap(busses) == (
+            False, [(0, 0, 0), (0, 1, 1)]
+        )
+
+    def test_the_stepped_failover_slot_flips_every_controller(self):
+        """The fast loop leaps to the slot before the failover, runs that
+        slot, in which every station flips, and leaps on; the DES steps
+        every slot to the same controllers."""
+        runs = {}
+        for engine in ("des", "fastloop"):
+            busses, controllers = self._busses()
+            busses[0].run(640, engine=engine, peers=busses[1:])
+            runs[engine] = [c.state_key() for c in controllers]
+            observed = [s.mac.inner.observed for s in busses[0].stations]
+            if engine == "fastloop":
+                assert observed == [[192]] * 3  # the failover slot
+                jam_leaps = [s.mac.inner.jam_leaps for s in busses[0].stations]
+                assert jam_leaps == [[(3, 192), (6, 640)]] * 3
+            else:
+                assert observed == [list(range(0, 640, 64))] * 3
+        assert runs["des"] == runs["fastloop"] == [(1, 1, 0)] * 3
 
 
 class TestSuggestedThreshold:

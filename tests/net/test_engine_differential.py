@@ -250,13 +250,46 @@ def _run_manual_channel(engine, jam_from=None, noise=0.0):
     return _snapshot(channel.stats, completions, recorder)
 
 
+def _spy_jammed_leaps(monkeypatch):
+    """Record ``(channel prefix, first slot, slots)`` of every jammed
+    stretch a fast-loop channel leaps."""
+    leaps: list[tuple[str, int, int]] = []
+    leap = _RoundDriver.leap
+
+    def spy(self, now, end):
+        jammed = self.channel._jammed(now)
+        duration = leap(self, now, end)
+        if jammed:
+            leaps.append((
+                self.channel.telemetry_prefix, now,
+                duration // self.slot_time,
+            ))
+        return duration
+
+    monkeypatch.setattr(_RoundDriver, "leap", spy)
+    return leaps
+
+
 @pytest.mark.parametrize("noise", [0.0, 0.03])
-def test_engines_identical_under_mid_run_jamming(noise):
-    """A bus jammed from mid-run on: every later slot collides, identically."""
-    runs = [
-        _run_manual_channel(engine, jam_from=_HORIZON // 2, noise=noise)
-        for engine in ENGINES
-    ]
+def test_engines_identical_under_mid_run_jamming(noise, monkeypatch):
+    """A bus jammed from mid-run on: every later slot collides,
+    identically, and the lone fast-loop channel leaps the jam once its
+    replicas are stuck re-probing a static-tree leaf: all of it but the
+    descent and the slot an arrival ends a stretch at, noise or not (a
+    jammed slot draws no gate)."""
+    leaps = _spy_jammed_leaps(monkeypatch)
+    runs = []
+    for engine in ENGINES:
+        leaps.clear()
+        runs.append(
+            _run_manual_channel(engine, jam_from=_HORIZON // 2, noise=noise)
+        )
+        if engine == "fastloop":
+            assert len(leaps) == 2
+            jammed_slots = -(-(_HORIZON - _HORIZON // 2) // 64)
+            assert jammed_slots - 10 < sum(n for *_, n in leaps)
+        else:
+            assert not leaps  # the DES steps, the kernel steps its jams
     assert len(set(runs)) == 1
 
 
@@ -532,8 +565,9 @@ def test_joint_leap_keeps_the_des_schedule_order(
 
 
 def _shared_clock_run(engine, channels, check, horizon=30_000):
-    """DDCR channels on one clock, one ``(slot time, stations)`` entry
-    each, a station being its arrival times and frame length."""
+    """DDCR channels on one clock, one ``(slot time, stations, jam)``
+    entry each, a station being its arrival times and frame length and
+    ``jam`` None or the channel's ``(jam_from, jam_until)``."""
     config = DDCRConfig(
         time_f=16, time_m=2, class_width=65_536, static_q=4, static_m=2
     )
@@ -541,7 +575,7 @@ def _shared_clock_run(engine, channels, check, horizon=30_000):
     recorder = _recorder()
     seq_source = itertools.count()
     busses = []
-    for index, (slot_time, stations) in enumerate(channels):
+    for index, (slot_time, stations, jam) in enumerate(channels):
         bus = BroadcastChannel(
             env,
             ideal_medium(slot_time=slot_time),
@@ -549,6 +583,8 @@ def _shared_clock_run(engine, channels, check, horizon=30_000):
             tracer=recorder,
             telemetry_prefix=f"bus{index}/",
         )
+        if jam is not None:
+            bus.jam_from, bus.jam_until = jam
         for station_id, (trace, length) in enumerate(stations):
             station = Station(
                 station_id, DDCRProtocol(config),
@@ -586,6 +622,12 @@ def _shared_clock_run(engine, channels, check, horizon=30_000):
                 min_size=1,
                 max_size=4,
             ),
+            st.none() | st.integers(0, 25_000).flatmap(
+                lambda start: st.tuples(
+                    st.just(start),
+                    st.none() | st.integers(start + 1, start + 15_000),
+                )
+            ),
         ),
         min_size=2,
         max_size=3,
@@ -593,9 +635,10 @@ def _shared_clock_run(engine, channels, check, horizon=30_000):
     check=st.booleans(),
 )
 def test_channels_sharing_a_clock_match_the_des(channels, check):
-    """Two or three channels on one clock, with differing slot times and
-    frames that shift their slot grids, checked or not: every engine's
-    joint run is byte-identical to the DES."""
+    """Two or three channels on one clock, with differing slot times,
+    frames that shift their slot grids and jams (to the horizon or over
+    a window) that start and end inside joint stretches, checked or
+    not: every engine's joint run is byte-identical to the DES."""
     runs = {
         _shared_clock_run(engine, channels, check) for engine in ENGINES
     }
@@ -612,6 +655,12 @@ _DUAL_CASES = {
     "stranded": {"fail_bus_at": _HORIZON // 3, "jam_threshold": 10**9},
     "checked": {
         "fail_bus_at": _HORIZON // 3,
+        "check_consistency": True,
+        "monitors": True,
+    },
+    "stranded-checked": {
+        "fail_bus_at": _HORIZON // 3,
+        "jam_threshold": 10**9,
         "check_consistency": True,
         "monitors": True,
     },
@@ -643,20 +692,19 @@ def _run_dualbus(engine, case):
     dump = _dump(recorder)
     # One dump for both busses: each bus's kinds carry its prefix.  Bus B
     # carries traffic only after a failover; until then it is all idle.
+    # A jammed bus A records runs of jammed slots.
     kinds = {"bus0/channel/slot", "bus0/channel/idle", "bus1/channel/idle"}
+    if case != "healthy":
+        kinds.add("bus0/channel/jammed")
     if case in ("failover", "checked"):
         kinds.add("bus1/channel/slot")
     assert {event["kind"] for event in dump} == kinds
-    # Each bus's silent slots grow its own run past the other bus's
-    # runs, so the dump is far smaller than the round count (one event
-    # per slot or so if the busses ended each other's runs).  Only the
-    # jammed tail, where bus A's every slot is an event, keeps a failed
-    # run's dump at two thirds of it.
+    # Each bus's silent slots grow its own run, and bus A's jammed slots
+    # their own, past the other bus's runs, so the dump is far smaller
+    # than the round count (one event per slot or so if the busses ended
+    # each other's runs).
     rounds = sum(stats.rounds for stats in result.bus_stats)
-    if case == "healthy":
-        assert len(dump) * 100 < rounds
-    else:
-        assert len(dump) * 4 < rounds * 3
+    assert len(dump) * 100 < rounds
     digest = pickle.dumps(
         (
             result.bus_stats,
@@ -696,16 +744,27 @@ def test_dualbus_engines_identical(case, monkeypatch):
     and ``auto`` run, with the kernel's note) is byte-identical to the
     per-slot DES in stats, failovers, completions, backlog, invariant
     reports, telemetry content and recorder dump, and the fast path
-    leaps both busses' idle stretches jointly where the DES leaps none."""
+    leaps both busses' idle stretches jointly where the DES leaps none;
+    after a jam it leaps bus A's jammed tail too, beside bus B's idle
+    stretches, stranded queue or not."""
     leaps = _spy_joint_leaps(monkeypatch)
+    jammed = _spy_jammed_leaps(monkeypatch)
     results = {}
     for engine in ENGINES:
         leaps.clear()
+        jammed.clear()
         results[engine] = _run_dualbus(engine, case)
         if engine == "des":
-            assert not leaps  # the reference steps every slot
+            assert not leaps and not jammed  # the reference steps
         elif case == "healthy":
             assert max(min(leap) for leap in leaps) > 1, leaps
+            assert not jammed
+        else:
+            fail_at = _DUAL_CASES[case]["fail_bus_at"]
+            assert max(
+                n for prefix, start, n in jammed
+                if prefix == "bus0/" and start >= fail_at
+            ) > 100, jammed
     assert len({digest for _, digest in results.values()}) == 1
     des, batch = results["des"][0], results["batch"][0]
     assert des.telemetry.engine_fallback is None
@@ -719,11 +778,12 @@ def test_dualbus_engines_identical(case, monkeypatch):
         assert des.failovers == 0
         assert counters["bus1/slots/success"] == 0  # the standby is silent
     else:
+        stranded = case.startswith("stranded")
         assert des.bus_stats[0].jammed_slots > 0
-        assert des.failovers == (0 if case == "stranded" else 1)
-        assert (counters["bus1/slots/success"] > 0) == (case != "stranded")
-        assert bool(des.backlog()) == (case == "stranded")
-    if case == "checked":
+        assert des.failovers == (0 if stranded else 1)
+        assert (counters["bus1/slots/success"] > 0) == (not stranded)
+        assert bool(des.backlog()) == stranded
+    if des.invariants is not None:
         assert all(report.ok for report in des.invariants)
 
 

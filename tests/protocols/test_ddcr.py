@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.core.search_cost import simulate_search
-from repro.protocols.base import ChannelState
+from repro.net.station import Station
+from repro.protocols.base import JAM_UNBOUNDED, ChannelState, SlotObservation
 from repro.protocols.ddcr.config import DDCRConfig
 from repro.protocols.ddcr.indexing import raw_class, time_index
 from repro.protocols.ddcr.protocol import DDCRMode, DDCRProtocol
@@ -298,3 +301,78 @@ class TestEDFEmulation:
             stats=channel.stats,
         )
         assert count_inversions(result) == 0
+
+
+class TestJammed:
+    """Under a jam every slot is a frameless collision.  A replica fed
+    collisions descends the time tree to a leaf and then the static
+    tree to a leaf, which it re-probes for good: jam-steady, where n
+    jammed slots are one ``leap_jammed`` call."""
+
+    _SLOT = 64
+
+    def _idle_replica(self, queued):
+        """A replica in the fresh-TTs idle cycle, with a message in its
+        queue or not."""
+        mac = DDCRProtocol(_config())
+        station = Station(station_id=3, mac=mac, static_indices=(3,))
+        t = 0
+        for state in (ChannelState.COLLISION,) + (ChannelState.SILENCE,) * 40:
+            self._slot(mac, t, state)
+            t += self._SLOT
+        assert mac.mode is DDCRMode.TTS and mac.idle_steady()
+        if queued:
+            station.add_arrival(make_class(deadline=150_000), t)
+            station.deliver_due(t)
+        return mac, t
+
+    def _slot(self, mac, t, state=ChannelState.COLLISION):
+        mac.offer(t)
+        mac.observe(SlotObservation(state=state, start=t, duration=self._SLOT))
+
+    def _snapshot(self, mac):
+        return (
+            mac.public_state(),
+            mac.tts_records,
+            mac.sts_records,
+            mac.empty_tts_runs,
+            mac._sts_member,
+            mac._sts_cursor,
+            mac._offered,
+        )
+
+    @pytest.mark.parametrize("queued", [False, True])
+    def test_collisions_from_the_idle_cycle_reach_jam_steady(self, queued):
+        mac, t = self._idle_replica(queued)
+        descent = 0
+        while not mac.jam_steady():
+            self._slot(mac, t)
+            t += self._SLOT
+            descent += 1
+        # One probe per level of the binary time tree (16 leaves) and of
+        # the static tree (8 leaves); the time leaf's is the static
+        # root's.
+        assert descent == 4 + 3
+        assert mac.mode is DDCRMode.STS
+        assert mac.sts.search.current.is_leaf()
+        assert mac.jam_steady() == JAM_UNBOUNDED
+
+    @pytest.mark.parametrize("queued", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    def test_leap_jammed_equals_observed_collisions(self, queued, n):
+        mac, t = self._idle_replica(queued)
+        while not mac.jam_steady():
+            self._slot(mac, t)
+            t += self._SLOT
+        stepped = copy.deepcopy(mac)
+        for k in range(n):
+            self._slot(stepped, t + k * self._SLOT)
+        mac.leap_jammed(n, t + n * self._SLOT)
+        assert self._snapshot(mac) == self._snapshot(stepped)
+        assert mac.jam_steady() and stepped.jam_steady()
+
+    def test_not_jam_steady_off_a_static_leaf(self):
+        mac, t = self._idle_replica(queued=False)
+        assert mac.jam_steady() == 0  # the idle cycle
+        self._slot(mac, t)
+        assert mac.mode is DDCRMode.TTS and mac.jam_steady() == 0

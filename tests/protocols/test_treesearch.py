@@ -174,3 +174,20 @@ class TestStateKey:
         assert search.done
         with pytest.raises(RuntimeError):
             _ = search.current
+
+
+class TestRetry:
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_retry_count_equals_single_retries(self, n):
+        tree = BalancedTree.of(m=2, leaves=8)
+        once = SplittingSearch.after_root_collision(tree)
+        single = SplittingSearch.after_root_collision(tree)
+        for search in (once, single):
+            search.feed(ChannelState.COLLISION)
+            search.feed(ChannelState.COLLISION)
+            assert search.current.is_leaf()
+        leaf = once.retry_current(n)
+        for _ in range(n):
+            assert single.retry_current() == leaf
+        assert once.state_key() == single.state_key()
+        assert once.current == leaf
