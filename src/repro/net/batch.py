@@ -1,20 +1,20 @@
 """The batch-slot kernel: struct-of-arrays station state for CSMA/DDCR.
 
-The third engine tier (see :mod:`repro.net.engine`).  The DES and fastloop
-engines spend one Python method call per station per slot (``offer`` then
-``observe``), so slot throughput degrades linearly in the station count z.
-This kernel exploits the protocol's lockstep theorem instead: under
-CSMA/DDCR every station's *common-knowledge* state — mode, ``reft``, the
-time/static tree-search agendas and frontiers — is an identical replica
-(the ``_assert_lockstep`` invariant), so one slot needs
+The station side of the third engine tier (see :mod:`repro.net.engine`).
+The DES and fastloop engines spend one Python method call per station per
+slot (``offer`` then ``observe``), so slot throughput degrades linearly in
+the station count z.  This kernel exploits the protocol's lockstep theorem
+instead: under CSMA/DDCR every station's *common-knowledge* state — mode,
+``reft``, the time/static tree-search agendas and frontiers — is an
+identical replica (the ``_assert_lockstep`` invariant), so one slot needs
 
 * exactly **one** protocol automaton to digest the observation (the
   *shadow replica*: a real :class:`~repro.protocols.ddcr.protocol.DDCRProtocol`
   bound to a dummy station, whose ``mine`` flag is never true), and
 * one pass over per-station *private* state to decide who offers: the
   EDF head's MAC-visible deadline, and the nested static-search
-  membership/cursor — held as struct-of-arrays list columns in
-  :class:`_PythonOps`.  Plain lists, not numpy arrays: at the station
+  membership/cursor — held as struct-of-arrays list columns on
+  :class:`BatchKernel`.  Plain lists, not numpy arrays: at the station
   counts this repository runs (up to 256) a list pass is as fast or
   faster than numpy's per-call overhead, and the kernel then never pays
   numpy's import (about 12 MB of resident memory).
@@ -22,29 +22,25 @@ time/static tree-search agendas and frontiers — is an identical replica
 Because the shadow replica *is* the production automaton, shared-state
 transitions are correct by construction and results are byte-identical to
 the other engines (the engine-differential suite enforces this, clean and
-faulted).  On top of that, the kernel batch-advances provably invariant
-idle stretches (all queues empty, FREE mode or the fresh-TTs steady
-cycle) in O(1) — the dominant regime of long simulations.  The replica
-itself says whether it is idle-steady and digests the stretch
-(:meth:`~repro.protocols.ddcr.protocol.DDCRProtocol.leap_idle`); the
-channel's shared stretch rule bounds the stretch (horizon, next arrival,
-jam boundary) and keeps the leap off wherever a per-slot side effect
-must happen: any armed invariant monitor that cannot digest an idle
-stretch in one call
-(:attr:`~repro.sim.invariants.MonitorSuite.digests_idle`); the standard
-and bridge-conservation monitors can, via ``on_idle``.  Noise keeps the
-leap: the channel draws the gates slot by slot over the stretch, in the
-per-slot order
-(:meth:`~repro.net.channel.BroadcastChannel._quiet_slots`), the leap
-stops before the first slot a gate corrupts, and the kernel runs that
-slot as a corrupted round.  An armed flight recorder keeps the leap
-too: the channel books a leapt stretch and a stepped silent slot
-through the same ``channel/idle`` rule
-(:meth:`~repro.net.channel.BroadcastChannel._trace_idle`), so the dump
-is the same either way.  Fast-loop runs leap under the same rule and
-the same replica code, on every station's own replica; they also leap
-jammed stretches, which the kernel steps slot by slot (its jammed
-slots record the same ``channel/jammed`` runs).
+faulted).
+
+The kernel is only the station side of a round.  The channel's one round
+body (``repro.net.channel._RoundDriver``) and its one clock loop (the
+fast loop, ``BroadcastChannel._run_fast``) do everything else — the jam
+and noise decision, slot booking, telemetry, monitors, the flight
+recorder, the idle and jammed leaps and the DES rejoin — and ask the
+kernel wherever they would otherwise ask every station's own replica:
+who offers (:meth:`BatchKernel.offers`), digesting an observation, the
+winner's completion included (:meth:`BatchKernel.observe`), whether and
+how far an idle or a jammed stretch may be leapt
+(:meth:`BatchKernel.idle_end`, :meth:`BatchKernel.jam_end`: the shadow
+replica's ``idle_steady`` / ``jam_steady`` and the next arrival) and
+digesting a leapt stretch (the shadow replica's ``leap_idle`` /
+``leap_jammed``).  A kernel run therefore leaps what a fast-loop run
+leaps, under the same gate: provably invariant idle stretches (all
+queues empty, FREE mode or the fresh-TTs steady cycle), the dominant
+regime of long simulations, and jammed stretches once the replica is
+stuck re-probing a static-tree leaf.
 
 Fallback contract (mirroring the fast loop's): :func:`batch_unavailable_reason`
 reports *structural* ineligibility — foreign MAC types, differing configs,
@@ -56,9 +52,10 @@ delegates to the fast loop (which may itself rejoin the DES), returning
 the reason so the run manifest can record it.  Channels sharing a clock
 (the dual bus) never reach the kernel: ``run`` sends them to the joint
 fast loop with a note of its own.  If a foreign process appears
-*mid-run* (e.g. registered by a monitor), the kernel writes the shared
-state back into every station's MAC and rejoins the general DES after
-the current slot, exactly where the DES path would interleave it.
+*mid-run* (e.g. registered by a monitor), the loop writes the kernel's
+state back into every station's MAC (:meth:`BatchKernel.writeback`) and
+rejoins the general DES after the current slot, exactly where the DES
+path would interleave it.
 
 Known limitation (structural, not silent): the kernel caches each
 station's next pending-arrival time, so injecting arrivals *mid-run* from
@@ -71,9 +68,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.net.frames import Frame
 from repro.net.station import Station
-from repro.obs.instruments import LATENCY_EDGES
 from repro.protocols.base import ChannelState, SlotObservation
 from repro.protocols.ddcr.config import DDCRConfig
 from repro.protocols.ddcr.indexing import mac_visible_deadline
@@ -90,7 +85,6 @@ __all__ = [
     "batch_unavailable_reason",
 ]
 
-_SILENCE = ChannelState.SILENCE
 _SUCCESS = ChannelState.SUCCESS
 _COLLISION = ChannelState.COLLISION
 
@@ -174,167 +168,38 @@ def _copy_sts(sts: StaticTreeSearch | None) -> StaticTreeSearch | None:
     )
 
 
-# -- struct-of-arrays columns -----------------------------------------------
-
-
-class _PythonOps:
-    """The struct-of-arrays columns: one plain list per per-station field
-    (Python's floor division IS the spec's integer semantics)."""
-
-    def __init__(self, statics: list[tuple[int, ...]]) -> None:
-        z = len(statics)
-        self.z = z
-        self.statics = statics
-        self.head_dm = [_EMPTY] * z
-        self.member = [False] * z
-        self.cursor = [0] * z
-        #: statics[i][cursor[i]] materialized, -1 once the ranks run out.
-        self.cur_static = [s[0] for s in statics]
-        self.nonempty = 0
-        #: Station indices that offered in the current slot's probe.
-        self._offers: list[int] = []
-
-    def set_head(self, i: int, dm: int) -> None:
-        old = self.head_dm[i]
-        self.head_dm[i] = dm
-        self.nonempty += (dm != _EMPTY) - (old != _EMPTY)
-
-    def set_private(self, i: int, member: bool, cursor: int) -> None:
-        self.member[i] = member
-        self.cursor[i] = cursor
-        statics = self.statics[i]
-        self.cur_static[i] = statics[cursor] if cursor < len(statics) else -1
-
-    def clear_offers(self) -> None:
-        self._offers = []
-
-    def free_offers(self) -> tuple[int, int]:
-        offers = [i for i in range(self.z) if self.head_dm[i] != _EMPTY]
-        self._offers = offers
-        return len(offers), offers[0] if len(offers) == 1 else -1
-
-    def tts_offers(
-        self, base: int, width: int, frontier: int, lo: int, hi: int
-    ) -> tuple[int, int]:
-        offers = []
-        head_dm = self.head_dm
-        for i in range(self.z):
-            dm = head_dm[i]
-            if dm == _EMPTY:
-                continue
-            index = (dm - base) // width
-            if index < frontier:
-                index = frontier
-            if lo <= index < hi:
-                offers.append(i)
-        self._offers = offers
-        return len(offers), offers[0] if len(offers) == 1 else -1
-
-    def sts_offers(
-        self,
-        base: int,
-        width: int,
-        frontier: int,
-        leaf_lo: int,
-        lo: int,
-        hi: int,
-    ) -> tuple[int, int]:
-        offers = []
-        head_dm = self.head_dm
-        member = self.member
-        cur_static = self.cur_static
-        for i in range(self.z):
-            if not member[i] or not lo <= cur_static[i] < hi:
-                continue
-            dm = head_dm[i]
-            if dm == _EMPTY:
-                continue
-            index = (dm - base) // width
-            if index < frontier:
-                index = frontier
-            if index == leaf_lo:
-                offers.append(i)
-        self._offers = offers
-        return len(offers), offers[0] if len(offers) == 1 else -1
-
-    def adopt_members(self) -> None:
-        """Nested-STs entry: members are exactly this slot's offerers."""
-        member = [False] * self.z
-        for i in self._offers:
-            member[i] = True
-        self.member = member
-        self.cursor = [0] * self.z
-        self.cur_static = [s[0] for s in self.statics]
-
-    def clear_members(self) -> None:
-        self.member = [False] * self.z
-        self.cursor = [0] * self.z
-
-    def advance_cursor(self, i: int) -> None:
-        cursor = self.cursor[i] + 1
-        self.cursor[i] = cursor
-        statics = self.statics[i]
-        self.cur_static[i] = statics[cursor] if cursor < len(statics) else -1
-
-    def member_of(self, i: int) -> bool:
-        return self.member[i]
-
-    def cursor_of(self, i: int) -> int:
-        return self.cursor[i]
-
-
 # -- the kernel --------------------------------------------------------------
 
 
 class BatchKernel:
-    """One eligible channel's batch-slot round loop.
+    """The station side of one eligible channel's rounds.
 
     Build only after :func:`batch_unavailable_reason` returned ``None``
     (``BroadcastChannel.run`` under ``batch`` or ``auto`` does this).
+    Per-station private state is one plain list per field (Python's
+    floor division IS the spec's integer semantics): the EDF head's
+    MAC-visible deadline, and the nested static search's membership and
+    rank cursor.
     """
 
     def __init__(self, channel: "BroadcastChannel") -> None:
         self.channel = channel
-        self.env = channel.env
         self.stations = channel.stations
-        self.stats = channel.stats
-        medium = channel.medium
-        self.slot_time = medium.slot_time
-        self.transmission_time = medium.transmission_time
-        self.destructive = medium.destructive_collisions
-        gates: list = []
-        if channel.noise_rate > 0.0:
-            from repro.faults.runtime import BernoulliGate
-
-            gates.append(BernoulliGate(channel.noise_rate, channel._noise_rng))
-        self.noise_gates = tuple(gates)
-        self.monitors = channel.monitors
-        self.tracer = channel.tracer
-        self.tracer_on = channel.tracer.enabled
-        telemetry = channel.telemetry
-        self.telemetry = telemetry
-        self.telemetry_on = telemetry.enabled
-        if self.telemetry_on:
-            # The identical instrument set the round driver registers, so
-            # manifests agree across engines even on never-incremented
-            # counters.
-            prefix = channel.telemetry_prefix
-            self.ctr_silence = telemetry.counter(f"{prefix}slots/silence")
-            self.ctr_success = telemetry.counter(f"{prefix}slots/success")
-            self.ctr_collision = telemetry.counter(f"{prefix}slots/collision")
-            self.ctr_corrupted = telemetry.counter(f"{prefix}slots/corrupted")
-            self.ctr_jammed = telemetry.counter(f"{prefix}slots/jammed")
-            if self.noise_gates:
-                self.ctr_noise_fires = telemetry.counter(
-                    f"{prefix}faults/noise_gate_fires"
-                )
-            self.latency_hists: dict[str, object] = {}
-
+        self.slot_time = channel.medium.slot_time
         config: DDCRConfig = self.stations[0].mac.config
         self.config = config
-        self.backend = _PythonOps(
-            [station.static_indices for station in self.stations]
-        )
+        statics = [station.static_indices for station in self.stations]
+        z = len(statics)
+        self.z = z
+        self.statics = statics
+        self.head_dm = [_EMPTY] * z
+        self.nonempty = 0
+        self.member = [False] * z
+        self.cursor = [0] * z
+        #: statics[i][cursor[i]] materialized, -1 once the ranks run out.
+        self.cur_static = [s[0] for s in statics]
+        #: Station indices that offered in the current slot's probe.
+        self._offers: list[int] = []
 
         # The shadow replica: a real DDCR automaton on a dummy station.
         # Its station id (-1) never matches a frame, so ``mine`` is always
@@ -355,31 +220,35 @@ class BatchKernel:
         replica.empty_tts_runs = seed_mac.empty_tts_runs
         self.replica = replica
 
-        backend = self.backend
-        self._next_arrival = [_NEVER] * len(self.stations)
+        self._next_arrival = [_NEVER] * z
         for i, station in enumerate(self.stations):
             mac = station.mac
-            backend.set_private(i, mac._sts_member, mac._sts_cursor)
+            self.member[i] = mac._sts_member
+            self.cursor[i] = mac._sts_cursor
+            self._set_static(i)
             self._refresh_head(i)
             due = station.peek_next_arrival()
             self._next_arrival[i] = _NEVER if due is None else due
         self._next_due = min(self._next_arrival, default=_NEVER)
-        # Idle stretches are leapt under the channel's shared rule.
-        self._leap_ok = channel._idle_leap_allowed()
 
     # -- per-station private state refresh --------------------------------
 
     def _refresh_head(self, i: int) -> None:
         head = self.stations[i].queue_head()
+        old = self.head_dm[i]
         if head is None:
-            self.backend.set_head(i, _EMPTY)
+            dm = _EMPTY
         else:
-            self.backend.set_head(
-                i,
-                mac_visible_deadline(
-                    head.arrival, head.relative_deadline, self.config
-                ),
+            dm = mac_visible_deadline(
+                head.arrival, head.relative_deadline, self.config
             )
+        self.head_dm[i] = dm
+        self.nonempty += (dm != _EMPTY) - (old != _EMPTY)
+
+    def _set_static(self, i: int) -> None:
+        statics = self.statics[i]
+        cursor = self.cursor[i]
+        self.cur_static[i] = statics[cursor] if cursor < len(statics) else -1
 
     def _deliver_arrivals(self, now: int) -> None:
         # Station-list order, exactly like the round driver: the shared
@@ -393,221 +262,82 @@ class BatchKernel:
                 next_arrival[i] = _NEVER if due is None else due
         self._next_due = min(next_arrival, default=_NEVER)
 
-    # -- idle leap ---------------------------------------------------------
+    # -- the station side of a round ---------------------------------------
 
-    def _try_leap(self, now: int, horizon: int) -> int:
-        """Batch-advance n invariant idle slots; returns n (0 = no leap).
-
-        The shadow replica decides whether it is idle-steady and digests
-        the stretch (:meth:`DDCRProtocol.leap_idle`, the same code every
-        station's replica runs on fast-loop runs); the channel's shared
-        rule bounds the stretch and books it, monitors and flight
-        recorder included.  If a noise gate fires inside the stretch
-        (:meth:`~repro.net.channel.BroadcastChannel._quiet_slots`), the
-        leap stops before that slot and runs it through :meth:`_round`
-        as a corrupted slot, counted in n.
-        """
-        replica = self.replica
-        if not replica.idle_steady():
-            return 0
-        channel = self.channel
-        n = channel._idle_stretch(now, horizon, self._next_due)
-        if not n:
-            return 0
-        fired = 0
-        if self.noise_gates:
-            n, fired = channel._quiet_slots(self.noise_gates, now, n)
-        if n:
-            replica.leap_idle(n, now + n * self.slot_time)
-            channel._count_idle(now, n)
-        if fired:
-            self._round(now + n * self.slot_time, horizon, fired)
-            return n + 1
-        return n
-
-    # -- one round ---------------------------------------------------------
-
-    def _round(self, now: int, horizon: int, fired: int = 0) -> int:
-        """Run one round from ``now``; returns its duration (a leapt
-        stretch's, if the round leaps).  ``fired`` > 0: the idle leap
-        drew this slot's noise gates and that many fired."""
-        channel = self.channel
-        stats = self.stats
-        slot_time = self.slot_time
-        replica = self.replica
-        backend = self.backend
+    def offers(self, now: int) -> tuple[int, list]:
+        """Deliver the arrivals due at ``now`` and return who offers in the
+        slot from ``now``, as every station's own ``offer`` would say:
+        how many offer, and the lone transmitter's ``(station, message)``
+        pair if one does.  A collision's offerers are not listed: the
+        kernel runs destructive media only, where no one reads them."""
         if self._next_due <= now:
             self._deliver_arrivals(now)
-        if backend.nonempty == 0:
-            if self._leap_ok and not fired:
-                leaped = self._try_leap(now, horizon)
-                if leaped:
-                    return leaped * slot_time
-            wire, winner = 0, -1
-            backend.clear_offers()
-        else:
+        offers = []
+        if self.nonempty:
+            replica = self.replica
             mode = replica.mode
+            head_dm = self.head_dm
             if mode is DDCRMode.TTS:
                 search = replica.tts.search
                 node = search.agenda[-1]
-                wire, winner = backend.tts_offers(
-                    self.config.alpha + replica.reft,
-                    self.config.class_width,
-                    search.frontier,
-                    node.lo,
-                    node.hi,
-                )
+                base = self.config.alpha + replica.reft
+                width = self.config.class_width
+                frontier = search.frontier
+                lo, hi = node.lo, node.hi
+                for i in range(self.z):
+                    dm = head_dm[i]
+                    if dm == _EMPTY:
+                        continue
+                    index = (dm - base) // width
+                    if index < frontier:
+                        index = frontier
+                    if lo <= index < hi:
+                        offers.append(i)
             elif mode is DDCRMode.STS:
                 node = replica.sts.search.agenda[-1]
-                wire, winner = backend.sts_offers(
-                    self.config.alpha + replica.reft,
-                    self.config.class_width,
-                    replica.tts.search.frontier,
-                    replica._pending_leaf.lo,
-                    node.lo,
-                    node.hi,
-                )
+                base = self.config.alpha + replica.reft
+                width = self.config.class_width
+                frontier = replica.tts.search.frontier
+                leaf_lo = replica._pending_leaf.lo
+                lo, hi = node.lo, node.hi
+                member = self.member
+                cur_static = self.cur_static
+                for i in range(self.z):
+                    if not member[i] or not lo <= cur_static[i] < hi:
+                        continue
+                    dm = head_dm[i]
+                    if dm == _EMPTY:
+                        continue
+                    index = (dm - base) // width
+                    if index < frontier:
+                        index = frontier
+                    if index == leaf_lo:
+                        offers.append(i)
             else:  # FREE / ATTEMPT
-                wire, winner = backend.free_offers()
-        jam_from = channel.jam_from
-        jammed = jam_from is not None and now >= jam_from and (
-            channel.jam_until is None or now < channel.jam_until
-        )
-        if jammed:
-            corrupted = True
-        elif self.noise_gates:
-            if fired:
-                corrupted = True
-                if self.telemetry_on:
-                    self.ctr_noise_fires.inc(fired)
-            else:
-                corrupted = False
-                telemetry_on = self.telemetry_on
-                for gate in self.noise_gates:
-                    if gate(now, wire):
-                        corrupted = True
-                        if telemetry_on:
-                            self.ctr_noise_fires.inc()
-        else:
-            corrupted = False
-        if corrupted:
-            if jammed:
-                stats.jammed_slots += 1
-            else:
-                stats.corrupted_slots += 1
-            stats.collision_slots += 1
-            stats.collision_time += slot_time
-            if self.telemetry_on:
-                self.ctr_collision.inc()
-                (self.ctr_jammed if jammed else self.ctr_corrupted).inc()
-            observation = SlotObservation(
-                state=_COLLISION,
-                start=now,
-                duration=slot_time,
-                frame=None,
-                occupied_children=None,
-            )
-            self._observe(observation, _COLLISION, -1)
-            channel.observations += 1
-            if self.monitors is not None:
-                self.monitors.on_slot(
-                    now, slot_time, _COLLISION, wire, None, True, jammed,
-                    self.stations, None,
-                )
-            if self.tracer_on:
-                if jammed:
-                    channel._trace_jammed(now, 1)
-                else:
-                    self.tracer.emit(
-                        channel._slot_kind, t=now, state="corrupted",
-                        wire=wire,
-                    )
-            return slot_time
-        if wire == 0:
-            state = _SILENCE
-            duration = slot_time
-            frame = None
-            stats.silence_slots += 1
-            stats.idle_time += slot_time
-        elif wire == 1:
-            station = self.stations[winner]
-            message = station.queue_head()
-            frame = Frame(
-                station_id=station.station_id,
-                message=message,
-                burst_continue=False,
-            )
-            state = _SUCCESS
-            duration = self.transmission_time(message.length)
-            if self.destructive and duration < slot_time:
-                duration = slot_time
-            stats.successes += 1
-            stats.busy_time += duration
-            stats.payload_bits += message.length
-            # The winner's completion (the DES does this inside its own
-            # ``observe``): dequeue and record, then refresh its column.
-            station.complete(message, now + duration, now)
-            self._refresh_head(winner)
-        else:
-            state = _COLLISION
-            duration = slot_time
-            frame = None
-            stats.collision_slots += 1
-            stats.collision_time += slot_time
-        if self.telemetry_on:
-            if state is _SILENCE:
-                self.ctr_silence.inc()
-            elif state is _SUCCESS:
-                self.ctr_success.inc()
-                hist = self.latency_hists.get(message.msg_class.name)
-                if hist is None:
-                    hist = self.telemetry.histogram(
-                        f"{self.channel.telemetry_prefix}latency/"
-                        f"{message.msg_class.name}",
-                        LATENCY_EDGES,
-                    )
-                    self.latency_hists[message.msg_class.name] = hist
-                hist.record(now + duration - message.arrival)
-            else:
-                self.ctr_collision.inc()
-        observation = SlotObservation(
-            state=state,
-            start=now,
-            duration=duration,
-            frame=frame,
-            occupied_children=None,
-        )
-        self._observe(observation, state, winner)
-        channel.observations += 1
-        if self.monitors is not None:
-            self.monitors.on_slot(
-                now, duration, state, wire, frame, False, False,
-                self.stations, None,
-            )
-        if self.tracer_on:
-            if state is _SILENCE:
-                channel._trace_idle(now, 1)
-            elif frame is None:
-                self.tracer.emit(
-                    channel._slot_kind, t=now, state=state.value,
-                    duration=duration,
-                )
-            else:
-                self.tracer.emit(
-                    channel._slot_kind, t=now, state=state.value,
-                    duration=duration, source=frame.station_id,
-                    msg=frame.message.msg_class.name,
-                )
-        return duration
+                offers = [i for i in range(self.z) if head_dm[i] != _EMPTY]
+        self._offers = offers
+        if len(offers) == 1:
+            station = self.stations[offers[0]]
+            return 1, [(station, station.queue_head())]
+        return len(offers), []
 
-    def _observe(
-        self, observation: SlotObservation, state: ChannelState, winner: int
-    ) -> None:
-        """Shared transitions via the replica, private ones via the arrays."""
+    def observe(self, observation: SlotObservation) -> None:
+        """Digest ``observation`` as every station's own replica would:
+        the winner's completion and the private transitions on the
+        columns, the shared ones on the shadow replica."""
         replica = self.replica
-        backend = self.backend
+        state = observation.state
         pre_mode = replica.mode
-        if (
+        if state is _SUCCESS:
+            # The winner's completion (a station's own replica does this
+            # inside ``observe``): dequeue and record, then refresh its
+            # column.
+            winner = self._offers[0]
+            self.stations[winner].complete(
+                observation.frame.message, observation.end, observation.start
+            )
+            self._refresh_head(winner)
+        elif (
             state is _COLLISION
             and pre_mode is DDCRMode.TTS
             and replica.tts.search.agenda[-1].is_leaf()
@@ -615,18 +345,46 @@ class BatchKernel:
             # Time-leaf collision opens the nested static search: its
             # members are exactly this slot's offerers (also on corrupted
             # slots — the DES stations snapshot ``_offered`` the same way).
-            backend.adopt_members()
+            member = [False] * self.z
+            for i in self._offers:
+                member[i] = True
+            self.member = member
+            self.cursor = [0] * self.z
+            self.cur_static = [s[0] for s in self.statics]
         replica.observe(observation)
         if pre_mode is DDCRMode.STS:
             if state is _SUCCESS:
                 # Ranked order is private: only the transmitter advances.
-                backend.advance_cursor(winner)
+                self.cursor[winner] += 1
+                self._set_static(winner)
             if replica.sts is None:
-                backend.clear_members()
+                self.member = [False] * self.z
+                self.cursor = [0] * self.z
+
+    def idle_end(self, end: int) -> int | None:
+        """Where an idle stretch may end, at ``end`` at the latest: at the
+        next arrival.  ``None`` while a queue holds a message or the
+        shadow replica is not idle-steady."""
+        if self.nonempty or not self.replica.idle_steady():
+            return None
+        due = self._next_due
+        return due if due < end else end
+
+    def jam_end(self, start: int, end: int) -> int | None:
+        """Where a jammed stretch from ``start`` may end, at ``end`` at the
+        latest: at the next arrival or where the shadow replica's room
+        says.  ``None`` if it is not jam-steady."""
+        room = self.replica.jam_steady()
+        if not room:
+            return None
+        due = self._next_due
+        if due < end:
+            end = due
+        return min(end, start + room * self.slot_time)
 
     # -- state write-back --------------------------------------------------
 
-    def _writeback(self) -> None:
+    def writeback(self) -> None:
         """Project the kernel state back into every station's MAC.
 
         Restores the per-station replica invariant the rest of the system
@@ -635,7 +393,6 @@ class BatchKernel:
         itself on a mid-run rejoin.
         """
         replica = self.replica
-        backend = self.backend
         tts_records = replica.tts_records
         sts_records = replica.sts_records
         for i, station in enumerate(self.stations):
@@ -645,8 +402,8 @@ class BatchKernel:
             mac.tts = _copy_tts(replica.tts)
             mac.sts = _copy_sts(replica.sts)
             mac._pending_leaf = replica._pending_leaf
-            mac._sts_member = backend.member_of(i)
-            mac._sts_cursor = backend.cursor_of(i)
+            mac._sts_member = self.member[i]
+            mac._sts_cursor = self.cursor[i]
             mac._offered = None
             mac._burst_owner = None
             mac._burst_budget = 0
@@ -654,27 +411,9 @@ class BatchKernel:
             mac.sts_records = list(sts_records)
             mac.empty_tts_runs = replica.empty_tts_runs
 
-    # -- the loop ----------------------------------------------------------
-
     def run(self, horizon: int) -> None:
-        """Run the round loop to ``horizon``, owning the clock.
-
-        Mirrors the fast loop's contract: on return ``env.now == horizon``,
-        and if a foreign event appears mid-run the kernel writes the MAC
-        state back and rejoins the general DES after the current slot.
-        """
-        env = self.env
-        channel = self.channel
-        now = env.now
-        while now < horizon:
-            duration = self._round(int(now), horizon)
-            if env.pending:
-                self._writeback()
-                env.process(channel._rejoin_des(
-                    horizon, env.timeout(duration)
-                ))
-                env.run(until=horizon)
-                return
-            now += duration
-            env.advance_to(now if now < horizon else horizon)
-        self._writeback()
+        """Run the channel to ``horizon`` with this kernel as its station
+        side: one call into the channel's clock loop (the fast loop,
+        ``BroadcastChannel._run_fast``), which writes the kernel state
+        back before a mid-run DES rejoin and at the end."""
+        self.channel._run_fast(horizon, (self.channel,), self)

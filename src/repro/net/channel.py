@@ -36,25 +36,24 @@ resolution happens — and dispatches to one of three internal tiers:
   jam-steady (``MACProtocol.jam_steady``, ``leap_jammed``: DDCR stuck
   re-probing a static-tree leaf, where n jammed slots are n retries).
 * the struct-of-arrays batch kernel (:mod:`repro.net.batch`, ``batch``
-  and the default ``auto``): per-station state lives in list columns and
-  one shadow protocol replica digests each slot, so the per-slot cost is
-  near-constant in the station count, and idle stretches are leapt in
-  O(1).  It is structurally limited to plain single-bus CSMA/DDCR runs;
-  anything else (consistency-checked runs and channels sharing a clock
-  included) falls back to the fast loop with the reason returned (and
-  recorded in run manifests).
+  and the default ``auto``): the same fast loop and round body on a
+  lone channel, with the kernel as the station side of each round —
+  per-station state lives in list columns and one shadow protocol
+  replica digests each slot and each leapt stretch, so the per-slot cost
+  is near-constant in the station count.  It is structurally limited to
+  plain single-bus CSMA/DDCR runs; anything else (consistency-checked
+  runs and channels sharing a clock included) runs the fast loop with
+  the reason returned (and recorded in run manifests).
 
-Both leaping engines share one stretch rule, kept here on the channel:
-a stretch ends at the horizon, the earliest pending arrival, a jam
-boundary or the first slot a noise gate corrupts (the gates are drawn
-slot by slot, in the per-slot order, and that slot then runs as a
-corrupted round), and there is no leap under an armed fault injector or
-a monitor that cannot digest idle slots in one call (nor a jammed leap
-under one that cannot digest jammed slots).  On a shared clock the
-stretch ends at the earliest such end of any channel, and noise keeps
-every channel stepping.  Only the fast loop leaps jammed stretches; the
-kernel steps its jammed slots.  The DES is always per-slot: the
-reference.
+Both leaping engines are one loop with one stretch rule: a stretch ends
+at the horizon, the earliest pending arrival, a jam boundary or the
+first slot a noise gate corrupts (the gates are drawn slot by slot, in
+the per-slot order, and that slot then runs as a corrupted round), and
+there is no leap under an armed fault injector or a monitor that cannot
+digest idle slots in one call (nor a jammed leap under one that cannot
+digest jammed slots).  On a shared clock the stretch ends at the
+earliest such end of any channel, and noise keeps every channel
+stepping.  The DES is always per-slot: the reference.
 
 All engines draw from the same RNG in the same order, so their results
 are byte-identical (the differential tests assert this, three ways).  The
@@ -87,6 +86,7 @@ from repro.sim.engine import Environment
 from repro.sim.process import ProcessGenerator
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.net.batch import BatchKernel
     from repro.net.station import Station
 
 __all__ = ["BroadcastChannel", "ChannelStats"]
@@ -138,10 +138,21 @@ class _RoundDriver:
     :class:`~repro.faults.runtime.GilbertElliottGate`) consulted in a
     fixed order on every non-jammed slot, so the RNG draw sequence — and
     hence byte-identity across engines — is a pure function of the run.
+
+    The station side of a round is every station's own replica, or on a
+    batch run the :class:`~repro.net.batch.BatchKernel` (``kernel``),
+    which the driver asks at the five points where it would loop over the
+    stations: who offers, digesting the observation, where an idle or a
+    jammed stretch may end (:meth:`idle_end`, :meth:`jam_end`, which the
+    kernel answers with the same signatures) and digesting a leapt
+    stretch.  Everything else a round does — the jam and noise decision,
+    slot booking, telemetry, monitors, the flight recorder — is the same
+    code either way.
     """
 
     __slots__ = (
         "channel",
+        "kernel",
         "stations",
         "stats",
         "slot_time",
@@ -166,8 +177,11 @@ class _RoundDriver:
         "latency_hists",
     )
 
-    def __init__(self, channel: "BroadcastChannel") -> None:
+    def __init__(
+        self, channel: "BroadcastChannel", kernel: "BatchKernel | None" = None
+    ) -> None:
         self.channel = channel
+        self.kernel = kernel
         #: The channel's live station list (not a copy): a station attached
         #: mid-run participates from its next round, as on the DES path.
         self.stations = channel.stations
@@ -265,14 +279,51 @@ class _RoundDriver:
         return n * slot_time
 
     def _digest(self, jammed: bool, n: int, end: int) -> None:
-        """Advance every station's own replica over ``n`` jammed or
-        silent slots, the last ending at ``end``."""
-        if jammed:
-            for station in self.stations:
-                station.mac.leap_jammed(n, end)
+        """Advance every station's own replica, or the kernel's shadow
+        replica, over ``n`` jammed or silent slots, the last ending at
+        ``end``."""
+        if self.kernel is not None:
+            macs = [self.kernel.replica]
         else:
-            for station in self.stations:
-                station.mac.leap_idle(n, end)
+            macs = [station.mac for station in self.stations]
+        for mac in macs:
+            if jammed:
+                mac.leap_jammed(n, end)
+            else:
+                mac.leap_idle(n, end)
+
+    def idle_end(self, end: int) -> int | None:
+        """Where an idle stretch may end, at ``end`` at the latest: at the
+        earliest pending arrival.  ``None`` if a station holds a message
+        (unless its replica is :meth:`muted
+        <repro.protocols.base.MACProtocol.muted>`) or a replica on its
+        own says it is not idle-steady."""
+        for station in self.stations:
+            mac = station.mac
+            if (station.queue and not mac.muted()) or not mac.idle_steady():
+                return None
+            arrival = station.peek_next_arrival()
+            if arrival is not None and arrival < end:
+                end = arrival
+        return end
+
+    def jam_end(self, start: int, end: int) -> int | None:
+        """Where a jammed stretch from ``start`` may end, at ``end`` at
+        the latest: at the earliest pending arrival or where the replica
+        with the least room (:meth:`~repro.protocols.base.MACProtocol.jam_steady`)
+        says.  ``None`` if a replica is not jam-steady; the queues do not
+        matter."""
+        room = JAM_UNBOUNDED
+        for station in self.stations:
+            steady = station.mac.jam_steady()
+            if not steady:
+                return None
+            if steady < room:
+                room = steady
+            arrival = station.peek_next_arrival()
+            if arrival is not None and arrival < end:
+                end = arrival
+        return min(end, start + room * self.slot_time)
 
     def round(self, now: int, fired: int = 0) -> int:
         """Run one channel round starting at ``now``; returns its duration.
@@ -286,9 +337,12 @@ class _RoundDriver:
         stats = self.stats
         slot_time = self.slot_time
         faults = self.faults
-        if faults is None:
-            down = None
-            extra = None
+        kernel = self.kernel
+        down = None
+        extra = None
+        if kernel is not None:
+            wire, transmitters = kernel.offers(now)
+        elif faults is None:
             for station in stations:
                 pending = station._pending_arrivals
                 if pending and pending[0][0] <= now:
@@ -368,10 +422,13 @@ class _RoundDriver:
                 frame=None,
                 occupied_children=None,
             )
-            for station in stations:
-                if down is not None and station.station_id in down:
-                    continue
-                station.mac.observe(observation)
+            if kernel is not None:
+                kernel.observe(observation)
+            else:
+                for station in stations:
+                    if down is not None and station.station_id in down:
+                        continue
+                    station.mac.observe(observation)
             channel.observations += 1
             if self.monitors is not None:
                 self.monitors.on_slot(
@@ -458,10 +515,13 @@ class _RoundDriver:
             frame=frame,
             occupied_children=occupied,
         )
-        for station in stations:
-            if down is not None and station.station_id in down:
-                continue
-            station.mac.observe(observation)
+        if kernel is not None:
+            kernel.observe(observation)
+        else:
+            for station in stations:
+                if down is not None and station.station_id in down:
+                    continue
+                station.mac.observe(observation)
         channel.observations += 1
         if self.monitors is not None:
             self.monitors.on_slot(
@@ -505,6 +565,8 @@ def _leap(
     replica must be jam-steady and the channel's monitors must digest
     jammed slots, and the stretch ends where the replica with the least
     room (:meth:`~repro.protocols.base.MACProtocol.jam_steady`) says.
+    Each driver's station side answers both (``idle_end``,
+    ``jam_end``): every station's own replica, or the batch kernel.
     The stretch ends at the earliest horizon, pending arrival or jam
     boundary of any channel (``jam_until`` of a jammed one, ``jam_from``
     of an idle one), and each channel leaps the slots that start before
@@ -523,32 +585,23 @@ def _leap(
     for start, _, i in pending:
         driver = drivers[i]
         channel = driver.channel
+        # The station side, asked here rather than bound on the driver: a
+        # driver holding its own bound method is a reference cycle.
+        side = driver.kernel or driver
         # An unjammed channel (the common case) costs one attribute load.
         jam_from = channel.jam_from
         if jam_from is not None and channel._jammed(start):
             if not driver.jam_leap_ok:
                 return False
-            room = JAM_UNBOUNDED
-            for station in driver.stations:
-                steady = station.mac.jam_steady()
-                if not steady:
-                    return False
-                if steady < room:
-                    room = steady
-                arrival = station.peek_next_arrival()
-                if arrival is not None and arrival < end:
-                    end = arrival
-            end = min(end, start + room * driver.slot_time)
+            end = side.jam_end(start, end)
+            if end is None:
+                return False
             if channel.jam_until is not None:
                 end = min(end, channel.jam_until)
             continue
-        for station in driver.stations:
-            mac = station.mac
-            if (station.queue and not mac.muted()) or not mac.idle_steady():
-                return False
-            arrival = station.peek_next_arrival()
-            if arrival is not None and arrival < end:
-                end = arrival
+        end = side.idle_end(end)
+        if end is None:
+            return False
         if jam_from is not None:
             end = channel._idle_end(start, end)
     pending.sort()
@@ -652,8 +705,8 @@ class BroadcastChannel:
         #: ran against this channel.
         self.faults = None
         #: A :class:`~repro.sim.invariants.MonitorSuite`, or None.  Every
-        #: engine feeds it every slot (the batch kernel's idle leaps
-        #: through :meth:`~repro.sim.invariants.MonitorSuite.on_idle`).
+        #: engine feeds it every slot (a leapt idle stretch through
+        #: :meth:`~repro.sim.invariants.MonitorSuite.on_idle`).
         self.monitors = None
 
     def attach(self, station: "Station") -> None:
@@ -742,10 +795,16 @@ class BroadcastChannel:
             yield env.timeout(driver.round(int(env.now)))
 
     def _run_fast(
-        self, horizon: int, channels: tuple["BroadcastChannel", ...]
+        self,
+        horizon: int,
+        channels: tuple["BroadcastChannel", ...],
+        kernel: "BatchKernel | None" = None,
     ) -> None:
         """Run ``channels`` (this one first) to ``horizon`` as one direct
-        loop owning their shared clock.
+        loop owning their shared clock; ``kernel`` is the lone channel's
+        station side on a batch run (:meth:`BatchKernel.run
+        <repro.net.batch.BatchKernel.run>`), which writes its state back
+        into every station's MAC before a DES rejoin and at the end.
 
         The slot-loop fast path: while the channels are the only
         time-advancing activity (no events on the environment's queue),
@@ -778,7 +837,7 @@ class BroadcastChannel:
                 env.process(channel.process(horizon))
             env.run(until=horizon)
             return
-        drivers = [_RoundDriver(channel) for channel in channels]
+        drivers = [_RoundDriver(channel, kernel) for channel in channels]
         leap_ok = all(driver.leap_ok for driver in drivers) and (
             len(drivers) == 1
             or not any(driver.noise_gates for driver in drivers)
@@ -799,6 +858,8 @@ class BroadcastChannel:
             # Rounds due now were scheduled before a foreign event, so
             # they all run before the channels hand over.
             if env.pending and pending[0][0] != now:
+                if kernel is not None:
+                    kernel.writeback()
                 for start, _, i in sorted(pending):
                     env.process(channels[i]._rejoin_des(
                         horizon, env.timeout(start - now)
@@ -807,6 +868,8 @@ class BroadcastChannel:
                 return
             now = pending[0][0]
             env.advance_to(now if now < horizon else horizon)
+        if kernel is not None:
+            kernel.writeback()
 
     def _run_batch(self, horizon: int) -> str | None:
         """Run to ``horizon`` on the batch kernel; returns a fallback note.
@@ -877,16 +940,6 @@ class BroadcastChannel:
             if self.jam_until is None or now < self.jam_until:
                 return min(end, now)
         return end
-
-    def _idle_stretch(self, now: int, horizon: int, due: int) -> int:
-        """How many silent slots from ``now`` an idle leap may cross.
-
-        The stretch ends at the horizon, at the earliest pending arrival
-        ``due`` or at a jam boundary (:meth:`_idle_end`), so the first
-        eventful slot runs normally.  0 = no leap.
-        """
-        end = self._idle_end(now, min(horizon, due))
-        return max(0, -(-(end - now) // self.medium.slot_time))
 
     def _quiet_slots(
         self, gates: tuple, now: int, n: int

@@ -88,6 +88,9 @@ class MACProtocol(abc.ABC):
     """One station's medium-access automaton."""
 
     def __init__(self) -> None:
+        #: The station this MAC is bound to.  :meth:`attach` sets it before
+        #: the MAC is on any channel, so ``offer``/``observe`` read it
+        #: without a check.
         self.station: "Station | None" = None
 
     def attach(self, station: "Station") -> None:
@@ -99,12 +102,6 @@ class MACProtocol(abc.ABC):
 
     def on_attach(self) -> None:
         """Hook for subclass initialisation after binding."""
-
-    @property
-    def bound_station(self) -> "Station":
-        if self.station is None:
-            raise RuntimeError("MAC not attached to a station")
-        return self.station
 
     @abc.abstractmethod
     def offer(self, now: int) -> MessageInstance | None:

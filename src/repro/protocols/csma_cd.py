@@ -39,7 +39,7 @@ class CSMACDProtocol(MACProtocol):
     def offer(self, now: int) -> MessageInstance | None:
         if self._backoff > 0:
             return None
-        message = self.bound_station.queue.peek()
+        message = self.station.queue.peek()
         self._offered = message
         return message
 
@@ -47,7 +47,7 @@ class CSMACDProtocol(MACProtocol):
         self._offered = None
 
     def observe(self, observation: SlotObservation) -> None:
-        station = self.bound_station
+        station = self.station
         offered = self._offered
         self._offered = None
         if observation.state is ChannelState.SUCCESS:

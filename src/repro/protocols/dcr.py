@@ -48,7 +48,7 @@ class DCRProtocol(MACProtocol):
         self.search_slot_costs: list[int] = []
 
     def on_attach(self) -> None:
-        for index in self.bound_station.static_indices:
+        for index in self.station.static_indices:
             if index >= self.tree.leaves:
                 raise ValueError(
                     f"static index {index} exceeds tree leaves "
@@ -59,7 +59,7 @@ class DCRProtocol(MACProtocol):
 
     def _active_index(self) -> int | None:
         """The static index this station currently competes with."""
-        indices = self.bound_station.static_indices
+        indices = self.station.static_indices
         if self._index_cursor >= len(indices):
             return None
         return indices[self._index_cursor]
@@ -67,7 +67,7 @@ class DCRProtocol(MACProtocol):
     # -- MAC interface -----------------------------------------------------
 
     def offer(self, now: int) -> MessageInstance | None:
-        message = self.bound_station.queue.peek()
+        message = self.station.queue.peek()
         if message is None:
             return None
         if self.mode is DCRMode.FREE:
@@ -79,7 +79,7 @@ class DCRProtocol(MACProtocol):
         return message
 
     def observe(self, observation: SlotObservation) -> None:
-        station = self.bound_station
+        station = self.station
         if observation.state is ChannelState.SUCCESS:
             frame = observation.frame
             assert frame is not None

@@ -90,7 +90,7 @@ class DDCRProtocol(MACProtocol):
         self.empty_tts_runs = 0
 
     def on_attach(self) -> None:
-        for index in self.bound_station.static_indices:
+        for index in self.station.static_indices:
             if index >= self.config.static_q:
                 raise ValueError(
                     f"static index {index} exceeds q-1="
@@ -101,7 +101,7 @@ class DDCRProtocol(MACProtocol):
 
     def _msg_star_index(self) -> tuple[MessageInstance | None, int | None]:
         """(msg*, its time-tree index) — None index when beyond horizon."""
-        message = self.bound_station.queue.peek()
+        message = self.station.queue.peek()
         if message is None:
             return None, None
         assert self.tts is not None
@@ -117,7 +117,7 @@ class DDCRProtocol(MACProtocol):
 
     def _sts_static_index(self) -> int | None:
         """The static index this station currently competes with in STs."""
-        indices = self.bound_station.static_indices
+        indices = self.station.static_indices
         if not self._sts_member or self._sts_cursor >= len(indices):
             return None
         return indices[self._sts_cursor]
@@ -138,15 +138,15 @@ class DDCRProtocol(MACProtocol):
         self._offered = None
         if self._burst_owner is not None:
             # A burst is in progress: only its owner may transmit.
-            if self._burst_owner != self.bound_station.station_id:
+            if self._burst_owner != self.station.station_id:
                 return None
-            message = self.bound_station.queue.peek()
+            message = self.station.queue.peek()
             if message is None or message.length > self._burst_budget:
                 return None  # stale continuation signal: burst ends silent
             self._offered = message
             return message
         if self.mode in (DDCRMode.FREE, DDCRMode.ATTEMPT):
-            self._offered = self.bound_station.queue.peek()
+            self._offered = self.station.queue.peek()
             return self._offered
         if self.mode is DDCRMode.TTS:
             assert self.tts is not None
@@ -175,11 +175,11 @@ class DDCRProtocol(MACProtocol):
         mine = (
             success
             and frame is not None
-            and frame.station_id == self.bound_station.station_id
+            and frame.station_id == self.station.station_id
         )
         if mine:
             assert frame is not None
-            self.bound_station.complete(
+            self.station.complete(
                 frame.message, observation.end, observation.start
             )
         if self._burst_owner is not None:
@@ -431,7 +431,7 @@ class DDCRProtocol(MACProtocol):
             remaining = self._burst_budget - self._offered.length
         if remaining <= 0:
             return False
-        queued = self.bound_station.queue.snapshot()
+        queued = self.station.queue.snapshot()
         for message in queued:
             if message.seq != self._offered.seq:
                 return message.length <= remaining
@@ -505,7 +505,7 @@ class DDCRProtocol(MACProtocol):
             assert self.tts is not None
             node = self.tts.search.current
             if node.is_leaf():
-                first_static = self.bound_station.static_indices[0]
+                first_static = self.station.static_indices[0]
                 return first_static // (
                     config.static_q // config.static_m
                 )

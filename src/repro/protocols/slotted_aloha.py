@@ -46,7 +46,7 @@ class SlottedAlohaProtocol(MACProtocol):
         self._offered: MessageInstance | None = None
 
     def offer(self, now: int) -> MessageInstance | None:
-        message = self.bound_station.queue.peek()
+        message = self.station.queue.peek()
         if message is None:
             self._offered = None
             return None
@@ -64,7 +64,7 @@ class SlottedAlohaProtocol(MACProtocol):
         self._offered = None
 
     def observe(self, observation: SlotObservation) -> None:
-        station = self.bound_station
+        station = self.station
         offered = self._offered
         self._offered = None
         if observation.state is ChannelState.SUCCESS:

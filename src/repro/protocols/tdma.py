@@ -33,9 +33,9 @@ class TDMAProtocol(MACProtocol):
         self.noisy_slots = 0
 
     def on_attach(self) -> None:
-        if self.bound_station.station_id not in self.roster:
+        if self.station.station_id not in self.roster:
             raise ValueError(
-                f"station {self.bound_station.station_id} not in TDMA roster"
+                f"station {self.station.station_id} not in TDMA roster"
             )
 
     @property
@@ -43,12 +43,12 @@ class TDMAProtocol(MACProtocol):
         return self.roster[self._turn]
 
     def offer(self, now: int) -> MessageInstance | None:
-        if self.current_owner != self.bound_station.station_id:
+        if self.current_owner != self.station.station_id:
             return None
-        return self.bound_station.queue.peek()
+        return self.station.queue.peek()
 
     def observe(self, observation: SlotObservation) -> None:
-        station = self.bound_station
+        station = self.station
         if observation.state is ChannelState.SUCCESS:
             frame = observation.frame
             assert frame is not None

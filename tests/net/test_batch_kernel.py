@@ -210,7 +210,7 @@ def test_run_batch_falls_back_and_reports_why():
     assert _digest(batched) == _digest(fast)
 
 
-# -- one backend, no numpy --------------------------------------------------
+# -- plain-list columns, no numpy -------------------------------------------
 
 
 def test_batch_run_imports_no_numpy(tmp_path):
@@ -380,17 +380,18 @@ def test_idle_leap_is_byte_identical(case):
 
 
 def _leap_spy(monkeypatch):
-    """Record every leap as (first slot, end) of the skipped stretch."""
+    """Record every leap of the kernel (the round driver's leap on a
+    batch run) as (first slot, end) of the skipped stretch."""
     leaps: list[tuple[int, int]] = []
-    original = BatchKernel._try_leap
+    original = _RoundDriver.leap
 
-    def spy(self, now, horizon):
-        n = original(self, now, horizon)
-        if n:
-            leaps.append((now, now + n * self.slot_time))
-        return n
+    def spy(self, now, end):
+        duration = original(self, now, end)
+        if self.kernel is not None:
+            leaps.append((now, now + duration))
+        return duration
 
-    monkeypatch.setattr(BatchKernel, "_try_leap", spy)
+    monkeypatch.setattr(_RoundDriver, "leap", spy)
     return leaps
 
 
@@ -421,8 +422,8 @@ def test_leap_gate_keeps_recorder_and_noise_blocks_faults_and_monitors():
     slot by slot and stops at the first slot one fires) and the standard
     suite and bridge-conservation monitors; per-slot side effects still
     turn it off — an armed fault injector, or any monitor whose
-    ``on_idle`` does not come with its own ``on_slot``.  The fast loop's
-    gate is the same rule."""
+    ``on_idle`` does not come with its own ``on_slot``.  A kernel run's
+    round driver keeps the fast loop's gate."""
 
     def leap_ok(monitors=None, faults=False, **kwargs):
         channel = _build_channel(**kwargs)
@@ -432,8 +433,8 @@ def test_leap_gate_keeps_recorder_and_noise_blocks_faults_and_monitors():
             injector = FaultInjector(FaultPlan())
             injector.arm(channel)
             channel.faults = injector
-        allowed = BatchKernel(channel)._leap_ok
-        assert _RoundDriver(channel).leap_ok is allowed
+        allowed = _RoundDriver(channel).leap_ok
+        assert _RoundDriver(channel, BatchKernel(channel)).leap_ok is allowed
         return allowed
 
     assert leap_ok()
