@@ -62,6 +62,11 @@ def xi_tilde(k: float, t: int, m: int) -> float:
     integer_log(t, m)  # validate shape
     if not 2 <= k <= t:
         raise ValueError(f"k={k} out of range [2, {t}]")
+    return _xi_tilde(k, t, m)
+
+
+def _xi_tilde(k: float, t: int, m: int) -> float:
+    """:func:`xi_tilde`'s expression; the caller has checked its arguments."""
     half = k / 2.0
     return (m * half - 1) / (m - 1) + m * half * math.log(2 * t / k, m) - k
 
@@ -82,13 +87,23 @@ def xi_tilde_extended(k: float, t: int, m: int) -> float:
     n = integer_log(t, m)
     if not 0 <= k <= t:
         raise ValueError(f"k={k} out of range [0, {t}]")
-    knee = 2 * t / m
+    return _xi_tilde_extended(k, t, m, n)
+
+
+def _xi_tilde_extended(k: float, t: int, m: int, n: int) -> float:
+    """:func:`xi_tilde_extended` without its checks.
+
+    The caller guarantees ``t == m**n`` and ``0 <= k <= t``, so every
+    piece is in range.  The public function and
+    :meth:`~repro.core.feas_grid.BatchEvaluator.class_bound`, which
+    computes ``n`` once per tree shape, both evaluate this one expression.
+    """
     if k < 2:
         if t < m:  # single-leaf tree: xi is {1, 0}; bound by 1
             return 1.0
-        return xi_tilde(2, t, m)
-    if k <= knee or n < 1:
-        return xi_tilde(k, t, m)
+        return _xi_tilde(2, t, m)
+    if k <= 2 * t / m or n < 1:
+        return _xi_tilde(k, t, m)
     return geometric_sum(m, n + 1) - k
 
 

@@ -8,16 +8,19 @@ probe; this module maintains the FC integer state and applies deltas.
 
 The interference sum decomposes per contributor::
 
-    u(M_i) = sum_j f(i, j),   f(i, j) = ceil((d_i + d_j - l'_i) / w_j) * a_j
+    u(M_i) = sum_j f(i, j),   f(i, j) = ceil((base_i + d_j) / w_j) * a_j
                                         (0 when the window span is <= 0)
 
-so adding, removing or rescaling one class k only changes the k-th
-contributor column: every existing ``u_i`` (and the matching transmission
-sum, weighted by ``l'_j``) moves by ``f(i, k)`` — an O(C) update — and
-only the mutated class needs a fresh O(C) row.  Ranks ``r(M)`` involve a
-single source's classes, so a mutation touches one source block.  A
-global density rescale invalidates every window and falls back to the
-bulk recompute: the same two integer passes
+and reads the target only through its *profile* ``base_i = d_i - l'_i``,
+as the transmission sum (weighted by ``l'_j``) does.  The engine keeps
+one shared ``[u, tx, count]`` cell per profile, and every class points
+to its profile's cell.  Adding, removing or rescaling one class k moves
+every cell by ``f(base, k)``: an O(profiles) update, where realistic
+class sets hold a handful of profiles.  Only a class that opens a new
+profile needs a fresh O(C) row.  Ranks ``r(M)`` involve a single
+source's classes, so a mutation touches one source block.  A global
+density rescale invalidates every window and falls back to the bulk
+recompute: the same two integer passes
 (:func:`~repro.core.feas_grid.rank_sums`,
 :func:`~repro.core.feas_grid.interference_sums`) that batch reports use.
 
@@ -27,8 +30,12 @@ slack, so the engine offers it without building rows:
 same per-class float combine
 (:meth:`~repro.core.feas_grid.BatchEvaluator.class_bound`) that
 :meth:`~repro.core.feas_grid.BatchEvaluator.assemble_rows` uses for the
-full report, so verdicts and reports are exactly equal to the scalar
-path's.
+full report, once per distinct ``(v, profile)``, so verdicts and reports
+are exactly equal to the scalar path's.  A speculative mutation
+(:meth:`FeasibilityEngine.try_add_class`,
+:meth:`FeasibilityEngine.try_rescale_class`) that turns out infeasible is
+undone exactly, and the verdict and report cached before it come back
+with the state, so a rejected request costs one verdict, not two.
 """
 
 from __future__ import annotations
@@ -50,22 +57,26 @@ __all__ = ["FeasibilityEngine"]
 class _ClassState:
     """One message class's exact integer FC state."""
 
-    __slots__ = ("name", "length", "deadline", "lp", "a", "w", "w0",
-                 "rank", "u", "tx")
+    __slots__ = ("name", "length", "deadline", "lp", "base", "a", "w", "w0",
+                 "rank", "cell")
 
     def __init__(self, name, length, deadline, lp, a, w):
         self.name = name
         self.length = length
         self.deadline = deadline
         self.lp = lp
+        #: The target profile ``d - l'``: all u(M) and the transmission
+        #: bits read of the class.
+        self.base = deadline - lp
         self.a = a
         self.w = w
         #: scale-1.0 base window; ``rescale_density`` derives ``w`` from it
         #: and explicit per-class rescales rebase it.
         self.w0 = w
         self.rank = 0
-        self.u = 0
-        self.tx = 0
+        #: The profile's ``[u, tx, count]`` cell, shared by every class
+        #: with this ``base``.
+        self.cell: list[int] | None = None
 
 
 class _SourceState:
@@ -83,9 +94,9 @@ class _SourceState:
         return None
 
 
-def _interference_term(target: _ClassState, contrib: _ClassState) -> int:
-    """``f(i, j)``: contributor j's share of ``u(M_i)``."""
-    span = target.deadline + contrib.deadline - target.lp
+def _interference_term(base: int, contrib: _ClassState) -> int:
+    """``f(i, j)``: contributor j's share of ``u(M_i)``, ``base = d_i - l'_i``."""
+    span = base + contrib.deadline
     if span <= 0:
         return 0
     return -(-span // contrib.w) * contrib.a
@@ -100,22 +111,27 @@ class FeasibilityEngine:
     """FC state machine over a mutable set of message classes.
 
     Mutations (:meth:`add_class`, :meth:`remove_class`,
-    :meth:`rescale_class`) cost O(C) exact-integer work instead of the
+    :meth:`rescale_class`) cost O(profiles) exact-integer work, plus one
+    O(C) row when a class opens a new target profile, instead of the
     O(C^2) of a fresh scalar report; :meth:`rescale_density` revalidates
-    everything through the bulk integer passes.
+    everything through the bulk integer passes.  :meth:`try_add_class`
+    and :meth:`try_rescale_class` apply a mutation only if the result is
+    feasible, and otherwise undo it exactly.
 
     Two reads, both lazy and cached until the next mutation:
     :meth:`verdict` (and :attr:`feasible`) answer "is the set feasible,
-    and which class binds?" in O(C) float work with no row objects —
-    what every admission decision needs — while :meth:`report` builds
-    the full per-class rows for callers that read them (oracle
-    counter-checks, the FC experiments).  Both always equal scalar
-    ``check_feasibility`` on the equivalent instance.
+    and which class binds?" with one float combine per distinct
+    ``(v, profile)`` and no row objects — what every admission decision
+    needs — while :meth:`report` builds the full per-class rows for
+    callers that read them (oracle counter-checks, the FC experiments).
+    Both always equal scalar ``check_feasibility`` on the equivalent
+    instance.
 
     Ordering contract (it shapes the report's row order): sources keep
     first-seen order and classes keep insertion order within a source; a
     source whose last class is removed is dropped, and re-adding to that
-    ``source_id`` later appends it as a new, last source.
+    ``source_id`` later appends it as a new, last source.  Sources are a
+    ``dict`` keyed by id, whose insertion order is exactly this order.
     """
 
     def __init__(
@@ -131,7 +147,10 @@ class FeasibilityEngine:
             if evaluator is not None
             else BatchEvaluator(medium, trees)
         )
-        self._sources: list[_SourceState] = []
+        self._sources: dict[int, _SourceState] = {}
+        #: ``base -> [u, tx, count]``: one interference cell per target
+        #: profile, dropped with the profile's last class.
+        self._cells: dict[int, list[int]] = {}
         self._report: FeasibilityReport | None = None
         self._verdict: tuple[bool, str | None, float | None] | None = None
         self._class_count = 0
@@ -196,7 +215,7 @@ class FeasibilityEngine:
 
     def source_nu(self, source_id: int) -> int | None:
         """The source's nu, or ``None`` when it holds no classes."""
-        source = self._find_source(source_id)
+        source = self._sources.get(source_id)
         return None if source is None else source.nu
 
     def class_state(
@@ -233,7 +252,7 @@ class FeasibilityEngine:
                         for c in source.classes
                     ),
                 )
-                for source in self._sources
+                for source in self._sources.values()
             ),
         )
 
@@ -267,7 +286,7 @@ class FeasibilityEngine:
                 )
                 cls_state.w0 = w0
                 state.classes.append(cls_state)
-            engine._sources.append(state)
+            engine._sources[source_id] = state
             engine._class_count += len(state.classes)
             engine._total_nu += nu
         engine._scale = scale
@@ -292,7 +311,7 @@ class FeasibilityEngine:
         trees = self.evaluator.trees
         sources = []
         offset = 0
-        for source in self._sources:
+        for source in self._sources.values():
             sources.append(
                 SourceSpec(
                     source_id=source.source_id,
@@ -324,14 +343,14 @@ class FeasibilityEngine:
             ranks = []
             u = []
             tx = []
-            for source in self._sources:
+            for source in self._sources.values():
                 for cls in source.classes:
                     meta.append(
                         (source.source_id, source.nu, cls.name, cls.deadline)
                     )
                     ranks.append(cls.rank)
-                    u.append(cls.u)
-                    tx.append(cls.tx)
+                    u.append(cls.cell[0])
+                    tx.append(cls.cell[1])
             self._report = self.evaluator.assemble_rows(meta, ranks, u, tx)
         return self._report
 
@@ -344,16 +363,29 @@ class FeasibilityEngine:
         combine — and a slack tie names the first class in report order,
         as ``min`` does.  ``(True, None, None)`` when no class is
         admitted.  Cached until the next mutation.
+
+        ``B_DDCR`` depends on a class only through ``v = 1 + rank // nu``
+        and its profile's ``(u, tx)`` cell, so ``class_bound`` runs once
+        per distinct ``(v, profile)``; each class still takes its slack
+        against its own deadline.
         """
         verdict = self._verdict
         if verdict is None:
             feasible = True
             worst_class = worst_slack = None
             class_bound = self.evaluator.class_bound
-            for source in self._sources:
+            bounds: dict[tuple[int, int], float] = {}
+            for source in self._sources.values():
                 nu = source.nu
                 for cls in source.classes:
-                    bound = class_bound(cls.rank, nu, cls.u, cls.tx)[3]
+                    rank = cls.rank
+                    key = (rank // nu, cls.base)  # (v - 1, profile)
+                    bound = bounds.get(key)
+                    if bound is None:
+                        cell = cls.cell
+                        bound = bounds[key] = class_bound(
+                            rank, nu, cell[0], cell[1]
+                        )[3]
                     deadline = cls.deadline
                     if bound > deadline:
                         feasible = False
@@ -369,15 +401,14 @@ class FeasibilityEngine:
         self, source_id: int, message_class: MessageClass, nu: int | None = None
     ) -> None:
         """Admit a class; ``nu`` is required when ``source_id`` is new."""
-        source = self._find_source(source_id)
+        source = self._sources.get(source_id)
         if source is None:
             if nu is None:
                 raise ValueError(
                     f"source {source_id} is new: its nu (static-leaf count) "
                     "is required"
                 )
-            source = _SourceState(source_id, nu)
-            self._sources.append(source)
+            source = self._sources[source_id] = _SourceState(source_id, nu)
             self._total_nu += nu
         elif nu is not None and nu != source.nu:
             raise ValueError(
@@ -396,18 +427,22 @@ class FeasibilityEngine:
             message_class.bound.a,
             message_class.bound.w,
         )
-        # Contributor column: every existing class gains f(i, k).
-        for state in self._iter_classes():
-            term = _interference_term(state, added)
-            state.u += term
-            state.tx += term * added.lp
+        # Contributor column: every profile gains f(base, k).
+        self._shift_cells(added.deadline, added.lp, added.a, added.w)
         source.classes.append(added)
         self._class_count += 1
-        # Fresh row for the newcomer (includes its own contribution).
-        for contrib in self._iter_classes():
-            term = _interference_term(added, contrib)
-            added.u += term
-            added.tx += term * contrib.lp
+        cell = self._cells.get(added.base)
+        if cell is None:
+            # A new profile: a fresh row, the newcomer's own share included.
+            base = added.base
+            u = tx = 0
+            for contrib in self._iter_classes():
+                term = _interference_term(base, contrib)
+                u += term
+                tx += term * contrib.lp
+            cell = self._cells[base] = [u, tx, 0]
+        cell[2] += 1
+        added.cell = cell
         # Ranks move only within the newcomer's source.
         for state in source.classes[:-1]:
             state.rank += _rank_term(state.deadline, added)
@@ -429,14 +464,15 @@ class FeasibilityEngine:
         source, removed = self._require_class(source_id, class_name)
         source.classes.remove(removed)
         self._class_count -= 1
-        for state in self._iter_classes():
-            term = _interference_term(state, removed)
-            state.u -= term
-            state.tx -= term * removed.lp
+        self._shift_cells(removed.deadline, removed.lp, -removed.a, removed.w)
+        cell = removed.cell
+        cell[2] -= 1
+        if not cell[2]:
+            del self._cells[removed.base]
         for state in source.classes:
             state.rank -= _rank_term(state.deadline, removed)
         if not source.classes:
-            self._sources.remove(source)
+            del self._sources[source_id]
             self._total_nu -= source.nu
         self._invalidate()
         tracer = self.tracer
@@ -478,16 +514,9 @@ class FeasibilityEngine:
             return
         old_a, old_w = target.a, target.w
         # The k-th contributor column shifts by f_new - f_old; the target's
-        # own deadlines/l' are untouched, so its row needs no other update.
-        for state in self._iter_classes():
-            span = state.deadline + target.deadline - state.lp
-            if span <= 0:
-                continue
-            delta = (
-                -(-span // new_w) * new_a - -(-span // old_w) * old_a
-            )
-            state.u += delta
-            state.tx += delta * target.lp
+        # own deadline and l' are untouched, so its profile stays put.
+        self._shift_cells(target.deadline, target.lp, -old_a, old_w)
+        self._shift_cells(target.deadline, target.lp, new_a, new_w)
         for state in source.classes:
             state.rank += (
                 -(-state.deadline // new_w) * new_a
@@ -506,6 +535,54 @@ class FeasibilityEngine:
                 a=new_a,
                 w=new_w,
             )
+
+    # -- speculative mutations -----------------------------------------------
+
+    def try_add_class(
+        self, source_id: int, message_class: MessageClass, nu: int | None = None
+    ) -> tuple[bool, str | None, float | None]:
+        """:meth:`add_class`, kept only if the class set stays feasible.
+
+        Returns the :meth:`verdict` of the set with the class in it.  An
+        infeasible one is undone with :meth:`remove_class`, and the
+        engine is then exactly as before the call, cached verdict and
+        report included.  Raises what :meth:`add_class` raises, before
+        any change.
+        """
+        cached = self._verdict, self._report
+        self.add_class(source_id, message_class, nu=nu)
+        verdict = self.verdict()
+        if not verdict[0]:
+            self.remove_class(source_id, message_class.name)
+            self._verdict, self._report = cached
+        return verdict
+
+    def try_rescale_class(
+        self,
+        source_id: int,
+        class_name: str,
+        a: int | None = None,
+        w: int | None = None,
+    ) -> tuple[bool, str | None, float | None]:
+        """:meth:`rescale_class`, kept only if the class set stays feasible.
+
+        Returns the :meth:`verdict` of the rescaled set.  An infeasible
+        one is undone by replaying the class's :meth:`class_state` triple,
+        which restores its window and its rescale base, and the cached
+        verdict and report come back with the state.  Raises what
+        :meth:`class_state` and :meth:`rescale_class` raise, before any
+        change.
+        """
+        old_a, old_w, old_w0 = self.class_state(source_id, class_name)
+        cached = self._verdict, self._report
+        self.rescale_class(source_id, class_name, a=a, w=w)
+        verdict = self.verdict()
+        if not verdict[0]:
+            self.rescale_class(
+                source_id, class_name, a=old_a, w=old_w, w0=old_w0
+            )
+            self._verdict, self._report = cached
+        return verdict
 
     def rescale_density(self, scale: float) -> None:
         """Scale every class's arrival density, exactly like the workloads.
@@ -572,19 +649,26 @@ class FeasibilityEngine:
     # -- internals -----------------------------------------------------------
 
     def _iter_classes(self):
-        for source in self._sources:
+        for source in self._sources.values():
             yield from source.classes
 
-    def _find_source(self, source_id: int) -> _SourceState | None:
-        for source in self._sources:
-            if source.source_id == source_id:
-                return source
-        return None
+    def _shift_cells(self, deadline: int, lp: int, a: int, w: int) -> None:
+        """Add one contributor's ``f(base, k)`` to every profile cell.
+
+        The contributor has deadline ``deadline``, encapsulated length
+        ``lp`` and bound ``(a, w)``; a negative ``a`` takes it away.
+        """
+        for base, cell in self._cells.items():
+            span = base + deadline
+            if span > 0:
+                term = -(-span // w) * a
+                cell[0] += term
+                cell[1] += term * lp
 
     def _require_class(
         self, source_id: int, class_name: str
     ) -> tuple[_SourceState, _ClassState]:
-        source = self._find_source(source_id)
+        source = self._sources.get(source_id)
         if source is None:
             raise KeyError(f"no source {source_id}")
         state = source.find(class_name)
@@ -600,7 +684,7 @@ class FeasibilityEngine:
         w: list[int] = []
         blocks: list[tuple[int, int]] = []
         states: list[_ClassState] = []
-        for source in self._sources:
+        for source in self._sources.values():
             lo = len(d)
             for cls in source.classes:
                 d.append(cls.deadline)
@@ -609,13 +693,18 @@ class FeasibilityEngine:
                 w.append(cls.w)
                 states.append(cls)
             blocks.append((lo, len(d)))
+        cells: dict[int, list[int]] = {}
         if states:
             ranks = rank_sums(d, a, w, blocks)
             u, tx = interference_sums(d, lp, a, w)
             for state, rank, ui, txi in zip(states, ranks, u, tx):
                 state.rank = rank
-                state.u = ui
-                state.tx = txi
+                cell = cells.get(state.base)
+                if cell is None:
+                    cell = cells[state.base] = [ui, txi, 0]
+                cell[2] += 1
+                state.cell = cell
+        self._cells = cells
         self._invalidate()
 
     def _invalidate(self) -> None:

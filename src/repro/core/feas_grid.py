@@ -15,13 +15,15 @@ sums as two column passes over plain Python ints:
   are deduplicated by class profile, so an instance that repeats a
   handful of profiles across its stations costs a handful of cells.
 
-The S1/S2 search terms are O(1) per class and *memoized*:
-``multi_tree_bound_extended`` is evaluated through the exact scalar
-function on the exact integer arguments, so every float in the result
-is bit-identical to the scalar path's — the batch, engine and scalar
-paths produce *equal* :class:`FeasibilityReport` objects
-(``tests/core/test_feas_grid.py`` and the engine's mutation-sequence
-tests compare them by ``==`` and by pickle digest).  The per-class float
+The S1/S2 search terms are O(1) per class and *memoized*: S1 is
+evaluated through the same unchecked core that the scalar
+``multi_tree_bound_extended`` calls after its checks
+(:func:`repro.core.asymptotic._xi_tilde_extended`), on the exact integer
+arguments, so every float in the result is bit-identical to the scalar
+path's — the batch, engine and scalar paths produce *equal*
+:class:`FeasibilityReport` objects (``tests/core/test_feas_grid.py`` and
+the engine's mutation-sequence tests compare them by ``==`` and by
+pickle digest).  The per-class float
 combine lives in one place, :meth:`BatchEvaluator.class_bound`, which
 both report rows and the engine's row-free verdict go through.
 """
@@ -34,13 +36,14 @@ import operator
 import typing
 from collections.abc import Callable, Mapping, Sequence
 
+from repro.core.asymptotic import _xi_tilde_extended
 from repro.core.divide_conquer import xi_two
 from repro.core.feasibility import (
     ClassFeasibility,
     FeasibilityReport,
     TreeParameters,
 )
-from repro.core.multi_tree import multi_tree_bound_extended
+from repro.core.trees import integer_log
 from repro.model.problem import HRTDMProblem
 
 if typing.TYPE_CHECKING:  # pragma: no cover - layering: core must not pull net
@@ -145,6 +148,9 @@ class BatchEvaluator:
         self._xi_two = xi_two(trees.time_f, trees.time_m)
         self._static_q = trees.static_q
         self._static_m = trees.static_m
+        # The static tree's depth, checked once here: an S1 memo miss then
+        # goes straight to the unchecked core.
+        self._static_n = integer_log(trees.static_q, trees.static_m)
         self._slot_time = medium.slot_time
 
     def encapsulate(self, length: int) -> int:
@@ -174,8 +180,13 @@ class BatchEvaluator:
         key = (u_for_search, v)
         s1 = self._s1.get(key)
         if s1 is None:
-            s1 = self._s1[key] = multi_tree_bound_extended(
-                float(u_for_search), v, self._static_q, self._static_m
+            # multi_tree_bound_extended(float(u_for_search), v, q, m) with
+            # its checks already met: v >= 1 and 0 <= u_for_search <= q v.
+            s1 = self._s1[key] = v * _xi_tilde_extended(
+                float(u_for_search) / v,
+                self._static_q,
+                self._static_m,
+                self._static_n,
             )
         s2 = ((v + 1) >> 1) * self._xi_two
         return v, s1, s2, transmission + self._slot_time * (s1 + s2)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from repro.core.asymptotic import xi_tilde, xi_tilde_extended
+from repro.core.asymptotic import _xi_tilde_extended, xi_tilde
 from repro.core.search_cost import exact_cost_table
 from repro.core.trees import integer_log
 
@@ -144,12 +144,12 @@ def multi_tree_bound_extended(u: float, v: int, t: int, m: int) -> float:
     worst within each linear/concave piece, and each piece dominates the
     exact staircase — keeping the bound sound across all loads.
     """
-    integer_log(t, m)
+    n = integer_log(t, m)
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
-    if u < 0 or u > t * v:
+    if not 0 <= u <= t * v:
         raise ValueError(f"u={u} out of range [0, {t * v}]")
-    return v * xi_tilde_extended(u / v, t, m)
+    return v * _xi_tilde_extended(u / v, t, m, n)
 
 
 __all__.append("multi_tree_bound_extended")

@@ -4,12 +4,14 @@
 :class:`~repro.core.feas_engine.FeasibilityEngine` and answers a stream
 of :class:`~repro.serve.model.Request` events:
 
-* ``join``/``rescale`` mutate the engine *tentatively* — the class (or
-  its new bound) is applied through the O(C) delta path, the engine's
-  row-free :meth:`~repro.core.feas_engine.FeasibilityEngine.verdict` is
-  consulted, and an infeasible outcome is rolled back exactly
-  (``rescale_class`` with the saved ``(a, w, w0)`` triple), so a reject
-  leaves the engine bit-identical to before the request;
+* ``join``/``rescale`` mutate the engine *tentatively*
+  (:meth:`~repro.core.feas_engine.FeasibilityEngine.try_add_class`,
+  :meth:`~repro.core.feas_engine.FeasibilityEngine.try_rescale_class`):
+  the class (or its new bound) is applied through the O(profiles) delta
+  path, the engine's row-free verdict is consulted, and an infeasible
+  outcome is rolled back exactly (a rescale replays the saved
+  ``(a, w, w0)`` triple), so a reject leaves the engine bit-identical to
+  before the request, its cached verdict included;
 * ``leave`` retires a class; ``reconfigure`` applies a global density
   rescale and evicts the most recently admitted classes (LIFO) until the
   surviving set is feasible again.
@@ -253,20 +255,20 @@ class AdmissionService:
         self.close()
 
     def _log(self, request: Request, decision: Decision) -> None:
-        if self._events_handle is not None:
-            event = {
-                "kind": "event",
-                "request": request.to_dict(),
-                "decision": decision.to_dict(),
-            }
-            self._events_handle.write(
-                json.dumps(event, sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
-            self._events_handle.flush()
-        if self._decisions_handle is not None:
-            self._decisions_handle.write(decision.to_json() + "\n")
-            self._decisions_handle.flush()
+        if self._events_handle is None:
+            return
+        # The event line is ``json.dumps({"kind": "event", "request": ...,
+        # "decision": ...}, sort_keys=True, separators=(",", ":"))``,
+        # spliced from the two compact sorted-key encodings so that each
+        # decision is encoded once for both journals.
+        encoded = decision.to_json()
+        self._events_handle.write(
+            '{"decision":' + encoded + ',"kind":"event","request":'
+            + request.to_json() + "}\n"
+        )
+        self._events_handle.flush()
+        self._decisions_handle.write(encoded + "\n")
+        self._decisions_handle.flush()
 
     def _record_incident(self, incident: Incident) -> None:
         tracer = self.tracer
@@ -463,10 +465,11 @@ class AdmissionService:
                     f"leaves exceed q={self.config.static_q}",
                 )
         try:
-            self.engine.add_class(request.source_id, message, nu=request.nu)
+            feasible, worst_class, worst_slack = self.engine.try_add_class(
+                request.source_id, message, nu=request.nu
+            )
         except ValueError as error:
             return self._decide_error(request, str(error))
-        feasible, worst_class, worst_slack = self.engine.verdict()
         if feasible:
             self._names.add(request.name)
             self._admission_order.append((request.source_id, request.name))
@@ -476,7 +479,6 @@ class AdmissionService:
                 "serve/rollback", seq=request.seq, kind="join",
                 name=request.name,
             )
-        self.engine.remove_class(request.source_id, request.name)
         return self._finish(
             request,
             "reject",
@@ -506,18 +508,15 @@ class AdmissionService:
         if reason is not None:
             return self._decide_error(request, f"rescale {reason}")
         try:
-            old_a, old_w, old_w0 = self.engine.class_state(
-                request.source_id, request.name
+            feasible, worst_class, worst_slack = (
+                self.engine.try_rescale_class(
+                    request.source_id, request.name, a=request.a, w=request.w
+                )
             )
         except KeyError as error:
             return self._decide_error(request, str(error.args[0]))
-        try:
-            self.engine.rescale_class(
-                request.source_id, request.name, a=request.a, w=request.w
-            )
         except ValueError as error:
             return self._decide_error(request, str(error))
-        feasible, worst_class, worst_slack = self.engine.verdict()
         if feasible:
             return self._finish(request, "admit")
         if self.tracer.enabled:
@@ -525,10 +524,6 @@ class AdmissionService:
                 "serve/rollback", seq=request.seq, kind="rescale",
                 name=request.name,
             )
-        # Exact rollback: effective bound and rebase base both restored.
-        self.engine.rescale_class(
-            request.source_id, request.name, a=old_a, w=old_w, w0=old_w0
-        )
         return self._finish(
             request,
             "reject",

@@ -126,6 +126,36 @@ def _hexed(verdict):
     return feasible, name, None if slack is None else float.hex(slack)
 
 
+#: Above 368 bits a GbE frame's l' is the length plus 304 bits, so these
+#: two (length, deadline) shapes share ``d - l'`` with different deadlines.
+_SHARED_PAIR = ((4_000, 8 * _MS), (9_000, 8 * _MS + 5_000))
+_SHARED_SHAPES = (*_SHARED_PAIR, (4_000, 12 * _MS), (9_000, 12 * _MS))
+_SHARED_WINDOWS = (1 * _MS, 2 * _MS, 4 * _MS)
+
+
+def _check_against_scalar(engine, model):
+    """Counts, profile cells, verdict and report against the model."""
+    assert engine.class_count == sum(
+        len(c) for _, c in model.sources.values()
+    )
+    assert engine.total_nu == model.total_nu
+    counts: dict[int, int] = {}
+    for cls in engine._iter_classes():
+        assert engine._cells[cls.base] is cls.cell
+        counts[cls.base] = counts.get(cls.base, 0) + 1
+    assert {base: cell[2] for base, cell in engine._cells.items()} == counts
+    if not model.sources:
+        assert engine.verdict() == (True, None, None)
+        return
+    # The verdict first: it must not lean on a cached report.
+    verdict = engine.verdict()
+    got, expected = engine.report(), model.expected_report()
+    assert got == expected
+    assert pickle.dumps(got) == pickle.dumps(expected)
+    assert _hexed(verdict) == _hexed(_report_verdict(expected))
+    assert engine.feasible == expected.feasible
+
+
 _CLASS_PARAMS = {
     "length": st.integers(100, 20_000),
     "deadline": st.integers(1, 40).map(lambda v: v * _MS),
@@ -188,20 +218,101 @@ class TestMutationSequences:
                 )
                 engine.rescale_density(scale)
                 model.rescale_density(scale)
-            assert engine.class_count == sum(
-                len(c) for _, c in model.sources.values()
+            _check_against_scalar(engine, model)
+
+    @given(st.data())
+    def test_shared_profiles_match_scalar(self, data):
+        """Classes drawn from a small pool, so target profiles collide.
+
+        A fixed opening walks every sharing case once: two classes whose
+        deadlines differ but whose ``d - l'`` is equal, a rescale of one
+        class of that shared profile, a density rescale, the removal of
+        the profile's last class and its re-adding.  Random steps from
+        the same pool follow.  After every step the report, the verdict
+        and every cell's class count are checked.
+        """
+        engine = FeasibilityEngine(GIGABIT_ETHERNET, _TREES)
+        model = _ReferenceModel()
+        names = iter(f"cls-{i}" for i in range(100))
+
+        def draw_class(length=None, deadline=None):
+            if length is None:
+                length, deadline = data.draw(
+                    st.sampled_from(_SHARED_SHAPES), label="shape"
+                )
+            return _message_class(
+                next(names), length=length, deadline=deadline,
+                a=data.draw(st.sampled_from((1, 2)), label="a"),
+                w=data.draw(st.sampled_from(_SHARED_WINDOWS), label="w"),
             )
-            assert engine.total_nu == model.total_nu
-            if not model.sources:
-                assert engine.verdict() == (True, None, None)
-                continue
-            # The verdict first: it must not lean on a cached report.
-            verdict = engine.verdict()
-            got, expected = engine.report(), model.expected_report()
-            assert got == expected
-            assert pickle.dumps(got) == pickle.dumps(expected)
-            assert _hexed(verdict) == _hexed(_report_verdict(expected))
-            assert engine.feasible == expected.feasible
+
+        def add(cls):
+            source_id = data.draw(st.integers(0, 3), label="sid")
+            nu = None
+            if source_id not in model.sources:
+                nu = data.draw(st.integers(1, 2), label="nu")
+            engine.add_class(source_id, cls, nu=nu)
+            model.add(source_id, cls, nu)
+            return source_id
+
+        def rescale(source_id, name):
+            a = data.draw(st.sampled_from((1, 2, 3)), label="new-a")
+            w = data.draw(st.sampled_from(_SHARED_WINDOWS), label="new-w")
+            engine.rescale_class(source_id, name, a=a, w=w)
+            model.rescale(source_id, name, a=a, w=w)
+
+        def density():
+            scale = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="scale")
+            engine.rescale_density(scale)
+            model.rescale_density(scale)
+
+        def remove(source_id, name):
+            engine.remove_class(source_id, name)
+            model.remove(source_id, name)
+
+        # Same profile, different deadlines.
+        short, long_ = _SHARED_PAIR
+        first = draw_class(*short)
+        first_source = add(first)
+        _check_against_scalar(engine, model)
+        second = draw_class(*long_)
+        second_source = add(second)
+        _check_against_scalar(engine, model)
+        assert first.deadline != second.deadline
+        assert len(engine._cells) == 1
+        rescale(second_source, second.name)
+        _check_against_scalar(engine, model)
+        density()
+        _check_against_scalar(engine, model)
+        remove(first_source, first.name)
+        _check_against_scalar(engine, model)
+        remove(second_source, second.name)
+        _check_against_scalar(engine, model)
+        assert engine._cells == {}
+        add(draw_class(*short))
+        _check_against_scalar(engine, model)
+        for step in range(data.draw(st.integers(0, 12), label="steps")):
+            existing = [
+                (sid, cls.name)
+                for sid, (_, classes) in model.sources.items()
+                for cls in classes
+            ]
+            op = data.draw(
+                st.sampled_from(
+                    ["add", "remove", "rescale", "density"]
+                    if existing else ["add", "density"]
+                ),
+                label=f"op{step}",
+            )
+            if op == "add":
+                add(draw_class())
+            elif op == "remove":
+                remove(*data.draw(st.sampled_from(existing), label="victim"))
+            elif op == "rescale":
+                rescale(*data.draw(st.sampled_from(existing), label="target"))
+            else:
+                density()
+            _check_against_scalar(engine, model)
 
     def test_add_then_remove_restores_the_report(self):
         problem = uniform_problem(z=4)

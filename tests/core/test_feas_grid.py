@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.asymptotic import xi_tilde_extended
 from repro.core.feas_engine import FeasibilityEngine
 from repro.core.feas_grid import (
     BatchEvaluator,
@@ -31,6 +32,8 @@ from repro.core.feas_grid import (
     feasibility_grid,
 )
 from repro.core.feasibility import TreeParameters, check_feasibility
+from repro.core.multi_tree import multi_tree_bound_extended
+from repro.core.trees import TreeShapeError
 from repro.model.message import DensityBound, MessageClass
 from repro.model.problem import HRTDMProblem
 from repro.model.source import SourceSpec, allocate_static_indices
@@ -359,3 +362,51 @@ class TestGridApi:
             feasibility_grid(
                 uniform_problem, {"scale": ()}, GIGABIT_ETHERNET, trees
             )
+
+
+@st.composite
+def _s1_points(draw):
+    """``(m, q, v, u)`` over every piece of ``xi_tilde_extended``."""
+    m = draw(st.sampled_from((2, 3, 4)), label="m")
+    q = m ** draw(st.integers(0, 4), label="n")
+    v = draw(st.integers(1, 6), label="v")
+    special = [2 * v - 1, 2 * v]  # either side of k = 2
+    if q > 1:
+        special.append(2 * q * v // m)  # the knee k = 2q/m
+    u = draw(
+        st.one_of(st.integers(0, q * v), st.sampled_from(special)),
+        label="u",
+    )
+    return m, q, v, u
+
+
+class TestS1Core:
+    """``class_bound``'s S1 goes through the unchecked core; the scalar
+    ``multi_tree_bound_extended`` checks its arguments, then evaluates the
+    same core, so the two agree bit for bit."""
+
+    @given(_s1_points())
+    def test_class_bound_s1_equals_the_scalar_bound(self, point):
+        m, q, v, u = point
+        trees = TreeParameters(time_f=64, time_m=4, static_q=q, static_m=m)
+        evaluator = BatchEvaluator(GIGABIT_ETHERNET, trees)
+        # nu = 1 and rank = v - 1 give v static trees.
+        got_v, s1, _, _ = evaluator.class_bound(v - 1, 1, u, 0)
+        assert got_v == v
+        u_for_search = min(max(u, v), q * v)
+        expected = multi_tree_bound_extended(float(u_for_search), v, q, m)
+        assert float.hex(s1) == float.hex(expected)
+
+    def test_public_functions_still_check_their_arguments(self):
+        with pytest.raises(TreeShapeError):
+            multi_tree_bound_extended(4.0, 1, 48, 4)
+        with pytest.raises(TreeShapeError):
+            xi_tilde_extended(4.0, 48, 4)
+        for u in (-1.0, 17.0, math.nan):
+            with pytest.raises(ValueError, match="out of range"):
+                multi_tree_bound_extended(u, 1, 16, 2)
+        with pytest.raises(ValueError, match="v must be"):
+            multi_tree_bound_extended(4.0, 0, 16, 2)
+        for k in (-0.5, 16.5, math.nan):
+            with pytest.raises(ValueError, match="out of range"):
+                xi_tilde_extended(k, 16, 2)

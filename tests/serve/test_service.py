@@ -7,6 +7,8 @@ import math
 
 import pytest
 
+from repro.core.feas_engine import FeasibilityEngine
+from repro.core.feasibility import check_feasibility
 from repro.obs.instruments import Telemetry
 from repro.serve.model import Request
 from repro.serve.service import (
@@ -15,8 +17,15 @@ from repro.serve.service import (
     ServeConfig,
     replay_event_log,
 )
+from repro.serve.traces import TraceConfig, generate_trace
 
 _MS = 1_000_000
+
+
+def _hexed(verdict):
+    """The verdict with its slack as ``float.hex`` (bit-exact compare)."""
+    feasible, name, slack = verdict
+    return feasible, name, None if slack is None else float.hex(slack)
 
 
 def join(seq, source_id=0, name=None, nu=1, length=8_000,
@@ -150,6 +159,77 @@ class TestRescale:
             Request(seq=1, kind="rescale", source_id=0, name="c0")
         )
         assert decision.verdict == "error"
+
+
+class TestRollbackReinstatement:
+    """A rejected join or rescale puts back the verdict cached before it.
+
+    A city trace at q = 16 rejects joins as infeasible and for capacity;
+    a dense rescale of every class admitted at its end is rejected too.
+    After each reject the verdict must equal the one before the request,
+    a forced recompute on the restored state, a fresh engine's and the
+    scalar oracle's, and no ``class_bound`` call may fall between the
+    undo and the decision.
+    """
+
+    def test_rejects_reinstate_the_cached_verdict(self):
+        service = AdmissionService(ServeConfig(static_q=16))
+        engine = service.engine
+        medium, trees = service.config.medium_profile(), service.config.trees()
+        calls: list[str] = []
+
+        def spy(method, label):
+            def wrapped(*args, **kwargs):
+                result = method(*args, **kwargs)
+                calls.append(label)
+                return result
+            return wrapped
+
+        engine.evaluator.class_bound = spy(
+            engine.evaluator.class_bound, "bound"
+        )
+        engine.remove_class = spy(engine.remove_class, "mutate")
+        engine.rescale_class = spy(engine.rescale_class, "mutate")
+        rejected: dict[str, int] = {}
+
+        def handle_and_check(request):
+            before = engine.verdict()
+            calls.clear()
+            decision = service.handle(request)
+            if decision.verdict != "reject":
+                return
+            cause = f"{request.kind}/{decision.reason.split(':')[0]}"
+            rejected[cause] = rejected.get(cause, 0) + 1
+            if "infeasible" in cause:
+                undo = len(calls) - 1 - calls[::-1].index("mutate")
+                assert "bound" not in calls[undo:]
+            verdict = engine.verdict()
+            assert _hexed(verdict) == _hexed(before)
+            assert decision.slack == verdict[2]
+            engine._verdict = None  # recompute from the restored cells
+            assert _hexed(engine.verdict()) == _hexed(verdict)
+            fresh = FeasibilityEngine.restore(engine.snapshot(), medium, trees)
+            assert _hexed(fresh.verdict()) == _hexed(verdict)
+            if not engine.class_count:
+                assert verdict == (True, None, None)
+                return
+            oracle = check_feasibility(engine.to_problem(), medium, trees)
+            worst = oracle.worst
+            assert _hexed(verdict) == _hexed(
+                (oracle.feasible, worst.class_name, worst.slack)
+            )
+
+        trace = generate_trace(TraceConfig(events=300, seed=9))
+        for request in trace:
+            handle_and_check(request)
+        for seq, (source_id, name) in enumerate(service.admitted, len(trace)):
+            handle_and_check(
+                Request(seq=seq, kind="rescale", source_id=source_id,
+                        name=name, a=50, w=1_000)
+            )
+        assert rejected["join/infeasible"] > 0
+        assert rejected["join/capacity"] > 0
+        assert rejected["rescale/infeasible"] >= len(service.admitted) > 0
 
 
 class TestReconfigure:
@@ -297,12 +377,12 @@ class TestCounterCheck:
         assert service.counter_check() == []
 
     def test_forced_divergence_is_reported(self, service):
-        """Corrupt one engine column behind the service's back: the
+        """Corrupt one profile cell behind the service's back: the
         oracle check must notice and file an incident, not raise."""
         service.handle(join(0))
         service.handle(join(1, source_id=1))
-        state = service.engine._sources[0].classes[0]
-        state.u += 1_000_000
+        cell = service.engine._sources[0].classes[0].cell
+        cell[0] += 1_000_000  # u(M) of every class with this profile
         service.engine._report = None  # drop the cached report
         incidents = service.counter_check()
         assert [i.kind for i in incidents] == ["oracle-divergence"]
@@ -364,6 +444,41 @@ class TestEventLog:
         assert lines[1]["kind"] == "event"
         assert lines[1]["request"]["name"] == "c0"
         assert lines[1]["decision"]["verdict"] == "admit"
+
+    def test_event_lines_are_the_canonical_encoding(self, tmp_path):
+        """Each event line is spliced from the decision's and the
+        request's own encodings; it must still be byte for byte what
+        ``json.dumps`` makes of the parsed line, here for a reconfigure
+        that evicts, a non-finite scale and a reason with quotes and
+        non-ASCII text."""
+        log_dir = tmp_path / "log"
+        odd = 'café "quoted"'
+        requests = [
+            join(seq, source_id=seq, deadline=6 * _MS, w=2 * _MS)
+            for seq in range(5)
+        ]
+        requests += [
+            join(5, source_id=5, name=odd, deadline=6 * _MS, w=2 * _MS),
+            join(6, source_id=6, name=odd),
+            Request(seq=7, kind="reconfigure", scale=math.nan),
+            Request(seq=8, kind="reconfigure", scale=64.0),
+        ]
+        with AdmissionService(
+            ServeConfig(static_q=16), log_dir=log_dir
+        ) as logged:
+            decisions = logged.run_trace(requests)
+        assert odd in decisions[6].reason and decisions[6].verdict == "error"
+        assert decisions[7].verdict == "error"
+        assert decisions[8].evicted
+        lines = (log_dir / "events.jsonl").read_text().splitlines()
+        assert len(lines) == 1 + len(requests)
+        for line in lines:
+            assert line == json.dumps(
+                json.loads(line), sort_keys=True, separators=(",", ":")
+            )
+        decision_lines = (log_dir / "decisions.jsonl").read_text().splitlines()
+        assert decision_lines == [d.to_json() for d in decisions]
+        assert replay_event_log(log_dir).incidents == []
 
     def test_decisions_file_matches_decisions(self, tmp_path):
         with AdmissionService(
