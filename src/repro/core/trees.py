@@ -138,16 +138,11 @@ class LeafInterval:
 
         Raises :class:`TreeShapeError` if the width is not divisible by ``m``
         (which for a balanced tree means this node is already a leaf).
+        Interned: every call for one ``(lo, hi, m)`` returns the same
+        tuple of the same nodes, so the searches of every replica hold
+        one set of node objects (see :func:`_interned_children`).
         """
-        if self.width % m != 0 or self.width < m:
-            raise TreeShapeError(
-                f"interval of width {self.width} cannot be split {m}-ways"
-            )
-        step = self.width // m
-        return tuple(
-            LeafInterval(self.lo + i * step, self.lo + (i + 1) * step)
-            for i in range(m)
-        )
+        return _interned_children(self.lo, self.hi, m)
 
     def overlaps(self, other: "LeafInterval") -> bool:
         return self.lo < other.hi and other.lo < self.hi
@@ -243,3 +238,23 @@ def _interned_tree(m: int, leaves: int) -> BalancedTree:
 def _interned_root(tree: BalancedTree) -> LeafInterval:
     """Cached root interval: ``tree.root`` is read once per search start."""
     return LeafInterval(0, tree.leaves)
+
+
+@functools.lru_cache(maxsize=None)
+def _interned_children(lo: int, hi: int, m: int) -> tuple[LeafInterval, ...]:
+    """The shared children behind :meth:`LeafInterval.children`.
+
+    A search splits the same few nodes of a fixed tree on every
+    collision, so building them once per ``(lo, hi, m)`` saves the
+    allocations and lets lockstep comparisons of agendas short-circuit
+    on identity.  A failed split raises each time (nothing is cached).
+    """
+    width = hi - lo
+    if width % m != 0 or width < m:
+        raise TreeShapeError(
+            f"interval of width {width} cannot be split {m}-ways"
+        )
+    step = width // m
+    return tuple(
+        LeafInterval(lo + i * step, lo + (i + 1) * step) for i in range(m)
+    )

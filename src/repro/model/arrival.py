@@ -27,6 +27,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import random
+import typing
 from collections.abc import Iterator, Sequence
 
 from repro.model.message import DensityBound
@@ -47,6 +48,11 @@ __all__ = [
 
 class ArrivalProcess(abc.ABC):
     """A (possibly infinite) nondecreasing stream of arrival times."""
+
+    #: Whether :meth:`times` draws from a random stream.  An orchestrator
+    #: builds no stream for a process that never does; a process that
+    #: does not say keeps its stream.
+    draws: typing.ClassVar[bool] = True
 
     @abc.abstractmethod
     def times(self, rng: random.Random | None = None) -> Iterator[BitTime]:
@@ -92,6 +98,8 @@ def take_until(
 @dataclasses.dataclass(frozen=True, slots=True)
 class PeriodicArrivals(ArrivalProcess):
     """Strictly periodic arrivals: ``phase, phase + period, ...``."""
+
+    draws = False
 
     period: BitTime
     phase: BitTime = 0
@@ -227,6 +235,8 @@ class GreedyBurstArrivals(ArrivalProcess):
     precisely this peak load; tests check :meth:`DensityBound.admits`.
     """
 
+    draws = False
+
     bound: DensityBound
     phase: BitTime = 0
     burst_spacing: BitTime = 0
@@ -255,6 +265,8 @@ class GreedyBurstArrivals(ArrivalProcess):
 @dataclasses.dataclass(frozen=True, slots=True)
 class TraceArrivals(ArrivalProcess):
     """Replay an explicit arrival-time list (must be nondecreasing)."""
+
+    draws = False
 
     trace: Sequence[BitTime]
 

@@ -34,28 +34,31 @@ who offers (:meth:`BatchKernel.offers`), digesting an observation, the
 winner's completion included (:meth:`BatchKernel.observe`), whether and
 how far an idle or a jammed stretch may be leapt
 (:meth:`BatchKernel.idle_end`, :meth:`BatchKernel.jam_end`: the shadow
-replica's ``idle_steady`` / ``jam_steady`` and the next arrival) and
+replica's room, ``idle_room`` for the least head deadline or
+``jam_steady``, and the next arrival) and
 digesting a leapt stretch (the shadow replica's ``leap_idle`` /
 ``leap_jammed``).  A kernel run therefore leaps what a fast-loop run
-leaps, under the same gate: provably invariant idle stretches (all
-queues empty, FREE mode or the fresh-TTs steady cycle), the dominant
-regime of long simulations, and jammed stretches once the replica is
-stuck re-probing a static-tree leaf.
+leaps, under the same gate: provably invariant idle stretches (FREE mode
+or the fresh-TTs steady cycle, with every queue empty or, in that cycle,
+each head's deadline class beyond the horizon until compressed time
+pulls it in), the dominant regime of long simulations, and jammed
+stretches once the replica is stuck re-probing a static-tree leaf.
 
 Fallback contract (mirroring the fast loop's): :func:`batch_unavailable_reason`
 reports *structural* ineligibility — foreign MAC types, differing configs,
-packet bursting, non-destructive media (contention tags), an armed fault
-injector, consistency checks (they compare every station's own replica,
-which the kernel does not keep), or foreign processes pending at entry —
-and :meth:`BroadcastChannel.run` under ``batch`` or ``auto`` then
-delegates to the fast loop (which may itself rejoin the DES), returning
-the reason so the run manifest can record it.  Channels sharing a clock
-(the dual bus) never reach the kernel: ``run`` sends them to the joint
-fast loop with a note of its own.  If a foreign process appears
-*mid-run* (e.g. registered by a monitor), the loop writes the kernel's
-state back into every station's MAC (:meth:`BatchKernel.writeback`) and
-rejoins the general DES after the current slot, exactly where the DES
-path would interleave it.
+a static index two stations share (the kernel asks each index's one
+owner), packet bursting, non-destructive media (contention tags), an
+armed fault injector, consistency checks (they compare every station's
+own replica, which the kernel does not keep), or foreign processes
+pending at entry — and :meth:`BroadcastChannel.run` under ``batch`` or
+``auto`` then delegates to the fast loop (which may itself rejoin the
+DES), returning the reason so the run manifest can record it.  Channels
+sharing a clock (the dual bus) never reach the kernel: ``run`` sends
+them to the joint fast loop with a note of its own.  If a foreign
+process appears *mid-run* (e.g. registered by a monitor), the loop
+writes the kernel's state back into every station's MAC
+(:meth:`BatchKernel.writeback`) and rejoins the general DES after the
+current slot, exactly where the DES path would interleave it.
 
 Known limitation (structural, not silent): the kernel caches each
 station's next pending-arrival time, so injecting arrivals *mid-run* from
@@ -121,6 +124,12 @@ def batch_unavailable_reason(channel: "BroadcastChannel") -> str | None:
     config = macs[0].config
     if any(mac.config != config for mac in macs[1:]):
         return "stations run differing DDCR configurations"
+    owned: set[int] = set()
+    for station in channel.stations:
+        for index in station.static_indices:
+            if index in owned:
+                return f"stations share static index {index}"
+            owned.add(index)
     if config.burst_limit > 0:
         return "packet bursting enabled (burst_limit > 0)"
     if not channel.medium.destructive_collisions:
@@ -179,7 +188,8 @@ class BatchKernel:
     Per-station private state is one plain list per field (Python's
     floor division IS the spec's integer semantics): the EDF head's
     MAC-visible deadline, and the nested static search's membership and
-    rank cursor.
+    rank cursor; one more list, fixed for the run, maps each static
+    index to its owner.
     """
 
     def __init__(self, channel: "BroadcastChannel") -> None:
@@ -198,6 +208,13 @@ class BatchKernel:
         self.cursor = [0] * z
         #: statics[i][cursor[i]] materialized, -1 once the ranks run out.
         self.cur_static = [s[0] for s in statics]
+        #: The station owning each static index, -1 for none: a static
+        #: search's probed node is offered to by its indices' owners only.
+        owner = [-1] * config.static_q
+        for i, indices in enumerate(statics):
+            for index in indices:
+                owner[index] = i
+        self.owner = owner
         #: Station indices that offered in the current slot's probe.
         self._offers: list[int] = []
 
@@ -299,11 +316,14 @@ class BatchKernel:
                 width = self.config.class_width
                 frontier = replica.tts.search.frontier
                 leaf_lo = replica._pending_leaf.lo
-                lo, hi = node.lo, node.hi
                 member = self.member
                 cur_static = self.cur_static
-                for i in range(self.z):
-                    if not member[i] or not lo <= cur_static[i] < hi:
+                owner = self.owner
+                # Only the owners of the probed indices can offer, each
+                # with the one index its rank cursor is on.
+                for index in range(node.lo, node.hi):
+                    i = owner[index]
+                    if i < 0 or not member[i] or cur_static[i] != index:
                         continue
                     dm = head_dm[i]
                     if dm == _EMPTY:
@@ -361,14 +381,24 @@ class BatchKernel:
                 self.member = [False] * self.z
                 self.cursor = [0] * self.z
 
-    def idle_end(self, end: int) -> int | None:
-        """Where an idle stretch may end, at ``end`` at the latest: at the
-        next arrival.  ``None`` while a queue holds a message or the
-        shadow replica is not idle-steady."""
-        if self.nonempty or not self.replica.idle_steady():
+    def idle_end(self, start: int, end: int) -> int | None:
+        """Where an idle stretch from ``start`` may end, at ``end`` at the
+        latest: at the next arrival or where the shadow replica's room
+        says, for the least MAC-visible deadline at a queue's head
+        (:meth:`DDCRProtocol.idle_room
+        <repro.protocols.ddcr.protocol.DDCRProtocol.idle_room>`: the
+        room only grows with the deadline).  ``None`` if it is not
+        idle-steady."""
+        replica = self.replica
+        room = replica.idle_room(None)
+        if room and self.nonempty:
+            room = replica.idle_room(min(self.head_dm))
+        if not room:
             return None
         due = self._next_due
-        return due if due < end else end
+        if due < end:
+            end = due
+        return min(end, start + room * self.slot_time)
 
     def jam_end(self, start: int, end: int) -> int | None:
         """Where a jammed stretch from ``start`` may end, at ``end`` at the

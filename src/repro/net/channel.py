@@ -29,9 +29,11 @@ resolution happens — and dispatches to one of three internal tiers:
   the queue every channel rejoins the DES mid-run, so it is always safe
   to select.  It crosses provably idle stretches in one step
   (:func:`_leap`): every station's own replica, on every channel, must
-  say it is idle-steady, and each advances itself
-  (``MACProtocol.leap_idle``); on consistency-checked runs lockstep is
-  asserted at the stretch's first and last slot.  A jammed channel
+  say it is idle-steady, for as many slots as its queue lets it stay
+  silent (``MACProtocol.idle_steady``: a queued DDCR message waiting
+  for compressed time to pull it in, a BEB backoff), and each advances
+  itself (``MACProtocol.leap_idle``); on consistency-checked runs
+  lockstep is asserted at the stretch's first and last slot.  A jammed channel
   takes part in the same stretch once every replica on it is
   jam-steady (``MACProtocol.jam_steady``, ``leap_jammed``: DDCR stuck
   re-probing a static-tree leaf, where n jammed slots are n retries).
@@ -46,14 +48,15 @@ resolution happens — and dispatches to one of three internal tiers:
   the reason returned (and recorded in run manifests).
 
 Both leaping engines are one loop with one stretch rule: a stretch ends
-at the horizon, the earliest pending arrival, a jam boundary or the
-first slot a noise gate corrupts (the gates are drawn slot by slot, in
-the per-slot order, and that slot then runs as a corrupted round), and
-there is no leap under an armed fault injector or a monitor that cannot
-digest idle slots in one call (nor a jammed leap under one that cannot
-digest jammed slots).  On a shared clock the stretch ends at the
-earliest such end of any channel, and noise keeps every channel
-stepping.  The DES is always per-slot: the reference.
+at the horizon, the earliest pending arrival, a jam boundary, the end of
+the least room a replica gives or the first slot a noise gate corrupts
+(the gates are drawn slot by slot, in the per-slot order, and that slot
+then runs as a corrupted round), and there is no leap under an armed
+fault injector or a monitor that cannot digest idle slots in one call
+(nor a jammed leap under one that cannot digest jammed slots).  On a
+shared clock the stretch ends at the earliest such end of any channel,
+and noise keeps every channel stepping.  The DES is always per-slot:
+the reference.
 
 All engines draw from the same RNG in the same order, so their results
 are byte-identical (the differential tests assert this, three ways).  The
@@ -81,7 +84,7 @@ from repro.net.phy import MediumProfile
 from repro.obs.context import current_tracer
 from repro.obs.instruments import LATENCY_EDGES, NULL_TELEMETRY, Telemetry
 from repro.obs.tracer import FlightRecorder
-from repro.protocols.base import JAM_UNBOUNDED, ChannelState, SlotObservation
+from repro.protocols.base import UNBOUNDED, ChannelState, SlotObservation
 from repro.sim.engine import Environment
 from repro.sim.process import ProcessGenerator
 
@@ -240,16 +243,15 @@ class _RoundDriver:
 
         The slots are silent, or jammed if the slot at ``now`` is.  The
         caller (:func:`_leap`) has checked that ``now < end`` and that
-        every replica on its own says it is idle-steady (every queue
-        empty) or jam-steady for that many slots, so a replica that left
-        the steady state alone keeps the slot per-slot, where the
-        lockstep check sees it.  On checked runs the replicas digest the
-        stretch's first slot, lockstep is asserted there, then they
-        digest the rest and it is asserted at the last slot.  If a noise
-        gate fires inside an idle stretch
-        (:meth:`BroadcastChannel._quiet_slots`), the leap stops before
-        that slot and runs it here as a corrupted round; a jammed slot
-        draws no gate.
+        every replica on its own says it is idle-steady or jam-steady
+        for that many slots, so a replica that left the steady state
+        alone keeps the slot per-slot, where the lockstep check sees
+        it.  On checked runs the replicas digest the stretch's first
+        slot, lockstep is asserted there, then they digest the rest and
+        it is asserted at the last slot.  If a noise gate fires inside an
+        idle stretch (:meth:`BroadcastChannel._quiet_slots`), the leap
+        stops before that slot and runs it here as a corrupted round; a
+        jammed slot draws no gate.
         """
         channel = self.channel
         slot_time = self.slot_time
@@ -292,20 +294,23 @@ class _RoundDriver:
             else:
                 mac.leap_idle(n, end)
 
-    def idle_end(self, end: int) -> int | None:
-        """Where an idle stretch may end, at ``end`` at the latest: at the
-        earliest pending arrival.  ``None`` if a station holds a message
-        (unless its replica is :meth:`muted
-        <repro.protocols.base.MACProtocol.muted>`) or a replica on its
-        own says it is not idle-steady."""
+    def idle_end(self, start: int, end: int) -> int | None:
+        """Where an idle stretch from ``start`` may end, at ``end`` at the
+        latest: at the earliest pending arrival or where the replica with
+        the least room (:meth:`~repro.protocols.base.MACProtocol.idle_steady`,
+        which a queued message may have) says.  ``None`` if a replica on
+        its own says it is not idle-steady."""
+        room = UNBOUNDED
         for station in self.stations:
-            mac = station.mac
-            if (station.queue and not mac.muted()) or not mac.idle_steady():
+            steady = station.mac.idle_steady()
+            if not steady:
                 return None
+            if steady < room:
+                room = steady
             arrival = station.peek_next_arrival()
             if arrival is not None and arrival < end:
                 end = arrival
-        return end
+        return min(end, start + room * self.slot_time)
 
     def jam_end(self, start: int, end: int) -> int | None:
         """Where a jammed stretch from ``start`` may end, at ``end`` at
@@ -313,7 +318,7 @@ class _RoundDriver:
         with the least room (:meth:`~repro.protocols.base.MACProtocol.jam_steady`)
         says.  ``None`` if a replica is not jam-steady; the queues do not
         matter."""
-        room = JAM_UNBOUNDED
+        room = UNBOUNDED
         for station in self.stations:
             steady = station.mac.jam_steady()
             if not steady:
@@ -557,20 +562,21 @@ def _leap(
     whether there was one.
 
     Each channel's next slot is idle or jammed.  On an idle channel
-    every station must have an empty queue (a :meth:`muted
-    <repro.protocols.base.MACProtocol.muted>` replica's may hold
-    messages) and a replica that on its own says it is idle-steady.  On
-    a jammed channel every slot is a frameless collision that draws no
-    noise, whatever is offered, so the queues do not matter: every
-    replica must be jam-steady and the channel's monitors must digest
-    jammed slots, and the stretch ends where the replica with the least
-    room (:meth:`~repro.protocols.base.MACProtocol.jam_steady`) says.
+    every replica must on its own say it is idle-steady, and the stretch
+    ends where the replica with the least room
+    (:meth:`~repro.protocols.base.MACProtocol.idle_steady`) says: a
+    queued message may sit some slots out.  On a jammed channel every
+    slot is a frameless collision that draws no noise, whatever is
+    offered, so the queues do not matter: every replica must be
+    jam-steady and the channel's monitors must digest jammed slots, and
+    the stretch ends where the replica with the least room
+    (:meth:`~repro.protocols.base.MACProtocol.jam_steady`) says.
     Each driver's station side answers both (``idle_end``,
     ``jam_end``): every station's own replica, or the batch kernel.
-    The stretch ends at the earliest horizon, pending arrival or jam
-    boundary of any channel (``jam_until`` of a jammed one, ``jam_from``
-    of an idle one), and each channel leaps the slots that start before
-    that end.
+    The stretch ends at the earliest horizon, pending arrival, jam
+    boundary (``jam_until`` of a jammed channel, ``jam_from`` of an idle
+    one) or end of a replica's room of any channel, and each channel
+    leaps the slots that start before that end.
     ``pending`` gets each leapt channel's next round, in the order the
     DES would have scheduled it: after every round already run, and
     among the leapt channels by the start of their last leapt round (it
@@ -599,7 +605,7 @@ def _leap(
             if channel.jam_until is not None:
                 end = min(end, channel.jam_until)
             continue
-        end = side.idle_end(end)
+        end = side.idle_end(start, end)
         if end is None:
             return False
         if jam_from is not None:
@@ -645,7 +651,8 @@ class BroadcastChannel:
 
         ``noise_rng`` supplies the corruption stream directly (the
         simulation layer passes a :class:`~repro.sim.rng.SeedSequenceRegistry`
-        stream); when absent, one is derived from ``noise_seed``.
+        stream); when absent, one is derived from ``noise_seed`` if
+        ``noise_rate`` is positive (a noiseless channel draws nothing).
 
         Internally ``noise_rate`` arms the same typed gate
         (:class:`repro.faults.runtime.BernoulliGate`) that fault plans
@@ -675,9 +682,9 @@ class BroadcastChannel:
         self.medium = medium
         self.check_consistency = check_consistency
         self.noise_rate = noise_rate
-        self._noise_rng = (
-            noise_rng if noise_rng is not None else random.Random(noise_seed)
-        )
+        if noise_rng is None and noise_rate > 0.0:
+            noise_rng = random.Random(noise_seed)
+        self._noise_rng = noise_rng
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.telemetry_prefix = telemetry_prefix
         self.tracer = tracer if tracer is not None else current_tracer()
@@ -815,13 +822,13 @@ class BroadcastChannel:
         ``env.now`` itself.  A lone channel is the case ``N = 1``.
 
         Stretches are crossed jointly (:func:`_leap`): only while every
-        station of every channel has an empty queue and an idle-steady
-        replica, or on a jammed channel a jam-steady one, and each
-        channel leaps the slots that start before the earliest horizon,
-        pending arrival or jam boundary of any channel.  Noise keeps the
-        leap on a lone channel only: a gate fired on one channel would
-        end the other channels' trace runs mid-stretch, so noisy
-        channels sharing a clock step every slot.
+        station of every channel has an idle-steady replica, or on a
+        jammed channel a jam-steady one, and each channel leaps the
+        slots that start before the earliest horizon, pending arrival,
+        jam boundary or end of a replica's room of any channel.  Noise
+        keeps the leap on a lone channel only: a gate fired on one
+        channel would end the other channels' trace runs mid-stretch, so
+        noisy channels sharing a clock step every slot.
 
         Fallback is automatic and exact: if foreign events are pending at
         entry, the whole run happens on the DES; if one appears mid-run
@@ -969,8 +976,10 @@ class BroadcastChannel:
 
     def _count_idle(self, now: int, n: int) -> None:
         """Book ``n`` silent slots from ``now`` as ``n`` rounds would:
-        stats, observations, the silence counter, the monitors and the
-        flight recorder."""
+        stats, observations, the silence counter, the monitors (told
+        whether a queue holds a message through the stretch, as no
+        arrival or completion falls inside it) and the flight
+        recorder."""
         slot_time = self.medium.slot_time
         stats = self.stats
         stats.silence_slots += n
@@ -980,7 +989,8 @@ class BroadcastChannel:
         if telemetry.enabled:
             telemetry.counter(f"{self.telemetry_prefix}slots/silence").inc(n)
         if self.monitors is not None:
-            self.monitors.on_idle(now, n, slot_time)
+            backlogged = any(station.queue for station in self.stations)
+            self.monitors.on_idle(now, n, slot_time, backlogged)
         if self.tracer.enabled:
             self._trace_idle(now, n)
 

@@ -37,12 +37,13 @@ from repro.obs.context import current_telemetry
 from repro.obs.instruments import Telemetry
 from repro.obs.manifest import RunTelemetry
 from repro.protocols.base import (
-    JAM_UNBOUNDED,
+    UNBOUNDED,
     ChannelState,
     MACProtocol,
     SlotObservation,
 )
 from repro.protocols.ddcr.config import DDCRConfig
+from repro.protocols.edf_queue import EDFQueue
 from repro.sim.engine import Environment
 from repro.sim.invariants import (
     InvariantReport,
@@ -57,6 +58,10 @@ __all__ = [
     "DualBusSimulation",
     "suggested_jam_threshold",
 ]
+
+#: The queue a standby port's replica is asked its room against: never
+#: filled (see :meth:`BusPort.idle_steady`).
+_NO_QUEUE = EDFQueue()
 
 
 def suggested_jam_threshold(config: DDCRConfig, margin: int = 8) -> int:
@@ -111,7 +116,7 @@ class BusFailoverController:
         bus as it is: one short of the threshold on the active bus, any
         number on the standby one."""
         if bus_index != self.active_bus:
-            return JAM_UNBOUNDED
+            return UNBOUNDED
         return self.jam_threshold - 1 - self._consecutive_collisions
 
     def state_key(self) -> tuple[int, int, int]:
@@ -137,15 +142,17 @@ class BusPort(MACProtocol):
     the failover slot runs as a round in which every station flips.
 
     A standby port is :meth:`muted`: its offers never reach the wire, so
-    a queue stranded in it does not bar its bus's idle leap.  That case
-    arises only beside a jammed active bus: on an unjammed active bus
-    the shared queue must already be empty for the stretch to leap.  The
-    jammed bus's replicas are then jam-steady, hence DDCR, and both of a
-    station's ports wrap replicas of one protocol factory, so the
-    standby replica is DDCR too, whose :meth:`offer` changes nothing but
-    the offer itself, which the port retracts: skipping those offers
-    changes nothing.  A replica whose offer draws (slotted ALOHA) would
-    break this, and none is ever jam-steady.
+    its room (:meth:`idle_steady`) is its replica's with an empty queue,
+    whatever the shared queue stranded in it holds.  A queue stands
+    beside a leapt stretch only where the active port's replica sits it
+    out (DDCR's compressed-time wait, a BEB backoff) or beside a jammed
+    active bus, whose replicas are then jam-steady, hence DDCR.  Both of
+    a station's ports wrap replicas of one protocol factory, so the
+    standby replica is of the same kind, whose :meth:`offer` changes
+    nothing but the offer itself, which the port retracts: skipping
+    those offers changes nothing.  A replica whose offer draws (slotted
+    ALOHA) would break this, and none sits a queued message out or is
+    ever jam-steady.
     """
 
     def __init__(
@@ -179,8 +186,20 @@ class BusPort(MACProtocol):
         self.controller.note(self.bus_index, observation.state)
         self.inner.observe(observation)
 
-    def idle_steady(self) -> bool:
-        return self.inner.idle_steady()
+    def idle_steady(self) -> int:
+        room = self.inner.idle_steady()
+        if room == UNBOUNDED or not self.muted() or not self.station.queue:
+            return room
+        # Every offer of a standby port is retracted, so its replica
+        # digests a silent slot as it would with an empty queue: the room
+        # is the one it has then, whatever the stranded queue holds.
+        station = self.station
+        queue = station.queue
+        station.queue = _NO_QUEUE
+        try:
+            return self.inner.idle_steady()
+        finally:
+            station.queue = queue
 
     def leap_idle(self, n: int, end: int) -> None:
         # n silent slots: the first resets the collision run if this

@@ -24,9 +24,10 @@ Three engines can turn the broadcast channel's crank:
   one shadow protocol replica digests each slot and each leapt stretch,
   so per-slot cost is near-constant in the station count.  The round
   body, the leaps and the clock loop are the fast loop's own, so it
-  leaps what the fast loop leaps — idle stretches (all queues empty) in
-  O(1), also with the standard and bridge-conservation invariant
-  monitors armed, which digest a leap through ``on_idle``.
+  leaps what the fast loop leaps — idle stretches, queued messages
+  sitting them out included, in O(1), also with the standard and
+  bridge-conservation invariant monitors armed, which digest a leap
+  through ``on_idle``.
   Structurally limited to plain single-bus CSMA/DDCR runs; anything
   else (foreign MAC types, bursting, fault injectors, channels sharing
   a clock, non-destructive media) falls back to ``fastloop`` with the

@@ -188,7 +188,14 @@ class NetworkSimulation:
             self.medium,
             check_consistency=self.check_consistency,
             noise_rate=self.noise_rate,
-            noise_rng=rng.stream(f"channel/noise/{self.noise_seed}"),
+            # Streams are seeded by name, so one never built shifts no
+            # other: a noiseless channel and a process that never draws
+            # get none.
+            noise_rng=(
+                rng.stream(f"channel/noise/{self.noise_seed}")
+                if self.noise_rate > 0.0
+                else None
+            ),
             telemetry=telemetry,
             telemetry_prefix=self.telemetry_prefix,
         )
@@ -207,13 +214,14 @@ class NetworkSimulation:
                 seq_source=seq_source,
             )
             for msg_class in source.message_classes:
+                process = self._arrival_process(msg_class.name, source)
                 station.load_arrivals(
                     msg_class,
-                    self._arrival_process(msg_class.name, source),
+                    process,
                     horizon,
                     rng=rng.stream(
                         f"arrivals/{source.source_id}/{msg_class.name}"
-                    ),
+                    ) if process.draws else None,
                 )
             channel.attach(station)
             stations.append(station)

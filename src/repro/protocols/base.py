@@ -23,10 +23,10 @@ event queue and must not assume one exists.
 
 The leaping engines skip that call sequence only where a replica says
 the skipped slots are a closed form: an idle stretch
-(:meth:`MACProtocol.idle_steady`, :meth:`MACProtocol.leap_idle`) or a
-jammed one (:meth:`MACProtocol.jam_steady`,
-:meth:`MACProtocol.leap_jammed`), each leaving the replica exactly as
-the per-slot calls would.
+(:meth:`MACProtocol.idle_steady`, :meth:`MACProtocol.leap_idle`), which
+a queued message may sit out, or a jammed one
+(:meth:`MACProtocol.jam_steady`, :meth:`MACProtocol.leap_jammed`), each
+leaving the replica exactly as the per-slot calls would.
 """
 
 from __future__ import annotations
@@ -43,11 +43,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.frames import Frame
     from repro.net.station import Station
 
-__all__ = ["ChannelState", "JAM_UNBOUNDED", "SlotObservation", "MACProtocol"]
+__all__ = ["ChannelState", "UNBOUNDED", "SlotObservation", "MACProtocol"]
 
-#: :meth:`MACProtocol.jam_steady` of a replica that may cross any number
-#: of jammed slots in one step.
-JAM_UNBOUNDED = sys.maxsize
+#: :meth:`MACProtocol.idle_steady` or :meth:`MACProtocol.jam_steady` of a
+#: replica that may cross any number of silent or jammed slots in one step.
+UNBOUNDED = sys.maxsize
 
 
 class ChannelState(enum.Enum):
@@ -148,34 +148,30 @@ class MACProtocol(abc.ABC):
         """
         return None
 
-    def idle_steady(self) -> bool:
-        """May an engine cross an idle stretch on this replica in one step?
-
-        True only where silent, all-queues-empty slots leave the state a
-        function :meth:`leap_idle` computes in O(1) (the engine checks the
-        queues, but for a :meth:`muted` replica's).  An engine leaps only
-        if every station's replica says so; a slot that noise corrupts is
-        never leapt, it runs as a round.  DDCR is steady in FREE and the
-        fresh-TTs cycle, DCR in FREE, CSMA-CD/BEB with no backoff
-        pending, TDMA and slotted ALOHA always.  Default: no, every slot
+    def idle_steady(self) -> int:
+        """How many silent slots from now an engine may cross on this
+        replica in one step (:meth:`leap_idle`); 0 = none, every slot
         runs.
+
+        Nonzero only where the replica stays off the wire for that many
+        silent slots with its queue as it is, and each leaves its state a
+        function :meth:`leap_idle` computes in O(1).  An engine leaps only
+        as far as the replica with the least room says (and never past a
+        pending arrival); a slot that noise corrupts is never leapt, it
+        runs as a round.  With an empty queue: DDCR in FREE and the
+        fresh-TTs cycle, DCR in FREE, CSMA-CD/BEB, TDMA and slotted
+        ALOHA, each without limit (:data:`UNBOUNDED`).  With a queued
+        message: DDCR in the fresh-TTs cycle until compressed time pulls
+        the head's deadline class inside the horizon, and CSMA-CD/BEB
+        for its pending backoff.  Default: 0.
         """
-        return False
+        return 0
 
     def leap_idle(self, n: int, end: int) -> None:
         """Digest ``n`` silent slots, the last ending at ``end``, as ``n``
         rounds of :meth:`offer` and :meth:`observe` would (only called
-        while :meth:`idle_steady` holds)."""
+        for at most :meth:`idle_steady` slots)."""
         raise NotImplementedError
-
-    def muted(self) -> bool:
-        """Does nothing this replica offers reach the wire?
-
-        Then its station's queue does not bar an idle leap, which the
-        engine otherwise requires to be empty.  Only a standby dual-bus
-        port says so.  Default: no.
-        """
-        return False
 
     def jam_steady(self) -> int:
         """How many jammed slots an engine may cross on this replica in one
@@ -186,7 +182,7 @@ class MACProtocol(abc.ABC):
         leave the state a function :meth:`leap_jammed` computes in O(1)
         and :meth:`offer` changes nothing but the offer itself: then the
         queue does not matter.  DDCR re-probing a static-tree leaf is
-        jam-steady without limit (:data:`JAM_UNBOUNDED`); an active
+        jam-steady without limit (:data:`UNBOUNDED`); an active
         dual-bus port caps that one slot short of its failover.
         Default: 0.
         """

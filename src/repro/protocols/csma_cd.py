@@ -18,7 +18,12 @@ from __future__ import annotations
 import random
 
 from repro.model.message import MessageInstance
-from repro.protocols.base import ChannelState, MACProtocol, SlotObservation
+from repro.protocols.base import (
+    UNBOUNDED,
+    ChannelState,
+    MACProtocol,
+    SlotObservation,
+)
 
 __all__ = ["CSMACDProtocol", "MAX_ATTEMPTS", "MAX_BACKOFF_EXPONENT"]
 
@@ -73,13 +78,17 @@ class CSMACDProtocol(MACProtocol):
         if self._backoff > 0:
             self._backoff -= 1
 
-    def idle_steady(self) -> bool:
-        """No backoff pending: with an empty queue a silent slot then
-        changes nothing (a pending backoff counts down per slot)."""
-        return self._backoff == 0
+    def idle_steady(self) -> int:
+        """Without limit with an empty queue; with a queued message, its
+        pending backoff: the station stays silent until the counter,
+        which each silent slot counts down, reaches zero."""
+        if not self.station.queue:
+            return UNBOUNDED
+        return self._backoff
 
     def leap_idle(self, n: int, end: int) -> None:
-        """Nothing to digest: no backoff is counting down."""
+        """Count the pending backoff down by ``n`` silent slots."""
+        self._backoff = max(self._backoff - n, 0)
 
     def public_state(self) -> tuple[object, ...]:
         # Backoff state is private by design (random per station).

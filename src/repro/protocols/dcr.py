@@ -24,7 +24,12 @@ import enum
 
 from repro.core.trees import BalancedTree
 from repro.model.message import MessageInstance
-from repro.protocols.base import ChannelState, MACProtocol, SlotObservation
+from repro.protocols.base import (
+    UNBOUNDED,
+    ChannelState,
+    MACProtocol,
+    SlotObservation,
+)
 from repro.protocols.treesearch import SplittingSearch
 
 __all__ = ["DCRProtocol", "DCRMode"]
@@ -119,9 +124,12 @@ class DCRProtocol(MACProtocol):
 
     # -- idle stretches -----------------------------------------------------
 
-    def idle_steady(self) -> bool:
-        """FREE with every queue empty: a silent slot changes nothing."""
-        return self.mode is DCRMode.FREE
+    def idle_steady(self) -> int:
+        """Without limit in FREE with an empty queue, where a silent slot
+        changes nothing; a queued message offers at once."""
+        if self.mode is DCRMode.FREE and not self.station.queue:
+            return UNBOUNDED
+        return 0
 
     def leap_idle(self, n: int, end: int) -> None:
         """Nothing to digest: FREE mode ignores silence."""

@@ -37,7 +37,7 @@ import enum
 from repro.core.trees import LeafInterval
 from repro.model.message import MessageInstance
 from repro.protocols.base import (
-    JAM_UNBOUNDED,
+    UNBOUNDED,
     ChannelState,
     MACProtocol,
     SlotObservation,
@@ -340,44 +340,82 @@ class DDCRProtocol(MACProtocol):
 
     # -- idle stretches -------------------------------------------------------
 
-    def idle_steady(self) -> bool:
-        """Is this replica in one of the two idle steady states?
+    def idle_steady(self) -> int:
+        """How many silent slots this replica can cross in one step.
 
-        FREE, where a silent slot changes nothing, and the fresh-TTs cycle,
-        where each silent slot is one trivial empty run: ``reft`` gains
-        theta, the empty-run counter one, and the same fresh search
-        restarts at the slot's end.  Not while a burst is open (a silent
-        slot closes it) nor under ``exit_to_free_on_idle`` in TTs (a silent
-        slot drops to FREE).
+        :meth:`idle_room` for the EDF head's MAC-visible deadline, the
+        one message this station would offer (the queue is read only in
+        a steady state).
+        """
+        room = self.idle_room(None)
+        if not room:
+            return 0
+        head = self.station.queue.peek()
+        if head is None:
+            return room
+        return self.idle_room(
+            mac_visible_deadline(
+                head.arrival, head.relative_deadline, self.config
+            )
+        )
+
+    def idle_room(self, deadline: int | None) -> int:
+        """How many silent slots this replica can cross in one step if the
+        head of its queue has MAC-visible deadline ``deadline`` (``None``
+        = an empty queue); 0 = every slot runs.
+
+        Two idle steady states: FREE, where a silent slot changes
+        nothing, and the fresh-TTs cycle, where each silent slot is one
+        trivial empty run: ``reft`` gains theta, the empty-run counter
+        one, and the same fresh search restarts at the slot's end.  Not
+        while a burst is open (a silent slot closes it) nor under
+        ``exit_to_free_on_idle`` in TTs (a silent slot drops to FREE).
+        With an empty queue either state lasts without limit.  A queued
+        head offers at once in FREE; in the fresh-TTs cycle it sits out
+        each root probe while its deadline class lies beyond the horizon,
+        ``gap = DM - alpha - reft - F*c >= 0``, which compressed time
+        shrinks by theta a slot: ``gap // theta + 1`` slots (none for
+        ``gap < 0``, without limit for theta = 0).  The room only grows
+        with ``deadline``, so the batch kernel asks it for the least
+        deadline of its stations.
         """
         if self._burst_owner is not None:
-            return False
+            return 0
         mode = self.mode
         if mode is DDCRMode.FREE:
-            return True
+            return UNBOUNDED if deadline is None else 0
         if mode is not DDCRMode.TTS or self.config.exit_to_free_on_idle:
-            return False
+            return 0
         tts = self.tts
         search = tts.search
         agenda = search.agenda
-        return (
-            not tts.triggered_by_collision
-            and not tts.transmitted
-            and tts.nested_sts_runs == 0
-            and search.probes == 0
-            and search.wasted_slots == 0
-            and search.successes == 0
-            and search.frontier == 0
-            and len(agenda) == 1
-            and agenda[0] == search._root
-        )
+        if (
+            tts.triggered_by_collision
+            or tts.transmitted
+            or tts.nested_sts_runs
+            or search.probes
+            or search.wasted_slots
+            or search.successes
+            or search.frontier
+            or len(agenda) != 1
+            or agenda[0] is not search._root
+        ):
+            return 0  # not the fresh-TTs cycle
+        if deadline is None:
+            return UNBOUNDED
+        config = self.config
+        gap = deadline - config.alpha - self.reft - config.horizon
+        if gap < 0:
+            return 0
+        if not self._theta:
+            return UNBOUNDED
+        return gap // self._theta + 1
 
     def leap_idle(self, n: int, end: int) -> None:
         """Digest ``n`` silent slots, the last ending at ``end``, in O(1).
 
         Leaves the replica exactly as ``n`` rounds of :meth:`offer` and
-        :meth:`observe` would; valid only while :meth:`idle_steady` holds
-        and every queue is empty.
+        :meth:`observe` would; valid for at most :meth:`idle_room` slots.
         """
         if self.mode is DDCRMode.TTS:
             self.reft += n * self._theta
@@ -404,7 +442,7 @@ class DDCRProtocol(MACProtocol):
         if self._burst_owner is None and self.mode is DDCRMode.STS:
             agenda = self.sts.search.agenda
             if agenda and agenda[-1].is_leaf():
-                return JAM_UNBOUNDED
+                return UNBOUNDED
         return 0
 
     def leap_jammed(self, n: int, end: int) -> None:

@@ -19,7 +19,12 @@ from __future__ import annotations
 import random
 
 from repro.model.message import MessageInstance
-from repro.protocols.base import ChannelState, MACProtocol, SlotObservation
+from repro.protocols.base import (
+    UNBOUNDED,
+    ChannelState,
+    MACProtocol,
+    SlotObservation,
+)
 
 __all__ = ["SlottedAlohaProtocol", "DEFAULT_TRANSMIT_PROBABILITY"]
 
@@ -79,10 +84,11 @@ class SlottedAlohaProtocol(MACProtocol):
         if observation.state is ChannelState.COLLISION and offered is not None:
             self._backlogged = True
 
-    def idle_steady(self) -> bool:
-        """Always: an empty queue makes no retry draw, and silence leaves
-        the backlog flag alone."""
-        return True
+    def idle_steady(self) -> int:
+        """Without limit with an empty queue: it makes no retry draw, and
+        silence leaves the backlog flag alone.  A queued message offers
+        or draws every slot."""
+        return 0 if self.station.queue else UNBOUNDED
 
     def leap_idle(self, n: int, end: int) -> None:
         """Nothing to digest: silent slots change no state."""

@@ -14,7 +14,12 @@ the schedule is driven purely by public feedback and stays consistent.
 from __future__ import annotations
 
 from repro.model.message import MessageInstance
-from repro.protocols.base import ChannelState, MACProtocol, SlotObservation
+from repro.protocols.base import (
+    UNBOUNDED,
+    ChannelState,
+    MACProtocol,
+    SlotObservation,
+)
 
 __all__ = ["TDMAProtocol"]
 
@@ -61,9 +66,10 @@ class TDMAProtocol(MACProtocol):
             self.noisy_slots += 1
         self._turn = (self._turn + 1) % len(self.roster)
 
-    def idle_steady(self) -> bool:
-        """Always: a silent slot only passes the turn on."""
-        return True
+    def idle_steady(self) -> int:
+        """Without limit with an empty queue: a silent slot only passes
+        the turn on.  A queued message steps every slot."""
+        return 0 if self.station.queue else UNBOUNDED
 
     def leap_idle(self, n: int, end: int) -> None:
         """``n`` silent slots pass the turn on ``n`` times."""

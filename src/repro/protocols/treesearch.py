@@ -194,9 +194,15 @@ class SplittingSearch:
         self.frontier = leaf.hi
 
     def state_key(self) -> tuple[object, ...]:
-        """Hashable snapshot for lockstep-consistency assertions."""
+        """Hashable snapshot for lockstep-consistency assertions.
+
+        The agenda's nodes are keyed as they are: tree nodes are interned
+        (:meth:`LeafInterval.children`), so replicas in lockstep hold the
+        same objects and the comparison short-circuits on identity, and
+        two nodes compare equal exactly when their ``(lo, hi)`` do.
+        """
         return (
-            tuple((n.lo, n.hi) for n in self.agenda),
+            tuple(self.agenda),
             self.frontier,
             self.probes,
             self.wasted_slots,

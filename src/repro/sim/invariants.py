@@ -8,8 +8,9 @@ Each monitor watches every slot (under every engine: the round driver is
 engine-independent, and the leaping engines digest idle stretches through
 ``on_idle`` and the fast loop jammed ones through ``on_jammed``, which
 leave a monitor exactly as per-slot calls would — so violation reports
-are byte-identical across ``des``, ``fastloop`` and ``batch``) and records structured :class:`Violation` entries instead of
-silently passing; the aggregated :class:`InvariantReport` is attached to
+are byte-identical across ``des``, ``fastloop`` and ``batch``) and
+records structured :class:`Violation` entries instead of silently
+passing; the aggregated :class:`InvariantReport` is attached to
 :class:`~repro.net.network.RunResult`.
 
 Monitor-to-theorem mapping:
@@ -168,15 +169,20 @@ class InvariantMonitor:
         """Digest one channel round.  ``wire`` counts frames on the wire
         (real transmitters plus injected babble frames)."""
 
-    def on_idle(self, now: int, n: int, slot_time: int) -> None:
+    def on_idle(
+        self, now: int, n: int, slot_time: int, backlogged: bool
+    ) -> None:
         """Digest ``n`` consecutive idle slots in O(1), the first at ``now``.
 
-        The slots are silent, uncorrupted, unjammed and have every queue
-        empty; afterwards the monitor must be exactly as ``n`` calls of
-        :meth:`on_slot` would leave it.  The engines leap over such
-        stretches only when every armed monitor's ``on_idle`` comes from
-        the same class as its ``on_slot`` (or a subclass of it), so a
-        monitor that overrides ``on_slot`` alone keeps per-slot execution.
+        The slots are silent, uncorrupted and unjammed, no station is
+        down, and nothing arrives or completes inside them, so whether
+        some queue holds a message (``backlogged``: a queued message
+        sitting the stretch out) is the same at every slot; afterwards
+        the monitor must be exactly as ``n`` calls of :meth:`on_slot`
+        would leave it.  The engines leap over such stretches only when
+        every armed monitor's ``on_idle`` comes from the same class as its
+        ``on_slot`` (or a subclass of it), so a monitor that overrides
+        ``on_slot`` alone keeps per-slot execution.
         """
 
     def on_jammed(self, now: int, n: int, slot_time: int) -> None:
@@ -259,7 +265,7 @@ class MutualExclusionMonitor(InvariantMonitor):
                     wire=wire,
                 )
 
-    def on_idle(self, now, n, slot_time) -> None:
+    def on_idle(self, now, n, slot_time, backlogged) -> None:
         pass  # silence with nothing on the wire is the resolution
 
     def on_jammed(self, now, n, slot_time) -> None:
@@ -294,7 +300,7 @@ class DeadlineMonitor(InvariantMonitor):
                 completion=end,
             )
 
-    def on_idle(self, now, n, slot_time) -> None:
+    def on_idle(self, now, n, slot_time, backlogged) -> None:
         pass  # nothing completes on a silent slot
 
     def finalize(self, horizon, stations, down) -> None:
@@ -364,10 +370,28 @@ class WorkConservationMonitor(InvariantMonitor):
         self._streak = 0
         self._reported = False
 
-    def on_idle(self, now, n, slot_time) -> None:
-        # Every queue is empty: no slot of the stretch is backlogged.
-        self._streak = 0
-        self._reported = False
+    def on_idle(self, now, n, slot_time, backlogged) -> None:
+        if not backlogged:
+            self._streak = 0
+            self._reported = False
+            return
+        # Every slot of the stretch is backlogged: the streak grows by n,
+        # and the slot that takes it past the limit reports, as on_slot
+        # would there.
+        streak = self._streak
+        if streak == 0:
+            self._streak_started = now
+        self._streak = streak + n
+        if self._streak > self.limit and not self._reported:
+            self._reported = True
+            crossing = max(self.limit + 1 - streak, 1)
+            self.record(
+                now + (crossing - 1) * slot_time,
+                f"channel idle for {streak + crossing} consecutive slots "
+                "with queued messages",
+                since=self._streak_started,
+                limit=self.limit,
+            )
 
 
 class SearchLengthMonitor(InvariantMonitor):
@@ -417,7 +441,7 @@ class SearchLengthMonitor(InvariantMonitor):
         self._streak = 0
         self._reported = False
 
-    def on_idle(self, now, n, slot_time) -> None:
+    def on_idle(self, now, n, slot_time, backlogged) -> None:
         # Silence ends any collision run; nothing corrupted or babbled.
         self._streak = 0
         self._reported = False
@@ -584,7 +608,7 @@ class BridgeConservationMonitor(InvariantMonitor):
                 self._forwarded += 1
         self._check_occupancy(now)
 
-    def on_idle(self, now, n, slot_time) -> None:
+    def on_idle(self, now, n, slot_time, backlogged) -> None:
         # Nothing is forwarded, so occupancy only changes at the slots
         # that count a new journal entry: apply the per-slot rule at the
         # first slot and at each of those; in between it is a no-op.
@@ -690,13 +714,16 @@ class MonitorSuite:
                 stations, down,
             )
 
-    def on_idle(self, now: int, n: int, slot_time: int) -> None:
-        """Digest ``n`` idle slots starting at ``now`` (see
+    def on_idle(
+        self, now: int, n: int, slot_time: int, backlogged: bool
+    ) -> None:
+        """Digest ``n`` idle slots starting at ``now``, through all of
+        which some queue holds a message if ``backlogged`` (see
         :meth:`InvariantMonitor.on_idle`), as ``n`` :meth:`on_slot` calls
         would."""
         self.slots_checked += n
         for monitor in self.monitors:
-            monitor.on_idle(now, n, slot_time)
+            monitor.on_idle(now, n, slot_time, backlogged)
 
     def on_jammed(self, now: int, n: int, slot_time: int) -> None:
         """Digest ``n`` jammed slots starting at ``now`` (see

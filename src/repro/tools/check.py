@@ -203,8 +203,14 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
     their idle stretches together and, once bus A's replicas are stuck
     re-probing a static-tree leaf, its jammed tail beside them (the
     failover slot runs as a round), and must fail over exactly once.
-    This row is the CI check of the leaps under monitors.  Returns
-    failure lines (empty = all invariants held, both engines agreed).
+    The one scenario that must report a violation runs DDCR with
+    deadlines beyond the time tree's horizon under the standard suite
+    with a small work-conservation limit: the silence queued messages
+    sit out until compressed time pulls them in is leapt, and the streak
+    crosses the limit inside such a stretch, where the one expected
+    violation must land as on the DES.  This row is the CI check of the
+    leaps under monitors.  Returns failure lines (empty = every scenario
+    reported what it must, both engines agreed).
     """
     from repro.experiments.harness import (
         csma_cd_factory,
@@ -223,10 +229,13 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
     from repro.net.dualbus import DualBusSimulation, suggested_jam_threshold
     from repro.net.network import NetworkSimulation, Scenario
     from repro.net.phy import ideal_medium
+    from repro.net.station import Station
+    from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
     from repro.sim.invariants import (
         DeadlineMonitor,
         MonitorSuite,
         MutualExclusionMonitor,
+        standard_suite,
     )
 
     problem = uniform_problem(
@@ -368,13 +377,38 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
             result.invariants,
         ), problems
 
+    # Deadlines 400 µs beyond the time tree's horizon c*F = 32,768
+    # bit-times: the queued messages sit out the fresh-TTs cycle until
+    # compressed time pulls them in, about 180 silent slots, which the
+    # leap crosses and the standard suite's work conservation, limited
+    # to 40 slots, reports once.
+    far_config = DDCRConfig(
+        time_f=16,
+        time_m=2,
+        class_width=2_048,
+        static_q=problem.static_q,
+        static_m=problem.static_m,
+    )
+
+    def execute_backlog(engine=None):
+        suite = standard_suite(
+            [Station(0, DDCRProtocol(far_config))],
+            work_conservation_limit=40,
+        )
+        return execute(
+            ddcr_factory(far_config), None, lambda: suite, False, 0.0, engine
+        )
+
     runs = [
-        (name, functools.partial(execute, *scenario))
+        (name, functools.partial(execute, *scenario), ())
         for name, *scenario in scenarios
     ]
-    runs.append(("dualbus-checked+failover", execute_dualbus))
+    runs.append(("dualbus-checked+failover", execute_dualbus, ()))
+    runs.append(
+        ("ddcr-far-deadlines+limit", execute_backlog, ("work_conservation",))
+    )
     failures: list[str] = []
-    for name, run in runs:
+    for name, run, expected in runs:
         reports, observed, problems = run()
         # Every scenario arms monitors (one suite per bus on the dual bus).
         summary = "; ".join(
@@ -382,8 +416,14 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
             else f"bus{index} {report.summary()}"
             for index, report in enumerate(reports)
         )
-        if all(report.ok for report in reports) and not problems:
-            print(f"invariants-smoke: {name}: {summary}")
+        found = tuple(
+            violation.invariant
+            for report in reports
+            for violation in report.violations
+        )
+        if found == expected and not problems:
+            note = " (as expected)" if expected else ""
+            print(f"invariants-smoke: {name}: {summary}{note}")
         else:
             failures.append(f"{name}: {'; '.join([summary, *problems])}")
         if run(engine="des")[1] != observed:

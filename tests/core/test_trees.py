@@ -126,6 +126,65 @@ class TestLeafInterval:
         assert not LeafInterval(0, 4).overlaps(LeafInterval(4, 8))
 
 
+def _built_children(node: LeafInterval, m: int) -> tuple[LeafInterval, ...]:
+    """``children`` as a fresh construction on every call."""
+    if node.width % m != 0 or node.width < m:
+        raise TreeShapeError(
+            f"interval of width {node.width} cannot be split {m}-ways"
+        )
+    step = node.width // m
+    return tuple(
+        LeafInterval(node.lo + i * step, node.lo + (i + 1) * step)
+        for i in range(m)
+    )
+
+
+def _outcome(split, node, m):
+    try:
+        return split(node, m)
+    except TreeShapeError as error:
+        return ("raised", str(error))
+
+
+def _nodes(m: int, leaves: int):
+    """Every node of the balanced m-ary tree with ``leaves`` leaves."""
+    width = leaves
+    while width >= 1:
+        for lo in range(0, leaves, width):
+            yield LeafInterval(lo, lo + width)
+        if width == 1:
+            return
+        width //= m
+
+
+class TestInternedChildren:
+    """``children`` hands out one shared tuple per ``(lo, hi, m)``."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_every_node_splits_as_built(self, m):
+        leaves = 1
+        while leaves <= 256:
+            for node in _nodes(m, leaves):
+                for ways in (2, 3, 4):
+                    assert _outcome(LeafInterval.children, node, ways) == (
+                        _outcome(_built_children, node, ways)
+                    ), (node, ways)
+            leaves *= m
+
+    def test_repeated_calls_return_the_same_nodes(self):
+        kids = LeafInterval(0, 64).children(4)
+        again = LeafInterval(0, 64).children(4)
+        assert kids is again
+        assert all(a is b for a, b in zip(kids, again))
+        grandkids = kids[1].children(4)
+        assert grandkids is LeafInterval(16, 32).children(4)
+
+    def test_a_failed_split_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(TreeShapeError, match="width 1 cannot"):
+                LeafInterval(3, 4).children(2)
+
+
 class TestBalancedTree:
     def test_of_constructor(self):
         tree = BalancedTree.of(m=4, leaves=64)

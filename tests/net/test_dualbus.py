@@ -17,7 +17,7 @@ from repro.net.dualbus import (
 from repro.net.phy import ideal_medium
 from repro.net.station import Station
 from repro.protocols.base import (
-    JAM_UNBOUNDED,
+    UNBOUNDED,
     ChannelState,
     MACProtocol,
     SlotObservation,
@@ -94,7 +94,8 @@ class TestController:
 
 
 class _Steady(MACProtocol):
-    """An inner replica that is always idle- and jam-steady, never
+    """An inner replica that is always jam-steady, idle-steady without
+    limit but for a queued message, which it would offer at once, never
     offers, and logs its leaps and the slots it observes."""
 
     def __init__(self):
@@ -110,13 +111,15 @@ class _Steady(MACProtocol):
         self.observed.append(observation.start)
 
     def idle_steady(self):
-        return True
+        if self.station is not None and self.station.queue:
+            return 0
+        return UNBOUNDED
 
     def leap_idle(self, n, end):
         self.leaps.append((n, end))
 
     def jam_steady(self):
-        return JAM_UNBOUNDED
+        return UNBOUNDED
 
     def leap_jammed(self, n, end):
         self.jam_leaps.append((n, end))
@@ -191,7 +194,7 @@ class TestBusPortJam:
 
     def test_jam_methods_delegate_to_the_inner_replica(self):
         _, (active, standby) = self._ports()
-        assert standby.jam_steady() == JAM_UNBOUNDED
+        assert standby.jam_steady() == UNBOUNDED
         standby.leap_jammed(7, 448)
         active.leap_jammed(2, 128)
         assert standby.inner.jam_leaps == [(7, 448)]
@@ -213,7 +216,7 @@ class TestBusPortJam:
         _collide(active, 2)
         standby.leap_jammed(50, 3_200)
         assert controller.state_key() == (0, 0, 2)
-        assert standby.jam_steady() == JAM_UNBOUNDED
+        assert standby.jam_steady() == UNBOUNDED
 
     def _busses(self, stations=3, threshold=4, queued=False):
         """Two channels on one clock, one dual-homed station each per

@@ -20,6 +20,7 @@ noisy cases hold that rule to the DES as well.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import itertools
 import pickle
 import random
@@ -29,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.trees import BalancedTree
+from repro.experiments.harness import csma_cd_factory
 from repro.faults.models import (
     BabblingStation,
     ClockDrift,
@@ -43,7 +45,7 @@ from repro.net.channel import BroadcastChannel, _RoundDriver
 from repro.net.dualbus import DualBusSimulation, suggested_jam_threshold
 from repro.net.engine import resolve_engine, use_engine
 from repro.net.network import NetworkSimulation, Scenario
-from repro.net.phy import ideal_medium
+from repro.net.phy import GIGABIT_ETHERNET, ideal_medium
 from repro.net.station import Station
 from repro.obs.context import use_tracer
 from repro.obs.tracer import FlightRecorder
@@ -193,6 +195,310 @@ def test_engines_identical_with_bursting():
         for engine in ENGINES
     ]
     assert len(set(runs)) == 1
+
+
+def _far_deadline_problem(spread=False):
+    """Five stations whose 400 µs deadlines lie far beyond the time
+    tree's horizon c*F = 32,768 bit-times (ABL-THETA's shape, scaled to
+    the ideal medium): a queued message sits out the fresh-TTs cycle
+    until compressed time pulls its class in.  ``spread`` gives station
+    i the deadline 300 + 140 i µs instead, so the waits end one station
+    at a time, the least deadline's first."""
+    problem = uniform_problem(
+        z=5, length=1_000, deadline=400_000, a=1, w=200_000
+    )
+    if not spread:
+        return problem
+    return dataclasses.replace(problem, sources=tuple(
+        dataclasses.replace(source, message_classes=tuple(
+            dataclasses.replace(
+                msg_class, deadline=300_000 + 140_000 * source.source_id
+            )
+            for msg_class in source.message_classes
+        ))
+        for source in problem.sources
+    ))
+
+
+def _far_deadline_config(problem, theta_factor):
+    return DDCRConfig(
+        time_f=16,
+        time_m=2,
+        class_width=2_048,
+        static_q=problem.static_q,
+        static_m=problem.static_m,
+        theta_factor=theta_factor,
+    )
+
+
+#: Runs whose queued messages sit silent slots out: case name ->
+#: (DDCR theta factor, or None for BEB; consistency-checked; noise rate).
+_BACKLOGGED_CASES = {
+    "ddcr-theta-0": (0.0, False, 0.0),
+    "ddcr-theta-c": (1.0, False, 0.0),
+    "ddcr-spread-deadlines": (1.0, False, 0.0),
+    "ddcr-checked-noisy": (1.0, True, 0.01),
+    "beb-proto-scale-8": (None, False, 0.0),
+}
+
+
+def _run_backlogged(engine, case):
+    """One monitored run of a :data:`_BACKLOGGED_CASES` entry; returns
+    the result and the byte digest of its stats, completions and
+    invariant report."""
+    theta, checked, noise = _BACKLOGGED_CASES[case]
+    if theta is None:
+        # PROTO's BEB load at scale 8: backoffs that queued messages
+        # sit out.
+        problem = uniform_problem(
+            z=8, length=16_000, deadline=2_000_000, a=2, w=4_000_000,
+            scale=8.0,
+        )
+        medium = GIGABIT_ETHERNET
+        factory = csma_cd_factory(7)
+        horizon = 8_000_000
+    else:
+        problem = _far_deadline_problem(spread=case == "ddcr-spread-deadlines")
+        medium = ideal_medium(slot_time=64)
+        config = _far_deadline_config(problem, theta)
+        factory = lambda source: DDCRProtocol(config)  # noqa: E731
+        horizon = 600_000
+    result = NetworkSimulation.from_scenario(
+        Scenario(
+            problem,
+            medium,
+            protocol_factory=factory,
+            check_consistency=checked,
+            noise_rate=noise,
+            noise_seed=3,
+            root_seed=3,
+            engine=engine,
+            monitors=True,
+        )
+    ).run(horizon)
+    return result, pickle.dumps(
+        (result.stats, result.completions, result.invariants)
+    )
+
+
+def _spy_backlogged_leaps(monkeypatch):
+    """Record the slots of every idle stretch a channel leaps while some
+    queue holds a message, and count the slots such a leap ran as a
+    corrupted round."""
+    leaps: list[int] = []
+    fired = collections.Counter()
+    leap = _RoundDriver.leap
+
+    def spy(self, now, end):
+        backlogged = any(station.queue for station in self.stations)
+        duration = leap(self, now, end)
+        if backlogged and not self.channel._jammed(now):
+            leaps.append(duration // self.slot_time)
+        return duration
+
+    round_ = _RoundDriver.round
+
+    def round_spy(self, now, fired_gates=0):
+        if fired_gates and any(station.queue for station in self.stations):
+            fired["backlogged"] += 1
+        return round_(self, now, fired_gates)
+
+    monkeypatch.setattr(_RoundDriver, "leap", spy)
+    monkeypatch.setattr(_RoundDriver, "round", round_spy)
+    return leaps, fired
+
+
+@pytest.mark.parametrize("case", _BACKLOGGED_CASES)
+def test_backlogged_stretches_leap_identically(case, monkeypatch):
+    """Silence that queued messages sit out — DDCR's compressed-time wait
+    for a class beyond the horizon, at theta = 0 and theta = c, with the
+    stations' deadlines spread (the kernel's room is the least head
+    deadline's), checked and noisy too, and BEB's backoffs at PROTO's
+    scale 8 — leaps on the fast loop and the kernel, and the runs stay
+    byte-identical to the per-slot DES, monitors' reports included.  The
+    DES leaps none."""
+    leaps, fired = _spy_backlogged_leaps(monkeypatch)
+    digests = set()
+    for engine in ENGINES:
+        leaps.clear()
+        fired.clear()
+        result, digest = _run_backlogged(engine, case)
+        digests.add(digest)
+        if engine == "des":
+            assert not leaps
+            continue
+        assert leaps, (engine, case)
+        if case in ("ddcr-theta-0", "ddcr-theta-c", "ddcr-spread-deadlines"):
+            assert max(leaps) > 100, (engine, leaps)
+        if case == "ddcr-checked-noisy":
+            # A gate fired inside a backlogged stretch: the leap stopped
+            # there and ran the slot as a corrupted round.
+            assert fired["backlogged"] > 0
+        if case == "ddcr-theta-c" and engine == "batch":
+            assert result.engine_fallback is None  # the kernel leapt
+    assert len(digests) == 1
+
+
+def test_work_conservation_crossing_inside_a_leap(monkeypatch):
+    """The standard suite with a small work-conservation limit: the
+    streak of silent backlogged slots crosses the limit inside a leapt
+    stretch, and every engine reports the same violation at the crossing
+    slot, with the text and ``since`` the per-slot path gives."""
+    from repro.sim.invariants import standard_suite
+
+    problem = _far_deadline_problem()
+    config = _far_deadline_config(problem, 1.0)
+    limit = 40
+    leapt = []
+    leap = _RoundDriver.leap
+
+    def spy(self, now, end):
+        duration = leap(self, now, end)
+        if any(station.queue for station in self.stations):
+            leapt.append((now, now + duration))
+        return duration
+
+    monkeypatch.setattr(_RoundDriver, "leap", spy)
+    violations = {}
+    for engine in ENGINES:
+        leapt.clear()
+        # The suite standard_suite arms for these stations' protocol.
+        probe = Station(0, DDCRProtocol(config))
+        suite = standard_suite([probe], work_conservation_limit=limit)
+        result = NetworkSimulation.from_scenario(
+            Scenario(
+                problem,
+                ideal_medium(slot_time=64),
+                protocol_factory=lambda source: DDCRProtocol(config),
+                engine=engine,
+                monitors=suite,
+            )
+        ).run(600_000)
+        (violation,) = result.invariants.by_invariant("work_conservation")
+        violations[engine] = violation
+        if engine != "des":
+            assert any(
+                start < violation.time < stop for start, stop in leapt
+            ), (engine, leapt, violation)
+    des = violations["des"]
+    assert des.message == (
+        f"channel idle for {limit + 1} consecutive slots with queued "
+        "messages"
+    )
+    assert des.time - des.detail("since") == limit * 64
+    assert violations["fastloop"] == violations["batch"] == des
+
+
+#: Static indices (nu > 1) and traffic (arrival times, deadline) per
+#: station of the hand-built kernel channel below: all six collide at
+#: time 0, station 3's later deadline class keeps it out of the static
+#: search that resolves the others' time leaf, and colliders left
+#: without a rank or a message sit the rest of that search out while
+#: their indices are probed.
+_OWNERS = (
+    ((0, 5), (0, 0, 0), 300_000),
+    ((1, 9, 13), (0, 0), 300_000),
+    ((2, 3), (0,), 300_000),
+    ((8, 12), (0, 0), 900_000),
+    ((4,), (0, 3_000), 300_000),
+    ((6, 7, 10), (0, 0, 0), 300_000),
+)
+
+
+def _run_owned_indices(engine, offers):
+    """The :data:`_OWNERS` channel; ``offers`` maps each stepped round's
+    start to the ids of the stations that offered in it."""
+    config = DDCRConfig(
+        time_f=16, time_m=2, class_width=65_536, static_q=16, static_m=2
+    )
+    channel = BroadcastChannel(Environment(), ideal_medium(slot_time=64))
+    seq_source = itertools.count()
+    for station_id, (indices, trace, deadline) in enumerate(_OWNERS):
+        mac = DDCRProtocol(config)
+        station = Station(
+            station_id, mac, static_indices=indices, seq_source=seq_source
+        )
+        station.load_arrivals(
+            make_class(deadline=deadline), TraceArrivals(trace=trace),
+            100_000,
+        )
+        if engine != "batch":
+            offer = mac.offer
+
+            def spy(now, offer=offer, station_id=station_id):
+                message = offer(now)
+                if message is not None:
+                    offers[now].append(station_id)
+                return message
+
+            mac.offer = spy
+        channel.attach(station)
+    assert channel.run(100_000, engine=engine) is None
+    completions = [
+        record for station in channel.stations
+        for record in station.completions
+    ]
+    return pickle.dumps((channel.stats, completions))
+
+
+def test_sts_offers_from_owners_match_per_station_offers(monkeypatch):
+    """The kernel's static-tree offers come from the owners of the probed
+    node's indices.  On a channel where stations own several indices and
+    some colliders sit the search out, every stepped round's offerers
+    equal those of every station's own replica, and the runs are
+    byte-identical."""
+    from repro.net.batch import BatchKernel
+    from repro.protocols.ddcr.protocol import DDCRMode
+
+    kernel_offers: dict[int, list[int]] = {}
+    probes = collections.Counter()
+    offers = BatchKernel.offers
+
+    def spy(self, now):
+        result = offers(self, now)
+        kernel_offers[now] = sorted(
+            self.stations[i].station_id for i in self._offers
+        )
+        if self.replica.mode is DDCRMode.STS:
+            node = self.replica.sts.search.agenda[-1]
+            probes["wide"] += node.hi - node.lo > 1
+            probes["sat_out"] += any(
+                self.member[i]
+                and i not in self._offers
+                and any(node.lo <= x < node.hi for x in self.statics[i])
+                for i in range(self.z)
+            )
+        return result
+
+    monkeypatch.setattr(BatchKernel, "offers", spy)
+    station_offers = {
+        engine: collections.defaultdict(list) for engine in ENGINES[:2]
+    }
+    digests = {
+        _run_owned_indices(engine, station_offers.get(engine))
+        for engine in ENGINES
+    }
+    assert len(digests) == 1
+    assert probes["wide"] > 0 and probes["sat_out"] > 0, probes
+    offered = {now: ids for now, ids in kernel_offers.items() if ids}
+    assert station_offers["des"] == station_offers["fastloop"] == offered
+
+
+def test_a_shared_static_index_falls_back_to_the_fast_loop():
+    """Two stations sharing a static index is a channel the kernel's
+    owner map cannot hold: the run falls back and says why."""
+    config = DDCRConfig(
+        time_f=16, time_m=2, class_width=65_536, static_q=4, static_m=2
+    )
+    channel = BroadcastChannel(Environment(), ideal_medium(slot_time=64))
+    for station_id, indices in enumerate([(0, 1), (1,)]):
+        channel.attach(
+            Station(station_id, DDCRProtocol(config), static_indices=indices)
+        )
+    assert channel.run(10_000, engine="batch") == (
+        "batch engine unavailable (stations share static index 1): "
+        "ran fastloop"
+    )
 
 
 def _run_manual_channel(engine, jam_from=None, noise=0.0):
@@ -551,8 +857,9 @@ def test_joint_leap_keeps_the_des_schedule_order(
 
 def _shared_clock_run(engine, channels, check, horizon=30_000):
     """DDCR channels on one clock, one ``(slot time, stations, jam)``
-    entry each, a station being its arrival times and frame length and
-    ``jam`` None or the channel's ``(jam_from, jam_until)``."""
+    entry each, a station being its arrival times, frame length and
+    relative deadline and ``jam`` None or the channel's
+    ``(jam_from, jam_until)``."""
     config = DDCRConfig(
         time_f=16, time_m=2, class_width=65_536, static_q=4, static_m=2
     )
@@ -570,13 +877,13 @@ def _shared_clock_run(engine, channels, check, horizon=30_000):
         )
         if jam is not None:
             bus.jam_from, bus.jam_until = jam
-        for station_id, (trace, length) in enumerate(stations):
+        for station_id, (trace, length, deadline) in enumerate(stations):
             station = Station(
                 station_id, DDCRProtocol(config),
                 static_indices=(station_id,), seq_source=seq_source,
             )
             station.load_arrivals(
-                make_class(length=length, deadline=400_000),
+                make_class(length=length, deadline=deadline),
                 TraceArrivals(trace=tuple(sorted(trace))),
                 horizon,
             )
@@ -603,6 +910,13 @@ def _shared_clock_run(engine, channels, check, horizon=30_000):
                         st.integers(0, 20_000), max_size=3, unique=True
                     ),
                     st.integers(1, 500),
+                    # Within the time tree's horizon c*F = 1,048,576
+                    # bit-times, or beyond it: a message then sits out
+                    # the fresh-TTs cycle until compressed time pulls it
+                    # in, and the leap crosses that wait.
+                    st.sampled_from(
+                        (400_000, 1_100_000, 2_000_000, 4_000_000)
+                    ),
                 ),
                 min_size=1,
                 max_size=4,
@@ -622,9 +936,10 @@ def _shared_clock_run(engine, channels, check, horizon=30_000):
 def test_channels_sharing_a_clock_match_the_des(channels, check):
     """One to three channels on one clock, with differing slot times,
     frames that shift their slot grids and jams (to the horizon or over
-    a window) that start and end inside joint stretches, checked or
-    not: every engine's joint run is byte-identical to the DES.  A lone
-    unchecked channel runs the batch kernel under ``batch``."""
+    a window) that start and end inside joint stretches, deadlines
+    within and beyond the time tree's horizon, checked or not: every
+    engine's joint run is byte-identical to the DES.  A lone unchecked
+    channel runs the batch kernel under ``batch``."""
     runs = {
         _shared_clock_run(engine, channels, check) for engine in ENGINES
     }

@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
-from repro.model.arrival import PeriodicArrivals
+import hashlib
+
+import pytest
+
+from repro.model.arrival import (
+    JitteredPeriodicArrivals,
+    PeriodicArrivals,
+    PoissonArrivals,
+    SporadicArrivals,
+)
 from repro.model.workloads import uniform_problem
 from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import ideal_medium
 from repro.protocols.csma_cd import CSMACDProtocol
 from repro.protocols.ddcr.config import DDCRConfig
 from repro.protocols.ddcr.protocol import DDCRProtocol
+from repro.sim.rng import SeedSequenceRegistry
 
 _MS = 1_000_000
 
@@ -98,3 +108,117 @@ class TestRun:
         )
         result = simulation.run(10 * _MS)
         assert result.utilization() == result.stats.utilization(10 * _MS)
+
+
+class TestRandomStreams:
+    """Streams are seeded by name, so a run builds one only for a
+    consumer that draws, and the draws of those it builds are those of a
+    run that built them all."""
+
+    def _scenario(self, arrivals=None, noise_rate=0.0):
+        problem = uniform_problem(
+            z=4, length=1_000, deadline=400_000, a=1, w=200_000
+        )
+        config = DDCRConfig(
+            time_f=16,
+            time_m=2,
+            class_width=65_536,
+            static_q=problem.static_q,
+            static_m=problem.static_m,
+        )
+        if arrivals is not None:
+            arrivals = {
+                msg_class.name: arrivals
+                for source in problem.sources
+                for msg_class in source.message_classes
+            }
+        return Scenario(
+            problem,
+            ideal_medium(slot_time=64),
+            protocol_factory=lambda source: DDCRProtocol(config),
+            arrivals=arrivals,
+            noise_rate=noise_rate,
+            root_seed=7,
+        )
+
+    def _streams(self, monkeypatch):
+        names = []
+        stream = SeedSequenceRegistry.stream
+
+        def spy(self, name):
+            names.append(name)
+            return stream(self, name)
+
+        monkeypatch.setattr(SeedSequenceRegistry, "stream", spy)
+        return names
+
+    def test_a_greedy_noiseless_run_makes_no_stream(self, monkeypatch):
+        names = self._streams(monkeypatch)
+        simulation = NetworkSimulation.from_scenario(self._scenario())
+        station = simulation.run(1_000_000).stations[0]
+        assert names == []
+        assert station.arrivals_delivered > 0
+
+    def test_only_drawing_consumers_get_streams(self, monkeypatch):
+        names = self._streams(monkeypatch)
+        NetworkSimulation.from_scenario(
+            self._scenario(
+                SporadicArrivals(min_interarrival=150_000, mean_slack=6e4),
+                noise_rate=0.01,
+            )
+        ).run(1_000_000)
+        assert sorted(names) == sorted(
+            ["channel/noise/0"]
+            + [f"arrivals/{i}/uniform-{i}" for i in range(4)]
+        )
+
+    def test_a_noiseless_channel_draws_no_noise_stream(self):
+        from repro.net.channel import BroadcastChannel
+        from repro.sim.engine import Environment
+
+        quiet = BroadcastChannel(Environment(), ideal_medium(slot_time=64))
+        noisy = BroadcastChannel(
+            Environment(), ideal_medium(slot_time=64), noise_rate=0.1
+        )
+        assert quiet._noise_rng is None
+        assert noisy._noise_rng is not None
+
+    @pytest.mark.parametrize(
+        ("process", "delivered", "digest"),
+        [
+            (
+                SporadicArrivals(min_interarrival=150_000, mean_slack=60_000),
+                40,
+                "c2f9f06d349479bb878c938f006250c10d0e1bf6507a183bb4c5303e667394ab",
+            ),
+            (
+                JitteredPeriodicArrivals(period=200_000, jitter=90_000),
+                40,
+                "43331b111b5993f4ac6cab1ba185e8976d07527f47219d51bd4d32b7e34f2401",
+            ),
+            (
+                PoissonArrivals(mean_interarrival=250_000),
+                33,
+                "0595383152c4d3bbb357c56caaf97b04b640bf867b3d5d5d60a07774e1467fe9",
+            ),
+        ],
+        ids=["sporadic", "jittered", "poisson"],
+    )
+    def test_drawing_processes_keep_their_completions(
+        self, process, delivered, digest
+    ):
+        """Pinned when every consumer got a stream, whether it drew or
+        not."""
+        result = NetworkSimulation.from_scenario(
+            self._scenario(process)
+        ).run(2_000_000)
+        text = repr([
+            (
+                r.message.source_id, r.message.msg_class.name,
+                r.message.arrival, r.message.seq, r.completion, r.started,
+                r.dropped,
+            )
+            for r in result.completions
+        ])
+        assert len(result.completions) == delivered
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.search_cost import simulate_search
 from repro.net.station import Station
-from repro.protocols.base import JAM_UNBOUNDED, ChannelState, SlotObservation
+from repro.protocols.base import UNBOUNDED, ChannelState, SlotObservation
 from repro.protocols.ddcr.config import DDCRConfig
 from repro.protocols.ddcr.indexing import raw_class, time_index
 from repro.protocols.ddcr.protocol import DDCRMode, DDCRProtocol
@@ -355,7 +355,7 @@ class TestJammed:
         assert descent == 4 + 3
         assert mac.mode is DDCRMode.STS
         assert mac.sts.search.current.is_leaf()
-        assert mac.jam_steady() == JAM_UNBOUNDED
+        assert mac.jam_steady() == UNBOUNDED
 
     @pytest.mark.parametrize("queued", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 37])

@@ -167,6 +167,51 @@ class TestStateKey:
         b.feed(ChannelState.SILENCE)
         assert a.state_key() != b.state_key()
 
+    @given(data=st.data())
+    def test_equality_agrees_with_interval_keys(self, data):
+        """Keys compare equal exactly when the ``(lo, hi)`` keys of their
+        agendas do, whatever the feed sequences, also against a search
+        whose nodes are equal but not the shared ones."""
+        m = data.draw(st.sampled_from([2, 3, 4]))
+        tree = BalancedTree.of(m=m, leaves=m**3)
+        feeds = st.lists(st.sampled_from(list(_STATE.values())), max_size=40)
+
+        def run(states):
+            search = SplittingSearch.after_root_collision(tree)
+            for state in states:
+                if search.done:
+                    break
+                leaf = search.current.is_leaf()
+                if state is ChannelState.COLLISION and leaf:
+                    search.retry_current()
+                else:
+                    search.feed(state)
+            return search
+
+        def interval_key(search):
+            return (
+                tuple((node.lo, node.hi) for node in search.agenda),
+                search.frontier,
+                search.probes,
+                search.wasted_slots,
+                search.successes,
+            )
+
+        first = data.draw(feeds)
+        second = data.draw(
+            st.just(first) | feeds
+            | st.builds(lambda extra: first + extra, feeds)
+        )
+        a, b = run(first), run(second)
+        assert (a.state_key() == b.state_key()) == (
+            interval_key(a) == interval_key(b)
+        )
+        rebuilt = run(second)
+        rebuilt.agenda = [LeafInterval(n.lo, n.hi) for n in rebuilt.agenda]
+        assert (a.state_key() == rebuilt.state_key()) == (
+            interval_key(a) == interval_key(rebuilt)
+        )
+
     def test_done_guard(self):
         tree = BalancedTree.of(m=2, leaves=2)
         search = SplittingSearch.fresh(tree)
