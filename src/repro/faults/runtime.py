@@ -56,6 +56,18 @@ class BernoulliGate:
         # one draw per non-jammed slot carrying fewer than two frames.
         return wire < 2 and self.random() < self.rate
 
+    def quiet_run(self, n: int) -> int:
+        """Draw ``n`` idle slots' gates in one loop, as ``n`` calls with
+        nothing on the wire would, stopping at the first that fires;
+        returns how many slots stayed quiet before it (``n``: none
+        fired)."""
+        draw = self.random
+        rate = self.rate
+        for quiet in range(n):
+            if draw() < rate:
+                return quiet
+        return n
+
 
 class GilbertElliottGate:
     """Armed two-state burst-error gate.

@@ -1,23 +1,39 @@
-"""The batch-slot kernel: struct-of-arrays station state for CSMA/DDCR.
+"""The batch-slot kernel: struct-of-arrays station state for the
+lockstep protocols, CSMA/DDCR, CSMA/DCR and TDMA.
 
 The station side of the third engine tier (see :mod:`repro.net.engine`).
 The DES and fastloop engines spend one Python method call per station per
 slot (``offer`` then ``observe``), so slot throughput degrades linearly in
-the station count z.  This kernel exploits the protocol's lockstep theorem
-instead: under CSMA/DDCR every station's *common-knowledge* state — mode,
-``reft``, the time/static tree-search agendas and frontiers — is an
-identical replica (the ``_assert_lockstep`` invariant), so one slot needs
+the station count z.  This kernel exploits the lockstep property
+instead: CSMA/DDCR, CSMA/DCR (802.3D) and TDMA are automata driven only
+by the public ternary feedback, so every station's *common-knowledge*
+state — DDCR's mode, ``reft`` and time/static tree-search agendas, DCR's
+mode and static-tree search, TDMA's turn — is an identical replica (the
+``_assert_lockstep`` invariant), and one slot needs
 
 * exactly **one** protocol automaton to digest the observation (the
-  *shadow replica*: a real :class:`~repro.protocols.ddcr.protocol.DDCRProtocol`
-  bound to a dummy station, whose ``mine`` flag is never true), and
+  *shadow replica*: a real
+  :class:`~repro.protocols.ddcr.protocol.DDCRProtocol`,
+  :class:`~repro.protocols.dcr.DCRProtocol` or
+  :class:`~repro.protocols.tdma.TDMAProtocol` bound to a dummy station,
+  whose frames are never its own), and
 * one pass over per-station *private* state to decide who offers: the
-  EDF head's MAC-visible deadline, and the nested static-search
-  membership/cursor — held as struct-of-arrays list columns on
+  EDF head (its MAC-visible deadline under DDCR, whether there is one
+  otherwise), the static-index owner map and the static searches' rank
+  cursors (DDCR's nested search also its membership), and TDMA's roster
+  positions — held as struct-of-arrays list columns on
   :class:`BatchKernel`.  Plain lists, not numpy arrays: at the station
   counts this repository runs (up to 256) a list pass is as fast or
   faster than numpy's per-call overhead, and the kernel then never pays
   numpy's import (about 12 MB of resident memory).
+
+The offer rules, one per protocol, read the shadow replica and the
+columns: DDCR's time search offers the heads whose deadline class the
+probed node covers, its static search the owners of the probed node's
+indices whose rank cursor is on that index and whose head is in the
+searched time leaf; DCR's search the same owners without the leaf test;
+FREE (DDCR's ATTEMPT too) every non-empty queue; TDMA the roster owner
+of the current turn if its queue is non-empty.
 
 Because the shadow replica *is* the production automaton, shared-state
 transitions are correct by construction and results are byte-identical to
@@ -31,32 +47,33 @@ and noise decision, slot booking, telemetry, monitors, the flight
 recorder, the idle and jammed leaps and the DES rejoin — and ask the
 kernel wherever they would otherwise ask every station's own replica:
 who offers (:meth:`BatchKernel.offers`), digesting an observation, the
-winner's completion included (:meth:`BatchKernel.observe`), whether and
-how far an idle or a jammed stretch may be leapt
-(:meth:`BatchKernel.idle_end`, :meth:`BatchKernel.jam_end`: the shadow
-replica's room, ``idle_room`` for the least head deadline or
-``jam_steady``, and the next arrival) and
-digesting a leapt stretch (the shadow replica's ``leap_idle`` /
-``leap_jammed``).  A kernel run therefore leaps what a fast-loop run
-leaps, under the same gate: provably invariant idle stretches (FREE mode
-or the fresh-TTs steady cycle, with every queue empty or, in that cycle,
-each head's deadline class beyond the horizon until compressed time
-pulls it in), the dominant regime of long simulations, and jammed
-stretches once the replica is stuck re-probing a static-tree leaf.
+winner's completion and the private transitions included
+(:meth:`BatchKernel.observe`), whether and how far an idle or a jammed
+stretch may be leapt (:meth:`BatchKernel.idle_end`,
+:meth:`BatchKernel.jam_end`: the room every station's own replica would
+give, and the next arrival) and digesting a leapt stretch (the shadow
+replica's ``leap_idle`` / ``leap_jammed``).  A kernel run therefore
+leaps what a fast-loop run leaps, under the same gate: provably
+invariant idle stretches (DDCR in FREE or the fresh-TTs steady cycle,
+with every queue empty or, in that cycle, each head's deadline class
+beyond the horizon until compressed time pulls it in; DCR in FREE and
+TDMA, each with every queue empty), the dominant regime of long
+simulations, and jammed stretches once a DDCR replica is stuck
+re-probing a static-tree leaf.
 
 Fallback contract (mirroring the fast loop's): :func:`batch_unavailable_reason`
-reports *structural* ineligibility — foreign MAC types, differing configs,
-a static index two stations share (the kernel asks each index's one
-owner), packet bursting, non-destructive media (contention tags), an
-armed fault injector, consistency checks (they compare every station's
-own replica, which the kernel does not keep), or foreign processes
-pending at entry — and :meth:`BroadcastChannel.run` under ``batch`` or
-``auto`` then delegates to the fast loop (which may itself rejoin the
-DES), returning the reason so the run manifest can record it.  Channels
-sharing a clock (the dual bus) never reach the kernel: ``run`` sends
-them to the joint fast loop with a note of its own.  If a foreign
-process appears *mid-run* (e.g. registered by a monitor), the loop
-writes the kernel's state back into every station's MAC
+reports *structural* ineligibility — foreign or mixed MAC types, differing
+DDCR configs, DCR trees or TDMA rosters, a static index two stations share
+(the kernel asks each index's one owner), packet bursting, non-destructive
+media (contention tags), an armed fault injector, consistency checks (they
+compare every station's own replica, which the kernel does not keep), or
+foreign processes pending at entry — and :meth:`BroadcastChannel.run`
+under ``batch`` or ``auto`` then delegates to the fast loop (which may
+itself rejoin the DES), returning the reason so the run manifest can
+record it.  Channels sharing a clock (the dual bus) never reach the
+kernel: ``run`` sends them to the joint fast loop with a note of its own.
+If a foreign process appears *mid-run* (e.g. registered by a monitor),
+the loop writes the kernel's state back into every station's MAC
 (:meth:`BatchKernel.writeback`) and rejoins the general DES after the
 current slot, exactly where the DES path would interleave it.
 
@@ -73,11 +90,12 @@ import typing
 
 from repro.net.station import Station
 from repro.protocols.base import ChannelState, SlotObservation
-from repro.protocols.ddcr.config import DDCRConfig
+from repro.protocols.dcr import DCRMode, DCRProtocol
 from repro.protocols.ddcr.indexing import mac_visible_deadline
 from repro.protocols.ddcr.protocol import DDCRMode, DDCRProtocol
 from repro.protocols.ddcr.sts import StaticTreeSearch
 from repro.protocols.ddcr.tts import TimeTreeSearch
+from repro.protocols.tdma import TDMAProtocol
 from repro.protocols.treesearch import SplittingSearch
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -98,6 +116,13 @@ _EMPTY = 1 << 62
 #: Sentinel for the next-arrival column when a station has none pending.
 _NEVER = 1 << 62
 
+#: The head column's value for a queued message under DCR and TDMA, whose
+#: offers ask only whether a queue holds one.
+_QUEUED = 0
+
+#: The MAC types the kernel runs, one type per channel.
+_KERNEL_MACS = (DDCRProtocol, DCRProtocol, TDMAProtocol)
+
 
 # -- eligibility -------------------------------------------------------------
 
@@ -113,24 +138,36 @@ def batch_unavailable_reason(channel: "BroadcastChannel") -> str | None:
     if channel.env.pending:
         return "foreign processes pending on the environment at entry"
     macs = [station.mac for station in channel.stations]
+    protocol = type(macs[0])
     for station, mac in zip(channel.stations, macs):
-        if type(mac) is not DDCRProtocol:
+        if type(mac) is not protocol or protocol not in _KERNEL_MACS:
             return (
-                "station MACs are not plain DDCRProtocol "
-                f"(station {station.station_id}: {type(mac).__name__})"
+                "station MACs are not all DDCRProtocol, DCRProtocol or "
+                f"TDMAProtocol (station {station.station_id}: "
+                f"{type(mac).__name__})"
             )
         if station.station_id < 0:
             return f"negative station id {station.station_id}"
-    config = macs[0].config
-    if any(mac.config != config for mac in macs[1:]):
-        return "stations run differing DDCR configurations"
-    owned: set[int] = set()
-    for station in channel.stations:
-        for index in station.static_indices:
-            if index in owned:
-                return f"stations share static index {index}"
-            owned.add(index)
-    if config.burst_limit > 0:
+    if protocol is DDCRProtocol:
+        config = macs[0].config
+        if any(mac.config != config for mac in macs[1:]):
+            return "stations run differing DDCR configurations"
+    elif protocol is DCRProtocol:
+        tree = macs[0].tree
+        if any(mac.tree != tree for mac in macs[1:]):
+            return "stations run differing DCR trees"
+    else:
+        roster = macs[0].roster
+        if any(mac.roster != roster for mac in macs[1:]):
+            return "stations run differing TDMA rosters"
+    if protocol is not TDMAProtocol:
+        owned: set[int] = set()
+        for station in channel.stations:
+            for index in station.static_indices:
+                if index in owned:
+                    return f"stations share static index {index}"
+                owned.add(index)
+    if protocol is DDCRProtocol and config.burst_limit > 0:
         return "packet bursting enabled (burst_limit > 0)"
     if not channel.medium.destructive_collisions:
         return "non-destructive medium (per-station contention tags)"
@@ -153,6 +190,10 @@ def _copy_search(search: SplittingSearch) -> SplittingSearch:
         wasted_slots=search.wasted_slots,
         successes=search.successes,
     )
+
+
+def _copy_dcr_search(search: SplittingSearch | None) -> SplittingSearch | None:
+    return None if search is None else _copy_search(search)
 
 
 def _copy_tts(tts: TimeTreeSearch | None) -> TimeTreeSearch | None:
@@ -186,18 +227,24 @@ class BatchKernel:
     Build only after :func:`batch_unavailable_reason` returned ``None``
     (``BroadcastChannel.run`` under ``batch`` or ``auto`` does this).
     Per-station private state is one plain list per field (Python's
-    floor division IS the spec's integer semantics): the EDF head's
-    MAC-visible deadline, and the nested static search's membership and
-    rank cursor; one more list, fixed for the run, maps each static
-    index to its owner.
+    floor division IS the spec's integer semantics): the EDF head (its
+    MAC-visible deadline under DDCR, :data:`_QUEUED` under DCR and
+    TDMA), and the static searches' rank cursor (DDCR's nested search
+    also its membership); one more list, fixed for the run, maps each
+    static index to its owner, or under TDMA each roster position to
+    its station.
     """
 
     def __init__(self, channel: "BroadcastChannel") -> None:
         self.channel = channel
         self.stations = channel.stations
         self.slot_time = channel.medium.slot_time
-        config: DDCRConfig = self.stations[0].mac.config
-        self.config = config
+        seed_mac = self.stations[0].mac
+        protocol = type(seed_mac)
+        self.protocol = protocol
+        #: The DDCR configuration the head column's deadlines are
+        #: computed under; ``None`` for DCR and TDMA.
+        self.config = seed_mac.config if protocol is DDCRProtocol else None
         statics = [station.static_indices for station in self.stations]
         z = len(statics)
         self.z = z
@@ -210,38 +257,68 @@ class BatchKernel:
         self.cur_static = [s[0] for s in statics]
         #: The station owning each static index, -1 for none: a static
         #: search's probed node is offered to by its indices' owners only.
-        owner = [-1] * config.static_q
-        for i, indices in enumerate(statics):
-            for index in indices:
-                owner[index] = i
+        #: Under TDMA, the station at each roster position, -1 for an id
+        #: no station has.
+        if protocol is TDMAProtocol:
+            position = {
+                station.station_id: i
+                for i, station in enumerate(self.stations)
+            }
+            owner = [position.get(sid, -1) for sid in seed_mac.roster]
+        else:
+            leaves = (
+                self.config.static_q if protocol is DDCRProtocol
+                else seed_mac.tree.leaves
+            )
+            owner = [-1] * leaves
+            for i, indices in enumerate(statics):
+                for index in indices:
+                    owner[index] = i
         self.owner = owner
         #: Station indices that offered in the current slot's probe.
         self._offers: list[int] = []
 
-        # The shadow replica: a real DDCR automaton on a dummy station.
-        # Its station id (-1) never matches a frame, so ``mine`` is always
-        # false — it digests every observation as a pure bystander, which
-        # is exactly the common-knowledge projection of the protocol.
-        seed_mac = self.stations[0].mac
-        replica_station = Station(
-            station_id=-1, mac=DDCRProtocol(config), static_indices=(0,)
+        # The shadow replica: a real automaton on a dummy station.  Its
+        # station id (-1) never matches a frame, so it digests every
+        # observation as a pure bystander, which is exactly the
+        # common-knowledge projection of the protocol; it starts from
+        # station 0's replica, every station's being the same.
+        if protocol is DDCRProtocol:
+            replica = DDCRProtocol(self.config)
+            replica.mode = seed_mac.mode
+            replica.reft = seed_mac.reft
+            replica.tts = _copy_tts(seed_mac.tts)
+            replica.sts = _copy_sts(seed_mac.sts)
+            replica._pending_leaf = seed_mac._pending_leaf
+            replica.tts_records = list(seed_mac.tts_records)
+            replica.sts_records = list(seed_mac.sts_records)
+            replica.empty_tts_runs = seed_mac.empty_tts_runs
+        elif protocol is DCRProtocol:
+            replica = DCRProtocol(seed_mac.tree)
+            replica.mode = seed_mac.mode
+            replica.search = _copy_dcr_search(seed_mac.search)
+            replica.searches_completed = seed_mac.searches_completed
+            replica.search_slot_costs = list(seed_mac.search_slot_costs)
+        else:
+            replica = TDMAProtocol(seed_mac.roster)
+            replica._turn = seed_mac._turn
+            replica.noisy_slots = seed_mac.noisy_slots
+        # The replica is bound to its dummy station directly, not through
+        # ``attach``: TDMA's ``on_attach`` refuses an id off its roster, so
+        # the dummy station is built around a throwaway MAC.
+        replica.station = Station(
+            station_id=-1, mac=TDMAProtocol((-1,)), static_indices=(0,)
         )
-        replica = replica_station.mac
-        replica.mode = seed_mac.mode
-        replica.reft = seed_mac.reft
-        replica.tts = _copy_tts(seed_mac.tts)
-        replica.sts = _copy_sts(seed_mac.sts)
-        replica._pending_leaf = seed_mac._pending_leaf
-        replica.tts_records = list(seed_mac.tts_records)
-        replica.sts_records = list(seed_mac.sts_records)
-        replica.empty_tts_runs = seed_mac.empty_tts_runs
         self.replica = replica
 
         self._next_arrival = [_NEVER] * z
         for i, station in enumerate(self.stations):
             mac = station.mac
-            self.member[i] = mac._sts_member
-            self.cursor[i] = mac._sts_cursor
+            if protocol is DDCRProtocol:
+                self.member[i] = mac._sts_member
+                self.cursor[i] = mac._sts_cursor
+            elif protocol is DCRProtocol:
+                self.cursor[i] = mac._index_cursor
             self._set_static(i)
             self._refresh_head(i)
             due = station.peek_next_arrival()
@@ -255,6 +332,8 @@ class BatchKernel:
         old = self.head_dm[i]
         if head is None:
             dm = _EMPTY
+        elif self.config is None:
+            dm = _QUEUED
         else:
             dm = mac_visible_deadline(
                 head.arrival, head.relative_deadline, self.config
@@ -266,6 +345,11 @@ class BatchKernel:
         statics = self.statics[i]
         cursor = self.cursor[i]
         self.cur_static[i] = statics[cursor] if cursor < len(statics) else -1
+
+    def _reset_cursors(self) -> None:
+        """Put every rank cursor back on the station's first index."""
+        self.cursor = [0] * self.z
+        self.cur_static = [s[0] for s in self.statics]
 
     def _deliver_arrivals(self, now: int) -> None:
         # Station-list order, exactly like the round driver: the shared
@@ -292,9 +376,15 @@ class BatchKernel:
         offers = []
         if self.nonempty:
             replica = self.replica
-            mode = replica.mode
             head_dm = self.head_dm
-            if mode is DDCRMode.TTS:
+            # TDMA has no mode: its offer is the turn's.
+            mode = None if self.protocol is TDMAProtocol else replica.mode
+            if mode is None:
+                # The roster owner of the turn, if it has a message.
+                i = self.owner[replica._turn]
+                if i >= 0 and head_dm[i] != _EMPTY:
+                    offers.append(i)
+            elif mode is DDCRMode.TTS:
                 search = replica.tts.search
                 node = search.agenda[-1]
                 base = self.config.alpha + replica.reft
@@ -333,7 +423,20 @@ class BatchKernel:
                         index = frontier
                     if index == leaf_lo:
                         offers.append(i)
-            else:  # FREE / ATTEMPT
+            elif mode is DCRMode.SEARCH:
+                # DDCR's static-search rule without the time-leaf test.
+                node = replica.search.agenda[-1]
+                cur_static = self.cur_static
+                owner = self.owner
+                for index in range(node.lo, node.hi):
+                    i = owner[index]
+                    if (
+                        i >= 0
+                        and cur_static[i] == index
+                        and head_dm[i] != _EMPTY
+                    ):
+                        offers.append(i)
+            else:  # FREE (DDCR's and DCR's) / ATTEMPT
                 offers = [i for i in range(self.z) if head_dm[i] != _EMPTY]
         self._offers = offers
         if len(offers) == 1:
@@ -347,7 +450,6 @@ class BatchKernel:
         columns, the shared ones on the shadow replica."""
         replica = self.replica
         state = observation.state
-        pre_mode = replica.mode
         if state is _SUCCESS:
             # The winner's completion (a station's own replica does this
             # inside ``observe``): dequeue and record, then refresh its
@@ -357,7 +459,22 @@ class BatchKernel:
                 observation.frame.message, observation.end, observation.start
             )
             self._refresh_head(winner)
-        elif (
+        protocol = self.protocol
+        if protocol is TDMAProtocol:
+            replica.observe(observation)
+            return
+        pre_mode = replica.mode
+        if protocol is DCRProtocol:
+            replica.observe(observation)
+            if replica.mode is not pre_mode:
+                # A search opened or ended: every rank cursor resets.
+                self._reset_cursors()
+            elif state is _SUCCESS and pre_mode is DCRMode.SEARCH:
+                # Ranked order is private: only the transmitter advances.
+                self.cursor[winner] += 1
+                self._set_static(winner)
+            return
+        if (
             state is _COLLISION
             and pre_mode is DDCRMode.TTS
             and replica.tts.search.agenda[-1].is_leaf()
@@ -369,8 +486,7 @@ class BatchKernel:
             for i in self._offers:
                 member[i] = True
             self.member = member
-            self.cursor = [0] * self.z
-            self.cur_static = [s[0] for s in self.statics]
+            self._reset_cursors()
         replica.observe(observation)
         if pre_mode is DDCRMode.STS:
             if state is _SUCCESS:
@@ -383,16 +499,26 @@ class BatchKernel:
 
     def idle_end(self, start: int, end: int) -> int | None:
         """Where an idle stretch from ``start`` may end, at ``end`` at the
-        latest: at the next arrival or where the shadow replica's room
-        says, for the least MAC-visible deadline at a queue's head
+        latest: at the next arrival or where the room every station's
+        own replica would give says.  ``None`` if it is not
+        idle-steady.
+
+        Under DDCR that is the shadow replica's room for the least
+        MAC-visible deadline at a queue's head
         (:meth:`DDCRProtocol.idle_room
         <repro.protocols.ddcr.protocol.DDCRProtocol.idle_room>`: the
-        room only grows with the deadline).  ``None`` if it is not
-        idle-steady."""
+        room only grows with the deadline); DCR and TDMA step every slot
+        while a queue holds a message, and otherwise have the shadow
+        replica's own room (its queue is always empty)."""
         replica = self.replica
-        room = replica.idle_room(None)
-        if room and self.nonempty:
-            room = replica.idle_room(min(self.head_dm))
+        if self.config is not None:
+            room = replica.idle_room(None)
+            if room and self.nonempty:
+                room = replica.idle_room(min(self.head_dm))
+        elif self.nonempty:
+            return None
+        else:
+            room = replica.idle_steady()
         if not room:
             return None
         due = self._next_due
@@ -403,7 +529,8 @@ class BatchKernel:
     def jam_end(self, start: int, end: int) -> int | None:
         """Where a jammed stretch from ``start`` may end, at ``end`` at the
         latest: at the next arrival or where the shadow replica's room
-        says.  ``None`` if it is not jam-steady."""
+        says (DCR and TDMA are never jam-steady).  ``None`` if it is not
+        jam-steady."""
         room = self.replica.jam_steady()
         if not room:
             return None
@@ -423,6 +550,22 @@ class BatchKernel:
         itself on a mid-run rejoin.
         """
         replica = self.replica
+        protocol = self.protocol
+        if protocol is TDMAProtocol:
+            for station in self.stations:
+                mac = station.mac
+                mac._turn = replica._turn
+                mac.noisy_slots = replica.noisy_slots
+            return
+        if protocol is DCRProtocol:
+            for i, station in enumerate(self.stations):
+                mac = station.mac
+                mac.mode = replica.mode
+                mac.search = _copy_dcr_search(replica.search)
+                mac._index_cursor = self.cursor[i]
+                mac.searches_completed = replica.searches_completed
+                mac.search_slot_costs = list(replica.search_slot_costs)
+            return
         tts_records = replica.tts_records
         sts_records = replica.sts_records
         for i, station in enumerate(self.stations):

@@ -25,16 +25,19 @@ resolution happens — and dispatches to one of three internal tiers:
   owns the clock and advances ``env.now`` itself, skipping the event
   heap, the generator suspend/resume and the per-round timeout
   allocation, and steps the channel whose round starts first, ties in
-  the DES's schedule order.  The moment any foreign event appears on
-  the queue every channel rejoins the DES mid-run, so it is always safe
-  to select.  It crosses provably idle stretches in one step
-  (:func:`_leap`): every station's own replica, on every channel, must
-  say it is idle-steady, for as many slots as its queue lets it stay
-  silent (``MACProtocol.idle_steady``: a queued DDCR message waiting
-  for compressed time to pull it in, a BEB backoff), and each advances
-  itself (``MACProtocol.leap_idle``); on consistency-checked runs
-  lockstep is asserted at the stretch's first and last slot.  A jammed channel
-  takes part in the same stretch once every replica on it is
+  the DES's schedule order (kept in a small heap of next rounds when
+  N > 1; a lone channel's only next round needs none).  The moment any
+  foreign event appears on the queue every channel rejoins the DES
+  mid-run, so it is always safe to select.  It crosses provably idle
+  stretches in one step (:func:`_stretch_end` for each channel, jointly
+  by :func:`_leap` when N > 1): every station's own replica, on every
+  channel, must say it is idle-steady, for as many slots as its queue
+  lets it stay silent (``MACProtocol.idle_steady``: a queued DDCR
+  message waiting for compressed time to pull it in, a BEB backoff),
+  and each advances itself (``MACProtocol.leap_idle``); on
+  consistency-checked runs lockstep is asserted at the stretch's first
+  and last slot.  A jammed channel takes part in the same stretch once
+  every replica on it is
   jam-steady (``MACProtocol.jam_steady``, ``leap_jammed``: DDCR stuck
   re-probing a static-tree leaf, where n jammed slots are n retries).
 * the struct-of-arrays batch kernel (:mod:`repro.net.batch`, ``batch``
@@ -43,17 +46,19 @@ resolution happens — and dispatches to one of three internal tiers:
   per-station state lives in list columns and one shadow protocol
   replica digests each slot and each leapt stretch, so the per-slot cost
   is near-constant in the station count.  It is structurally limited to
-  plain single-bus CSMA/DDCR runs; anything else (consistency-checked
-  runs and channels sharing a clock included) runs the fast loop with
-  the reason returned (and recorded in run manifests).
+  homogeneous single-bus CSMA/DDCR, CSMA/DCR or TDMA runs; anything else
+  (BEB, slotted ALOHA, consistency-checked runs and channels sharing a
+  clock included) runs the fast loop with the reason returned (and
+  recorded in run manifests).
 
 Both leaping engines are one loop with one stretch rule: a stretch ends
 at the horizon, the earliest pending arrival, a jam boundary, the end of
-the least room a replica gives or the first slot a noise gate corrupts
-(the gates are drawn slot by slot, in the per-slot order, and that slot
-then runs as a corrupted round), and there is no leap under an armed
-fault injector or a monitor that cannot digest idle slots in one call
-(nor a jammed leap under one that cannot digest jammed slots).  On a
+the least room a replica gives or the first slot the channel's noise
+gate corrupts (its quiet run is drawn in one loop, the per-slot draws in
+order, and that slot then runs as a corrupted round), and there is no
+leap under an armed fault injector or a monitor that cannot digest idle
+slots in one call (nor a jammed leap under one that cannot digest
+jammed slots).  On a
 shared clock the stretch ends at the earliest such end of any channel,
 and noise keeps every channel stepping.  The DES is always per-slot:
 the reference.
@@ -242,16 +247,16 @@ class _RoundDriver:
         station's own replica; returns their duration.
 
         The slots are silent, or jammed if the slot at ``now`` is.  The
-        caller (:func:`_leap`) has checked that ``now < end`` and that
+        caller (a lone channel's step, or :func:`_leap`) has checked by
+        :func:`_stretch_end` that ``now < end`` and that
         every replica on its own says it is idle-steady or jam-steady
         for that many slots, so a replica that left the steady state
         alone keeps the slot per-slot, where the lockstep check sees
         it.  On checked runs the replicas digest the stretch's first
         slot, lockstep is asserted there, then they digest the rest and
-        it is asserted at the last slot.  If a noise gate fires inside an
-        idle stretch (:meth:`BroadcastChannel._quiet_slots`), the leap
-        stops before that slot and runs it here as a corrupted round; a
-        jammed slot draws no gate.
+        it is asserted at the last slot.  If the noise gate fires inside
+        an idle stretch, the leap stops before that slot and runs it here
+        as a corrupted round; a jammed slot draws no gate.
         """
         channel = self.channel
         slot_time = self.slot_time
@@ -259,7 +264,13 @@ class _RoundDriver:
         jammed = channel._jammed(now)
         fired = 0
         if self.noise_gates and not jammed:
-            n, fired = channel._quiet_slots(self.noise_gates, now, n)
+            # A leaping channel has no fault injector
+            # (:meth:`BroadcastChannel._idle_leap_allowed`), so its one gate
+            # is its own ``noise_rate`` BernoulliGate: the per-slot draws,
+            # with nothing on the wire, up to the first slot that fires.
+            quiet = self.noise_gates[0].quiet_run(n)
+            fired = int(quiet < n)
+            n = quiet
         stop = now + n * slot_time
         if n:
             check = self.check
@@ -552,6 +563,46 @@ class _RoundDriver:
         return duration
 
 
+def _stretch_end(driver: _RoundDriver, start: int, end: int) -> int | None:
+    """Where the stretch of ``driver``'s channel from ``start`` may end, at
+    ``end`` at the latest; ``None`` if its slot at ``start`` cannot be
+    leapt.
+
+    The one stretch rule of every leaping loop, a lone channel's step and
+    the joint :func:`_leap` alike.  The slot at ``start`` is idle or
+    jammed.  On an idle channel every replica must on its own say it is
+    idle-steady, and the stretch ends where the replica with the least
+    room (:meth:`~repro.protocols.base.MACProtocol.idle_steady`) says: a
+    queued message may sit some slots out.  On a jammed channel every
+    slot is a frameless collision that draws no noise, whatever is
+    offered, so the queues do not matter: every replica must be
+    jam-steady and the channel's monitors must digest jammed slots, and
+    the stretch ends where the replica with the least room
+    (:meth:`~repro.protocols.base.MACProtocol.jam_steady`) says.  The
+    driver's station side answers both (``idle_end``, ``jam_end``):
+    every station's own replica, or the batch kernel.  The stretch also
+    ends at the earliest pending arrival and at a jam boundary
+    (``jam_until`` of a jammed channel, ``jam_from`` of an idle one).
+    """
+    channel = driver.channel
+    # The station side, asked here rather than bound on the driver: a
+    # driver holding its own bound method is a reference cycle.
+    side = driver.kernel or driver
+    # An unjammed channel (the common case) costs one attribute load.
+    jam_from = channel.jam_from
+    if jam_from is not None and channel._jammed(start):
+        if not driver.jam_leap_ok:
+            return None
+        end = side.jam_end(start, end)
+        if end is not None and channel.jam_until is not None:
+            end = min(end, channel.jam_until)
+        return end
+    end = side.idle_end(start, end)
+    if end is not None and jam_from is not None:
+        end = channel._idle_end(start, end)
+    return end
+
+
 def _leap(
     drivers: list[_RoundDriver],
     pending: list[tuple[int, int, int]],
@@ -561,22 +612,9 @@ def _leap(
     """Cross the stretch all channels on one clock are in; returns
     whether there was one.
 
-    Each channel's next slot is idle or jammed.  On an idle channel
-    every replica must on its own say it is idle-steady, and the stretch
-    ends where the replica with the least room
-    (:meth:`~repro.protocols.base.MACProtocol.idle_steady`) says: a
-    queued message may sit some slots out.  On a jammed channel every
-    slot is a frameless collision that draws no noise, whatever is
-    offered, so the queues do not matter: every replica must be
-    jam-steady and the channel's monitors must digest jammed slots, and
-    the stretch ends where the replica with the least room
-    (:meth:`~repro.protocols.base.MACProtocol.jam_steady`) says.
-    Each driver's station side answers both (``idle_end``,
-    ``jam_end``): every station's own replica, or the batch kernel.
-    The stretch ends at the earliest horizon, pending arrival, jam
-    boundary (``jam_until`` of a jammed channel, ``jam_from`` of an idle
-    one) or end of a replica's room of any channel, and each channel
-    leaps the slots that start before that end.
+    Each channel's stretch ends by :func:`_stretch_end`; the joint one
+    at the earliest horizon or end of any channel's stretch, and each
+    channel leaps the slots that start before that end.
     ``pending`` gets each leapt channel's next round, in the order the
     DES would have scheduled it: after every round already run, and
     among the leapt channels by the start of their last leapt round (it
@@ -589,27 +627,9 @@ def _leap(
     """
     end = horizon
     for start, _, i in pending:
-        driver = drivers[i]
-        channel = driver.channel
-        # The station side, asked here rather than bound on the driver: a
-        # driver holding its own bound method is a reference cycle.
-        side = driver.kernel or driver
-        # An unjammed channel (the common case) costs one attribute load.
-        jam_from = channel.jam_from
-        if jam_from is not None and channel._jammed(start):
-            if not driver.jam_leap_ok:
-                return False
-            end = side.jam_end(start, end)
-            if end is None:
-                return False
-            if channel.jam_until is not None:
-                end = min(end, channel.jam_until)
-            continue
-        end = side.idle_end(start, end)
+        end = _stretch_end(drivers[i], start, end)
         if end is None:
             return False
-        if jam_from is not None:
-            end = channel._idle_end(start, end)
     pending.sort()
     if end <= pending[0][0]:
         return False
@@ -815,20 +835,25 @@ class BroadcastChannel:
 
         The slot-loop fast path: while the channels are the only
         time-advancing activity (no events on the environment's queue),
-        no heap operations, generator suspensions or timeout events
-        happen at all — the loop steps the channel whose round starts
-        first, ties broken in the DES's schedule order (registration
-        order, then the order in which rounds ran), and advances
-        ``env.now`` itself.  A lone channel is the case ``N = 1``.
+        no event-heap operations, generator suspensions or timeout
+        events happen at all — the loop steps the channel whose round
+        starts first, ties broken in the DES's schedule order
+        (registration order, then the order in which rounds ran, kept
+        in a heap of ``(start, order, index)``), and advances
+        ``env.now`` itself, once per step.  A lone channel (``N = 1``)
+        keeps no heap: its next round is the only one pending, so each
+        step runs the stretch or the round from ``now`` and moves the
+        clock by its duration.
 
-        Stretches are crossed jointly (:func:`_leap`): only while every
-        station of every channel has an idle-steady replica, or on a
-        jammed channel a jam-steady one, and each channel leaps the
-        slots that start before the earliest horizon, pending arrival,
-        jam boundary or end of a replica's room of any channel.  Noise
-        keeps the leap on a lone channel only: a gate fired on one
-        channel would end the other channels' trace runs mid-stretch, so
-        noisy channels sharing a clock step every slot.
+        Stretches are crossed by one rule (:func:`_stretch_end`): only
+        while every station of every channel has an idle-steady
+        replica, or on a jammed channel a jam-steady one, and each
+        channel leaps the slots that start before the earliest horizon,
+        pending arrival, jam boundary or end of a replica's room of any
+        channel (:func:`_leap` when ``N > 1``).  Noise keeps the leap on
+        a lone channel only: a gate fired on one channel would end the
+        other channels' trace runs mid-stretch, so noisy channels sharing
+        a clock step every slot.
 
         Fallback is automatic and exact: if foreign events are pending at
         entry, the whole run happens on the DES; if one appears mid-run
@@ -850,33 +875,55 @@ class BroadcastChannel:
             or not any(driver.noise_gates for driver in drivers)
         )
         now = int(env.now)
-        # One (next round start, schedule order, channel index) per
-        # channel, as a heap: the DES's (time, event id) order.
-        pending = [(now, i, i) for i in range(len(drivers))]
-        order = itertools.count(len(drivers))
-        rounds = [driver.round for driver in drivers]
-        while now < horizon:
-            if env.pending or not (
-                leap_ok and _leap(drivers, pending, horizon, order)
-            ):
-                i = pending[0][2]
-                duration = rounds[i](now)
-                heapq.heapreplace(pending, (now + duration, next(order), i))
-            # Rounds due now were scheduled before a foreign event, so
-            # they all run before the channels hand over.
-            if env.pending and pending[0][0] != now:
-                if kernel is not None:
-                    kernel.writeback()
-                for start, _, i in sorted(pending):
-                    env.process(channels[i]._rejoin_des(
-                        horizon, env.timeout(start - now)
-                    ))
-                env.run(until=horizon)
-                return
-            now = pending[0][0]
-            env.advance_to(now if now < horizon else horizon)
+        # Every channel's next round, in the DES's schedule order, once a
+        # foreign event appeared (None: the loop reached the horizon).
+        handover = None
+        if len(drivers) == 1:
+            # A lone channel's next round is the only one pending: each
+            # step runs the round or the stretch from ``now``, no heap.
+            driver = drivers[0]
+            round_ = driver.round
+            while now < horizon:
+                end = _stretch_end(driver, now, horizon) if leap_ok else None
+                if end is not None and end > now:
+                    step = driver.leap(now, end)
+                else:
+                    step = round_(now)
+                if env.pending:
+                    handover = [(now + step, 0, 0)]
+                    break
+                now += step
+                env.advance_to(now if now < horizon else horizon)
+        else:
+            # One (next round start, schedule order, channel index) per
+            # channel, as a heap: the DES's (time, event id) order.
+            pending = [(now, i, i) for i in range(len(drivers))]
+            order = itertools.count(len(drivers))
+            rounds = [driver.round for driver in drivers]
+            while now < horizon:
+                if env.pending or not (
+                    leap_ok and _leap(drivers, pending, horizon, order)
+                ):
+                    i = pending[0][2]
+                    duration = rounds[i](now)
+                    heapq.heapreplace(
+                        pending, (now + duration, next(order), i)
+                    )
+                # Rounds due now were scheduled before a foreign event,
+                # so they all run before the channels hand over.
+                if env.pending and pending[0][0] != now:
+                    handover = sorted(pending)
+                    break
+                now = pending[0][0]
+                env.advance_to(now if now < horizon else horizon)
         if kernel is not None:
             kernel.writeback()
+        if handover is not None:
+            for start, _, i in handover:
+                env.process(channels[i]._rejoin_des(
+                    horizon, env.timeout(start - now)
+                ))
+            env.run(until=horizon)
 
     def _run_batch(self, horizon: int) -> str | None:
         """Run to ``horizon`` on the batch kernel; returns a fallback note.
@@ -919,8 +966,9 @@ class BroadcastChannel:
         (:attr:`~repro.sim.invariants.MonitorSuite.digests_idle`).  A
         jammed stretch needs this and monitors that digest it in one
         ``on_jammed`` call too (``_RoundDriver.jam_leap_ok``).
-        Noise does not count: a leap draws its gates slot by slot and
-        stops at the first one that fires (:meth:`_quiet_slots`).  Nor
+        Noise does not count: a leap draws the channel's gate slot by
+        slot and stops at the first slot where it fires
+        (:meth:`~repro.faults.runtime.BernoulliGate.quiet_run`).  Nor
         does an armed flight recorder: it records a stretch as one event
         (:meth:`_trace_idle`).
         """
@@ -947,32 +995,6 @@ class BroadcastChannel:
             if self.jam_until is None or now < self.jam_until:
                 return min(end, now)
         return end
-
-    def _quiet_slots(
-        self, gates: tuple, now: int, n: int
-    ) -> tuple[int, int]:
-        """Draw the noise gates over the idle stretch of ``n`` slots from
-        ``now``; returns ``(quiet, fired)``.
-
-        Each slot consults every gate in the per-slot order with nothing
-        on the wire, exactly as its round would, so the RNG draw sequence
-        is the per-slot one.  The draws stop at the first slot where a
-        gate fires, after every gate of that slot: ``quiet`` slots precede
-        it and ``fired`` gates fired there.  ``(n, 0)`` = no gate fired.
-        The caller leaps the quiet slots and runs the fired one as a
-        corrupted round in the same call, so no drawn slot outlives it.
-        """
-        slot_time = self.medium.slot_time
-        t = now
-        for quiet in range(n):
-            fired = 0
-            for gate in gates:
-                if gate(t, 0):
-                    fired += 1
-            if fired:
-                return quiet, fired
-            t += slot_time
-        return n, 0
 
     def _count_idle(self, now: int, n: int) -> None:
         """Book ``n`` silent slots from ``now`` as ``n`` rounds would:

@@ -20,19 +20,20 @@ Three engines can turn the broadcast channel's crank:
   extension processes), so selecting it is always safe.
 * ``batch`` — the fast loop with the struct-of-arrays kernel
   (:mod:`repro.net.batch`) as the station side of each round:
-  per-station EDF keys and tree positions live in plain list columns and
-  one shadow protocol replica digests each slot and each leapt stretch,
-  so per-slot cost is near-constant in the station count.  The round
-  body, the leaps and the clock loop are the fast loop's own, so it
-  leaps what the fast loop leaps — idle stretches, queued messages
-  sitting them out included, in O(1), also with the standard and
-  bridge-conservation invariant monitors armed, which digest a leap
-  through ``on_idle``.
-  Structurally limited to plain single-bus CSMA/DDCR runs; anything
-  else (foreign MAC types, bursting, fault injectors, channels sharing
-  a clock, non-destructive media) falls back to ``fastloop`` with the
-  reason recorded in the run manifest (``engine_fallback``).
-  Selecting it is therefore always safe too.
+  per-station EDF keys, tree positions and roster positions live in
+  plain list columns and one shadow protocol replica digests each slot
+  and each leapt stretch, so per-slot cost is near-constant in the
+  station count.  The round body, the leaps and the clock loop are the
+  fast loop's own, so it leaps what the fast loop leaps — idle
+  stretches, queued messages sitting them out included, in O(1), also
+  with the standard and bridge-conservation invariant monitors armed,
+  which digest a leap through ``on_idle``.
+  Structurally limited to homogeneous single-bus runs of the lockstep
+  protocols, CSMA/DDCR, CSMA/DCR and TDMA; anything else (BEB, slotted
+  ALOHA, mixed MAC types, bursting, fault injectors, consistency checks,
+  channels sharing a clock, non-destructive media) falls back to
+  ``fastloop`` with the reason recorded in the run manifest
+  (``engine_fallback``).  Selecting it is therefore always safe too.
 * ``auto`` — the default: takes the ``batch`` path, so every eligible run
   executes the kernel and every ineligible one runs the fast loop with
   the same ``batch engine unavailable (...): ran fastloop`` note.  The

@@ -72,7 +72,7 @@ class SegmentSpec:
     :class:`~repro.net.scenario.Scenario`; run-wide concerns (seed,
     tracing, faults, monitors, telemetry) live on :class:`Topology`.
     ``engine`` overrides the topology-level engine for this segment
-    only (e.g. a non-DDCR segment that the batch kernel cannot run).
+    only (e.g. a BEB segment that the batch kernel cannot run).
     """
 
     name: str

@@ -192,12 +192,13 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
     reference engine, and its statistics, completions and invariant
     report must match the default engine's exactly.  Under the default
     ``auto`` the faulted scenarios take the batch kernel's structural
-    fallback to the fast loop; the clean monitored DDCR scenario runs the
-    kernel itself with monitors armed, so its idle leaps digest through
-    ``on_idle``; the consistency-checked ones run the fast loop, which
-    leaps idle stretches on every station's replica — on the noisy DCR
-    one a phantom collision starts a search, so the leap must stop
-    before it and resume after it.  The checked dual-bus run, a
+    fallback to the fast loop; the clean monitored DDCR, DCR (noisy) and
+    TDMA scenarios run the kernel itself with monitors armed, so their
+    idle leaps digest through ``on_idle`` and the noisy DCR one's leaps
+    stop at a fired gate; the consistency-checked ones run the fast
+    loop, which leaps idle stretches on every station's replica — on
+    the noisy DCR one a phantom collision starts a search, so the leap
+    must stop before it and resume after it.  The checked dual-bus run, a
     mutual-exclusion monitor on each bus and bus A jammed at a third of
     the run, takes the joint fast loop over both busses, which leaps
     their idle stretches together and, once bus A's replicas are stuck
@@ -286,8 +287,8 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
             False,
             0.0,
         ),
-        # Fault-free but monitored: the one scenario the batch kernel
-        # actually executes (armed injectors structurally fall back).
+        # Fault-free but monitored: the batch kernel executes it (armed
+        # injectors structurally fall back).
         (
             "ddcr-clean+monitors",
             ddcr_factory(config),
@@ -315,6 +316,24 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
             lambda: MonitorSuite([MutualExclusionMonitor()]),
             True,
             0.02,
+        ),
+        # Fault-free and monitored, DCR noisy: the batch kernel runs them
+        # on a shadow DCR or TDMA replica.
+        (
+            "dcr-kernel+noise+monitors",
+            dcr_factory(problem),
+            None,
+            True,
+            False,
+            0.02,
+        ),
+        (
+            "tdma-kernel+monitors",
+            tdma_factory(problem),
+            None,
+            True,
+            False,
+            0.0,
         ),
     ]
 

@@ -70,6 +70,20 @@ class TestGates:
                 assert got is False  # and no draw consumed
         assert all(got == want for got, want in outcomes)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bernoulli_quiet_run_draws_as_per_slot_calls(self, seed):
+        """One ``quiet_run`` over n idle slots makes the draws n calls
+        with nothing on the wire make, and stops where they first fire:
+        same count of quiet slots, same RNG state after."""
+        for n in (1, 7, 40, 400):
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            reference = BernoulliGate(0.05, reference_rng)
+            quiet = next(
+                (slot for slot in range(n) if reference(slot * 64, 0)), n
+            )
+            assert BernoulliGate(0.05, rng).quiet_run(n) == quiet
+            assert rng.getstate() == reference_rng.getstate()
+
     def test_gilbert_elliott_inactive_before_start(self):
         rng = random.Random(1)
         gate = GilbertElliottGate(

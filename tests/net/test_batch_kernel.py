@@ -20,6 +20,7 @@ import sys
 
 import pytest
 
+from repro.core.trees import BalancedTree
 from repro.faults.models import FaultPlan
 from repro.faults.runtime import FaultInjector
 from repro.model.arrival import GreedyBurstArrivals
@@ -30,7 +31,9 @@ from repro.net.phy import ATM_BUS, ideal_medium
 from repro.net.station import Station
 from repro.obs.tracer import FlightRecorder
 from repro.protocols.csma_cd import CSMACDProtocol
+from repro.protocols.dcr import DCRProtocol
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
+from repro.protocols.tdma import TDMAProtocol
 from repro.sim.engine import Environment
 from repro.sim.invariants import (
     BridgeConservationMonitor,
@@ -148,11 +151,96 @@ def test_foreign_pending_process_is_ineligible():
     assert "foreign processes" in batch_unavailable_reason(channel)
 
 
+_NOT_KERNEL_MACS = (
+    "station MACs are not all DDCRProtocol, DCRProtocol or TDMAProtocol"
+)
+
+
+def _dcr_tree(problem=None):
+    problem = problem if problem is not None else _problem()
+    return BalancedTree.of(m=problem.static_m, leaves=problem.static_q)
+
+
+def _roster(problem=None):
+    problem = problem if problem is not None else _problem()
+    return tuple(source.source_id for source in problem.sources)
+
+
+def test_eligible_dcr_and_tdma_channels_have_no_reason():
+    tree, roster = _dcr_tree(), _roster()
+    for factory in (
+        lambda source: DCRProtocol(tree),
+        lambda source: TDMAProtocol(roster),
+    ):
+        assert batch_unavailable_reason(
+            _build_channel(mac_factory=factory)
+        ) is None
+
+
 def test_foreign_mac_type_is_ineligible():
     channel = _build_channel(
         mac_factory=lambda source: CSMACDProtocol(seed=source.source_id)
     )
-    assert "not plain DDCRProtocol" in batch_unavailable_reason(channel)
+    assert batch_unavailable_reason(channel) == (
+        f"{_NOT_KERNEL_MACS} (station 0: CSMACDProtocol)"
+    )
+
+
+def test_mixed_mac_types_are_ineligible():
+    """Each kernel protocol on its own is eligible, a mix is not: the
+    reason names the first station whose MAC differs from station 0's."""
+    problem = _problem()
+    config, tree = _config(problem), _dcr_tree(problem)
+    channel = _build_channel(
+        problem=problem,
+        mac_factory=lambda source: (
+            DCRProtocol(tree) if source.source_id == 2
+            else DDCRProtocol(config)
+        ),
+    )
+    assert batch_unavailable_reason(channel) == (
+        f"{_NOT_KERNEL_MACS} (station 2: DCRProtocol)"
+    )
+
+
+def test_differing_dcr_trees_are_ineligible():
+    problem = _problem()
+    trees = iter(
+        [_dcr_tree(problem)] * (len(problem.sources) - 1)
+        + [BalancedTree.of(m=2, leaves=2 * problem.static_q)]
+    )
+    channel = _build_channel(
+        problem=problem, mac_factory=lambda source: DCRProtocol(next(trees))
+    )
+    assert batch_unavailable_reason(channel) == (
+        "stations run differing DCR trees"
+    )
+
+
+def test_differing_tdma_rosters_are_ineligible():
+    roster = _roster()
+    channel = _build_channel(
+        mac_factory=lambda source: TDMAProtocol(
+            roster if source.source_id else roster[::-1]
+        )
+    )
+    assert batch_unavailable_reason(channel) == (
+        "stations run differing TDMA rosters"
+    )
+
+
+def test_a_dcr_static_index_two_stations_share_is_ineligible():
+    """The kernel asks each probed index's one owner, under DCR as under
+    DDCR."""
+    tree = BalancedTree.of(m=2, leaves=4)
+    channel = BroadcastChannel(Environment(), ideal_medium(slot_time=64))
+    for station_id, indices in enumerate([(0, 2), (2, 3)]):
+        channel.attach(
+            Station(station_id, DCRProtocol(tree), static_indices=indices)
+        )
+    assert batch_unavailable_reason(channel) == (
+        "stations share static index 2"
+    )
 
 
 def test_differing_configs_are_ineligible():
@@ -206,7 +294,7 @@ def test_run_batch_falls_back_and_reports_why():
     )
     note = batched.run(_HORIZON, engine="batch")
     assert "batch engine unavailable" in note
-    assert "not plain DDCRProtocol" in note
+    assert _NOT_KERNEL_MACS in note
     assert _digest(batched) == _digest(fast)
 
 

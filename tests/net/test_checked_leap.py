@@ -320,21 +320,24 @@ def _desync(station):
 
 def _leap_hook(monkeypatch, start, before):
     """Call ``before(channel)`` as the fast loop reaches ``start``, before
-    it checks whether the stretch may be leapt; returns the leap
-    durations seen there (0 = no leap)."""
+    it checks whether the stretch may be leapt (the stretch rule,
+    ``channel._stretch_end``); returns the stretch lengths seen there
+    (0 = no leap)."""
     seen = []
-    original = channel_module._leap
+    original = channel_module._stretch_end
 
-    def hooked(drivers, pending, horizon, order):
-        now = pending[0][0]
+    def hooked(driver, now, end):
         if now == start:
-            before(drivers[0].channel)
-        leapt = original(drivers, pending, horizon, order)
+            before(driver.channel)
+        stretch_end = original(driver, now, end)
         if now == start:
-            seen.append(pending[0][0] - now if leapt else 0)
-        return leapt
+            seen.append(
+                stretch_end - now
+                if stretch_end is not None and stretch_end > now else 0
+            )
+        return stretch_end
 
-    monkeypatch.setattr(channel_module, "_leap", hooked)
+    monkeypatch.setattr(channel_module, "_stretch_end", hooked)
     return seen
 
 

@@ -56,10 +56,15 @@ from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 from repro.protocols.slotted_aloha import SlottedAlohaProtocol
 from repro.protocols.tdma import TDMAProtocol
 from repro.sim.engine import Environment
+from repro.sim.invariants import MonitorSuite
+from tests.net.test_batch_kernel import _ProcessRegisteringMonitor
 from tests.protocols.conftest import make_class
 
 ENGINES = ("des", "fastloop", "batch")
-PROTOCOLS = ("ddcr", "csma_cd", "tdma", "dcr", "slotted_aloha")
+#: ``tdma_gap`` is TDMA over a roster that lists an id no station has.
+PROTOCOLS = ("ddcr", "csma_cd", "tdma", "dcr", "slotted_aloha", "tdma_gap")
+#: The protocols whose eligible channels run the batch kernel.
+KERNEL_PROTOCOLS = ("ddcr", "dcr", "tdma", "tdma_gap")
 _HORIZON = 250_000
 
 
@@ -86,6 +91,9 @@ def _protocol_factory(protocol: str, problem, burst_limit=0):
     if protocol == "slotted_aloha":
         return lambda source: SlottedAlohaProtocol(seed=source.source_id)
     roster = tuple(source.source_id for source in problem.sources)
+    if protocol == "tdma_gap":
+        # The absent id's turns stay silent on every engine.
+        roster = roster[:2] + (max(roster) + 1,) + roster[2:]
     return lambda source: TDMAProtocol(roster)
 
 
@@ -169,9 +177,9 @@ def test_engines_identical_across_protocols(protocol, noise, monkeypatch):
     """Stats, completions, recorder dumps and the standard suite's
     invariant reports match byte-for-byte, noise or not, and the leaps
     engage: the unchecked fast loop leaps every protocol's idle stretches
-    (also as ``batch``'s fallback for the baselines), the kernel DDCR's,
-    and under noise both leap up to a fired gate and run that slot as a
-    corrupted round."""
+    (also as ``batch``'s fallback for BEB and slotted ALOHA), the kernel
+    DDCR's, DCR's and TDMA's, and under noise both leap up to a fired
+    gate and run that slot as a corrupted round."""
     seen = _spy_leaps(monkeypatch)
     runs = []
     for engine in ENGINES:
@@ -182,8 +190,9 @@ def test_engines_identical_across_protocols(protocol, noise, monkeypatch):
         if engine == "des":
             assert not seen  # the reference steps every slot
             continue
-        kernel_ran = engine == "batch" and protocol == "ddcr"
+        kernel_ran = engine == "batch" and protocol in KERNEL_PROTOCOLS
         assert seen["batch" if kernel_ran else "fastloop"] > 0, (engine, seen)
+        assert seen["fastloop" if kernel_ran else "batch"] == 0, (engine, seen)
         assert (seen["fired"] > 0) == (noise > 0), (engine, seen)
     assert len(set(runs)) == 1
 
@@ -405,16 +414,19 @@ _OWNERS = (
 )
 
 
-def _run_owned_indices(engine, offers):
-    """The :data:`_OWNERS` channel; ``offers`` maps each stepped round's
-    start to the ids of the stations that offered in it."""
+def _run_owned_indices(engine, offers, mac_factory=None):
+    """The :data:`_OWNERS` channel, on DDCR or with each station's MAC
+    from ``mac_factory()``; ``offers`` maps each stepped round's start
+    to the ids of the stations that offered in it."""
     config = DDCRConfig(
         time_f=16, time_m=2, class_width=65_536, static_q=16, static_m=2
     )
     channel = BroadcastChannel(Environment(), ideal_medium(slot_time=64))
     seq_source = itertools.count()
     for station_id, (indices, trace, deadline) in enumerate(_OWNERS):
-        mac = DDCRProtocol(config)
+        mac = (
+            DDCRProtocol(config) if mac_factory is None else mac_factory()
+        )
         station = Station(
             station_id, mac, static_indices=indices, seq_source=seq_source
         )
@@ -484,6 +496,56 @@ def test_sts_offers_from_owners_match_per_station_offers(monkeypatch):
     assert station_offers["des"] == station_offers["fastloop"] == offered
 
 
+def test_dcr_offers_from_owners_match_per_station_offers(monkeypatch):
+    """DCR's search offers come from the owners of the probed node's
+    indices whose rank cursor is on that index: DDCR's static-search rule
+    without the time-leaf test.  On the :data:`_OWNERS` channel, where
+    stations own one to three indices, transmit again on a later index
+    of the same search and sit it out once their ranks or messages run
+    out, every stepped round's kernel offerers equal those of every
+    station's own replica, and the runs are byte-identical."""
+    from repro.net.batch import BatchKernel
+    from repro.protocols.dcr import DCRMode
+
+    tree = BalancedTree.of(m=2, leaves=16)
+    kernel_offers: dict[int, list[int]] = {}
+    probes = collections.Counter()
+    offers = BatchKernel.offers
+
+    def spy(self, now):
+        result = offers(self, now)
+        kernel_offers[now] = sorted(
+            self.stations[i].station_id for i in self._offers
+        )
+        if self.replica.mode is DCRMode.SEARCH:
+            node = self.replica.search.agenda[-1]
+            probes["wide"] += node.hi - node.lo > 1
+            probes["sat_out"] += any(
+                i not in self._offers
+                and any(node.lo <= x < node.hi for x in self.statics[i])
+                for i in range(self.z)
+            )
+            probes["again"] += any(self.cursor[i] > 0 for i in self._offers)
+        return result
+
+    monkeypatch.setattr(BatchKernel, "offers", spy)
+    station_offers = {
+        engine: collections.defaultdict(list) for engine in ENGINES[:2]
+    }
+    digests = {
+        _run_owned_indices(
+            engine, station_offers.get(engine), lambda: DCRProtocol(tree)
+        )
+        for engine in ENGINES
+    }
+    assert len(digests) == 1
+    assert all(probes[key] > 0 for key in ("wide", "sat_out", "again")), (
+        probes
+    )
+    offered = {now: ids for now, ids in kernel_offers.items() if ids}
+    assert station_offers["des"] == station_offers["fastloop"] == offered
+
+
 def test_a_shared_static_index_falls_back_to_the_fast_loop():
     """Two stations sharing a static index is a channel the kernel's
     owner map cannot hold: the run falls back and says why."""
@@ -501,12 +563,19 @@ def test_a_shared_static_index_falls_back_to_the_fast_loop():
     )
 
 
-def _run_manual_channel(engine, jam_from=None, noise=0.0):
-    """Hand-built channel (no NetworkSimulation) with optional jamming."""
-    problem = uniform_problem(
-        z=5, length=1_000, deadline=400_000, a=1, w=200_000
-    )
-    config = _ddcr_config(problem)
+def _run_manual_channel(
+    engine, jam_from=None, noise=0.0, protocol="ddcr", jam_until=None,
+    monitors=None, problem=None, horizons=(_HORIZON,),
+):
+    """Hand-built channel (no NetworkSimulation) with optional jamming
+    and ``monitors(env)`` armed, run by one ``run`` call per horizon in
+    ``horizons``; an unchecked channel of a kernel protocol runs the
+    kernel under ``batch``."""
+    if problem is None:
+        problem = uniform_problem(
+            z=5, length=1_000, deadline=400_000, a=1, w=200_000
+        )
+    factory = _protocol_factory(protocol, problem)
     env = Environment()
     recorder = _recorder()
     channel = BroadcastChannel(
@@ -521,7 +590,7 @@ def _run_manual_channel(engine, jam_from=None, noise=0.0):
     for source in problem.sources:
         station = Station(
             station_id=source.source_id,
-            mac=DDCRProtocol(config),
+            mac=factory(source),
             static_indices=source.static_indices,
             seq_source=seq_source,
         )
@@ -532,9 +601,16 @@ def _run_manual_channel(engine, jam_from=None, noise=0.0):
         channel.attach(station)
         stations.append(station)
     channel.jam_from = jam_from
+    channel.jam_until = jam_until
+    if monitors is not None:
+        channel.monitors = monitors(env)
     # The unified entry point owns the dispatch for all three engines.
-    channel.run(_HORIZON, engine=engine)
-    assert env.now == _HORIZON
+    for horizon in horizons:
+        note = channel.run(horizon, engine=engine)
+        assert (note is None) == (
+            engine != "batch" or protocol in KERNEL_PROTOCOLS
+        ), note
+        assert env.now == horizon
     completions = [
         record for station in stations for record in station.completions
     ]
@@ -582,6 +658,61 @@ def test_engines_identical_under_mid_run_jamming(noise, monkeypatch):
         jammed_slots = -(-(_HORIZON - _HORIZON // 2) // 64)
         assert jammed_slots - 10 < sum(n for *_, n in leaps)
     assert len(set(runs)) == 1
+
+
+@pytest.mark.parametrize("protocol", ["dcr", "tdma"])
+@pytest.mark.parametrize("noise", [0.0, 0.03])
+def test_kernel_protocols_identical_under_a_jam_window(protocol, noise):
+    """DCR and TDMA channels jammed over a window in the middle of a
+    burst: the jammed slots open DCR searches and re-probe its leaves,
+    and pass TDMA's turn as noisy slots; the kernel, which steps them
+    (neither protocol is jam-steady), matches the per-slot DES."""
+    runs = {
+        _run_manual_channel(
+            engine, jam_from=3_000, jam_until=9_000, noise=noise,
+            protocol=protocol,
+        )
+        for engine in ENGINES
+    }
+    assert len(runs) == 1
+
+
+@pytest.mark.parametrize("protocol", ["ddcr", "tdma"])
+def test_a_leapt_noisy_stretch_draws_the_des_gates(protocol, monkeypatch):
+    """A lone Bernoulli gate draws a leapt idle stretch in one loop
+    (:meth:`~repro.faults.runtime.BernoulliGate.quiet_run`): at every
+    slot noise corrupts, the ones a leap stopped at included, the slot
+    and the gate RNG's ``getstate()`` equal the DES's."""
+    from repro.faults.runtime import BernoulliGate
+
+    corrupted: list = []
+    counts = collections.Counter()
+    round_, quiet_run = _RoundDriver.round, BernoulliGate.quiet_run
+
+    def round_spy(self, now, fired=0):
+        before = self.stats.corrupted_slots
+        duration = round_(self, now, fired)
+        if self.stats.corrupted_slots > before:
+            corrupted.append((now, self.channel._noise_rng.getstate()))
+            counts["leapt"] += fired > 0
+        return duration
+
+    def quiet_run_spy(self, n):
+        counts["quiet_run"] += 1
+        return quiet_run(self, n)
+
+    monkeypatch.setattr(_RoundDriver, "round", round_spy)
+    monkeypatch.setattr(BernoulliGate, "quiet_run", quiet_run_spy)
+    runs = {}
+    for engine in ENGINES:
+        corrupted.clear()
+        counts.clear()
+        snapshot = _run_manual_channel(engine, noise=0.02, protocol=protocol)
+        runs[engine] = (snapshot, list(corrupted))
+        if engine != "des":
+            assert counts["leapt"] > 0 and counts["quiet_run"] > 0, counts
+    assert runs["des"][1]
+    assert runs["des"] == runs["fastloop"] == runs["batch"]
 
 
 class _ForeignRegistrar(MACProtocol):
@@ -691,6 +822,53 @@ def test_fast_loop_rejoins_des_mid_run():
     assert len(des_ticks) == len(fast_ticks) == 5  # ticker actually ran
     assert des_ticks == fast_ticks == batch_ticks
     assert des_run == fast_run == batch_run
+
+
+@pytest.mark.parametrize("protocol", ["dcr", "tdma"])
+def test_dcr_and_tdma_kernel_runs_rejoin_des_mid_run(protocol):
+    """A foreign process a monitor registers mid-run on a DCR or a TDMA
+    kernel run (which calls no station's own MAC): the kernel writes
+    its state back and the channel rejoins the DES, interleaved as on
+    the DES and the fast loop.  The process appears after the seventh
+    slot: inside DCR's first search, where stations 0 and 1 have sent
+    on their first static index and still hold a message for their
+    second (their rank cursors), and with TDMA's turn at the third
+    roster position."""
+    problem = uniform_problem(
+        z=5, length=1_000, deadline=400_000, a=3, w=200_000, nu=2
+    )
+    runs = {}
+    for engine in ENGINES:
+        ticks: list[int] = []
+        snapshot = _run_manual_channel(
+            engine, protocol=protocol, problem=problem,
+            monitors=lambda env: MonitorSuite(
+                [_ProcessRegisteringMonitor(env, ticks, trigger_after=7)]
+            ),
+        )
+        runs[engine] = (ticks, snapshot)
+    assert len(runs["batch"][0]) == 5  # the ticker ran to completion
+    assert runs["des"] == runs["fastloop"] == runs["batch"]
+
+
+@pytest.mark.parametrize("protocol", ["ddcr", "dcr", "tdma"])
+def test_kernel_runs_resume_a_channel_mid_search(protocol):
+    """A channel run to the horizon in several ``run`` calls, each cut
+    inside a collision resolution (DCR's first search has rank cursors
+    advanced from 2,322 on): every kernel run starts its shadow replica
+    and columns from the stations' own replicas, which the previous
+    run wrote back, and the runs match the DES's, noise included."""
+    problem = uniform_problem(
+        z=5, length=1_000, deadline=400_000, a=3, w=200_000, nu=2
+    )
+    runs = {
+        _run_manual_channel(
+            engine, noise=0.02, protocol=protocol, problem=problem,
+            horizons=(2_400, 4_500, 7_000, _HORIZON),
+        )
+        for engine in ENGINES
+    }
+    assert len(runs) == 1
 
 
 def _two_channels(engine, noise=0.0, foreign=False):
@@ -855,14 +1033,17 @@ def test_joint_leap_keeps_the_des_schedule_order(
         assert leap in leaps
 
 
-def _shared_clock_run(engine, channels, check, horizon=30_000):
-    """DDCR channels on one clock, one ``(slot time, stations, jam)``
-    entry each, a station being its arrival times, frame length and
-    relative deadline and ``jam`` None or the channel's
-    ``(jam_from, jam_until)``."""
+def _shared_clock_run(
+    engine, channels, check, horizon=30_000, protocol="ddcr"
+):
+    """DDCR, DCR or TDMA channels on one clock, one ``(slot time,
+    stations, jam)`` entry each, a station being its arrival times,
+    frame length and relative deadline and ``jam`` None or the
+    channel's ``(jam_from, jam_until)``."""
     config = DDCRConfig(
         time_f=16, time_m=2, class_width=65_536, static_q=4, static_m=2
     )
+    tree = BalancedTree.of(m=2, leaves=4)
     env = Environment()
     recorder = _recorder()
     seq_source = itertools.count()
@@ -877,9 +1058,16 @@ def _shared_clock_run(engine, channels, check, horizon=30_000):
         )
         if jam is not None:
             bus.jam_from, bus.jam_until = jam
+        roster = tuple(range(len(stations)))
         for station_id, (trace, length, deadline) in enumerate(stations):
+            if protocol == "ddcr":
+                mac = DDCRProtocol(config)
+            elif protocol == "dcr":
+                mac = DCRProtocol(tree)
+            else:
+                mac = TDMAProtocol(roster)
             station = Station(
-                station_id, DDCRProtocol(config),
+                station_id, mac,
                 static_indices=(station_id,), seq_source=seq_source,
             )
             station.load_arrivals(
@@ -899,40 +1087,39 @@ def _shared_clock_run(engine, channels, check, horizon=30_000):
     return _snapshot([bus.stats for bus in busses], completions, recorder)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    channels=st.lists(
-        st.tuples(
-            st.sampled_from([32, 64, 96]),
-            st.lists(
-                st.tuples(
-                    st.lists(
-                        st.integers(0, 20_000), max_size=3, unique=True
-                    ),
-                    st.integers(1, 500),
-                    # Within the time tree's horizon c*F = 1,048,576
-                    # bit-times, or beyond it: a message then sits out
-                    # the fresh-TTs cycle until compressed time pulls it
-                    # in, and the leap crosses that wait.
-                    st.sampled_from(
-                        (400_000, 1_100_000, 2_000_000, 4_000_000)
-                    ),
-                ),
-                min_size=1,
-                max_size=4,
+#: One to three channels on one clock: a slot time, one to four
+#: stations (arrival times, frame length, relative deadline) and a jam
+#: each.
+_SHARED_CLOCK_CHANNELS = st.lists(
+    st.tuples(
+        st.sampled_from([32, 64, 96]),
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 20_000), max_size=3, unique=True),
+                st.integers(1, 500),
+                # Within the time tree's horizon c*F = 1,048,576
+                # bit-times, or beyond it: a message then sits out
+                # the fresh-TTs cycle until compressed time pulls it
+                # in, and the leap crosses that wait.
+                st.sampled_from((400_000, 1_100_000, 2_000_000, 4_000_000)),
             ),
-            st.none() | st.integers(0, 25_000).flatmap(
-                lambda start: st.tuples(
-                    st.just(start),
-                    st.none() | st.integers(start + 1, start + 15_000),
-                )
-            ),
+            min_size=1,
+            max_size=4,
         ),
-        min_size=1,
-        max_size=3,
+        st.none() | st.integers(0, 25_000).flatmap(
+            lambda start: st.tuples(
+                st.just(start),
+                st.none() | st.integers(start + 1, start + 15_000),
+            )
+        ),
     ),
-    check=st.booleans(),
+    min_size=1,
+    max_size=3,
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(channels=_SHARED_CLOCK_CHANNELS, check=st.booleans())
 def test_channels_sharing_a_clock_match_the_des(channels, check):
     """One to three channels on one clock, with differing slot times,
     frames that shift their slot grids and jams (to the horizon or over
@@ -942,6 +1129,21 @@ def test_channels_sharing_a_clock_match_the_des(channels, check):
     channel runs the batch kernel under ``batch``."""
     runs = {
         _shared_clock_run(engine, channels, check) for engine in ENGINES
+    }
+    assert len(runs) == 1
+
+
+@pytest.mark.parametrize("protocol", ["dcr", "tdma"])
+@settings(max_examples=60, deadline=None)
+@given(channels=_SHARED_CLOCK_CHANNELS, check=st.booleans())
+def test_dcr_and_tdma_channels_sharing_a_clock_match_the_des(
+    protocol, channels, check
+):
+    """The same property on DCR and TDMA channels: a lone unchecked
+    channel runs the batch kernel under ``batch`` there too."""
+    runs = {
+        _shared_clock_run(engine, channels, check, protocol=protocol)
+        for engine in ENGINES
     }
     assert len(runs) == 1
 
@@ -1255,7 +1457,7 @@ def test_telemetry_identical_across_engines(protocol):
     assert des.content_json() == fast.content_json() == batch.content_json()
     assert des.engine == "des" and fast.engine == "fastloop"
     assert batch.engine == "batch"
-    if protocol == "ddcr":
+    if protocol in KERNEL_PROTOCOLS:
         # Eligible run: the kernel itself executed, so there is no note.
         assert batch.engine_fallback is None
     else:
@@ -1373,8 +1575,9 @@ def test_engine_resolution_and_scoping(monkeypatch):
     assert _auto_run("ddcr") is None
     assert kernel_runs == [60_000]
     assert _auto_run("csma_cd") == (
-        "batch engine unavailable (station MACs are not plain "
-        "DDCRProtocol (station 0: CSMACDProtocol)): ran fastloop"
+        "batch engine unavailable (station MACs are not all DDCRProtocol, "
+        "DCRProtocol or TDMAProtocol (station 0: CSMACDProtocol)): "
+        "ran fastloop"
     )
     assert kernel_runs == [60_000]  # the fast loop ran, not the kernel
     assert resolve_engine("des") == "des"

@@ -428,7 +428,8 @@ class TestMultiSegmentExecution:
         assert result.engine_fallbacks == {
             "seg0": None,
             "seg1": "batch engine unavailable (station MACs are not "
-            "plain DDCRProtocol (station 0: CSMACDProtocol)): ran fastloop",
+            "all DDCRProtocol, DCRProtocol or TDMAProtocol (station 0: "
+            "CSMACDProtocol)): ran fastloop",
         }
         assert result.segments["seg1"].engine_fallback == (
             result.engine_fallbacks["seg1"]

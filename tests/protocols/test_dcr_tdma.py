@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.search_cost import simulate_search, xi_exact
 from repro.core.trees import BalancedTree
+from repro.net.station import Station
 from repro.protocols.dcr import DCRMode, DCRProtocol
 from repro.protocols.tdma import TDMAProtocol
 from tests.protocols.conftest import run_network
@@ -104,6 +105,8 @@ class TestTDMA:
     def test_unknown_station_rejected(self):
         with pytest.raises(ValueError):
             run_network([TDMAProtocol((5,))], {0: [0]}, horizon=1000)
+        with pytest.raises(ValueError, match="not in TDMA roster"):
+            Station(-1, TDMAProtocol((0, 1)))
 
     def test_noise_collision_tolerated(self):
         # A collision on a TDMA channel can only be noise; the owner

@@ -141,13 +141,15 @@ class TestCIFastPath:
         assert "invariants-smoke: ddcr-clean+monitors" in out
         assert "invariants-smoke: ddcr-checked+monitors" in out
         assert "invariants-smoke: dcr-checked+noise" in out
+        assert "invariants-smoke: dcr-kernel+noise+monitors" in out
+        assert "invariants-smoke: tdma-kernel+monitors" in out
         assert "invariants-smoke: dualbus-checked+failover" in out
         assert (
             "invariants-smoke: ddcr-far-deadlines+limit: INVARIANT "
             "VIOLATIONS (work_conservation: 1) (as expected)"
         ) in out
         assert "invariants ok" in out
-        assert "default engine matched the des reference on 9/9" in out
+        assert "default engine matched the des reference on 11/11" in out
 
     def test_no_cache_skips_the_sweep_smoke(self, capsys):
         # The sweep smoke resumes against the result cache; without one
