@@ -5,7 +5,7 @@ Subpackages:
 
 * :mod:`repro.core`      — Problems P1/P2 and the feasibility conditions.
 * :mod:`repro.model`     — the HRTDM problem model (messages, arrivals).
-* :mod:`repro.sim`       — discrete-event simulation substrate.
+* :mod:`repro.sim`       — the simulation clock, RNG streams, monitors.
 * :mod:`repro.net`       — slotted broadcast-medium simulator.
 * :mod:`repro.protocols` — CSMA/DDCR and baseline MAC protocols.
 * :mod:`repro.analysis`  — metrics, bound checking, adversaries, reports.

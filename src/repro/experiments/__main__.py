@@ -8,7 +8,7 @@ Usage::
     python -m repro.experiments --all --jobs 4  # fan out over processes
     python -m repro.experiments --all --force   # ignore cached results
     python -m repro.experiments FIG1 --csv out  # also write CSV files
-    python -m repro.experiments PROTO --engine des   # force the DES engine
+    python -m repro.experiments PROTO --engine des   # per-slot reference
     python -m repro.experiments PROTO --fault crash  # preset fault plan
     python -m repro.experiments PROTO --faults plan.json  # plan from a file
     python -m repro.experiments FIG1 --telemetry out.jsonl  # run manifests

@@ -1,4 +1,4 @@
-"""A preemptive fixed-priority CPU scheduler on the DES kernel.
+"""A preemptive fixed-priority CPU scheduler, simulated event to event.
 
 Runs a set of periodic :class:`~repro.host.tasks.TaskSpec` on one CPU:
 jobs are released periodically, preempt lower-priority jobs, and *emit
@@ -9,8 +9,8 @@ model calls arrivals.
 
 The implementation is an exact event-driven simulation: the CPU state
 changes only at releases and completions, so we advance from event to
-event with closed-form progress updates (no per-tick loop), on top of
-:class:`repro.sim.engine.Environment` time.
+event with closed-form progress updates (no per-tick loop), keeping the
+pending releases in its own ``heapq``.
 """
 
 from __future__ import annotations

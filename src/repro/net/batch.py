@@ -2,7 +2,7 @@
 lockstep protocols, CSMA/DDCR, CSMA/DCR and TDMA.
 
 The station side of the third engine tier (see :mod:`repro.net.engine`).
-The DES and fastloop engines spend one Python method call per station per
+The des and fastloop engines spend one Python method call per station per
 slot (``offer`` then ``observe``), so slot throughput degrades linearly in
 the station count z.  This kernel exploits the lockstep property
 instead: CSMA/DDCR, CSMA/DCR (802.3D) and TDMA are automata driven only
@@ -44,7 +44,7 @@ The kernel is only the station side of a round.  The channel's one round
 body (``repro.net.channel._RoundDriver``) and its one clock loop (the
 fast loop, ``BroadcastChannel._run_fast``) do everything else — the jam
 and noise decision, slot booking, telemetry, monitors, the flight
-recorder, the idle and jammed leaps and the DES rejoin — and ask the
+recorder, the idle and jammed leaps — and ask the
 kernel wherever they would otherwise ask every station's own replica:
 who offers (:meth:`BatchKernel.offers`), digesting an observation, the
 winner's completion and the private transitions included
@@ -61,21 +61,19 @@ TDMA, each with every queue empty), the dominant regime of long
 simulations, and jammed stretches once a DDCR replica is stuck
 re-probing a static-tree leaf.
 
-Fallback contract (mirroring the fast loop's): :func:`batch_unavailable_reason`
-reports *structural* ineligibility — foreign or mixed MAC types, differing
-DDCR configs, DCR trees or TDMA rosters, a static index two stations share
+Fallback contract: :func:`batch_unavailable_reason` reports
+*structural* ineligibility — foreign or mixed MAC types, differing DDCR
+configs, DCR trees or TDMA rosters, a static index two stations share
 (the kernel asks each index's one owner), packet bursting, non-destructive
-media (contention tags), an armed fault injector, consistency checks (they
-compare every station's own replica, which the kernel does not keep), or
-foreign processes pending at entry — and :meth:`BroadcastChannel.run`
-under ``batch`` or ``auto`` then delegates to the fast loop (which may
-itself rejoin the DES), returning the reason so the run manifest can
-record it.  Channels sharing a clock (the dual bus) never reach the
-kernel: ``run`` sends them to the joint fast loop with a note of its own.
-If a foreign process appears *mid-run* (e.g. registered by a monitor),
-the loop writes the kernel's state back into every station's MAC
-(:meth:`BatchKernel.writeback`) and rejoins the general DES after the
-current slot, exactly where the DES path would interleave it.
+media (contention tags), an armed fault injector, or consistency checks
+(they compare every station's own replica, which the kernel does not
+keep) — and :meth:`BroadcastChannel.run` under ``batch`` or ``auto``
+then delegates to the fast loop, returning the reason so the run
+manifest can record it.  Channels sharing a clock (the dual bus) never
+reach the kernel: ``run`` sends them to the joint fast loop with a note
+of its own.  At the end of a run the loop writes the kernel's state back
+into every station's MAC (:meth:`BatchKernel.writeback`), so a later
+run, on any engine, resumes from the stations' own replicas.
 
 Known limitation (structural, not silent): the kernel caches each
 station's next pending-arrival time, so injecting arrivals *mid-run* from
@@ -132,11 +130,9 @@ def batch_unavailable_reason(channel: "BroadcastChannel") -> str | None:
 
     The checks are *structural* — a property of the run's configuration,
     decidable before the first slot — so the fallback is deterministic and
-    behavior-free: the run proceeds on the fast loop (or the DES) with
-    byte-identical results, and the reason lands in the run manifest.
+    behavior-free: the run proceeds on the fast loop with byte-identical
+    results, and the reason lands in the run manifest.
     """
-    if channel.env.pending:
-        return "foreign processes pending on the environment at entry"
     macs = [station.mac for station in channel.stations]
     protocol = type(macs[0])
     for station, mac in zip(channel.stations, macs):
@@ -481,7 +477,8 @@ class BatchKernel:
         ):
             # Time-leaf collision opens the nested static search: its
             # members are exactly this slot's offerers (also on corrupted
-            # slots — the DES stations snapshot ``_offered`` the same way).
+            # slots — every station's own replica snapshots ``_offered``
+            # the same way).
             member = [False] * self.z
             for i in self._offers:
                 member[i] = True
@@ -546,8 +543,8 @@ class BatchKernel:
 
         Restores the per-station replica invariant the rest of the system
         reads — end-of-run consumers (telemetry finalization, the
-        search-length monitor, ``public_state`` assertions) and the DES
-        itself on a mid-run rejoin.
+        search-length monitor, ``public_state`` assertions) and the next
+        run of the channel, on any engine.
         """
         replica = self.replica
         protocol = self.protocol
@@ -588,5 +585,5 @@ class BatchKernel:
         """Run the channel to ``horizon`` with this kernel as its station
         side: one call into the channel's clock loop (the fast loop,
         ``BroadcastChannel._run_fast``), which writes the kernel state
-        back before a mid-run DES rejoin and at the end."""
+        back at the end."""
         self.channel._run_fast(horizon, (self.channel,), self)

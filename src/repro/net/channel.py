@@ -15,20 +15,16 @@ scope, ``REPRO_ENGINE``, default ``auto``) through
 :func:`~repro.net.engine.resolve_engine` — the single place engine
 resolution happens — and dispatches to one of three internal tiers:
 
-* the general-DES path: a generator process on
-  :class:`~repro.sim.engine.Environment` that yields one timeout per
-  round (:meth:`BroadcastChannel.process`).  It composes with arbitrary
-  foreign processes; channels sharing a clock (the dual bus) register
-  one process each, in order.
+* the per-slot reference (``des``): :meth:`Environment.run
+  <repro.sim.engine.Environment.run>` steps every round of the N
+  channels that share a clock (a lone channel is N = 1), the one that
+  starts first next, ties in registration order and then in the order
+  the previous rounds ran.  It never leaps.
 * the slot-synchronous fast path (``fastloop``): one direct Python loop
-  over the N channels that share a clock (a lone channel is N = 1).  It
-  owns the clock and advances ``env.now`` itself, skipping the event
-  heap, the generator suspend/resume and the per-round timeout
-  allocation, and steps the channel whose round starts first, ties in
-  the DES's schedule order (kept in a small heap of next rounds when
-  N > 1; a lone channel's only next round needs none).  The moment any
-  foreign event appears on the queue every channel rejoins the DES
-  mid-run, so it is always safe to select.  It crosses provably idle
+  over the same channels that advances ``env.now`` itself and steps the
+  channel whose round starts first, ties in the reference's order (kept
+  in a small heap of next rounds when N > 1; a lone channel's only next
+  round needs none).  It crosses provably idle
   stretches in one step (:func:`_stretch_end` for each channel, jointly
   by :func:`_leap` when N > 1): every station's own replica, on every
   channel, must say it is idle-steady, for as many slots as its queue
@@ -60,8 +56,8 @@ leap under an armed fault injector or a monitor that cannot digest idle
 slots in one call (nor a jammed leap under one that cannot digest
 jammed slots).  On a
 shared clock the stretch ends at the earliest such end of any channel,
-and noise keeps every channel stepping.  The DES is always per-slot:
-the reference.
+and noise keeps every channel stepping.  The ``des`` loop is always
+per-slot: the reference.
 
 All engines draw from the same RNG in the same order, so their results
 are byte-identical (the differential tests assert this, three ways).  The
@@ -91,7 +87,6 @@ from repro.obs.instruments import LATENCY_EDGES, NULL_TELEMETRY, Telemetry
 from repro.obs.tracer import FlightRecorder
 from repro.protocols.base import UNBOUNDED, ChannelState, SlotObservation
 from repro.sim.engine import Environment
-from repro.sim.process import ProcessGenerator
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.batch import BatchKernel
@@ -191,7 +186,7 @@ class _RoundDriver:
         self.channel = channel
         self.kernel = kernel
         #: The channel's live station list (not a copy): a station attached
-        #: mid-run participates from its next round, as on the DES path.
+        #: mid-run participates from its next round.
         self.stations = channel.stations
         self.stats = channel.stats
         medium = channel.medium
@@ -206,21 +201,21 @@ class _RoundDriver:
         self.faults = channel.faults
         if self.faults is not None:
             # Fault-plan gates are armed once on the injector and carry
-            # their own state, so a mid-run driver rebuild (the fast
-            # loop's DES rejoin) resumes them rather than resetting.
+            # their own state, so the driver a later ``run`` call builds
+            # resumes them rather than resetting.
             gates.extend(self.faults.noise_gates)
         self.noise_gates = tuple(gates)
         self.monitors = channel.monitors
         self.check = channel.check_consistency
         # The fast loop crosses idle and jammed stretches on every
-        # station's own replica (see :meth:`leap`); the DES never asks.
+        # station's own replica (see :meth:`leap`); ``des`` never asks.
         self.leap_ok = channel._idle_leap_allowed()
         self.jam_leap_ok = self.leap_ok and (
             self.monitors is None or self.monitors.digests_jammed
         )
         # Telemetry instruments, hoisted once per driver build.  They are
-        # fetched by name from the registry, so a mid-run rebuild (the
-        # fast loop's DES rejoin) resumes the same counters.
+        # fetched by name from the registry, so the driver a later
+        # ``run`` call builds resumes the same counters.
         telemetry = channel.telemetry
         self.telemetry = telemetry
         self.telemetry_on = telemetry.enabled
@@ -616,14 +611,16 @@ def _leap(
     at the earliest horizon or end of any channel's stretch, and each
     channel leaps the slots that start before that end.
     ``pending`` gets each leapt channel's next round, in the order the
-    DES would have scheduled it: after every round already run, and
-    among the leapt channels by the start of their last leapt round (it
-    scheduled the next one), then by the later first leapt slot (at that
-    slot the other channel's round was scheduled by a leapt round, this
-    one's by a round run before the leap), then by the order before the
-    leap.  Two channels whose next rounds start together have equal
-    slots and last leapt rounds, or else the earlier last round ranks
-    first, so this is the DES's order wherever it is ever consulted.
+    per-slot reference (:meth:`Environment.run
+    <repro.sim.engine.Environment.run>`) would have scheduled it: after
+    every round already run, and among the leapt channels by the start
+    of their last leapt round (it scheduled the next one), then by the
+    later first leapt slot (at that slot the other channel's round was
+    scheduled by a leapt round, this one's by a round run before the
+    leap), then by the order before the leap.  Two channels whose next
+    rounds start together have equal slots and last leapt rounds, or
+    else the earlier last round ranks first, so this is the reference's
+    order wherever it is ever consulted.
     """
     end = horizon
     for start, _, i in pending:
@@ -744,6 +741,10 @@ class BroadcastChannel:
     def _check_runnable(self, horizon: int) -> None:
         if horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {horizon}")
+        if horizon < self.env.now:
+            raise ValueError(
+                f"horizon={horizon} is before the clock (now={self.env.now})"
+            )
         if not self.stations:
             raise RuntimeError("channel has no stations attached")
 
@@ -760,20 +761,20 @@ class BroadcastChannel:
         ``None`` (default) defers to the ambient
         :func:`~repro.net.engine.use_engine` scope, the ``REPRO_ENGINE``
         environment variable, or ``auto`` — resolution happens in exactly
-        one place, :func:`~repro.net.engine.resolve_engine`.
+        one place, :func:`~repro.net.engine.resolve_engine`.  A horizon
+        before the clock is a ``ValueError`` on every engine.
 
         ``peers`` are further channels on this channel's environment: the
-        channels that share one clock (a dual bus) run together, in the
-        DES's schedule order.  Rounds starting at the same time run in
-        registration order (this channel, then ``peers`` in order), then
-        in the order their previous rounds ran.
+        channels that share one clock (a dual bus) run together.  Rounds
+        starting at the same time run in registration order (this
+        channel, then ``peers`` in order), then in the order their
+        previous rounds ran.
 
-        * ``"des"`` registers each channel's generator process
-          (:meth:`process`) on the environment, in that order, and drives
-          the event heap to the horizon.
+        * ``"des"`` steps every round of every channel on
+          :meth:`Environment.run <repro.sim.engine.Environment.run>`, the
+          per-slot reference.
         * ``"fastloop"`` runs the slot-synchronous fast path over all the
-          channels, which rejoins the DES automatically if foreign events
-          appear.
+          channels.
         * ``"batch"`` and ``"auto"`` run the struct-of-arrays kernel,
           delegating to the fast loop on structurally ineligible runs
           (channels sharing a clock among them).
@@ -791,10 +792,9 @@ class BroadcastChannel:
                 raise ValueError("channels sharing a clock need one environment")
             channel._check_runnable(horizon)
         if engine_name == "des":
-            env = self.env
-            for channel in channels:
-                env.process(channel.process(horizon))
-            env.run(until=horizon)
+            self.env.run(
+                horizon, [_RoundDriver(channel).round for channel in channels]
+            )
             return None
         if engine_name == "fastloop":
             self._run_fast(horizon, channels)
@@ -807,20 +807,6 @@ class BroadcastChannel:
             )
         return self._run_batch(horizon)
 
-    def process(self, horizon: int) -> ProcessGenerator:
-        """The channel as a raw DES generator: one timeout yield per round.
-
-        The per-slot reference that ``run(horizon, engine="des")``
-        registers, one per channel sharing the clock.  Start it with
-        ``env.process(channel.process(horizon))`` to put the channel on
-        an event heap beside other processes by hand.
-        """
-        self._check_runnable(horizon)
-        driver = _RoundDriver(self)
-        env = self.env
-        while env.now < horizon:
-            yield env.timeout(driver.round(int(env.now)))
-
     def _run_fast(
         self,
         horizon: int,
@@ -830,16 +816,13 @@ class BroadcastChannel:
         """Run ``channels`` (this one first) to ``horizon`` as one direct
         loop owning their shared clock; ``kernel`` is the lone channel's
         station side on a batch run (:meth:`BatchKernel.run
-        <repro.net.batch.BatchKernel.run>`), which writes its state back
-        into every station's MAC before a DES rejoin and at the end.
+        <repro.net.batch.BatchKernel.run>`), whose state is written back
+        into every station's MAC at the end.
 
-        The slot-loop fast path: while the channels are the only
-        time-advancing activity (no events on the environment's queue),
-        no event-heap operations, generator suspensions or timeout
-        events happen at all — the loop steps the channel whose round
-        starts first, ties broken in the DES's schedule order
-        (registration order, then the order in which rounds ran, kept
-        in a heap of ``(start, order, index)``), and advances
+        The slot-loop fast path: the loop steps the channel whose round
+        starts first, ties broken in the per-slot reference's schedule
+        order (registration order, then the order in which rounds ran,
+        kept in a heap of ``(start, order, index)``), and advances
         ``env.now`` itself, once per step.  A lone channel (``N = 1``)
         keeps no heap: its next round is the only one pending, so each
         step runs the stretch or the round from ``now`` and moves the
@@ -853,31 +836,16 @@ class BroadcastChannel:
         channel (:func:`_leap` when ``N > 1``).  Noise keeps the leap on
         a lone channel only: a gate fired on one channel would end the
         other channels' trace runs mid-stretch, so noisy channels sharing
-        a clock step every slot.
-
-        Fallback is automatic and exact: if foreign events are pending at
-        entry, the whole run happens on the DES; if one appears mid-run
-        (a process registered by a monitor, a host extension), the rounds
-        already due at that time run first, as they were scheduled before
-        it, and then every channel re-enters the event queue in the
-        schedule order, each at its next round.  On return,
-        ``env.now == horizon`` exactly as with ``env.run(until=horizon)``.
+        a clock step every slot.  On return, ``env.now == horizon``, as
+        after :meth:`Environment.run <repro.sim.engine.Environment.run>`.
         """
         env = self.env
-        if env.pending:
-            for channel in channels:
-                env.process(channel.process(horizon))
-            env.run(until=horizon)
-            return
         drivers = [_RoundDriver(channel, kernel) for channel in channels]
         leap_ok = all(driver.leap_ok for driver in drivers) and (
             len(drivers) == 1
             or not any(driver.noise_gates for driver in drivers)
         )
-        now = int(env.now)
-        # Every channel's next round, in the DES's schedule order, once a
-        # foreign event appeared (None: the loop reached the horizon).
-        handover = None
+        now = env.now
         if len(drivers) == 1:
             # A lone channel's next round is the only one pending: each
             # step runs the round or the stretch from ``now``, no heap.
@@ -886,44 +854,27 @@ class BroadcastChannel:
             while now < horizon:
                 end = _stretch_end(driver, now, horizon) if leap_ok else None
                 if end is not None and end > now:
-                    step = driver.leap(now, end)
+                    now += driver.leap(now, end)
                 else:
-                    step = round_(now)
-                if env.pending:
-                    handover = [(now + step, 0, 0)]
-                    break
-                now += step
+                    now += round_(now)
                 env.advance_to(now if now < horizon else horizon)
         else:
             # One (next round start, schedule order, channel index) per
-            # channel, as a heap: the DES's (time, event id) order.
+            # channel, as a heap: the per-slot reference's order.
             pending = [(now, i, i) for i in range(len(drivers))]
             order = itertools.count(len(drivers))
             rounds = [driver.round for driver in drivers]
             while now < horizon:
-                if env.pending or not (
-                    leap_ok and _leap(drivers, pending, horizon, order)
-                ):
+                if not (leap_ok and _leap(drivers, pending, horizon, order)):
                     i = pending[0][2]
                     duration = rounds[i](now)
                     heapq.heapreplace(
                         pending, (now + duration, next(order), i)
                     )
-                # Rounds due now were scheduled before a foreign event,
-                # so they all run before the channels hand over.
-                if env.pending and pending[0][0] != now:
-                    handover = sorted(pending)
-                    break
                 now = pending[0][0]
                 env.advance_to(now if now < horizon else horizon)
         if kernel is not None:
             kernel.writeback()
-        if handover is not None:
-            for start, _, i in handover:
-                env.process(channels[i]._rejoin_des(
-                    horizon, env.timeout(start - now)
-                ))
-            env.run(until=horizon)
 
     def _run_batch(self, horizon: int) -> str | None:
         """Run to ``horizon`` on the batch kernel; returns a fallback note.
@@ -934,9 +885,7 @@ class BroadcastChannel:
         and the reason is returned so callers can surface it (the
         simulation layer records it in the run manifest as
         ``engine_fallback``).  Eligible runs return ``None``.  Either way
-        the result is byte-identical to the other engines, and a foreign
-        event appearing mid-run rejoins the general DES exactly as the
-        fast loop does.
+        the result is byte-identical to the other engines.
         """
         from repro.net.batch import BatchKernel, batch_unavailable_reason
 
@@ -946,15 +895,6 @@ class BroadcastChannel:
             return f"batch engine unavailable ({reason}): ran fastloop"
         BatchKernel(self).run(horizon)
         return None
-
-    def _rejoin_des(self, horizon: int, wake) -> ProcessGenerator:
-        """Resume the round loop on the event heap once ``wake`` fires.
-
-        ``wake`` is the timeout of the channel's next round, made by the
-        loop that hands over, so it keeps the heap position the DES would
-        have given it."""
-        yield wake
-        yield from self.process(horizon)
 
     # -- the idle-stretch rule, shared by every leaping engine --------------
 

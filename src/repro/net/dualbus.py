@@ -278,9 +278,10 @@ class DualBusSimulation:
 
     A dual-bus network is two channels on one clock, run through the one
     entry point (:meth:`BroadcastChannel.run` with bus B as bus A's
-    peer): ``des`` registers both generator processes, bus A's first;
-    every other engine runs the joint fast loop, which steps the bus
-    whose round starts first in the DES's schedule order and leaps an
+    peer): ``des`` steps both busses' rounds on the clock's per-slot
+    loop, bus A's first where two start together; every other engine
+    runs the joint fast loop, which steps the bus whose round starts
+    first in the same schedule order and leaps an
     idle stretch on both busses at once when every station of both is
     steady (:meth:`BusPort.idle_steady`).  The jammed bus takes part in
     such a stretch once its replicas are stuck re-probing a static-tree
@@ -306,7 +307,7 @@ class DualBusSimulation:
     (``bus0/channel/slot``, ``bus1/channel/idle``).  Each bus's silent
     slots grow its own ``channel/idle`` run, and its jammed slots its
     own ``channel/jammed`` run, past the other bus's runs, so a joint
-    leap and the per-slot DES record the same dump.
+    leap and the per-slot ``des`` loop record the same dump.
     """
 
     def __init__(
@@ -406,9 +407,9 @@ class DualBusSimulation:
             bus_stations[1].append(station_b)
         engine_name = resolve_engine(self.engine)
         # Two channels on one clock, both through the one entry point:
-        # ``des`` registers both processes, bus A's first; every other
-        # engine runs the joint fast loop, ``batch``/``auto`` with the
-        # kernel's fallback note, surfaced in the manifest.
+        # ``des`` steps both on the per-slot loop, bus A's first; every
+        # other engine runs the joint fast loop, ``batch``/``auto`` with
+        # the kernel's fallback note, surfaced in the manifest.
         engine_fallback = busses[0].run(
             horizon, engine=engine_name, peers=busses[1:]
         )

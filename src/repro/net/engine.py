@@ -1,23 +1,19 @@
-"""Simulation engine selection: DES, the slot-loop fast path, or batch.
+"""Simulation engine selection: the per-slot reference, the slot-loop
+fast path, or batch.
 
 Three engines can turn the broadcast channel's crank:
 
-* ``des`` — the general discrete-event kernel: the channel runs as a
-  generator process on :class:`~repro.sim.engine.Environment`, every round
-  is a heap push/pop plus a generator suspend/resume.  Always correct,
-  composes with arbitrary foreign processes.
-* ``fastloop`` — the slot-synchronous fast path: when the channels on
-  one clock are the only time-advancing activity (the common case —
-  stations are driven synchronously through ``offer()``/``observe()``),
-  the round loop runs as one direct Python loop over them (a lone
-  channel, or both busses of a dual bus) that owns the clock and
-  advances ``env.now`` itself, bypassing the event heap entirely.  Idle
+* ``des`` — the per-slot reference: :meth:`Environment.run
+  <repro.sim.engine.Environment.run>` steps every round of the channels
+  on one clock, the one that starts first next, ties in registration
+  order and then in the order the previous rounds ran.  It never leaps.
+* ``fastloop`` — the slot-synchronous fast path: the round loop runs as
+  one direct Python loop over the channels on one clock (a lone channel,
+  or both busses of a dual bus) that advances ``env.now`` itself.  Idle
   stretches are leapt on every station's own replica, any MAC protocol,
   noise or not on a lone channel, and jointly across channels sharing a
   clock; so are jammed stretches on DDCR replicas stuck re-probing a
-  static-tree leaf (a failed dual bus's tail).  It falls back to the
-  DES automatically the moment any foreign event is scheduled (host
-  extension processes), so selecting it is always safe.
+  static-tree leaf (a failed dual bus's tail).
 * ``batch`` — the fast loop with the struct-of-arrays kernel
   (:mod:`repro.net.batch`) as the station side of each round:
   per-station EDF keys, tree positions and roster positions live in
@@ -37,8 +33,8 @@ Three engines can turn the broadcast channel's crank:
 * ``auto`` — the default: takes the ``batch`` path, so every eligible run
   executes the kernel and every ineligible one runs the fast loop with
   the same ``batch engine unavailable (...): ran fastloop`` note.  The
-  per-slot DES stays the reference the three-way differential suite
-  holds both leaping engines to.
+  per-slot ``des`` loop stays the reference the three-way differential
+  suite holds both leaping engines to.
 
 All engines execute the *identical* round semantics and draw from the
 same RNG streams in the same order, so results — channel statistics,

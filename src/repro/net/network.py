@@ -2,7 +2,7 @@
 
 Builds a :class:`~repro.net.channel.BroadcastChannel` with one station per
 HRTDM source, feeds each message class from an arrival process, runs the
-channel to a horizon on the DES kernel and returns a :class:`RunResult`
+channel to a horizon on the selected engine and returns a :class:`RunResult`
 with completions, backlog, channel statistics and (for DDCR) the per-run
 tree-search records the bounds analysis consumes.
 
@@ -160,12 +160,7 @@ class NetworkSimulation:
         bound = source.class_named(class_name).bound
         return GreedyBurstArrivals(bound=bound)
 
-    def run(
-        self,
-        horizon: int,
-        env: Environment | None = None,
-        engine: str | None = None,
-    ) -> RunResult:
+    def run(self, horizon: int, engine: str | None = None) -> RunResult:
         """Simulate up to ``horizon`` bit-times and gather results.
 
         A fresh stream registry is built per call, so repeated ``run()``
@@ -180,11 +175,9 @@ class NetworkSimulation:
             self.telemetry if self.telemetry is not None
             else current_telemetry()
         )
-        if env is None:
-            env = Environment()
         rng = SeedSequenceRegistry(self.root_seed)
         channel = BroadcastChannel(
-            env,
+            Environment(),
             self.medium,
             check_consistency=self.check_consistency,
             noise_rate=self.noise_rate,
@@ -259,9 +252,8 @@ class NetworkSimulation:
         if suite is not None:
             channel.monitors = suite
         # The channel's unified entry point owns all engine dispatch:
-        # ``des`` registers the round process and drives the heap,
-        # ``fastloop`` runs the direct slot loop (rejoining the DES when
-        # foreign processes share the environment), ``batch``/``auto``
+        # ``des`` steps every round on the clock's per-slot loop,
+        # ``fastloop`` runs the leaping slot loop, ``batch``/``auto``
         # run the struct-of-arrays kernel with fast-loop fallback on
         # structurally ineligible runs.  Why the kernel did not run is
         # returned as the fallback note and lands in the result and the

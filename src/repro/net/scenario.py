@@ -62,10 +62,9 @@ class Scenario:
     noise seed still get distinct corruption patterns.
 
     ``engine`` selects how the channel's round loop is driven (see
-    :mod:`repro.net.engine`): ``"des"`` runs it as a process on the
-    event-heap kernel, ``"fastloop"`` as a direct slot loop that bypasses
-    the heap and falls back to the DES automatically when foreign
-    processes share the environment, and ``"batch"``/``"auto"`` on the
+    :mod:`repro.net.engine`): ``"des"`` steps every round on the clock's
+    per-slot loop (the reference), ``"fastloop"`` runs a slot loop that
+    leaps provably idle stretches, and ``"batch"``/``"auto"`` on the
     struct-of-arrays kernel (:mod:`repro.net.batch`) with automatic
     fallback to the fast loop on structurally ineligible runs (the
     reason lands in :attr:`RunResult.engine_fallback

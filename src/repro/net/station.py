@@ -151,7 +151,8 @@ class Station:
         The accessor seam the engines share: the batch kernel caches this
         per station to know when its struct-of-arrays columns next change,
         and the round drivers use it to decide whether ``deliver_due`` has
-        work — so DES and batch views of arrival state stay coherent.
+        work — so per-station and batch views of arrival state stay
+        coherent.
         """
         return self._pending_arrivals[0][0] if self._pending_arrivals else None
 

@@ -233,8 +233,8 @@ class Telemetry:
     """Registry of named instruments plus the active span stack.
 
     Instruments are created on first use and looked up by name after
-    that, so a re-built hot loop (the fast path's mid-run DES rejoin)
-    resumes the same counters rather than resetting them.  A name is
+    that, so a re-built hot loop (a channel's next ``run`` call) resumes
+    the same counters rather than resetting them.  A name is
     bound to one instrument kind for the registry's lifetime; reusing it
     as a different kind is a programming error and raises.
     """

@@ -209,7 +209,7 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
     with a small work-conservation limit: the silence queued messages
     sit out until compressed time pulls them in is leapt, and the streak
     crosses the limit inside such a stretch, where the one expected
-    violation must land as on the DES.  This row is the CI check of the
+    violation must land as on ``des``.  This row is the CI check of the
     leaps under monitors.  Returns failure lines (empty = every scenario
     reported what it must, both engines agreed).
     """

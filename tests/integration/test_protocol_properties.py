@@ -81,8 +81,7 @@ def _build_and_run(protocol_builder, z, length, deadline, arrivals,
             )
         channel.attach(station)
         stations.append(station)
-    env.process(channel.process(HORIZON))
-    env.run(until=HORIZON)
+    channel.run(HORIZON, engine="des")
     return stations
 
 

@@ -3,10 +3,9 @@
 The three-way byte-identity oracle lives in
 ``test_engine_differential.py``; this file covers what is specific to
 :mod:`repro.net.batch` — the structural eligibility matrix and its
-recorded reasons, that nothing in the package imports numpy, the mid-run DES
-rejoin out of the kernel itself, and the idle-leap fast path: its gate,
-and its byte identity with and without invariant monitors and an armed
-flight recorder.
+recorded reasons, that nothing in the package imports numpy, and the
+idle-leap fast path: its gate, and its byte identity with and without
+invariant monitors and an armed flight recorder.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from repro.protocols.tdma import TDMAProtocol
 from repro.sim.engine import Environment
 from repro.sim.invariants import (
     BridgeConservationMonitor,
-    InvariantMonitor,
     MonitorSuite,
     WorkConservationMonitor,
     standard_suite,
@@ -139,16 +137,6 @@ def _digest(channel):
 
 def test_eligible_channel_has_no_reason():
     assert batch_unavailable_reason(_build_channel()) is None
-
-
-def test_foreign_pending_process_is_ineligible():
-    channel = _build_channel()
-
-    def ticker():
-        yield channel.env.timeout(1_000)
-
-    channel.env.process(ticker())
-    assert "foreign processes" in batch_unavailable_reason(channel)
 
 
 _NOT_KERNEL_MACS = (
@@ -358,65 +346,6 @@ print("numpy" in sys.modules)
 # -- mid-run DES rejoin out of the kernel ------------------------------------
 
 
-class _ProcessRegisteringMonitor(InvariantMonitor):
-    """Monitor that spawns a foreign DES process mid-run.
-
-    Monitors are supported inside the batch kernel, so this forces the
-    kernel itself (not a structural fallback) onto the write-back +
-    rejoin path partway through a run.
-    """
-
-    name = "process_registrar"
-
-    def __init__(self, env, ticks, trigger_after=40):
-        super().__init__()
-        self._env = env
-        self._ticks = ticks
-        self._remaining = trigger_after
-
-    def on_slot(
-        self, now, duration, state, wire, frame, corrupted, jammed,
-        stations, down,
-    ):
-        if self._remaining > 0:
-            self._remaining -= 1
-            if self._remaining == 0:
-                self._env.process(self._ticker())
-
-    def _ticker(self):
-        for _ in range(5):
-            yield self._env.timeout(10_000)
-            self._ticks.append(self._env.now)
-
-
-def _run_with_monitor_process(engine):
-    channel = _build_channel(tracer=_recorder())
-    env = channel.env
-    ticks: list[float] = []
-    channel.monitors = MonitorSuite(
-        [_ProcessRegisteringMonitor(env, ticks)]
-    )
-    note = channel.run(_HORIZON, engine=engine)
-    if engine == "batch":
-        assert note is None  # eligible: the kernel itself ran
-    assert env.now == _HORIZON
-    return ticks, _digest(channel)
-
-
-def test_kernel_rejoins_des_mid_run():
-    """A foreign process registered by a monitor mid-run makes the kernel
-    write its state back and rejoin the DES — interleaved identically."""
-    runs = {
-        engine: _run_with_monitor_process(engine)
-        for engine in ("des", "fastloop", "batch")
-    }
-    ticks = {engine: run[0] for engine, run in runs.items()}
-    assert len(ticks["batch"]) == 5  # the ticker really ran to completion
-    assert ticks["des"] == ticks["fastloop"] == ticks["batch"]
-    digests = {run[1] for run in runs.values()}
-    assert len(digests) == 1
-
-
 # -- the idle leap -----------------------------------------------------------
 
 
@@ -531,13 +460,6 @@ def test_leap_gate_keeps_recorder_and_noise_blocks_faults_and_monitors():
     assert leap_ok(noise_rate=0.01, tracer=FlightRecorder())
     assert not leap_ok(faults=True)
     assert not leap_ok(faults=True, noise_rate=0.01)
-    assert not leap_ok(
-        monitors=lambda ch: [_ProcessRegisteringMonitor(ch.env, [])]
-    )
-    assert not leap_ok(
-        noise_rate=0.01,
-        monitors=lambda ch: [_ProcessRegisteringMonitor(ch.env, [])],
-    )
     assert not leap_ok(monitors=lambda ch: [_SlotOnlyMonitor(limit=4)])
     assert not leap_ok(
         tracer=FlightRecorder(),
@@ -554,7 +476,7 @@ def test_leap_gate_keeps_recorder_and_noise_blocks_faults_and_monitors():
     # One non-digesting monitor in an otherwise leap-safe suite is enough.
     assert not leap_ok(
         monitors=lambda ch: list(standard_suite(ch.stations).monitors)
-        + [_ProcessRegisteringMonitor(ch.env, [])]
+        + [_SlotOnlyMonitor(limit=4)]
     )
 
 

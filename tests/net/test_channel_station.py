@@ -6,6 +6,7 @@ import pytest
 
 from repro.model.arrival import PeriodicArrivals, TraceArrivals
 from repro.net.channel import BroadcastChannel, _RoundDriver
+from repro.net.engine import ENGINES
 from repro.net.phy import GIGABIT_ETHERNET, ideal_medium
 from repro.net.station import CompletionRecord, Station
 from repro.obs.tracer import FlightRecorder
@@ -82,6 +83,16 @@ class TestChannelAccounting:
         with pytest.raises(ValueError, match="one environment"):
             channels[0].run(1000, peers=channels[1:])
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_horizon_before_the_clock_rejected(self, engine):
+        channel = _idle_channel()
+        channel.run(1_000, engine=engine)
+        rounds = channel.stats.rounds
+        with pytest.raises(ValueError, match=r"=500 .*\(now=1000\)"):
+            channel.run(500, engine=engine)
+        assert channel.env.now == 1_000
+        assert channel.stats.rounds == rounds
+
     def test_trace_records_slots(self):
         env = Environment()
         recorder = FlightRecorder()
@@ -91,8 +102,7 @@ class TestChannelAccounting:
         station = Station(0, TDMAProtocol((0,)))
         station.load_arrivals(make_class(), TraceArrivals(trace=(0,)), 10_000)
         channel.attach(station)
-        env.process(channel.process(10_000))
-        env.run(until=10_000)
+        channel.run(10_000, engine="des")
         events = recorder.events()
         states = {
             event.data["state"]
@@ -193,36 +203,26 @@ class TestIdleRuns:
     def test_two_channels_on_one_clock_alternate(self):
         """The two busses' silent slots alternate on the clock, yet each
         bus's slots grow its own run past the other bus's run: the
-        per-slot interleaving on the event heap and every engine's joint
+        per-slot interleaving of ``des`` and every leaping engine's joint
         run record one event per bus."""
 
-        def events(run):
+        def events(engine):
             recorder = FlightRecorder()
             env = Environment()
             busses = [
                 _idle_channel(env, tracer=recorder, prefix=f"bus{i}/")
                 for i in range(2)
             ]
-            run(env, busses)
+            busses[0].run(320, engine=engine, peers=busses[1:])
             assert env.now == 320
             return _events(recorder)
-
-        def by_hand(env, busses):
-            for bus in busses:
-                env.process(bus.process(320))
-            env.run(until=320)
 
         expected = [
             (f"bus{i}/channel/idle", {"n": 5, "t": 0, "slot": 64}, None)
             for i in range(2)
         ]
-        assert events(by_hand) == expected
         for engine in ("des", "fastloop", "batch"):
-            assert events(
-                lambda env, busses: busses[0].run(
-                    320, engine=engine, peers=busses[1:]
-                )
-            ) == expected
+            assert events(engine) == expected
 
 
 class TestStation:

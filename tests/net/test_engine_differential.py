@@ -2,19 +2,19 @@
 
 The slot-loop fast path (``BroadcastChannel.run(engine="fastloop")``)
 and the struct-of-arrays batch kernel (``engine="batch"``, also what the
-default ``auto`` runs) must be indistinguishable from the general DES by
-results: same :class:`ChannelStats`, same completion records, same
-flight-recorder dump, same final clock — across protocols, noise,
-jamming, bursting, channels sharing a clock (the dual bus, whose two
-busses the fast loop runs as one), and the automatic fallback paths
-(foreign processes at entry and mid-run, structural batch
-ineligibility).  Most runs here arm a flight recorder, which keeps the
-idle leap on: a leapt stretch and a stepped one both record one
-``channel/idle`` event, so every protocol's runs hold the fast loop's
-leap (and, for DDCR, the kernel's) to the per-slot DES oracle.  Noise
-keeps the leap too: a leap draws the gates slot by slot and stops at
-the first slot one fires, which then runs as a corrupted round, so the
-noisy cases hold that rule to the DES as well.
+default ``auto`` runs) must be indistinguishable from the per-slot
+``des`` reference by results: same :class:`ChannelStats`, same
+completion records, same flight-recorder dump, same final clock —
+across protocols, noise, jamming, bursting, channels sharing a clock
+(the dual bus, whose two busses the fast loop runs as one), and the
+automatic fallback on structural batch ineligibility.  Most runs here
+arm a flight recorder, which keeps the idle leap on: a leapt stretch
+and a stepped one both record one ``channel/idle`` event, so every
+protocol's runs hold the fast loop's leap (and, for DDCR, the
+kernel's) to the per-slot DES oracle.  Noise keeps the leap too: a
+leap draws the gates slot by slot and stops at the first slot one
+fires, which then runs as a corrupted round, so the noisy cases hold
+that rule to the DES as well.
 """
 
 from __future__ import annotations
@@ -43,21 +43,19 @@ from repro.model.workloads import uniform_problem
 from repro.net import channel as channel_module
 from repro.net.channel import BroadcastChannel, _RoundDriver
 from repro.net.dualbus import DualBusSimulation, suggested_jam_threshold
+from repro.net.engine import ENGINES as ALL_ENGINES
 from repro.net.engine import resolve_engine, use_engine
 from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import GIGABIT_ETHERNET, ideal_medium
 from repro.net.station import Station
 from repro.obs.context import use_tracer
 from repro.obs.tracer import FlightRecorder
-from repro.protocols.base import MACProtocol
 from repro.protocols.csma_cd import CSMACDProtocol
 from repro.protocols.dcr import DCRProtocol
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 from repro.protocols.slotted_aloha import SlottedAlohaProtocol
 from repro.protocols.tdma import TDMAProtocol
 from repro.sim.engine import Environment
-from repro.sim.invariants import MonitorSuite
-from tests.net.test_batch_kernel import _ProcessRegisteringMonitor
 from tests.protocols.conftest import make_class
 
 ENGINES = ("des", "fastloop", "batch")
@@ -565,12 +563,12 @@ def test_a_shared_static_index_falls_back_to_the_fast_loop():
 
 def _run_manual_channel(
     engine, jam_from=None, noise=0.0, protocol="ddcr", jam_until=None,
-    monitors=None, problem=None, horizons=(_HORIZON,),
+    problem=None, horizons=(_HORIZON,),
 ):
-    """Hand-built channel (no NetworkSimulation) with optional jamming
-    and ``monitors(env)`` armed, run by one ``run`` call per horizon in
-    ``horizons``; an unchecked channel of a kernel protocol runs the
-    kernel under ``batch``."""
+    """Hand-built channel (no NetworkSimulation) with optional jamming,
+    run by one ``run`` call per horizon in ``horizons``; an unchecked
+    channel of a kernel protocol runs the kernel under ``batch`` and
+    ``auto``."""
     if problem is None:
         problem = uniform_problem(
             z=5, length=1_000, deadline=400_000, a=1, w=200_000
@@ -602,13 +600,11 @@ def _run_manual_channel(
         stations.append(station)
     channel.jam_from = jam_from
     channel.jam_until = jam_until
-    if monitors is not None:
-        channel.monitors = monitors(env)
     # The unified entry point owns the dispatch for all three engines.
     for horizon in horizons:
         note = channel.run(horizon, engine=engine)
         assert (note is None) == (
-            engine != "batch" or protocol in KERNEL_PROTOCOLS
+            engine not in ("batch", "auto") or protocol in KERNEL_PROTOCOLS
         ), note
         assert env.now == horizon
     completions = [
@@ -715,142 +711,6 @@ def test_a_leapt_noisy_stretch_draws_the_des_gates(protocol, monkeypatch):
     assert runs["des"] == runs["fastloop"] == runs["batch"]
 
 
-class _ForeignRegistrar(MACProtocol):
-    """Wrapper MAC that registers a foreign DES process mid-run.
-
-    Forces the fast loop onto its mid-run rejoin path: after
-    ``trigger_after`` observed slots, it schedules an unrelated ticker
-    process on the environment, exactly as a host extension would.
-    """
-
-    def __init__(
-        self, inner, env, ticks, trigger_after=40, period=10_000, probe=None
-    ):
-        super().__init__()
-        self.inner = inner
-        self._env = env
-        self._ticks = ticks
-        self._remaining = trigger_after
-        self._period = period
-        #: Called as the ticker starts and at each tick; its value is
-        #: recorded beside the time, so the ticks see which rounds ran
-        #: before them.
-        self._probe = probe
-
-    def attach(self, station):
-        super().attach(station)
-        self.inner.attach(station)
-
-    def offer(self, now):
-        return self.inner.offer(now)
-
-    def suppress_offer(self):
-        self.inner.suppress_offer()
-
-    def observe(self, observation):
-        self.inner.observe(observation)
-        if self._remaining > 0:
-            self._remaining -= 1
-            if self._remaining == 0:
-                self._env.process(self._ticker())
-
-    def _ticker(self):
-        if self._probe is not None:
-            self._ticks.append((self._env.now, self._probe()))
-        for _ in range(5):
-            yield self._env.timeout(self._period)
-            now = self._env.now
-            self._ticks.append(
-                now if self._probe is None else (now, self._probe())
-            )
-
-    def wants_burst_continuation(self, now):
-        return self.inner.wants_burst_continuation(now)
-
-    def contention_tag(self, now):
-        return self.inner.contention_tag(now)
-
-    def public_state(self):
-        return self.inner.public_state()
-
-
-def _run_with_foreign_process(engine):
-    problem = uniform_problem(
-        z=4, length=1_000, deadline=400_000, a=1, w=200_000
-    )
-    config = _ddcr_config(problem)
-    env = Environment()
-    recorder = _recorder()
-    channel = BroadcastChannel(
-        env, ideal_medium(slot_time=64), tracer=recorder
-    )
-    seq_source = itertools.count()
-    ticks: list[float] = []
-    stations = []
-    for position, source in enumerate(problem.sources):
-        mac = DDCRProtocol(config)
-        if position == 0:
-            mac = _ForeignRegistrar(mac, env, ticks)
-        station = Station(
-            station_id=source.source_id,
-            mac=mac,
-            static_indices=source.static_indices,
-            seq_source=seq_source,
-        )
-        for msg_class in source.message_classes:
-            station.load_arrivals(
-                msg_class, GreedyBurstArrivals(bound=msg_class.bound), _HORIZON
-            )
-        channel.attach(station)
-        stations.append(station)
-    # Station 0's MAC is a wrapper type, so under ``batch`` the kernel
-    # structurally falls back (through the fast loop, into the mid-run
-    # DES rejoin); the unified entry point hides all of that.
-    channel.run(_HORIZON, engine=engine)
-    assert env.now == _HORIZON
-    completions = [
-        record for station in stations for record in station.completions
-    ]
-    return ticks, _snapshot(channel.stats, completions, recorder)
-
-
-def test_fast_loop_rejoins_des_mid_run():
-    """A foreign process appearing mid-run is interleaved identically."""
-    des_ticks, des_run = _run_with_foreign_process("des")
-    fast_ticks, fast_run = _run_with_foreign_process("fastloop")
-    batch_ticks, batch_run = _run_with_foreign_process("batch")
-    assert len(des_ticks) == len(fast_ticks) == 5  # ticker actually ran
-    assert des_ticks == fast_ticks == batch_ticks
-    assert des_run == fast_run == batch_run
-
-
-@pytest.mark.parametrize("protocol", ["dcr", "tdma"])
-def test_dcr_and_tdma_kernel_runs_rejoin_des_mid_run(protocol):
-    """A foreign process a monitor registers mid-run on a DCR or a TDMA
-    kernel run (which calls no station's own MAC): the kernel writes
-    its state back and the channel rejoins the DES, interleaved as on
-    the DES and the fast loop.  The process appears after the seventh
-    slot: inside DCR's first search, where stations 0 and 1 have sent
-    on their first static index and still hold a message for their
-    second (their rank cursors), and with TDMA's turn at the third
-    roster position."""
-    problem = uniform_problem(
-        z=5, length=1_000, deadline=400_000, a=3, w=200_000, nu=2
-    )
-    runs = {}
-    for engine in ENGINES:
-        ticks: list[int] = []
-        snapshot = _run_manual_channel(
-            engine, protocol=protocol, problem=problem,
-            monitors=lambda env: MonitorSuite(
-                [_ProcessRegisteringMonitor(env, ticks, trigger_after=7)]
-            ),
-        )
-        runs[engine] = (ticks, snapshot)
-    assert len(runs["batch"][0]) == 5  # the ticker ran to completion
-    assert runs["des"] == runs["fastloop"] == runs["batch"]
-
-
 @pytest.mark.parametrize("protocol", ["ddcr", "dcr", "tdma"])
 def test_kernel_runs_resume_a_channel_mid_search(protocol):
     """A channel run to the horizon in several ``run`` calls, each cut
@@ -871,18 +731,15 @@ def test_kernel_runs_resume_a_channel_mid_search(protocol):
     assert len(runs) == 1
 
 
-def _two_channels(engine, noise=0.0, foreign=False):
+def _two_channels(engine, noise=0.0):
     """Two independent DDCR channels on one clock, run through bus 0's
-    entry point; with ``foreign``, station 0 of bus 0 starts a ticker
-    mid-run whose ticks record how many rounds both busses had run by
-    then (from its very start on)."""
+    entry point."""
     problem = uniform_problem(
         z=4, length=1_000, deadline=400_000, a=1, w=200_000
     )
     config = _ddcr_config(problem)
     env = Environment()
     recorder = _recorder()
-    ticks: list = []
     busses = [
         BroadcastChannel(
             env,
@@ -897,16 +754,10 @@ def _two_channels(engine, noise=0.0, foreign=False):
     seq_source = itertools.count()
     stations = []
     for index, bus in enumerate(busses):
-        for position, source in enumerate(problem.sources):
-            mac = DDCRProtocol(config)
-            if foreign and index == 0 and position == 0:
-                mac = _ForeignRegistrar(
-                    mac, env, ticks, trigger_after=300, period=6_400,
-                    probe=lambda: tuple(b.stats.rounds for b in busses),
-                )
+        for source in problem.sources:
             station = Station(
                 station_id=source.source_id,
-                mac=mac,
+                mac=DDCRProtocol(config),
                 static_indices=source.static_indices,
                 seq_source=seq_source,
             )
@@ -920,25 +771,12 @@ def _two_channels(engine, noise=0.0, foreign=False):
             stations.append(station)
     note = busses[0].run(_HORIZON, engine=engine, peers=busses[1:])
     assert env.now == _HORIZON
-    assert (note is not None) == (engine == "batch")
+    assert (note is not None) == (engine in ("batch", "auto"))
     completions = [
         record for station in stations for record in station.completions
     ]
     stats = [bus.stats for bus in busses]
-    return ticks, _snapshot(stats, completions, recorder)
-
-
-def test_two_busses_rejoin_des_mid_run():
-    """Channels sharing a clock rejoin the DES together when a foreign
-    process appears: the rounds already due run before it starts, so
-    its ticks see the same rounds as on the DES, and the results
-    match."""
-    des_ticks, des_run = _two_channels("des", foreign=True)
-    assert len(des_ticks) == 6  # the ticker actually ran
-    for engine in ("fastloop", "batch"):
-        ticks, run = _two_channels(engine, foreign=True)
-        assert ticks == des_ticks
-        assert run == des_run
+    return _snapshot(stats, completions, recorder)
 
 
 def test_noisy_channels_sharing_a_clock_step_every_slot(monkeypatch):
@@ -946,7 +784,7 @@ def test_noisy_channels_sharing_a_clock_step_every_slot(monkeypatch):
     run mid-stretch, so noisy channels on one clock never leap, and
     match the DES."""
     leaps = _spy_joint_leaps(monkeypatch)
-    runs = [_two_channels(engine, noise=0.02)[1] for engine in ENGINES]
+    runs = [_two_channels(engine, noise=0.02) for engine in ENGINES]
     assert not leaps
     assert len(set(runs)) == 1
 
@@ -1562,8 +1400,12 @@ def test_engine_resolution_and_scoping(monkeypatch):
     from repro.net.batch import BatchKernel
 
     # The kernel's tier is seen through ``run`` in the class's own
-    # namespace (an inherited one would not be patchable there).
+    # namespace (an inherited one would not be patchable there), the
+    # per-slot reference's through ``Environment.run``, and each step of
+    # a leaping loop through ``Environment.advance_to``.
     assert "run" in BatchKernel.__dict__
+    assert "run" in Environment.__dict__
+    assert "advance_to" in Environment.__dict__
     kernel_runs = []
     original = BatchKernel.run
 
@@ -1596,3 +1438,33 @@ def test_engine_resolution_and_scoping(monkeypatch):
     with use_engine("des"):
         assert resolve_engine(None) == "des"
     assert resolve_engine(None) == before
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+@pytest.mark.parametrize("channels", [1, 2], ids=["lone", "dual"])
+def test_only_des_runs_on_the_clock_loop(engine, channels, monkeypatch):
+    """A ``des`` run, of a lone channel or of two sharing a clock, calls
+    ``Environment.run`` once, before its first round; a leaping engine
+    never calls it."""
+    calls = []
+    env_run, round_ = Environment.run, _RoundDriver.round
+
+    def run_spy(self, until, rounds):
+        calls.append("run")
+        return env_run(self, until, rounds)
+
+    def round_spy(self, now, fired=0):
+        calls.append("round")
+        return round_(self, now, fired)
+
+    monkeypatch.setattr(Environment, "run", run_spy)
+    monkeypatch.setattr(_RoundDriver, "round", round_spy)
+    if channels == 1:
+        _run_manual_channel(engine)
+    else:
+        _two_channels(engine)
+    assert "round" in calls
+    if engine == "des":
+        assert calls[0] == "run" and calls.count("run") == 1
+    else:
+        assert "run" not in calls

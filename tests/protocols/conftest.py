@@ -63,8 +63,7 @@ def run_network(
             )
         channel.attach(station)
         stations.append(station)
-    env.process(channel.process(horizon))
-    env.run(until=horizon)
+    channel.run(horizon, engine="des")
     return channel, stations
 
 

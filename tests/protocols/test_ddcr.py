@@ -151,8 +151,7 @@ class TestCollisionEntry:
             station.load_arrivals(cls, TraceArrivals(trace=(0,)), 2_000_000)
             channel.attach(station)
             stations.append(station)
-        env.process(channel.process(2_000_000))
-        env.run(until=2_000_000)
+        channel.run(2_000_000, engine="des")
         assert sum(len(s.completions) for s in stations) == 2
         assert macs[0].sts_records == []
         # Near-deadline message must be transmitted first (EDF emulation).

@@ -1,344 +1,91 @@
-"""Tests for the DES kernel: environment, events, processes."""
+"""Tests for the simulation clock and its per-slot round loop."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    SimulationError,
-)
+from repro.sim import Environment
+
+
+def _rounds(env, durations, log):
+    """One round callable per duration: each records ``(start, index)``
+    and checks that the clock stands at its start."""
+
+    def make(index, duration):
+        def round_(now):
+            assert env.now == now
+            log.append((now, index))
+            return duration
+
+        return round_
+
+    return [make(index, duration) for index, duration in enumerate(durations)]
 
 
 class TestClock:
     def test_starts_at_zero(self):
         assert Environment().now == 0
 
-    def test_custom_start(self):
-        assert Environment(initial_time=100).now == 100
-
-    def test_timeout_advances_clock(self):
+    def test_advance_to_moves_forward(self):
         env = Environment()
+        env.advance_to(64)
+        env.advance_to(64)
+        env.advance_to(100)
+        assert env.now == 100
 
-        def proc(env):
-            yield env.timeout(7)
-            return env.now
-
-        process = env.process(proc(env))
-        env.run()
-        assert process.value == 7
+    def test_advance_to_refuses_to_move_backwards(self):
+        env = Environment()
+        env.advance_to(100)
+        with pytest.raises(ValueError, match=r"advance_to\(99\).*now=100"):
+            env.advance_to(99)
+        assert env.now == 100
 
     def test_run_until_time(self):
         env = Environment()
+        log = []
+        env.run(35, _rounds(env, [10], log))
+        assert env.now == 35
+        assert log == [(0, 0), (10, 0), (20, 0), (30, 0)]
 
-        def ticker(env):
-            while True:
-                yield env.timeout(10)
-
-        env.process(ticker(env))
-        env.run(until=35)
+    def test_run_without_rounds_moves_the_clock(self):
+        env = Environment()
+        env.run(35, [])
         assert env.now == 35
 
     def test_run_until_past_rejected(self):
-        env = Environment(initial_time=10)
-        with pytest.raises(ValueError):
-            env.run(until=5)
-
-    def test_peek(self):
         env = Environment()
-        env.timeout(4)
-        assert env.peek() == 4
-
-    def test_peek_empty(self):
-        assert Environment().peek() == float("inf")
-
-    def test_step_empty_rejected(self):
-        with pytest.raises(SimulationError):
-            Environment().step()
+        env.advance_to(10)
+        with pytest.raises(ValueError, match="until=5 is in the past"):
+            env.run(5, [])
+        assert env.now == 10
 
 
 class TestEventOrdering:
     def test_fifo_at_same_time(self):
         env = Environment()
-        order = []
-
-        def proc(env, name):
-            yield env.timeout(5)
-            order.append(name)
-
-        env.process(proc(env, "a"))
-        env.process(proc(env, "b"))
-        env.run()
-        assert order == ["a", "b"]
+        log = []
+        env.run(5, _rounds(env, [5, 5], log))
+        assert log == [(0, 0), (0, 1)]
 
     def test_chronological(self):
         env = Environment()
-        order = []
+        log = []
+        env.run(12, _rounds(env, [10, 1], log))
+        assert [start for start, _ in log] == sorted(
+            start for start, _ in log
+        )
+        assert log[:4] == [(0, 0), (0, 1), (1, 1), (2, 1)]
+        assert (10, 0) in log
 
-        def proc(env, name, delay):
-            yield env.timeout(delay)
-            order.append(name)
-
-        env.process(proc(env, "late", 10))
-        env.process(proc(env, "early", 1))
-        env.run()
-        assert order == ["early", "late"]
-
-
-class TestEvents:
-    def test_succeed_delivers_value(self):
+    def test_ties_follow_the_order_the_previous_rounds_ran(self):
+        """Rounds of 2 and 3 units from 0 to 12: at t = 6 index 1 runs
+        first, as its previous round (at 3) ran before index 0's (at 4);
+        no round starts at 12."""
         env = Environment()
-        event = env.event()
-
-        def waiter(env, event):
-            value = yield event
-            return value
-
-        def firer(env, event):
-            yield env.timeout(3)
-            event.succeed("payload")
-
-        process = env.process(waiter(env, event))
-        env.process(firer(env, event))
-        env.run()
-        assert process.value == "payload"
-
-    def test_fail_throws_into_waiter(self):
-        env = Environment()
-        event = env.event()
-
-        def waiter(env, event):
-            try:
-                yield event
-            except RuntimeError as error:
-                return f"caught {error}"
-
-        def firer(env, event):
-            yield env.timeout(1)
-            event.fail(RuntimeError("boom"))
-
-        process = env.process(waiter(env, event))
-        env.process(firer(env, event))
-        env.run()
-        assert process.value == "caught boom"
-
-    def test_double_trigger_rejected(self):
-        env = Environment()
-        event = env.event()
-        event.succeed()
-        with pytest.raises(SimulationError):
-            event.succeed()
-
-    def test_fail_requires_exception(self):
-        env = Environment()
-        with pytest.raises(TypeError):
-            env.event().fail("not an exception")
-
-    def test_value_before_trigger_rejected(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            _ = env.event().value
-
-    def test_unhandled_failure_escalates(self):
-        env = Environment()
-        event = env.event()
-        event.fail(ValueError("unhandled"))
-        with pytest.raises(ValueError):
-            env.run()
-
-    def test_negative_delay_rejected(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            env.timeout(-1)
-
-
-class TestConditions:
-    def test_all_of_waits_for_everything(self):
-        env = Environment()
-
-        def proc(env):
-            a = env.timeout(2, value="a")
-            b = env.timeout(5, value="b")
-            results = yield env.all_of([a, b])
-            return sorted(results.values())
-
-        process = env.process(proc(env))
-        env.run()
-        assert process.value == ["a", "b"]
-        assert env.now == 5
-
-    def test_any_of_races(self):
-        env = Environment()
-
-        def proc(env):
-            a = env.timeout(2, value="fast")
-            b = env.timeout(50, value="slow")
-            results = yield env.any_of([a, b])
-            return list(results.values())
-
-        process = env.process(proc(env))
-        env.run(until=10)
-        assert process.value == ["fast"]
-
-    def test_empty_all_of_fires_immediately(self):
-        env = Environment()
-
-        def proc(env):
-            yield env.all_of([])
-            return env.now
-
-        process = env.process(proc(env))
-        env.run()
-        assert process.value == 0
-
-    def test_condition_failure_propagates(self):
-        env = Environment()
-
-        def failer(env):
-            yield env.timeout(1)
-            raise RuntimeError("inner")
-
-        def waiter(env, target):
-            try:
-                yield env.all_of([target])
-            except RuntimeError:
-                return "propagated"
-
-        target = env.process(failer(env))
-        process = env.process(waiter(env, target))
-        env.run()
-        assert process.value == "propagated"
-
-    def test_mixing_environments_rejected(self):
-        env_a, env_b = Environment(), Environment()
-        event = Event(env_b)
-        with pytest.raises(SimulationError):
-            AllOf(env_a, [event])
-        with pytest.raises(SimulationError):
-            AnyOf(env_a, [event])
-
-
-class TestProcesses:
-    def test_process_is_waitable(self):
-        env = Environment()
-
-        def child(env):
-            yield env.timeout(4)
-            return 42
-
-        def parent(env):
-            result = yield env.process(child(env))
-            return result + 1
-
-        process = env.process(parent(env))
-        env.run()
-        assert process.value == 43
-
-    def test_interrupt_wakes_sleeper(self):
-        env = Environment()
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100)
-                return "overslept"
-            except Interrupt as interrupt:
-                return ("interrupted", interrupt.cause, env.now)
-
-        def interrupter(env, victim):
-            yield env.timeout(3)
-            victim.interrupt(cause="wake up")
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        assert victim.value == ("interrupted", "wake up", 3)
-
-    def test_interrupt_finished_process_rejected(self):
-        env = Environment()
-
-        def quick(env):
-            yield env.timeout(1)
-
-        process = env.process(quick(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()
-
-    def test_process_exception_propagates_to_run(self):
-        env = Environment()
-
-        def broken(env):
-            yield env.timeout(1)
-            raise KeyError("broken process")
-
-        env.process(broken(env))
-        with pytest.raises(KeyError):
-            env.run()
-
-    def test_waiting_on_failed_process_is_handled(self):
-        env = Environment()
-
-        def broken(env):
-            yield env.timeout(1)
-            raise KeyError("inner")
-
-        def guardian(env, target):
-            try:
-                yield target
-            except KeyError:
-                return "shielded"
-
-        target = env.process(broken(env))
-        process = env.process(guardian(env, target))
-        env.run()
-        assert process.value == "shielded"
-
-    def test_non_generator_rejected(self):
-        env = Environment()
-        with pytest.raises(TypeError):
-            env.process(lambda: None)
-
-    def test_yield_non_event_raises_in_process(self):
-        env = Environment()
-
-        def bad(env):
-            yield "not an event"
-
-        env.process(bad(env))
-        with pytest.raises(SimulationError):
-            env.run()
-
-    def test_run_until_process(self):
-        env = Environment()
-
-        def worker(env):
-            yield env.timeout(9)
-            return "done"
-
-        process = env.process(worker(env))
-        value = env.run(until=process)
-        assert value == "done"
-        assert env.now == 9
-
-    def test_already_processed_target_resumes(self):
-        env = Environment()
-
-        def quick(env):
-            yield env.timeout(1)
-            return "q"
-
-        quick_proc = env.process(quick(env))
-
-        def late_waiter(env):
-            yield env.timeout(5)
-            value = yield quick_proc  # already finished
-            return value
-
-        waiter = env.process(late_waiter(env))
-        env.run()
-        assert waiter.value == "q"
-        assert env.now == 5
+        log = []
+        env.run(12, _rounds(env, [2, 3], log))
+        assert log == [
+            (0, 0), (0, 1), (2, 0), (3, 1), (4, 0),
+            (6, 1), (6, 0), (8, 0), (9, 1), (10, 0),
+        ]
+        assert env.now == 12
