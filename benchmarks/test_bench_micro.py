@@ -19,6 +19,7 @@ from repro.core.search_cost import (
     worst_case_placement,
 )
 from repro.model.workloads import uniform_problem
+from repro.net.engine import use_engine
 from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import GIGABIT_ETHERNET, ideal_medium
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
@@ -90,7 +91,7 @@ def test_bench_latency_bound(benchmark):
 
 
 @pytest.mark.parametrize("stations", [4, 16])
-@pytest.mark.parametrize("engine", ["des", "fastloop"])
+@pytest.mark.parametrize("engine", ["des", "batch"])
 def test_bench_channel_slot_rate(benchmark, stations, engine):
     """DDCR simulation throughput (channel rounds per second), per engine."""
     problem = uniform_problem(
@@ -107,10 +108,10 @@ def test_bench_channel_slot_rate(benchmark, stations, engine):
                 problem,
                 ideal_medium(slot_time=64),
                 protocol_factory=lambda s: DDCRProtocol(config),
-                engine=engine,
             )
         )
-        return simulation.run(1_000_000).delivered
+        with use_engine(engine):
+            return simulation.run(1_000_000).delivered
 
     delivered = benchmark.pedantic(run, rounds=3, iterations=1)
     assert delivered > 0

@@ -47,8 +47,9 @@ def execution_options() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default=None,
-        help="simulation engine (default: auto, or $REPRO_ENGINE); "
-        "engines are result-identical, so this only affects speed",
+        help="simulation engine: batch (the default) or des, the per-slot "
+        "reference; engines are result-identical, so this only affects "
+        "speed",
     )
     group.add_argument(
         "--telemetry",

@@ -459,7 +459,7 @@ class FeasibilityEngine:
                 classes=self.class_count,
             )
 
-    def remove_class(self, source_id: int, class_name: str) -> MessageClass:
+    def remove_class(self, source_id: int, class_name: str) -> None:
         """Retire a class; drops the source once its last class goes."""
         source, removed = self._require_class(source_id, class_name)
         source.classes.remove(removed)
@@ -483,7 +483,6 @@ class FeasibilityEngine:
                 name=class_name,
                 classes=self.class_count,
             )
-        return _to_message_class(removed)
 
     def rescale_class(
         self,
@@ -711,14 +710,3 @@ class FeasibilityEngine:
         """Drop the cached report and verdict: the columns just moved."""
         self._report = None
         self._verdict = None
-
-
-def _to_message_class(state: _ClassState) -> MessageClass:
-    from repro.model.message import DensityBound
-
-    return MessageClass(
-        name=state.name,
-        length=state.length,
-        deadline=state.deadline,
-        bound=DensityBound(a=state.a, w=state.w),
-    )

@@ -148,7 +148,6 @@ def build_chain_topology(
     deadline: int = 10 * _MS,
     a: int = 1,
     w: int = 5 * _MS,
-    engine: str | None = None,
     root_seed: int = 0,
     monitors: object = None,
     telemetry: object = None,
@@ -196,7 +195,6 @@ def build_chain_topology(
         segments=tuple(specs),
         bridges=bridges,
         root_seed=root_seed,
-        engine=engine,
         monitors=monitors,  # type: ignore[arg-type]
         telemetry=telemetry,  # type: ignore[arg-type]
     )

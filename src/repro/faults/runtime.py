@@ -7,7 +7,7 @@ frames ride the wire this round, and which noise gates corrupt the slot.
 It is armed once per run (after stations attach, before the first round)
 and then driven by :meth:`begin_round` from inside the round loop — under
 either engine, at the same simulated times, so faulted runs remain
-byte-identical across ``des`` and ``fastloop``.
+byte-identical across ``des`` and ``batch``.
 
 All injector randomness (the Gilbert–Elliott chain) comes from the single
 ``rng`` handed in at construction; the simulation layer passes a dedicated

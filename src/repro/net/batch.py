@@ -1,10 +1,11 @@
 """The batch-slot kernel: struct-of-arrays station state for the
 lockstep protocols, CSMA/DDCR, CSMA/DCR and TDMA.
 
-The station side of the third engine tier (see :mod:`repro.net.engine`).
-The des and fastloop engines spend one Python method call per station per
-slot (``offer`` then ``observe``), so slot throughput degrades linearly in
-the station count z.  This kernel exploits the lockstep property
+The station side of the default ``batch`` engine (see
+:mod:`repro.net.engine`).  The per-slot ``des`` reference and the fast
+loop spend one Python method call per station per slot (``offer`` then
+``observe``), so slot throughput degrades linearly in the station count
+z.  This kernel exploits the lockstep property
 instead: CSMA/DDCR, CSMA/DCR (802.3D) and TDMA are automata driven only
 by the public ternary feedback, so every station's *common-knowledge*
 state — DDCR's mode, ``reft`` and time/static tree-search agendas, DCR's
@@ -37,8 +38,8 @@ of the current turn if its queue is non-empty.
 
 Because the shadow replica *is* the production automaton, shared-state
 transitions are correct by construction and results are byte-identical to
-the other engines (the engine-differential suite enforces this, clean and
-faulted).
+the ``des`` reference's (the engine-differential suite enforces this,
+clean and faulted).
 
 The kernel is only the station side of a round.  The channel's one round
 body (``repro.net.channel._RoundDriver``) and its one clock loop (the
@@ -67,8 +68,8 @@ configs, DCR trees or TDMA rosters, a static index two stations share
 (the kernel asks each index's one owner), packet bursting, non-destructive
 media (contention tags), an armed fault injector, or consistency checks
 (they compare every station's own replica, which the kernel does not
-keep) — and :meth:`BroadcastChannel.run` under ``batch`` or ``auto``
-then delegates to the fast loop, returning the reason so the run
+keep) — and :meth:`BroadcastChannel.run` under ``batch`` then
+delegates to the fast loop, returning the reason so the run
 manifest can record it.  Channels sharing a clock (the dual bus) never
 reach the kernel: ``run`` sends them to the joint fast loop with a note
 of its own.  At the end of a run the loop writes the kernel's state back
@@ -221,7 +222,7 @@ class BatchKernel:
     """The station side of one eligible channel's rounds.
 
     Build only after :func:`batch_unavailable_reason` returned ``None``
-    (``BroadcastChannel.run`` under ``batch`` or ``auto`` does this).
+    (``BroadcastChannel.run`` under ``batch`` does this).
     Per-station private state is one plain list per field (Python's
     floor division IS the spec's integer semantics): the EDF head (its
     MAC-visible deadline under DDCR, :data:`_QUEUED` under DCR and

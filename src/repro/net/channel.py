@@ -10,44 +10,42 @@ common-knowledge substrate all protocols rely on.
 
 The round semantics live in one place — :class:`_RoundDriver` — and one
 entry point turns the crank: :meth:`BroadcastChannel.run` resolves the
-engine request (explicit argument, ambient :func:`~repro.net.engine.use_engine`
-scope, ``REPRO_ENGINE``, default ``auto``) through
+engine (an explicit argument, else the ambient
+:func:`~repro.net.engine.use_engine` scope, default ``batch``) through
 :func:`~repro.net.engine.resolve_engine` — the single place engine
-resolution happens — and dispatches to one of three internal tiers:
+resolution happens — and runs one of two loops:
 
 * the per-slot reference (``des``): :meth:`Environment.run
   <repro.sim.engine.Environment.run>` steps every round of the N
   channels that share a clock (a lone channel is N = 1), the one that
   starts first next, ties in registration order and then in the order
   the previous rounds ran.  It never leaps.
-* the slot-synchronous fast path (``fastloop``): one direct Python loop
-  over the same channels that advances ``env.now`` itself and steps the
-  channel whose round starts first, ties in the reference's order (kept
-  in a small heap of next rounds when N > 1; a lone channel's only next
-  round needs none).  It crosses provably idle
-  stretches in one step (:func:`_stretch_end` for each channel, jointly
-  by :func:`_leap` when N > 1): every station's own replica, on every
-  channel, must say it is idle-steady, for as many slots as its queue
-  lets it stay silent (``MACProtocol.idle_steady``: a queued DDCR
-  message waiting for compressed time to pull it in, a BEB backoff),
-  and each advances itself (``MACProtocol.leap_idle``); on
-  consistency-checked runs lockstep is asserted at the stretch's first
-  and last slot.  A jammed channel takes part in the same stretch once
-  every replica on it is
+* the slot-synchronous loop (``batch``): one direct Python loop over the
+  same channels that advances ``env.now`` itself and steps the channel
+  whose round starts first, ties in the reference's order (kept in a
+  small heap of next rounds when N > 1; a lone channel's only next
+  round needs none).  On an eligible lone channel the struct-of-arrays
+  kernel (:mod:`repro.net.batch`) is the station side of each round —
+  per-station state lives in list columns and one shadow protocol
+  replica digests each slot and each leapt stretch, so the per-slot
+  cost is near-constant in the station count.  The kernel is limited to
+  homogeneous single-bus CSMA/DDCR, CSMA/DCR or TDMA runs; on anything
+  else (BEB, slotted ALOHA, consistency-checked runs and channels
+  sharing a clock included) the loop runs every station's own replica
+  (the fast loop) and the reason is returned (and recorded in run
+  manifests).  The loop crosses provably idle stretches in one step
+  (:func:`_stretch_end` for each channel, jointly by :func:`_leap` when
+  N > 1): every station's replica, on every channel, must say it is
+  idle-steady, for as many slots as its queue lets it stay silent
+  (``MACProtocol.idle_steady``: a queued DDCR message waiting for
+  compressed time to pull it in, a BEB backoff), and each advances
+  itself (``MACProtocol.leap_idle``); on consistency-checked runs
+  lockstep is asserted at the stretch's first and last slot.  A jammed
+  channel takes part in the same stretch once every replica on it is
   jam-steady (``MACProtocol.jam_steady``, ``leap_jammed``: DDCR stuck
   re-probing a static-tree leaf, where n jammed slots are n retries).
-* the struct-of-arrays batch kernel (:mod:`repro.net.batch`, ``batch``
-  and the default ``auto``): the same fast loop and round body on a
-  lone channel, with the kernel as the station side of each round —
-  per-station state lives in list columns and one shadow protocol
-  replica digests each slot and each leapt stretch, so the per-slot cost
-  is near-constant in the station count.  It is structurally limited to
-  homogeneous single-bus CSMA/DDCR, CSMA/DCR or TDMA runs; anything else
-  (BEB, slotted ALOHA, consistency-checked runs and channels sharing a
-  clock included) runs the fast loop with the reason returned (and
-  recorded in run manifests).
 
-Both leaping engines are one loop with one stretch rule: a stretch ends
+The kernel and the fast loop share one stretch rule: a stretch ends
 at the horizon, the earliest pending arrival, a jam boundary, the end of
 the least room a replica gives or the first slot the channel's noise
 gate corrupts (its quiet run is drawn in one loop, the per-slot draws in
@@ -59,8 +57,8 @@ shared clock the stretch ends at the earliest such end of any channel,
 and noise keeps every channel stepping.  The ``des`` loop is always
 per-slot: the reference.
 
-All engines draw from the same RNG in the same order, so their results
-are byte-identical (the differential tests assert this, three ways).  The
+Both engines draw from the same RNG in the same order, so their results
+are byte-identical (the differential tests assert this).  The
 channel also keeps slot-level accounting (how many slots of each kind,
 payload bits delivered) and, when a flight recorder is armed, records
 each busy slot as one ``channel/slot`` event, each run of silent slots
@@ -756,12 +754,11 @@ class BroadcastChannel:
     ) -> str | None:
         """Run the round loop to ``horizon`` bit-times; returns a fallback note.
 
-        The one entry point behind which every engine tier sits.
-        ``engine`` accepts any name from :data:`~repro.net.engine.ENGINES`;
-        ``None`` (default) defers to the ambient
-        :func:`~repro.net.engine.use_engine` scope, the ``REPRO_ENGINE``
-        environment variable, or ``auto`` — resolution happens in exactly
-        one place, :func:`~repro.net.engine.resolve_engine`.  A horizon
+        The one entry point behind which both engines sit.  ``engine``
+        names one of :data:`~repro.net.engine.ENGINES`; ``None`` (the
+        default) reads the ambient :func:`~repro.net.engine.use_engine`
+        scope, ``batch`` outside any — resolution happens in exactly one
+        place, :func:`~repro.net.engine.resolve_engine`.  A horizon
         before the clock is a ``ValueError`` on every engine.
 
         ``peers`` are further channels on this channel's environment: the
@@ -773,11 +770,9 @@ class BroadcastChannel:
         * ``"des"`` steps every round of every channel on
           :meth:`Environment.run <repro.sim.engine.Environment.run>`, the
           per-slot reference.
-        * ``"fastloop"`` runs the slot-synchronous fast path over all the
-          channels.
-        * ``"batch"`` and ``"auto"`` run the struct-of-arrays kernel,
-          delegating to the fast loop on structurally ineligible runs
-          (channels sharing a clock among them).
+        * ``"batch"`` runs the struct-of-arrays kernel, delegating to the
+          fast loop on structurally ineligible runs (channels sharing a
+          clock among them).
 
         The return value is ``None`` except when the kernel did not run:
         then it is ``"batch engine unavailable (<reason>): ran fastloop"``
@@ -796,16 +791,7 @@ class BroadcastChannel:
                 horizon, [_RoundDriver(channel).round for channel in channels]
             )
             return None
-        if engine_name == "fastloop":
-            self._run_fast(horizon, channels)
-            return None
-        if peers:
-            self._run_fast(horizon, channels)
-            return (
-                f"batch engine unavailable ({len(channels)} channels share "
-                "one clock): ran fastloop"
-            )
-        return self._run_batch(horizon)
+        return self._run_batch(horizon, channels)
 
     def _run_fast(
         self,
@@ -876,27 +862,35 @@ class BroadcastChannel:
         if kernel is not None:
             kernel.writeback()
 
-    def _run_batch(self, horizon: int) -> str | None:
-        """Run to ``horizon`` on the batch kernel; returns a fallback note.
+    def _run_batch(
+        self, horizon: int, channels: tuple["BroadcastChannel", ...]
+    ) -> str | None:
+        """Run ``channels`` (this one first) to ``horizon`` on the batch
+        kernel; returns a fallback note.
 
-        Structural eligibility is decided up front
-        (:func:`repro.net.batch.batch_unavailable_reason`): ineligible runs
-        delegate to the fast loop — behavior-identical, just slower —
-        and the reason is returned so callers can surface it (the
-        simulation layer records it in the run manifest as
-        ``engine_fallback``).  Eligible runs return ``None``.  Either way
-        the result is byte-identical to the other engines.
+        Structural eligibility is decided up front: channels sharing a
+        clock, or a lone channel
+        :func:`repro.net.batch.batch_unavailable_reason` refuses, run on
+        the fast loop — behavior-identical, just slower — and the reason
+        is returned so callers can surface it (the simulation layer
+        records it in the run manifest as ``engine_fallback``).  Eligible
+        runs return ``None``.  Either way the result is byte-identical to
+        the ``des`` reference's.
         """
         from repro.net.batch import BatchKernel, batch_unavailable_reason
 
-        reason = batch_unavailable_reason(self)
+        reason = (
+            f"{len(channels)} channels share one clock"
+            if len(channels) > 1
+            else batch_unavailable_reason(self)
+        )
         if reason is not None:
-            self._run_fast(horizon, (self,))
+            self._run_fast(horizon, channels)
             return f"batch engine unavailable ({reason}): ran fastloop"
         BatchKernel(self).run(horizon)
         return None
 
-    # -- the idle-stretch rule, shared by every leaping engine --------------
+    # -- the idle-stretch rule, shared by the kernel and the fast loop ------
 
     def _idle_leap_allowed(self) -> bool:
         """Whether nothing on this channel must see idle slots one by one.

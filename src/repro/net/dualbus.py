@@ -30,7 +30,7 @@ from repro.model.arrival import ArrivalProcess, GreedyBurstArrivals
 from repro.model.problem import HRTDMProblem
 from repro.model.source import SourceSpec
 from repro.net.channel import BroadcastChannel, ChannelStats
-from repro.net.engine import resolve_engine
+from repro.net.engine import default_engine
 from repro.net.phy import MediumProfile
 from repro.net.station import Station
 from repro.obs.context import current_telemetry
@@ -278,21 +278,20 @@ class DualBusSimulation:
 
     A dual-bus network is two channels on one clock, run through the one
     entry point (:meth:`BroadcastChannel.run` with bus B as bus A's
-    peer): ``des`` steps both busses' rounds on the clock's per-slot
-    loop, bus A's first where two start together; every other engine
-    runs the joint fast loop, which steps the bus whose round starts
-    first in the same schedule order and leaps an
-    idle stretch on both busses at once when every station of both is
-    steady (:meth:`BusPort.idle_steady`).  The jammed bus takes part in
-    such a stretch once its replicas are stuck re-probing a static-tree
+    peer) on the ambient engine: ``des`` steps both busses' rounds on the
+    clock's per-slot loop, bus A's first where two start together;
+    ``batch`` runs the joint fast loop, which steps the bus whose round
+    starts first in the same schedule order and leaps an idle stretch on
+    both busses at once when every station of both is steady
+    (:meth:`BusPort.idle_steady`).  The jammed bus takes part in such a
+    stretch once its replicas are stuck re-probing a static-tree
     leaf (:meth:`BusPort.jam_steady`): the active bus's stretch stops one
     slot short of the failover, which runs as a round, and a queue
     stranded on the standby bus does not bar that bus's idle leap.  So
     a healthy run leaps end to end and a failed one too, but for the
-    busy slots, the jam's descent and the failover slot.  ``batch`` and
-    ``auto`` return the kernel's
-    ``batch engine unavailable (...): ran fastloop`` note, recorded in
-    the manifest.
+    busy slots, the jam's descent and the failover slot.  ``batch``
+    returns the kernel's ``batch engine unavailable (...): ran fastloop``
+    note, recorded in the manifest.
 
     ``monitors=True`` arms a mutual-exclusion
     :class:`~repro.sim.invariants.MonitorSuite` on each bus (per-bus
@@ -319,7 +318,6 @@ class DualBusSimulation:
         arrivals: Mapping[str, ArrivalProcess] | None = None,
         fail_bus_at: int | None = None,
         check_consistency: bool = False,
-        engine: str | None = None,
         monitors: bool = False,
         telemetry: Telemetry | None = None,
     ) -> None:
@@ -330,9 +328,6 @@ class DualBusSimulation:
         self.arrivals = dict(arrivals) if arrivals else {}
         self.fail_bus_at = fail_bus_at
         self.check_consistency = check_consistency
-        if engine is not None:
-            resolve_engine(engine)  # validate eagerly
-        self.engine = engine
         self.monitors = monitors
         self.telemetry = telemetry
 
@@ -405,14 +400,11 @@ class DualBusSimulation:
             primary_stations.append(station_a)
             bus_stations[0].append(station_a)
             bus_stations[1].append(station_b)
-        engine_name = resolve_engine(self.engine)
         # Two channels on one clock, both through the one entry point:
-        # ``des`` steps both on the per-slot loop, bus A's first; every
-        # other engine runs the joint fast loop, ``batch``/``auto`` with
-        # the kernel's fallback note, surfaced in the manifest.
-        engine_fallback = busses[0].run(
-            horizon, engine=engine_name, peers=busses[1:]
-        )
+        # ``des`` steps both on the per-slot loop, bus A's first; ``batch``
+        # runs the joint fast loop with the kernel's fallback note,
+        # surfaced in the manifest.
+        engine_fallback = busses[0].run(horizon, peers=busses[1:])
         invariants = None
         if suites is not None:
             invariants = tuple(
@@ -427,7 +419,7 @@ class DualBusSimulation:
                 manifest = RunTelemetry.from_registry(
                     telemetry,
                     run_id="dualbus",
-                    engine=engine_name,
+                    engine=default_engine(),
                     engine_fallback=engine_fallback,
                 )
         return DualBusResult(

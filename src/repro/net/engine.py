@@ -1,42 +1,28 @@
-"""Simulation engine selection: the per-slot reference, the slot-loop
-fast path, or batch.
+"""Simulation engine selection: the batch default or the per-slot reference.
 
-Three engines can turn the broadcast channel's crank:
+Two engines can turn the broadcast channel's crank:
 
+* ``batch`` — the default: the slot-synchronous loop, which advances
+  ``env.now`` itself and crosses provably idle (and jammed) stretches in
+  one step, with the struct-of-arrays kernel (:mod:`repro.net.batch`) as
+  the station side of each round wherever a channel is eligible:
+  per-station EDF keys, tree positions and roster positions live in
+  plain list columns and one shadow protocol replica digests each slot
+  and each leapt stretch, so per-slot cost is near-constant in the
+  station count.  The kernel is limited to homogeneous single-bus runs
+  of the lockstep protocols, CSMA/DDCR, CSMA/DCR and TDMA; anything else
+  (BEB, slotted ALOHA, mixed MAC types, bursting, fault injectors,
+  consistency checks, channels sharing a clock, non-destructive media)
+  runs the same loop on every station's own replica (the fast loop),
+  which leaps on each replica's say-so, and the run returns
+  ``batch engine unavailable (<reason>): ran fastloop``, recorded in the
+  run manifest (``engine_fallback``).
 * ``des`` — the per-slot reference: :meth:`Environment.run
   <repro.sim.engine.Environment.run>` steps every round of the channels
   on one clock, the one that starts first next, ties in registration
   order and then in the order the previous rounds ran.  It never leaps.
-* ``fastloop`` — the slot-synchronous fast path: the round loop runs as
-  one direct Python loop over the channels on one clock (a lone channel,
-  or both busses of a dual bus) that advances ``env.now`` itself.  Idle
-  stretches are leapt on every station's own replica, any MAC protocol,
-  noise or not on a lone channel, and jointly across channels sharing a
-  clock; so are jammed stretches on DDCR replicas stuck re-probing a
-  static-tree leaf (a failed dual bus's tail).
-* ``batch`` — the fast loop with the struct-of-arrays kernel
-  (:mod:`repro.net.batch`) as the station side of each round:
-  per-station EDF keys, tree positions and roster positions live in
-  plain list columns and one shadow protocol replica digests each slot
-  and each leapt stretch, so per-slot cost is near-constant in the
-  station count.  The round body, the leaps and the clock loop are the
-  fast loop's own, so it leaps what the fast loop leaps — idle
-  stretches, queued messages sitting them out included, in O(1), also
-  with the standard and bridge-conservation invariant monitors armed,
-  which digest a leap through ``on_idle``.
-  Structurally limited to homogeneous single-bus runs of the lockstep
-  protocols, CSMA/DDCR, CSMA/DCR and TDMA; anything else (BEB, slotted
-  ALOHA, mixed MAC types, bursting, fault injectors, consistency checks,
-  channels sharing a clock, non-destructive media) falls back to
-  ``fastloop`` with the reason recorded in the run manifest
-  (``engine_fallback``).  Selecting it is therefore always safe too.
-* ``auto`` — the default: takes the ``batch`` path, so every eligible run
-  executes the kernel and every ineligible one runs the fast loop with
-  the same ``batch engine unavailable (...): ran fastloop`` note.  The
-  per-slot ``des`` loop stays the reference the three-way differential
-  suite holds both leaping engines to.
 
-All engines execute the *identical* round semantics and draw from the
+Both engines execute the *identical* round semantics and draw from the
 same RNG streams in the same order, so results — channel statistics,
 completion records, trace streams — are byte-identical.  The runtime
 layer therefore excludes the engine from result cache keys.  This
@@ -44,17 +30,16 @@ equivalence extends to the fault-injection and invariant layers: an armed
 :class:`~repro.faults.runtime.FaultInjector` and any
 :class:`~repro.sim.invariants.MonitorSuite` are driven identically, so
 fault timelines and violation reports are also byte-identical across
-engines (enforced by the three-way differential tests).
+engines (enforced by the engine-differential tests).
 
-The process-wide default is ``auto``; override it with the
-``REPRO_ENGINE`` environment variable, per-simulation via
-``Scenario(engine=...)``, or per-run via the experiment CLIs'
-``--engine`` flag (which scopes the override with :func:`use_engine`).
+The engine is ambient: :func:`use_engine` scopes it for a dynamic extent
+(the CLIs' ``--engine`` flag, a :class:`~repro.runtime.spec.RunSpec`'s
+``engine`` and a sweep campaign's ``engine`` all enter it), and
+:meth:`BroadcastChannel.run <repro.net.channel.BroadcastChannel.run>`
+reads it when a run starts.  No simulation object carries an engine.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.context import ScopedValue
 
@@ -66,8 +51,8 @@ __all__ = [
     "use_engine",
 ]
 
-#: Legal engine names.
-ENGINES = ("auto", "des", "fastloop", "batch")
+#: Legal engine names; the first is the process default.
+ENGINES = ("batch", "des")
 
 
 def _validate(name: str) -> str:
@@ -83,13 +68,13 @@ def _validate(name: str) -> str:
 #: absent ``--engine`` keeps the process default.
 _SCOPE: ScopedValue[str] = ScopedValue(
     "engine",
-    default=lambda: os.environ.get("REPRO_ENGINE", "auto"),
+    default=lambda: ENGINES[0],
     coerce=_validate,
     none_is_noop=True,
 )
 
-#: The process-wide engine default (``REPRO_ENGINE`` or ``auto``),
-#: shadowed inside any active :func:`use_engine` scope.
+#: The process-wide engine default (``batch``), shadowed inside any
+#: active :func:`use_engine` scope.
 default_engine = _SCOPE.current
 
 #: Set the innermost engine default; returns the previous value.  Outside

@@ -57,6 +57,7 @@ from repro.core.composition import (
 from repro.core.feasibility import TreeParameters
 from repro.model.arrival import TraceArrivals
 from repro.model.route import Route
+from repro.net.engine import default_engine
 from repro.net.network import NetworkSimulation, RunResult
 from repro.net.scenario import Scenario
 from repro.net.topology import BridgeSpec, Topology
@@ -265,22 +266,14 @@ class FabricResult:
 class Fabric:
     """Staged executor of a :class:`~repro.net.topology.Topology`.
 
-    Build one directly, via ``NetworkSimulation.from_topology(topo)``,
-    or from a single scenario with :meth:`from_scenario`.  Each
-    :meth:`run` stages the segments fresh (same-seed repeats are
-    identical); segment engines resolve per segment — a topology-level
-    ``engine`` applies everywhere unless a segment overrides it.
+    ``Fabric(scenario.as_topology())`` runs one scenario as a fabric.
+    Each :meth:`run` stages the segments fresh (same-seed repeats are
+    identical); every segment runs on the ambient engine
+    (:func:`repro.net.engine.use_engine`).
     """
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
-
-    @classmethod
-    def from_scenario(
-        cls, scenario: Scenario, name: str = "seg0"
-    ) -> "Fabric":
-        """A one-segment fabric, byte-identical to the bare scenario."""
-        return cls(scenario.as_topology(name))
 
     # -- analysis ------------------------------------------------------
 
@@ -378,11 +371,6 @@ class Fabric:
                 # streams decorrelate, and a one-segment fabric (offset
                 # zero) keeps the scenario's exact seed — byte identity.
                 root_seed=topology.root_seed + declaration[name],
-                engine=(
-                    segment.engine
-                    if segment.engine is not None
-                    else topology.engine
-                ),
                 faults=topology.faults,
                 monitors=topology.monitors,
                 telemetry=topology.telemetry,
@@ -590,7 +578,7 @@ class Fabric:
         return RunTelemetry.from_registry(
             topology.telemetry,
             run_id="fabric",
-            engine=topology.engine,
+            engine=default_engine(),
             engine_fallback=note or None,
             seed=topology.root_seed,
             faults=topology.faults

@@ -2,7 +2,7 @@
 
 Builds a :class:`~repro.net.channel.BroadcastChannel` with one station per
 HRTDM source, feeds each message class from an arrival process, runs the
-channel to a horizon on the selected engine and returns a :class:`RunResult`
+channel to a horizon on the ambient engine and returns a :class:`RunResult`
 with completions, backlog, channel statistics and (for DDCR) the per-run
 tree-search records the bounds analysis consumes.
 
@@ -22,7 +22,6 @@ import dataclasses
 import functools
 import itertools
 import time
-import typing
 from collections.abc import Mapping
 
 from repro.faults.context import current_fault_plan
@@ -31,7 +30,7 @@ from repro.model.arrival import ArrivalProcess, GreedyBurstArrivals
 from repro.model.problem import HRTDMProblem
 from repro.model.source import SourceSpec
 from repro.net.channel import BroadcastChannel, ChannelStats
-from repro.net.engine import resolve_engine
+from repro.net.engine import default_engine
 from repro.net.phy import MediumProfile
 from repro.net.scenario import ProtocolFactory, Scenario
 from repro.net.station import CompletionRecord, Station
@@ -41,10 +40,6 @@ from repro.obs.manifest import RunTelemetry
 from repro.sim.engine import Environment
 from repro.sim.invariants import InvariantReport, MonitorSuite, standard_suite
 from repro.sim.rng import SeedSequenceRegistry
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.net.fabric import Fabric
-    from repro.net.topology import Topology
 
 __all__ = ["RunResult", "NetworkSimulation", "ProtocolFactory", "Scenario"]
 
@@ -109,10 +104,9 @@ class NetworkSimulation:
     """One configured simulation, ready to run.
 
     Build one from a frozen :class:`~repro.net.scenario.Scenario` with
-    :meth:`from_scenario` (the scenario documents each field) and derive
-    grid points with :meth:`Scenario.replace`, or describe multi-segment
-    networks with a :class:`~repro.net.topology.Topology` and
-    :meth:`from_topology`.
+    :meth:`from_scenario` (the scenario documents each field); describe
+    multi-segment networks with a :class:`~repro.net.topology.Topology`
+    and run them on a :class:`~repro.net.fabric.Fabric`.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -125,7 +119,6 @@ class NetworkSimulation:
         self.noise_rate = scenario.noise_rate
         self.noise_seed = scenario.noise_seed
         self.root_seed = scenario.root_seed
-        self.engine = scenario.engine
         self.faults = scenario.faults
         self.monitors = scenario.monitors
         self.telemetry = scenario.telemetry
@@ -140,36 +133,19 @@ class NetworkSimulation:
         """Build a simulation from one frozen :class:`Scenario`."""
         return cls(scenario)
 
-    @staticmethod
-    def from_topology(topology: "Topology") -> "Fabric":
-        """Build a (possibly multi-segment) fabric from a topology.
-
-        The other half of the unified entry surface: scenarios describe
-        one segment, topologies describe one or many.  Returns a
-        :class:`~repro.net.fabric.Fabric`; for a single-segment
-        topology its results are byte-identical to
-        ``from_scenario(...)`` on the equivalent scenario.
-        """
-        from repro.net.fabric import Fabric
-
-        return Fabric(topology)
-
     def _arrival_process(self, class_name: str, source: SourceSpec):
         if class_name in self.arrivals:
             return self.arrivals[class_name]
         bound = source.class_named(class_name).bound
         return GreedyBurstArrivals(bound=bound)
 
-    def run(self, horizon: int, engine: str | None = None) -> RunResult:
+    def run(self, horizon: int) -> RunResult:
         """Simulate up to ``horizon`` bit-times and gather results.
 
         A fresh stream registry is built per call, so repeated ``run()``
-        invocations of one simulation object are identical.  ``engine``
-        overrides the simulation's engine for this run only.
+        invocations of one simulation object are identical.  The run
+        takes the ambient engine (:func:`repro.net.engine.use_engine`).
         """
-        engine_name = resolve_engine(
-            engine if engine is not None else self.engine
-        )
         started = time.perf_counter()
         telemetry = (
             self.telemetry if self.telemetry is not None
@@ -251,14 +227,13 @@ class NetworkSimulation:
         suite = self._resolve_monitors(stations, faulted=injector is not None)
         if suite is not None:
             channel.monitors = suite
-        # The channel's unified entry point owns all engine dispatch:
-        # ``des`` steps every round on the clock's per-slot loop,
-        # ``fastloop`` runs the leaping slot loop, ``batch``/``auto``
-        # run the struct-of-arrays kernel with fast-loop fallback on
-        # structurally ineligible runs.  Why the kernel did not run is
-        # returned as the fallback note and lands in the result and the
-        # manifest.
-        engine_fallback = channel.run(horizon, engine=engine_name)
+        # The channel's unified entry point resolves the engine and owns
+        # all dispatch: ``des`` steps every round on the clock's per-slot
+        # loop, ``batch`` runs the struct-of-arrays kernel with fast-loop
+        # fallback on structurally ineligible runs.  Why the kernel did
+        # not run is returned as the fallback note and lands in the
+        # result and the manifest.
+        engine_fallback = channel.run(horizon)
         invariants = None
         if suite is not None:
             invariants = suite.finalize(
@@ -275,7 +250,7 @@ class NetworkSimulation:
                 manifest = RunTelemetry.from_registry(
                     telemetry,
                     run_id="simulation",
-                    engine=engine_name,
+                    engine=default_engine(),
                     engine_fallback=engine_fallback,
                     seed=self.root_seed,
                     faults=plan if plan is not None and not plan.is_empty

@@ -6,9 +6,8 @@ value with explicit defaults, so that
 
 * ``NetworkSimulation.from_scenario(scenario)`` builds a simulation from
   one object;
-* ``scenario.replace(noise_rate=0.01, root_seed=3)`` derives a grid
-  point's variant without touching the other twelve fields — the sweep
-  layer's axis-override idiom;
+* ``dataclasses.replace(scenario, noise_rate=0.01, root_seed=3)``
+  derives a grid point's variant without touching the other fields;
 * a scenario can be passed around, stored on fixtures and compared
   (identity-wise) without consulting a constructor signature.
 
@@ -24,8 +23,6 @@ from __future__ import annotations
 import dataclasses
 import typing
 from collections.abc import Callable, Mapping
-
-from repro.net.engine import resolve_engine
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.models import FaultPlan
@@ -61,18 +58,14 @@ class Scenario:
     into the noise stream's name so existing callers that vary only the
     noise seed still get distinct corruption patterns.
 
-    ``engine`` selects how the channel's round loop is driven (see
-    :mod:`repro.net.engine`): ``"des"`` steps every round on the clock's
-    per-slot loop (the reference), ``"fastloop"`` runs a slot loop that
-    leaps provably idle stretches, and ``"batch"``/``"auto"`` on the
-    struct-of-arrays kernel (:mod:`repro.net.batch`) with automatic
-    fallback to the fast loop on structurally ineligible runs (the
-    reason lands in :attr:`RunResult.engine_fallback
+    A scenario has no engine field: the run takes the ambient engine
+    (:func:`repro.net.engine.use_engine`, ``batch`` outside any scope;
+    a run the batch kernel cannot take says why in
+    :attr:`RunResult.engine_fallback
     <repro.net.network.RunResult.engine_fallback>` and the run
-    manifest).  ``None`` (default) defers to the process-wide default
-    (``auto`` unless overridden).  Engines are result-equivalent: the
-    same run under any engine yields byte-identical statistics,
-    completions and flight-recorder dumps.
+    manifest).  Engines are result-equivalent: the same run under either
+    yields byte-identical statistics, completions and flight-recorder
+    dumps.
 
     ``faults`` arms a :class:`~repro.faults.models.FaultPlan` on the
     channel; ``None`` (default) picks up the ambient scoped plan
@@ -118,7 +111,6 @@ class Scenario:
     noise_rate: float = 0.0
     noise_seed: int = 0
     root_seed: int = 0
-    engine: str | None = None
     faults: "FaultPlan | None" = None
     monitors: "bool | MonitorSuite | None" = None
     telemetry: "Telemetry | None" = None
@@ -128,23 +120,8 @@ class Scenario:
     telemetry_prefix: str = ""
 
     def __post_init__(self) -> None:
-        if self.engine is not None:
-            resolve_engine(self.engine)  # validate eagerly
         if self.arrivals is not None:
             object.__setattr__(self, "arrivals", dict(self.arrivals))
-
-    def replace(self, **overrides: object) -> "Scenario":
-        """A copy with ``overrides`` applied — the sweep-axis idiom.
-
-        Unknown field names raise ``TypeError`` (via
-        :func:`dataclasses.replace`), so a typo'd axis fails loudly at
-        grid-definition time instead of silently sweeping nothing.
-        """
-        return dataclasses.replace(self, **overrides)
-
-    def field_names(self) -> tuple[str, ...]:
-        """The sweepable field names, in declaration order."""
-        return tuple(field.name for field in dataclasses.fields(self))
 
     def as_topology(self, name: str = "seg0") -> "Topology":
         """This scenario as a one-segment :class:`~repro.net.topology.Topology`.
@@ -152,7 +129,7 @@ class Scenario:
         The single-segment sugar of the fabric API: a
         :class:`~repro.net.fabric.Fabric` built from the result is
         byte-identical to ``NetworkSimulation.from_scenario(self)`` —
-        stats, recorder dumps, telemetry content — under every engine (the
+        stats, recorder dumps, telemetry content — under either engine (the
         differential suite holds the two surfaces together).
         """
         from repro.net.topology import SegmentSpec, Topology
@@ -172,7 +149,6 @@ class Scenario:
             bridges=(),
             check_consistency=self.check_consistency,
             root_seed=self.root_seed,
-            engine=self.engine,
             faults=self.faults,
             monitors=self.monitors,
             telemetry=self.telemetry,

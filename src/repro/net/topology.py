@@ -46,7 +46,6 @@ import typing
 from collections.abc import Mapping
 
 from repro.model.route import Hop, Route
-from repro.net.engine import resolve_engine
 from repro.net.scenario import ProtocolFactory
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -71,8 +70,6 @@ class SegmentSpec:
     The fields mirror the per-segment subset of
     :class:`~repro.net.scenario.Scenario`; run-wide concerns (seed,
     tracing, faults, monitors, telemetry) live on :class:`Topology`.
-    ``engine`` overrides the topology-level engine for this segment
-    only (e.g. a BEB segment that the batch kernel cannot run).
     """
 
     name: str
@@ -82,13 +79,10 @@ class SegmentSpec:
     arrivals: Mapping[str, "ArrivalProcess"] | None = None
     noise_rate: float = 0.0
     noise_seed: int = 0
-    engine: str | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
             raise TopologyError("segment needs a non-empty name")
-        if self.engine is not None:
-            resolve_engine(self.engine)  # validate eagerly
         if self.arrivals is not None:
             object.__setattr__(self, "arrivals", dict(self.arrivals))
 
@@ -167,7 +161,6 @@ class Topology:
     bridges: tuple[BridgeSpec, ...] = ()
     check_consistency: bool = False
     root_seed: int = 0
-    engine: str | None = None
     faults: "FaultPlan | None" = None
     monitors: "bool | MonitorSuite | None" = None
     telemetry: "Telemetry | None" = None
@@ -177,8 +170,6 @@ class Topology:
         object.__setattr__(self, "bridges", tuple(self.bridges))
         if not self.segments:
             raise TopologyError("topology needs at least one segment")
-        if self.engine is not None:
-            resolve_engine(self.engine)  # validate eagerly
         names = [seg.name for seg in self.segments]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})

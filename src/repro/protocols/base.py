@@ -15,12 +15,13 @@ the tree protocols of section 3.2; every protocol in
 :mod:`repro.protocols` is a deterministic (or seeded) automaton over it.
 
 The offer/observe contract is *engine-independent*: whether the channel's
-round loop is the clock's per-slot reference or the slot-loop fast path
-(see :mod:`repro.net.engine`), a MAC sees the identical call sequence —
-one ``offer`` then one ``observe`` per slot, at the same simulated times
-with the same observations.  Protocols therefore never touch the clock.
+round loop is the clock's per-slot reference (``des``) or the
+slot-synchronous loop of the default ``batch`` engine (see
+:mod:`repro.net.engine`), a MAC sees the identical call sequence — one
+``offer`` then one ``observe`` per slot, at the same simulated times with
+the same observations.  Protocols therefore never touch the clock.
 
-The leaping engines skip that call sequence only where a replica says
+The ``batch`` loop skips that call sequence only where a replica says
 the skipped slots are a closed form: an idle stretch
 (:meth:`MACProtocol.idle_steady`, :meth:`MACProtocol.leap_idle`), which
 a queued message may sit out, or a jammed one

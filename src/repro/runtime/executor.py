@@ -116,10 +116,15 @@ def execute_spec(
     return result, duration, manifest
 
 
-def _worker_init(extra_path: str) -> None:
-    """Make ``repro`` importable in spawned workers (fork inherits it)."""
+def _worker_init(extra_path: str, engine: str) -> None:
+    """Make ``repro`` importable in spawned workers and run them on the
+    engine in scope when the pool started (fork inherits both, spawn and
+    forkserver neither)."""
     if extra_path not in sys.path:
         sys.path.insert(0, extra_path)
+    from repro.net.engine import set_default_engine
+
+    set_default_engine(engine)
 
 
 class ParallelExecutor:
@@ -226,6 +231,8 @@ class ParallelExecutor:
     def _run_pool(
         self, pending: list[tuple[int, RunSpec]], total: int
     ) -> list[tuple[int, RunRecord]]:
+        from repro.net.engine import default_engine
+
         package_parent = os.path.dirname(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         )
@@ -233,7 +240,7 @@ class ParallelExecutor:
             pool = concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(self.jobs, len(pending)),
                 initializer=_worker_init,
-                initargs=(package_parent,),
+                initargs=(package_parent, default_engine()),
             )
         except (OSError, ValueError, NotImplementedError):
             # Restricted environments (no /dev/shm, no fork): stay correct.

@@ -23,6 +23,7 @@ import sys
 import time
 
 from repro.cliopts import cache_options, execution_options, positive_int
+from repro.net.engine import use_engine
 from repro.serve.model import Request
 from repro.serve.service import (
     AdmissionService,
@@ -343,4 +344,6 @@ def main(argv: list[str] | None = None) -> int:
         "replay": _cmd_replay,
         "verify": _cmd_verify,
     }
-    return handlers[args.command](args)
+    # ``trace`` takes no execution options, so no ``--engine`` either.
+    with use_engine(getattr(args, "engine", None)):
+        return handlers[args.command](args)

@@ -4,11 +4,11 @@ The correctness results of the paper — mutual exclusion on the broadcast
 bus, deadline compliance under the feasibility condition FC (theorems
 P5/P6), and the bounded collision-resolution cost ``xi(k, t)`` of Eq. 1 —
 are turned here into *online monitors* hooked into the channel round loop.
-Each monitor watches every slot (under every engine: the round driver is
-engine-independent, and the leaping engines digest idle stretches through
-``on_idle`` and the fast loop jammed ones through ``on_jammed``, which
-leave a monitor exactly as per-slot calls would — so violation reports
-are byte-identical across ``des``, ``fastloop`` and ``batch``) and
+Each monitor watches every slot (under either engine: the round driver is
+engine-independent, and the ``batch`` loop digests idle and jammed
+stretches through ``on_idle`` and ``on_jammed``, which leave a monitor
+exactly as per-slot calls would — so violation reports are byte-identical
+across ``des`` and ``batch``) and
 records structured :class:`Violation` entries instead of silently
 passing; the aggregated :class:`InvariantReport` is attached to
 :class:`~repro.net.network.RunResult`.
@@ -179,7 +179,7 @@ class InvariantMonitor:
         some queue holds a message (``backlogged``: a queued message
         sitting the stretch out) is the same at every slot; afterwards
         the monitor must be exactly as ``n`` calls of :meth:`on_slot`
-        would leave it.  The engines leap over such stretches only when
+        would leave it.  The ``batch`` loop leaps such stretches only when
         every armed monitor's ``on_idle`` comes from the same class as its
         ``on_slot`` (or a subclass of it), so a monitor that overrides
         ``on_slot`` alone keeps per-slot execution.
@@ -192,7 +192,7 @@ class InvariantMonitor:
         Each is a frameless collision that the jam corrupted; afterwards
         the monitor must be exactly as ``n`` calls of :meth:`on_slot`
         with ``corrupted`` and ``jammed`` set would leave it, whatever
-        was on the wire.  The engines leap a jammed stretch only when
+        was on the wire.  The ``batch`` loop leaps a jammed stretch only when
         every armed monitor's ``on_jammed`` comes from the class that
         defines its ``on_slot`` or a subclass of it, as for
         :meth:`on_idle`.
@@ -674,11 +674,11 @@ class MonitorSuite:
 
     The round driver calls :meth:`on_slot` exactly once per round — on
     both the corrupted early-return path and the normal resolution path —
-    under every engine; the leaping engines may instead hand a stretch of
+    under either engine; the ``batch`` loop may instead hand a stretch of
     idle slots to :meth:`on_idle` in one call when :attr:`digests_idle`
-    holds, and the fast loop a stretch of jammed slots to
-    :meth:`on_jammed` when :attr:`digests_jammed` holds.  Either way a
-    suite's report is an engine-independent function of the run."""
+    holds, and a stretch of jammed slots to :meth:`on_jammed` when
+    :attr:`digests_jammed` holds.  Either way a suite's report is an
+    engine-independent function of the run."""
 
     __slots__ = ("monitors", "slots_checked", "digests_idle", "digests_jammed")
 
@@ -688,7 +688,7 @@ class MonitorSuite:
         self.monitors = tuple(monitors)
         self.slots_checked = 0
         #: Every monitor's ``on_idle`` summarises its own ``on_slot``, so
-        #: the engines may leap idle stretches with the suite armed.
+        #: the ``batch`` loop may leap idle stretches with the suite armed.
         self.digests_idle = all(_digests(m, "on_idle") for m in self.monitors)
         #: The same for jammed stretches (``on_jammed``).
         self.digests_jammed = all(

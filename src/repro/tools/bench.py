@@ -277,14 +277,14 @@ def _bench_latency_bound(smoke: bool, seed: int = 0) -> tuple[float, str]:
 
 def _channel_slot_rate(
     stations: int,
-    engine: str,
     smoke: bool,
     monitors: bool = False,
     telemetry: bool = False,
     tracer: bool = False,
     seed: int = 0,
 ) -> tuple[float, str]:
-    """DDCR simulation throughput, in channel rounds per second."""
+    """DDCR simulation throughput, in channel rounds per second, on the
+    ambient engine (:func:`run_benches` scopes each bench's)."""
     import contextlib
 
     from repro.model.workloads import uniform_problem
@@ -323,7 +323,6 @@ def _channel_slot_rate(
                 medium=ideal_medium(slot_time=64),
                 protocol_factory=lambda s: DDCRProtocol(config),
                 root_seed=seed,
-                engine=engine,
                 monitors=monitors,
                 telemetry=registry,
             )
@@ -341,10 +340,10 @@ def _channel_slot_rate(
 
 
 def _make_slot_rate_bench(
-    stations: int, engine: str
+    stations: int,
 ) -> "Callable[[bool, int], tuple[float, str]]":
     return lambda smoke, seed=0: _channel_slot_rate(
-        stations, engine, smoke, seed=seed
+        stations, smoke, seed=seed
     )
 
 
@@ -452,31 +451,31 @@ def _bench_admission_bootstrap_cold(
 
 
 def _bench_invariant_overhead(smoke: bool, seed: int = 0) -> tuple[float, str]:
-    """The 16-station fastloop workload with the standard monitor suite
-    armed; compare against ``channel_slot_rate_16_fastloop`` (the same
-    workload, monitors off) for the per-round cost of online invariant
-    checking."""
-    return _channel_slot_rate(16, "fastloop", smoke, monitors=True, seed=seed)
+    """The 16-station ``des`` workload, where every round is stepped, with
+    the standard monitor suite armed; compare against
+    ``channel_slot_rate_16_des`` (the same workload, monitors off) for the
+    per-round cost of online invariant checking."""
+    return _channel_slot_rate(16, smoke, monitors=True, seed=seed)
 
 
 def _bench_telemetry_overhead(smoke: bool, seed: int = 0) -> tuple[float, str]:
-    """The 16-station fastloop workload with a live telemetry registry
+    """The 16-station ``des`` workload with a live telemetry registry
     (slot counters plus per-class latency histograms recording every
-    round); compare against ``channel_slot_rate_16_fastloop`` for the
+    round); compare against ``channel_slot_rate_16_des`` for the
     per-round cost of enabled telemetry.  The disabled case needs no
-    bench of its own: ``channel_slot_rate_16_fastloop`` *is* the
+    bench of its own: ``channel_slot_rate_16_des`` *is* the
     NULL_TELEMETRY path."""
-    return _channel_slot_rate(16, "fastloop", smoke, telemetry=True, seed=seed)
+    return _channel_slot_rate(16, smoke, telemetry=True, seed=seed)
 
 
 def _bench_tracer_overhead(smoke: bool, seed: int = 0) -> tuple[float, str]:
-    """The 16-station fastloop workload with an armed flight recorder
+    """The 16-station ``des`` workload with an armed flight recorder
     (one ``channel/slot`` event per busy slot, and one ``channel/idle``
     event per run of silent slots, grown in place); compare against
-    ``channel_slot_rate_16_fastloop`` for the per-round cost of enabled
+    ``channel_slot_rate_16_des`` for the per-round cost of enabled
     tracing.  As with telemetry, the disabled case *is* the baseline
     bench — the NULL_TRACER hoisted gate."""
-    return _channel_slot_rate(16, "fastloop", smoke, tracer=True, seed=seed)
+    return _channel_slot_rate(16, smoke, tracer=True, seed=seed)
 
 
 def _bench_fabric_end_to_end(smoke: bool, seed: int = 0) -> tuple[float, str]:
@@ -528,21 +527,22 @@ BENCHES: dict[
     "admission_bootstrap_cold": (None, _bench_admission_bootstrap_cold),
     "admission_decisions_per_sec": (None, _bench_admission_decisions),
     # The scaling story in one grid: per-station Python call overhead
-    # makes des/fastloop degrade linearly in z (fastloop loses its edge
-    # by z=16 already), while the batch kernel's struct-of-arrays slot
-    # stays near-constant — the 64/256 sizes exist to keep that claim
-    # measured, not asserted.
+    # makes the per-slot des degrade linearly in z, while the batch
+    # kernel's struct-of-arrays slot stays near-constant — the 64/256
+    # sizes exist to keep that claim measured, not asserted.
     **{
         f"channel_slot_rate_{stations}_{engine}": (
             engine,
-            _make_slot_rate_bench(stations, engine),
+            _make_slot_rate_bench(stations),
         )
         for stations in (4, 16, 64, 256)
-        for engine in ("des", "fastloop", "batch")
+        for engine in ("des", "batch")
     },
-    "invariant_overhead": ("fastloop", _bench_invariant_overhead),
-    "telemetry_overhead": ("fastloop", _bench_telemetry_overhead),
-    "tracer_overhead": ("fastloop", _bench_tracer_overhead),
+    # Instrument overheads on des, where every round is stepped (a
+    # leaping engine would time its leaps instead).
+    "invariant_overhead": ("des", _bench_invariant_overhead),
+    "telemetry_overhead": ("des", _bench_telemetry_overhead),
+    "tracer_overhead": ("des", _bench_tracer_overhead),
     # End-to-end fabric throughput: the staged multi-segment pipeline
     # (4 bridged segments x 64 stations) including bridge bookkeeping.
     "fabric_end_to_end": (None, _bench_fabric_end_to_end),

@@ -191,7 +191,7 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
     Every scenario is also re-run on the per-slot ``des``, the one
     reference engine, and its statistics, completions and invariant
     report must match the default engine's exactly.  Under the default
-    ``auto`` the faulted scenarios take the batch kernel's structural
+    ``batch`` the faulted scenarios take the kernel's structural
     fallback to the fast loop; the clean monitored DDCR, DCR (noisy) and
     TDMA scenarios run the kernel itself with monitors armed, so their
     idle leaps digest through ``on_idle`` and the noisy DCR one's leaps
@@ -352,7 +352,7 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
             )
         )
 
-    def execute(factory, plan, monitors, checked, noise, engine=None):
+    def execute(factory, plan, monitors, checked, noise):
         simulation = NetworkSimulation.from_scenario(
             Scenario(
                 problem=problem,
@@ -365,7 +365,6 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
                 # suite.
                 faults=plan,
                 monitors=monitors() if callable(monitors) else monitors,
-                engine=engine,
             )
         )
         result = simulation.run(_SMOKE_HORIZON)
@@ -373,7 +372,7 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
             result.stats, result.completions, result.invariants
         ), []
 
-    def execute_dualbus(engine=None):
+    def execute_dualbus():
         # Two busses on one clock, checked, a mutual-exclusion monitor
         # on each: bus A jams at a third of the run and every station
         # fails over to bus B in the same slot.
@@ -385,7 +384,6 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
             fail_bus_at=_SMOKE_HORIZON // 3,
             check_consistency=True,
             monitors=True,
-            engine=engine,
         ).run(_SMOKE_HORIZON)
         problems = []
         if result.failovers != 1:
@@ -409,13 +407,13 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
         static_m=problem.static_m,
     )
 
-    def execute_backlog(engine=None):
+    def execute_backlog():
         suite = standard_suite(
             [Station(0, DDCRProtocol(far_config))],
             work_conservation_limit=40,
         )
         return execute(
-            ddcr_factory(far_config), None, lambda: suite, False, 0.0, engine
+            ddcr_factory(far_config), None, lambda: suite, False, 0.0
         )
 
     runs = [
@@ -445,7 +443,9 @@ def _run_invariants_smoke(context: CIContext) -> list[str]:
             print(f"invariants-smoke: {name}: {summary}{note}")
         else:
             failures.append(f"{name}: {'; '.join([summary, *problems])}")
-        if run(engine="des")[1] != observed:
+        with use_engine("des"):
+            reference = run()[1]
+        if reference != observed:
             failures.append(
                 f"{name}: default engine diverged from the des reference"
             )

@@ -80,7 +80,7 @@ def summarize_manifest(doc: RunTelemetry) -> str:
     """Multi-line text rendering of one manifest document."""
     lines = [
         f"run {doc.run_id}  [{doc.source}]"
-        f"  engine={doc.engine or 'auto'}"
+        f"  engine={doc.engine or 'default'}"
         f"  seed={doc.seed if doc.seed is not None else '-'}"
         f"  rev={doc.git_rev}"
         f"  faults={doc.fault_plan or '-'}"

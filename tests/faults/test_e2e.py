@@ -28,6 +28,7 @@ from repro.faults.models import (
     StationCrash,
 )
 from repro.model.workloads import uniform_problem
+from repro.net.engine import use_engine
 from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import ideal_medium
 from repro.obs.context import use_tracer
@@ -35,7 +36,7 @@ from repro.obs.tracer import NULL_TRACER, FlightRecorder
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 from repro.protocols.tdma import TDMAProtocol
 
-ENGINES = ("des", "fastloop")
+ENGINES = ("des", "batch")
 _HORIZON = 250_000
 
 _GE = GilbertElliottNoise(p_enter_bad=0.002, p_exit_bad=0.05, bad_rate=0.5)
@@ -60,13 +61,12 @@ def _run(
 ):
     problem = _problem(z)
     config = _config(problem)
-    with use_tracer(tracer):
+    with use_tracer(tracer), use_engine(engine):
         simulation = NetworkSimulation.from_scenario(
             Scenario(
                 problem,
                 ideal_medium(slot_time=64),
                 protocol_factory=lambda source: DDCRProtocol(config),
-                engine=engine,
                 faults=plan,
                 monitors=monitors,
             )
@@ -143,7 +143,7 @@ def test_overload_trips_deadline_monitor():
 
 
 def test_fault_free_run_with_monitors_is_clean():
-    result = _run("fastloop", None, monitors=True)
+    result = _run("batch", None, monitors=True)
     report = result.invariants
     assert report is not None and report.ok
     assert report.monitors == (
@@ -152,16 +152,16 @@ def test_fault_free_run_with_monitors_is_clean():
 
 
 def test_fault_free_run_without_monitors_has_no_report():
-    assert _run("fastloop", None).invariants is None
+    assert _run("batch", None).invariants is None
 
 
 def test_monitors_false_suppresses_even_when_faulted():
-    result = _run("fastloop", FaultPlan((_GE,)), monitors=False)
+    result = _run("batch", FaultPlan((_GE,)), monitors=False)
     assert result.invariants is None
 
 
 def test_crash_silences_station_until_restart():
-    result = _run("fastloop", FaultPlan((_CRASH,)))
+    result = _run("batch", FaultPlan((_CRASH,)))
     mine = [r for r in result.completions if r.message.source_id == 0]
     assert mine, "station 0 must deliver before the crash and after restart"
     down_window = [
@@ -182,11 +182,11 @@ def test_tdma_under_crash_holds_its_invariants():
                 problem,
                 ideal_medium(slot_time=64),
                 protocol_factory=lambda source: TDMAProtocol(roster),
-                engine=engine,
                 faults=FaultPlan((_CRASH,)),
             )
         )
-        report = simulation.run(_HORIZON).invariants
+        with use_engine(engine):
+            report = simulation.run(_HORIZON).invariants
         assert report.ok, report.summary()
         reports.append(pickle.dumps(report))
     assert reports[0] == reports[1]
@@ -205,15 +205,15 @@ def test_ambient_plan_scoping():
 
 def test_simulation_picks_up_ambient_plan():
     with use_fault_plan(FaultPlan((_GE,))):
-        result = _run("fastloop", None)
+        result = _run("batch", None)
     assert result.invariants is not None  # plan reached the channel
-    explicit = _run("fastloop", FaultPlan((_GE,)))
+    explicit = _run("batch", FaultPlan((_GE,)))
     assert pickle.dumps(result.invariants) == pickle.dumps(explicit.invariants)
 
 
 def test_explicit_empty_plan_overrides_ambient():
     with use_fault_plan(FaultPlan((_GE,))):
-        result = _run("fastloop", FaultPlan())
+        result = _run("batch", FaultPlan())
     assert result.invariants is None  # forced fault-free
 
 
@@ -240,8 +240,8 @@ class TestRunSpecIntegration:
 
         plan = FaultPlan((_CRASH,))
         des = RunSpec.make("PROTO", faults=plan, engine="des")
-        fast = RunSpec.make("PROTO", faults=plan, engine="fastloop")
-        assert des.spec_hash() == fast.spec_hash()
+        batch = RunSpec.make("PROTO", faults=plan, engine="batch")
+        assert des.spec_hash() == batch.spec_hash()
 
     def test_plan_forms_are_equivalent(self):
         from repro.runtime.spec import RunSpec
@@ -299,9 +299,9 @@ def test_dualbus_monitors_identical_across_engines():
             jam_threshold=suggested_jam_threshold(config),
             fail_bus_at=80_000,
             monitors=True,
-            engine=engine,
         )
-        result = simulation.run(_HORIZON)
+        with use_engine(engine):
+            result = simulation.run(_HORIZON)
         assert result.failovers == 1
         assert result.invariants is not None
         for report in result.invariants:

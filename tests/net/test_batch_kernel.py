@@ -1,6 +1,6 @@
 """The batch-slot kernel's own contract: eligibility, leap, no numpy.
 
-The three-way byte-identity oracle lives in
+The engines' byte-identity oracle lives in
 ``test_engine_differential.py``; this file covers what is specific to
 :mod:`repro.net.batch` — the structural eligibility matrix and its
 recorded reasons, that nothing in the package imports numpy, and the
@@ -270,12 +270,13 @@ def test_consistency_checks_are_ineligible():
 
 
 def test_run_batch_falls_back_and_reports_why():
-    """Ineligible runs execute on the fast loop, byte-identically."""
-    fast = _build_channel(
+    """Ineligible runs execute on the fast loop, byte-identical to the
+    per-slot reference."""
+    reference = _build_channel(
         tracer=_recorder(),
         mac_factory=lambda source: CSMACDProtocol(seed=source.source_id),
     )
-    fast.run(_HORIZON, engine="fastloop")
+    reference.run(_HORIZON, engine="des")
     batched = _build_channel(
         tracer=_recorder(),
         mac_factory=lambda source: CSMACDProtocol(seed=source.source_id),
@@ -283,7 +284,7 @@ def test_run_batch_falls_back_and_reports_why():
     note = batched.run(_HORIZON, engine="batch")
     assert "batch engine unavailable" in note
     assert _NOT_KERNEL_MACS in note
-    assert _digest(batched) == _digest(fast)
+    assert _digest(batched) == _digest(reference)
 
 
 # -- plain-list columns, no numpy -------------------------------------------
@@ -316,8 +317,7 @@ config = DDCRConfig(
 )
 result = NetworkSimulation.from_scenario(Scenario(
     problem, ideal_medium(slot_time=64),
-    protocol_factory=lambda source: DDCRProtocol(config),
-    engine="batch", monitors=True,
+    protocol_factory=lambda source: DDCRProtocol(config), monitors=True,
 )).run(250_000)
 assert result.engine_fallback is None, result.engine_fallback
 assert result.invariants.ok and result.stats.successes > 0
@@ -391,7 +391,7 @@ def test_idle_leap_is_byte_identical(case):
                 problem=problem,
                 tracer=recorder(),
             )
-            for engine in ("des", "fastloop", "batch")
+            for engine in ("des", "batch")
         }
         assert len(runs) == 1
 
@@ -498,12 +498,12 @@ def _run_monitored(engine, suite_factory, load=True):
 def _assert_engines_agree(suite_factory, load=True):
     runs = {
         engine: _run_monitored(engine, suite_factory, load=load)
-        for engine in ("des", "fastloop", "batch")
+        for engine in ("des", "batch")
     }
     digests = {digest for digest, _ in runs.values()}
     assert len(digests) == 1
     reports = [report for _, report in runs.values()]
-    assert reports[0] == reports[1] == reports[2]
+    assert reports[0] == reports[1]
     assert len({pickle.dumps(report) for report in reports}) == 1
     return reports[0]
 

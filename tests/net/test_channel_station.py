@@ -144,7 +144,7 @@ def _events(recorder):
 class TestIdleRuns:
     """The run-length rule for silent slots, on hand-built channels."""
 
-    @pytest.mark.parametrize("engine", ["des", "fastloop", "batch"])
+    @pytest.mark.parametrize("engine", ["des", "batch"])
     def test_leap_and_per_slot_slots_give_one_event(self, engine, monkeypatch):
         leaps = []
         driver_leap = _RoundDriver.leap
@@ -157,17 +157,15 @@ class TestIdleRuns:
         monkeypatch.setattr(_RoundDriver, "leap", driver_spy)
         recorder = FlightRecorder()
         _idle_channel(tracer=recorder).run(_IDLE_HORIZON, engine=engine)
-        # The kernel and the (unchecked) fast loop cross all 1,000 slots
-        # in one leap; the DES steps them one by one.
-        assert leaps == (
-            [] if engine == "des" else [(engine == "batch", 1_000)]
-        )
+        # The kernel crosses all 1,000 slots in one leap; the DES steps
+        # them one by one.
+        assert leaps == ([] if engine == "des" else [(True, 1_000)])
         assert _events(recorder) == [
             ("channel/idle", {"n": 1_000, "t": 0, "slot": 64}, None)
         ]
         assert recorder.emitted == 1
 
-    @pytest.mark.parametrize("engine", ["des", "fastloop", "batch"])
+    @pytest.mark.parametrize("engine", ["des", "batch"])
     def test_any_event_in_between_starts_a_new_run(self, engine):
         recorder = FlightRecorder()
         channel = _idle_channel(tracer=recorder)
@@ -203,8 +201,8 @@ class TestIdleRuns:
     def test_two_channels_on_one_clock_alternate(self):
         """The two busses' silent slots alternate on the clock, yet each
         bus's slots grow its own run past the other bus's run: the
-        per-slot interleaving of ``des`` and every leaping engine's joint
-        run record one event per bus."""
+        per-slot interleaving of ``des`` and the joint fast loop ``batch``
+        runs record one event per bus."""
 
         def events(engine):
             recorder = FlightRecorder()
@@ -221,7 +219,7 @@ class TestIdleRuns:
             (f"bus{i}/channel/idle", {"n": 5, "t": 0, "slot": 64}, None)
             for i in range(2)
         ]
-        for engine in ("des", "fastloop", "batch"):
+        for engine in ("des", "batch"):
             assert events(engine) == expected
 
 

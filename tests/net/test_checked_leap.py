@@ -178,13 +178,13 @@ _CASES = {
 
 @pytest.mark.parametrize("case", list(_CASES.values()), ids=list(_CASES))
 def test_checked_leap_is_byte_identical(case):
-    """des vs fastloop vs default: stats, completions, invariant reports,
-    recorder dumps and every station's replica state and run records
-    agree; the fast loop (what the default runs for checked channels)
-    leaps with the recorder armed, noise or not."""
-    runs = {engine: _run(engine, **case) for engine in ("des", "fastloop", None)}
+    """des vs batch: stats, completions, invariant reports, recorder dumps
+    and every station's replica state and run records agree; the fast
+    loop (what ``batch`` runs for checked channels) leaps with the
+    recorder armed, noise or not."""
+    runs = {engine: _run(engine, **case) for engine in ("des", "batch")}
     assert len({digest for digest, _, _ in runs.values()}) == 1
-    des_calls, (_, fast_calls, rounds) = runs["des"][1], runs["fastloop"]
+    des_calls, (_, fast_calls, rounds) = runs["des"][1], runs["batch"]
     assert des_calls == rounds * 5  # the reference digests every slot
     assert fast_calls < des_calls // 4
 
@@ -192,9 +192,9 @@ def test_checked_leap_is_byte_identical(case):
 def test_checked_leap_engages():
     """An idle-heavy checked run makes far fewer ``DDCRProtocol.observe``
     calls than rounds x stations, and none at all on an idle channel."""
-    _, calls, rounds = _run("fastloop")
+    _, calls, rounds = _run("batch")
     assert rounds > 3_000 and calls < rounds * 5 // 20
-    _, calls, rounds = _run("fastloop", load=False)
+    _, calls, rounds = _run("batch", load=False)
     assert rounds == -(-_HORIZON // _SLOT) and calls == 0
 
 
@@ -253,13 +253,13 @@ def test_jammed_leap_needs_a_suite_that_digests_jammed_slots(
 
     monkeypatch.setattr(_RoundDriver, "leap", spy)
     runs = []
-    for engine in ("des", "fastloop"):
+    for engine in ("des", "batch"):
         jammed.clear()
         channel = _build_channel(jam=(125_000, None))
         if suite is not None:
             channel.monitors = MonitorSuite(suite(channel))
         channel.run(_HORIZON, engine=engine)
-        if engine == "fastloop":
+        if engine == "batch":
             assert bool(jammed) == leaps
             if leaps:
                 assert sum(jammed) > 1_900
@@ -297,7 +297,7 @@ def _stretches(**case):
     _RoundDriver.leap = spy
     try:
         channel = _build_channel(**case)
-        channel.run(_HORIZON, engine="fastloop")
+        channel.run(_HORIZON, engine="batch")
     finally:
         _RoundDriver.leap = original
     return leaps, channel
@@ -345,7 +345,7 @@ def test_desync_just_before_a_stretch_fails(monkeypatch):
     start, _ = _stretch()
     _leap_hook(monkeypatch, start, lambda ch: _desync(ch.stations[2]))
     with pytest.raises(AssertionError, match=f"t={start}: stations disagree"):
-        _build_channel().run(_HORIZON, engine="fastloop")
+        _build_channel().run(_HORIZON, engine="batch")
 
 
 def test_desync_at_a_stretchs_first_slot_fails():
@@ -361,7 +361,7 @@ def test_desync_at_a_stretchs_first_slot_fails():
 
     mac.leap_idle = desynced
     with pytest.raises(AssertionError, match=f"t={start}: stations disagree"):
-        channel.run(_HORIZON, engine="fastloop")
+        channel.run(_HORIZON, engine="batch")
 
 
 def test_desync_inside_a_stretch_fails_at_its_last_slot():
@@ -379,7 +379,7 @@ def test_desync_inside_a_stretch_fails_at_its_last_slot():
     with pytest.raises(
         AssertionError, match=f"t={end - _SLOT}: stations disagree"
     ):
-        channel.run(_HORIZON, engine="fastloop")
+        channel.run(_HORIZON, engine="batch")
 
 
 def test_tdma_desync_inside_a_stretch_fails_at_its_last_slot():
@@ -399,7 +399,7 @@ def test_tdma_desync_inside_a_stretch_fails_at_its_last_slot():
     with pytest.raises(
         AssertionError, match=f"t={end - _SLOT}: stations disagree"
     ):
-        channel.run(_HORIZON, engine="fastloop")
+        channel.run(_HORIZON, engine="batch")
 
 
 def test_desync_right_after_a_stretch_fails():
@@ -414,7 +414,7 @@ def test_desync_right_after_a_stretch_fails():
 
     channel._assert_lockstep = desync_after_last_slot
     with pytest.raises(AssertionError, match=f"t={end}: stations disagree"):
-        channel.run(_HORIZON, engine="fastloop")
+        channel.run(_HORIZON, engine="batch")
 
 
 def test_replica_out_of_steady_state_blocks_the_leap(monkeypatch):
@@ -438,5 +438,5 @@ def test_replica_out_of_steady_state_blocks_the_leap(monkeypatch):
 
     seen = _leap_hook(monkeypatch, start, phantom_collision)
     with pytest.raises(AssertionError, match=f"t={start}: stations disagree"):
-        _build_channel().run(_HORIZON, engine="fastloop")
+        _build_channel().run(_HORIZON, engine="batch")
     assert seen == [0]

@@ -273,22 +273,23 @@ class TestBusPortJam:
         )
 
     def test_the_stepped_failover_slot_flips_every_controller(self):
-        """The fast loop leaps to the slot before the failover, runs that
-        slot, in which every station flips, and leaps on; the DES steps
-        every slot to the same controllers."""
+        """The joint fast loop (what ``batch`` runs) leaps to the slot
+        before the failover, runs that slot, in which every station
+        flips, and leaps on; the DES steps every slot to the same
+        controllers."""
         runs = {}
-        for engine in ("des", "fastloop"):
+        for engine in ("des", "batch"):
             busses, controllers = self._busses()
             busses[0].run(640, engine=engine, peers=busses[1:])
             runs[engine] = [c.state_key() for c in controllers]
             observed = [s.mac.inner.observed for s in busses[0].stations]
-            if engine == "fastloop":
+            if engine == "batch":
                 assert observed == [[192]] * 3  # the failover slot
                 jam_leaps = [s.mac.inner.jam_leaps for s in busses[0].stations]
                 assert jam_leaps == [[(3, 192), (6, 640)]] * 3
             else:
                 assert observed == [list(range(0, 640, 64))] * 3
-        assert runs["des"] == runs["fastloop"] == [(1, 1, 0)] * 3
+        assert runs["des"] == runs["batch"] == [(1, 1, 0)] * 3
 
 
 class TestSuggestedThreshold:

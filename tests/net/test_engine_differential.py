@@ -1,20 +1,20 @@
-"""Differential tests: all three engines are byte-identical.
+"""Differential tests: both engines are byte-identical.
 
-The slot-loop fast path (``BroadcastChannel.run(engine="fastloop")``)
-and the struct-of-arrays batch kernel (``engine="batch"``, also what the
-default ``auto`` runs) must be indistinguishable from the per-slot
-``des`` reference by results: same :class:`ChannelStats`, same
-completion records, same flight-recorder dump, same final clock —
-across protocols, noise, jamming, bursting, channels sharing a clock
-(the dual bus, whose two busses the fast loop runs as one), and the
-automatic fallback on structural batch ineligibility.  Most runs here
-arm a flight recorder, which keeps the idle leap on: a leapt stretch
-and a stepped one both record one ``channel/idle`` event, so every
-protocol's runs hold the fast loop's leap (and, for DDCR, the
-kernel's) to the per-slot DES oracle.  Noise keeps the leap too: a
-leap draws the gates slot by slot and stops at the first slot one
-fires, which then runs as a corrupted round, so the noisy cases hold
-that rule to the DES as well.
+The default ``batch`` engine — the struct-of-arrays kernel on eligible
+channels, the fast loop on every station's own replica elsewhere — must
+be indistinguishable from the per-slot ``des`` reference by results:
+same :class:`ChannelStats`, same completion records, same flight-recorder
+dump, same final clock — across protocols, noise, jamming, bursting,
+channels sharing a clock (the dual bus, whose two busses the fast loop
+runs as one), and the automatic fallback on structural batch
+ineligibility.  Most runs here arm a flight recorder, which keeps the
+idle leap on: a leapt stretch and a stepped one both record one
+``channel/idle`` event, so every protocol's runs hold the kernel's leap
+(DDCR, DCR, TDMA) or the fast loop's (the baselines, checked runs,
+channels sharing a clock) to the per-slot DES oracle.  Noise keeps the
+leap too: a leap draws the gates slot by slot and stops at the first
+slot one fires, which then runs as a corrupted round, so the noisy cases
+hold that rule to the DES as well.
 """
 
 from __future__ import annotations
@@ -43,8 +43,11 @@ from repro.model.workloads import uniform_problem
 from repro.net import channel as channel_module
 from repro.net.channel import BroadcastChannel, _RoundDriver
 from repro.net.dualbus import DualBusSimulation, suggested_jam_threshold
+from repro.experiments.harness import build_chain_topology
+from repro.net.batch import BatchKernel
 from repro.net.engine import ENGINES as ALL_ENGINES
-from repro.net.engine import resolve_engine, use_engine
+from repro.net.engine import default_engine, resolve_engine, use_engine
+from repro.net.fabric import Fabric
 from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import GIGABIT_ETHERNET, ideal_medium
 from repro.net.station import Station
@@ -58,7 +61,8 @@ from repro.protocols.tdma import TDMAProtocol
 from repro.sim.engine import Environment
 from tests.protocols.conftest import make_class
 
-ENGINES = ("des", "fastloop", "batch")
+#: The reference first: the loops below compare later engines with it.
+ENGINES = ("des", "batch")
 #: ``tdma_gap`` is TDMA over a roster that lists an id no station has.
 PROTOCOLS = ("ddcr", "csma_cd", "tdma", "dcr", "slotted_aloha", "tdma_gap")
 #: The protocols whose eligible channels run the batch kernel.
@@ -119,7 +123,7 @@ def _run_network(
         z=z, length=1_000, deadline=400_000, a=1, w=200_000
     )
     recorder = _recorder()
-    with use_tracer(recorder):
+    with use_tracer(recorder), use_engine(engine):
         simulation = NetworkSimulation.from_scenario(
             Scenario(
                 problem,
@@ -130,7 +134,6 @@ def _run_network(
                 noise_rate=noise,
                 noise_seed=seed,
                 root_seed=seed,
-                engine=engine,
                 faults=faults,
                 monitors=None if faults is not None else monitors,
             )
@@ -174,10 +177,10 @@ def _spy_leaps(monkeypatch):
 def test_engines_identical_across_protocols(protocol, noise, monkeypatch):
     """Stats, completions, recorder dumps and the standard suite's
     invariant reports match byte-for-byte, noise or not, and the leaps
-    engage: the unchecked fast loop leaps every protocol's idle stretches
-    (also as ``batch``'s fallback for BEB and slotted ALOHA), the kernel
-    DDCR's, DCR's and TDMA's, and under noise both leap up to a fired
-    gate and run that slot as a corrupted round."""
+    engage: the kernel leaps DDCR's, DCR's and TDMA's idle stretches, the
+    fast loop (``batch``'s fallback) BEB's and slotted ALOHA's on every
+    station's own replica, and under noise both leap up to a fired gate
+    and run that slot as a corrupted round."""
     seen = _spy_leaps(monkeypatch)
     runs = []
     for engine in ENGINES:
@@ -270,19 +273,19 @@ def _run_backlogged(engine, case):
         config = _far_deadline_config(problem, theta)
         factory = lambda source: DDCRProtocol(config)  # noqa: E731
         horizon = 600_000
-    result = NetworkSimulation.from_scenario(
-        Scenario(
-            problem,
-            medium,
-            protocol_factory=factory,
-            check_consistency=checked,
-            noise_rate=noise,
-            noise_seed=3,
-            root_seed=3,
-            engine=engine,
-            monitors=True,
-        )
-    ).run(horizon)
+    with use_engine(engine):
+        result = NetworkSimulation.from_scenario(
+            Scenario(
+                problem,
+                medium,
+                protocol_factory=factory,
+                check_consistency=checked,
+                noise_rate=noise,
+                noise_seed=3,
+                root_seed=3,
+                monitors=True,
+            )
+        ).run(horizon)
     return result, pickle.dumps(
         (result.stats, result.completions, result.invariants)
     )
@@ -320,8 +323,8 @@ def test_backlogged_stretches_leap_identically(case, monkeypatch):
     """Silence that queued messages sit out — DDCR's compressed-time wait
     for a class beyond the horizon, at theta = 0 and theta = c, with the
     stations' deadlines spread (the kernel's room is the least head
-    deadline's), checked and noisy too, and BEB's backoffs at PROTO's
-    scale 8 — leaps on the fast loop and the kernel, and the runs stay
+    deadline's), checked and noisy too (on the fast loop), and BEB's
+    backoffs at PROTO's scale 8 — leaps, and the runs stay
     byte-identical to the per-slot DES, monitors' reports included.  The
     DES leaps none."""
     leaps, fired = _spy_backlogged_leaps(monkeypatch)
@@ -372,15 +375,15 @@ def test_work_conservation_crossing_inside_a_leap(monkeypatch):
         # The suite standard_suite arms for these stations' protocol.
         probe = Station(0, DDCRProtocol(config))
         suite = standard_suite([probe], work_conservation_limit=limit)
-        result = NetworkSimulation.from_scenario(
-            Scenario(
-                problem,
-                ideal_medium(slot_time=64),
-                protocol_factory=lambda source: DDCRProtocol(config),
-                engine=engine,
-                monitors=suite,
-            )
-        ).run(600_000)
+        with use_engine(engine):
+            result = NetworkSimulation.from_scenario(
+                Scenario(
+                    problem,
+                    ideal_medium(slot_time=64),
+                    protocol_factory=lambda source: DDCRProtocol(config),
+                    monitors=suite,
+                )
+            ).run(600_000)
         (violation,) = result.invariants.by_invariant("work_conservation")
         violations[engine] = violation
         if engine != "des":
@@ -393,7 +396,7 @@ def test_work_conservation_crossing_inside_a_leap(monkeypatch):
         "messages"
     )
     assert des.time - des.detail("since") == limit * 64
-    assert violations["fastloop"] == violations["batch"] == des
+    assert violations["batch"] == des
 
 
 #: Static indices (nu > 1) and traffic (arrival times, deadline) per
@@ -457,7 +460,6 @@ def test_sts_offers_from_owners_match_per_station_offers(monkeypatch):
     some colliders sit the search out, every stepped round's offerers
     equal those of every station's own replica, and the runs are
     byte-identical."""
-    from repro.net.batch import BatchKernel
     from repro.protocols.ddcr.protocol import DDCRMode
 
     kernel_offers: dict[int, list[int]] = {}
@@ -481,17 +483,17 @@ def test_sts_offers_from_owners_match_per_station_offers(monkeypatch):
         return result
 
     monkeypatch.setattr(BatchKernel, "offers", spy)
-    station_offers = {
-        engine: collections.defaultdict(list) for engine in ENGINES[:2]
-    }
+    station_offers = collections.defaultdict(list)
     digests = {
-        _run_owned_indices(engine, station_offers.get(engine))
+        _run_owned_indices(
+            engine, station_offers if engine == "des" else None
+        )
         for engine in ENGINES
     }
     assert len(digests) == 1
     assert probes["wide"] > 0 and probes["sat_out"] > 0, probes
     offered = {now: ids for now, ids in kernel_offers.items() if ids}
-    assert station_offers["des"] == station_offers["fastloop"] == offered
+    assert station_offers == offered
 
 
 def test_dcr_offers_from_owners_match_per_station_offers(monkeypatch):
@@ -502,7 +504,6 @@ def test_dcr_offers_from_owners_match_per_station_offers(monkeypatch):
     of the same search and sit it out once their ranks or messages run
     out, every stepped round's kernel offerers equal those of every
     station's own replica, and the runs are byte-identical."""
-    from repro.net.batch import BatchKernel
     from repro.protocols.dcr import DCRMode
 
     tree = BalancedTree.of(m=2, leaves=16)
@@ -527,12 +528,12 @@ def test_dcr_offers_from_owners_match_per_station_offers(monkeypatch):
         return result
 
     monkeypatch.setattr(BatchKernel, "offers", spy)
-    station_offers = {
-        engine: collections.defaultdict(list) for engine in ENGINES[:2]
-    }
+    station_offers = collections.defaultdict(list)
     digests = {
         _run_owned_indices(
-            engine, station_offers.get(engine), lambda: DCRProtocol(tree)
+            engine,
+            station_offers if engine == "des" else None,
+            lambda: DCRProtocol(tree),
         )
         for engine in ENGINES
     }
@@ -541,7 +542,7 @@ def test_dcr_offers_from_owners_match_per_station_offers(monkeypatch):
         probes
     )
     offered = {now: ids for now, ids in kernel_offers.items() if ids}
-    assert station_offers["des"] == station_offers["fastloop"] == offered
+    assert station_offers == offered
 
 
 def test_a_shared_static_index_falls_back_to_the_fast_loop():
@@ -566,9 +567,9 @@ def _run_manual_channel(
     problem=None, horizons=(_HORIZON,),
 ):
     """Hand-built channel (no NetworkSimulation) with optional jamming,
-    run by one ``run`` call per horizon in ``horizons``; an unchecked
-    channel of a kernel protocol runs the kernel under ``batch`` and
-    ``auto``."""
+    run by one ``run`` call per horizon in ``horizons`` on ``engine``
+    (``None``: the ambient one); an unchecked channel of a kernel
+    protocol runs the kernel under ``batch``."""
     if problem is None:
         problem = uniform_problem(
             z=5, length=1_000, deadline=400_000, a=1, w=200_000
@@ -600,13 +601,14 @@ def _run_manual_channel(
         stations.append(station)
     channel.jam_from = jam_from
     channel.jam_until = jam_until
-    # The unified entry point owns the dispatch for all three engines.
-    for horizon in horizons:
-        note = channel.run(horizon, engine=engine)
-        assert (note is None) == (
-            engine not in ("batch", "auto") or protocol in KERNEL_PROTOCOLS
-        ), note
-        assert env.now == horizon
+    # The unified entry point owns the dispatch for both engines.
+    with use_engine(engine):
+        for horizon in horizons:
+            note = channel.run(horizon)
+            assert (note is None) == (
+                default_engine() == "des" or protocol in KERNEL_PROTOCOLS
+            ), note
+            assert env.now == horizon
     completions = [
         record for station in stations for record in station.completions
     ]
@@ -636,10 +638,10 @@ def _spy_jammed_leaps(monkeypatch):
 @pytest.mark.parametrize("noise", [0.0, 0.03])
 def test_engines_identical_under_mid_run_jamming(noise, monkeypatch):
     """A bus jammed from mid-run on: every later slot collides,
-    identically, and the lone channel leaps the jam, on the fast loop and
-    on the kernel alike, once its replicas are stuck re-probing a
-    static-tree leaf: all of it but the descent and the slot an arrival
-    ends a stretch at, noise or not (a jammed slot draws no gate)."""
+    identically, and the kernel leaps the jam once the replica is stuck
+    re-probing a static-tree leaf: all of it but the descent and the slot
+    an arrival ends a stretch at, noise or not (a jammed slot draws no
+    gate)."""
     leaps = _spy_jammed_leaps(monkeypatch)
     runs = []
     for engine in ENGINES:
@@ -708,7 +710,7 @@ def test_a_leapt_noisy_stretch_draws_the_des_gates(protocol, monkeypatch):
         if engine != "des":
             assert counts["leapt"] > 0 and counts["quiet_run"] > 0, counts
     assert runs["des"][1]
-    assert runs["des"] == runs["fastloop"] == runs["batch"]
+    assert runs["des"] == runs["batch"]
 
 
 @pytest.mark.parametrize("protocol", ["ddcr", "dcr", "tdma"])
@@ -733,7 +735,7 @@ def test_kernel_runs_resume_a_channel_mid_search(protocol):
 
 def _two_channels(engine, noise=0.0):
     """Two independent DDCR channels on one clock, run through bus 0's
-    entry point."""
+    entry point on ``engine`` (``None``: the ambient one)."""
     problem = uniform_problem(
         z=4, length=1_000, deadline=400_000, a=1, w=200_000
     )
@@ -769,9 +771,10 @@ def _two_channels(engine, noise=0.0):
                 )
             bus.attach(station)
             stations.append(station)
-    note = busses[0].run(_HORIZON, engine=engine, peers=busses[1:])
+    with use_engine(engine):
+        note = busses[0].run(_HORIZON, peers=busses[1:])
+        assert (note is not None) == (default_engine() == "batch")
     assert env.now == _HORIZON
-    assert (note is not None) == (engine in ("batch", "auto"))
     completions = [
         record for station in stations for record in station.completions
     ]
@@ -865,10 +868,8 @@ def test_joint_leap_keeps_the_des_schedule_order(
     leaps = _spy_joint_leaps(monkeypatch)
     des = _order_probe("des", case)
     assert [(event["kind"], event["data"]) for event in des] == dump
-    for engine in ("fastloop", "batch"):
-        leaps.clear()
-        assert _order_probe(engine, case) == des
-        assert leap in leaps
+    assert _order_probe("batch", case) == des
+    assert leap in leaps
 
 
 def _shared_clock_run(
@@ -1023,12 +1024,11 @@ def _run_dualbus(engine, case):
         problem,
         ideal_medium(slot_time=64),
         protocol_factory=lambda source: DDCRProtocol(config),
-        engine=engine,
         telemetry=Telemetry(),
         **options,
     )
     recorder = _recorder()
-    with use_tracer(recorder):
+    with use_tracer(recorder), use_engine(engine):
         result = simulation.run(_HORIZON)
     dump = _dump(recorder)
     # One dump for both busses: each bus's kinds carry its prefix.  Bus B
@@ -1081,9 +1081,9 @@ def _spy_joint_leaps(monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(_DUAL_CASES))
 def test_dualbus_engines_identical(case, monkeypatch):
-    """Two busses on one clock: the joint fast loop (also what ``batch``
-    and ``auto`` run, with the kernel's note) is byte-identical to the
-    per-slot DES in stats, failovers, completions, backlog, invariant
+    """Two busses on one clock: the joint fast loop (what ``batch`` runs,
+    with the kernel's note) is byte-identical to the per-slot DES in
+    stats, failovers, completions, backlog, invariant
     reports, telemetry content and recorder dump, and the fast path
     leaps both busses' idle stretches jointly where the DES leaps none;
     after a jam it leaps bus A's jammed tail too, beside bus B's idle
@@ -1129,20 +1129,15 @@ def test_dualbus_engines_identical(case, monkeypatch):
 
 
 def test_dualbus_engine_fallback_is_identical():
-    """Two channels on one clock: ``batch`` and ``auto`` fall back to the
-    joint fast loop, say so, and still produce byte-identical results to
-    the DES (failover included)."""
-    runs = {
-        engine: _run_dualbus(engine, "failover")
-        for engine in (*ENGINES, "auto")
-    }
+    """Two channels on one clock: ``batch`` falls back to the joint fast
+    loop, says so, and still produces byte-identical results to the DES
+    (failover included), which has no note."""
+    runs = {engine: _run_dualbus(engine, "failover") for engine in ENGINES}
     assert len({digest for _, digest in runs.values()}) == 1
-    for engine in ("batch", "auto"):
-        assert runs[engine][0].telemetry.engine_fallback == (
-            "batch engine unavailable (2 channels share one clock): "
-            "ran fastloop"
-        )
-    assert runs["fastloop"][0].telemetry.engine_fallback is None
+    assert runs["batch"][0].telemetry.engine_fallback == (
+        "batch engine unavailable (2 channels share one clock): ran fastloop"
+    )
+    assert runs["des"][0].telemetry.engine_fallback is None
 
 
 def test_dualbus_telemetry_identical_across_engines():
@@ -1160,15 +1155,15 @@ def test_dualbus_telemetry_identical_across_engines():
             protocol_factory=lambda source: DDCRProtocol(config),
             jam_threshold=suggested_jam_threshold(config),
             fail_bus_at=_HORIZON // 3,
-            engine=engine,
             telemetry=Telemetry(),
         )
-        manifest = simulation.run(_HORIZON).telemetry
+        with use_engine(engine):
+            manifest = simulation.run(_HORIZON).telemetry
         assert manifest is not None
         return manifest
 
-    des, fast, batch = (run(engine) for engine in ENGINES)
-    assert des.content_json() == fast.content_json() == batch.content_json()
+    des, batch = (run(engine) for engine in ENGINES)
+    assert des.content_json() == batch.content_json()
     assert des.counters["bus0/slots/success"] > 0
     assert des.counters["bus1/slots/success"] > 0
     assert des.gauges["failovers"] >= 1
@@ -1271,13 +1266,13 @@ def _run_telemetry(engine, protocol="ddcr", noise=0.0, seed=0, faults=None):
             noise_rate=noise,
             noise_seed=seed,
             root_seed=seed,
-            engine=engine,
             faults=faults,
             monitors=False if faults is None else None,
             telemetry=Telemetry(),
         )
     )
-    manifest = simulation.run(_HORIZON).telemetry
+    with use_engine(engine):
+        manifest = simulation.run(_HORIZON).telemetry
     assert manifest is not None
     return manifest
 
@@ -1289,12 +1284,11 @@ def test_telemetry_identical_across_engines(protocol):
     (Wall-clock span durations and the engine label are excluded by
     :meth:`RunTelemetry.content_json`; they describe how the run was
     driven, not what it computed.)"""
-    des, fast, batch = (
+    des, batch = (
         _run_telemetry(engine, protocol, noise=0.01) for engine in ENGINES
     )
-    assert des.content_json() == fast.content_json() == batch.content_json()
-    assert des.engine == "des" and fast.engine == "fastloop"
-    assert batch.engine == "batch"
+    assert des.content_json() == batch.content_json()
+    assert des.engine == "des" and batch.engine == "batch"
     if protocol in KERNEL_PROTOCOLS:
         # Eligible run: the kernel itself executed, so there is no note.
         assert batch.engine_fallback is None
@@ -1306,18 +1300,18 @@ def test_telemetry_identical_across_engines(protocol):
 def test_telemetry_identical_across_engines_under_faults():
     """Fault-gate fire counters and faulted slot outcomes agree too."""
     plan = _FAULT_POOL[4]  # burst noise + crash/restart
-    des, fast, batch = (
+    des, batch = (
         _run_telemetry(engine, "ddcr", seed=7, faults=plan)
         for engine in ENGINES
     )
-    assert des.content_json() == fast.content_json() == batch.content_json()
+    assert des.content_json() == batch.content_json()
     assert des.counters["faults/crash"] == 1
     assert des.counters["faults/restart"] == 1
     assert des.fault_plan is not None
     # An armed injector is structurally ineligible for the batch kernel:
     # the run fell back and the manifest says why.
     assert "fault injector armed" in batch.engine_fallback
-    assert des.engine_fallback is None and fast.engine_fallback is None
+    assert des.engine_fallback is None
 
 
 def test_flight_recorder_dumps_identical_across_engines(monkeypatch):
@@ -1342,13 +1336,12 @@ def test_flight_recorder_dumps_identical_across_engines(monkeypatch):
 
     def dump(engine):
         recorder = _recorder()
-        with use_tracer(recorder):
+        with use_tracer(recorder), use_engine(engine):
             result = NetworkSimulation.from_scenario(
                 Scenario(
                     problem,
                     ideal_medium(slot_time=64),
                     protocol_factory=_protocol_factory("ddcr", problem),
-                    engine=engine,
                 )
             ).run(_HORIZON)
         assert result.engine_fallback is None
@@ -1361,18 +1354,19 @@ def test_flight_recorder_dumps_identical_across_engines(monkeypatch):
         assert max(idle) > 1
         return events
 
-    des, fast = dump("des"), dump("fastloop")
+    des = dump("des")
     assert not leaps
     batch = dump("batch")
     assert leaps and max(leaps) > 1  # the kernel leapt, recorder armed
     assert {event["kind"] for event in des} == {
         "channel/slot", "channel/idle"
     }
-    assert des == fast == batch
+    assert des == batch
 
 
-def _auto_run(protocol):
-    """One hand-built channel run on ``auto``; returns its note."""
+def _default_run(protocol):
+    """One hand-built channel run on the default engine; returns its
+    note."""
     problem = uniform_problem(
         z=4, length=1_000, deadline=400_000, a=1, w=200_000
     )
@@ -1388,17 +1382,21 @@ def _auto_run(protocol):
                 seq_source=seq_source,
             )
         )
-    note = channel.run(60_000, engine="auto")
+    note = channel.run(60_000)
     assert channel.env.now == 60_000
     return note
 
 
-def test_engine_resolution_and_scoping(monkeypatch):
-    """`auto` resolves through the scoped default; bad names are rejected;
-    an ``auto`` run executes the batch kernel when eligible (no note) and
-    otherwise runs the fast loop with the kernel's fallback note."""
-    from repro.net.batch import BatchKernel
+#: What naming an engine that is not in ``ENGINES`` raises.
+_UNKNOWN_ENGINE = r"unknown engine .*; choose one of batch, des$"
 
+
+def test_engine_resolution_and_scoping(monkeypatch):
+    """``batch`` is the default and ``des`` the one other engine; any
+    other name (the removed ``auto`` and ``fastloop`` among them) is
+    rejected, naming both.  A default run executes the batch kernel when
+    eligible (no note) and otherwise runs the fast loop with the kernel's
+    fallback note; a ``use_engine`` scope shadows the default."""
     # The kernel's tier is seen through ``run`` in the class's own
     # namespace (an inherited one would not be patchable there), the
     # per-slot reference's through ``Environment.run``, and each step of
@@ -1406,6 +1404,8 @@ def test_engine_resolution_and_scoping(monkeypatch):
     assert "run" in BatchKernel.__dict__
     assert "run" in Environment.__dict__
     assert "advance_to" in Environment.__dict__
+    assert ALL_ENGINES == ("batch", "des")
+    assert resolve_engine(None) == "batch"
     kernel_runs = []
     original = BatchKernel.run
 
@@ -1414,57 +1414,108 @@ def test_engine_resolution_and_scoping(monkeypatch):
         return original(self, horizon)
 
     monkeypatch.setattr(BatchKernel, "run", spy)
-    assert _auto_run("ddcr") is None
+    assert _default_run("ddcr") is None
     assert kernel_runs == [60_000]
-    assert _auto_run("csma_cd") == (
+    assert _default_run("csma_cd") == (
         "batch engine unavailable (station MACs are not all DDCRProtocol, "
         "DCRProtocol or TDMAProtocol (station 0: CSMACDProtocol)): "
         "ran fastloop"
     )
     assert kernel_runs == [60_000]  # the fast loop ran, not the kernel
     assert resolve_engine("des") == "des"
-    with pytest.raises(ValueError, match="unknown engine"):
-        resolve_engine("warp")
-    with pytest.raises(ValueError, match="unknown engine"):
-        NetworkSimulation.from_scenario(
-            Scenario(
-                uniform_problem(z=2),
-                ideal_medium(slot_time=64),
-                protocol_factory=lambda s: CSMACDProtocol(),
-                engine="warp",
-            )
-        )
-    before = resolve_engine(None)
+    for name in ("auto", "fastloop", "warp"):
+        with pytest.raises(ValueError, match=_UNKNOWN_ENGINE):
+            resolve_engine(name)
+        with pytest.raises(ValueError, match=_UNKNOWN_ENGINE):
+            with use_engine(name):
+                pass
     with use_engine("des"):
         assert resolve_engine(None) == "des"
-    assert resolve_engine(None) == before
+    assert resolve_engine(None) == "batch"
 
 
-@pytest.mark.parametrize("engine", ALL_ENGINES)
-@pytest.mark.parametrize("channels", [1, 2], ids=["lone", "dual"])
-def test_only_des_runs_on_the_clock_loop(engine, channels, monkeypatch):
-    """A ``des`` run, of a lone channel or of two sharing a clock, calls
-    ``Environment.run`` once, before its first round; a leaping engine
-    never calls it."""
+def _network_run():
+    """One DDCR channel the kernel can take, built with no engine."""
+    problem = uniform_problem(
+        z=4, length=1_000, deadline=400_000, a=1, w=200_000
+    )
+    NetworkSimulation.from_scenario(
+        Scenario(
+            problem,
+            ideal_medium(slot_time=64),
+            protocol_factory=_protocol_factory("ddcr", problem),
+        )
+    ).run(60_000)
+
+
+def _fabric_run():
+    """Two bridged DDCR segments, each one the kernel can take."""
+    topology, _ = build_chain_topology(segments=2, z=3)
+    Fabric(topology).run(2_000_000)
+
+
+#: Each build's run, with no engine named anywhere, its channel runs and
+#: how many of them the kernel can take.
+_CLOCK_LOOP_BUILDS = {
+    "lone": (lambda: _run_manual_channel(None), 1, 1),
+    "dual": (lambda: _two_channels(None), 1, 0),
+    "network": (_network_run, 1, 1),
+    "fabric": (_fabric_run, 2, 2),
+    "dualbus": (lambda: _run_dualbus(None, "failover"), 1, 0),
+}
+
+
+@pytest.mark.parametrize("engine", [*ALL_ENGINES, "auto", "fastloop"])
+@pytest.mark.parametrize("build", sorted(_CLOCK_LOOP_BUILDS), ids=str)
+def test_only_des_runs_on_the_clock_loop(engine, build, monkeypatch):
+    """Under ``use_engine("des")`` every channel run — a lone channel, two
+    sharing a clock, a simulation, each segment of a fabric, a dual bus —
+    calls ``Environment.run`` once, before its first round, and never the
+    kernel; under the default ``batch`` nothing calls ``Environment.run``
+    and the kernel runs every channel it can take.  ``auto`` and
+    ``fastloop`` are no engines."""
     calls = []
-    env_run, round_ = Environment.run, _RoundDriver.round
+    channel_run, env_run = BroadcastChannel.run, Environment.run
+    kernel_run, round_ = BatchKernel.run, _RoundDriver.round
 
-    def run_spy(self, until, rounds):
-        calls.append("run")
+    def channel_spy(self, horizon, engine=None, peers=()):
+        calls.append("channel")
+        return channel_run(self, horizon, engine, peers)
+
+    def env_spy(self, until, rounds):
+        calls.append("env")
         return env_run(self, until, rounds)
+
+    def kernel_spy(self, horizon):
+        calls.append("kernel")
+        return kernel_run(self, horizon)
 
     def round_spy(self, now, fired=0):
         calls.append("round")
         return round_(self, now, fired)
 
-    monkeypatch.setattr(Environment, "run", run_spy)
+    monkeypatch.setattr(BroadcastChannel, "run", channel_spy)
+    monkeypatch.setattr(Environment, "run", env_spy)
+    monkeypatch.setattr(BatchKernel, "run", kernel_spy)
     monkeypatch.setattr(_RoundDriver, "round", round_spy)
-    if channels == 1:
-        _run_manual_channel(engine)
-    else:
-        _two_channels(engine)
+    run, runs, eligible = _CLOCK_LOOP_BUILDS[build]
+    if engine not in ALL_ENGINES:
+        with pytest.raises(ValueError, match=_UNKNOWN_ENGINE):
+            with use_engine(engine):
+                run()
+        assert not calls
+        return
+    with use_engine(engine):
+        run()
     assert "round" in calls
+    assert calls.count("channel") == runs
     if engine == "des":
-        assert calls[0] == "run" and calls.count("run") == 1
+        # Each channel run enters the clock loop before its first round.
+        assert calls.count("env") == runs and "kernel" not in calls
+        assert all(
+            calls[i + 1] == "env"
+            for i, call in enumerate(calls) if call == "channel"
+        )
     else:
-        assert "run" not in calls
+        assert "env" not in calls
+        assert calls.count("kernel") == eligible

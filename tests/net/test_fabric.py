@@ -4,7 +4,7 @@ The two load-bearing claims of the multi-segment API:
 
 * a one-segment :class:`~repro.net.fabric.Fabric` is byte-identical to
   the bare ``NetworkSimulation.from_scenario`` run — stats, completions,
-  flight-recorder events, invariants and telemetry content — under every
+  flight-recorder events, invariants and telemetry content — under either
   engine;
 * at feasible loads, the composed route bound (sum of per-hop B_DDCR
   plus bridge forwarding latencies) dominates every observed end-to-end
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.harness import build_chain_topology
 from repro.model.workloads import relay_chain_problems, uniform_problem
+from repro.net.engine import use_engine
 from repro.net.fabric import Fabric
 from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import ideal_medium
@@ -38,7 +39,7 @@ from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 from repro.sim.invariants import BridgeConservationMonitor
 
 _MS = 1_000_000
-ENGINES = ("des", "fastloop", "batch")
+ENGINES = ("des", "batch")
 _HORIZON = 250_000
 
 
@@ -297,7 +298,7 @@ class TestTopologyValidation:
 class TestSingleSegmentByteIdentity:
     """The 1-segment fabric IS the bare simulation, engine by engine."""
 
-    def _scenario(self, engine, telemetry=None):
+    def _scenario(self, telemetry=None):
         problem = uniform_problem(
             z=5, length=1_000, deadline=400_000, a=1, w=200_000
         )
@@ -308,7 +309,6 @@ class TestSingleSegmentByteIdentity:
             noise_rate=0.01,
             noise_seed=3,
             root_seed=3,
-            engine=engine,
             monitors=True,
             telemetry=telemetry,
         )
@@ -335,15 +335,13 @@ class TestSingleSegmentByteIdentity:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_results_byte_identical(self, engine):
         bare_recorder = FlightRecorder(capacity=100_000)
-        with use_tracer(bare_recorder):
-            bare = NetworkSimulation.from_scenario(
-                self._scenario(engine)
-            ).run(_HORIZON)
-        fabric_recorder = FlightRecorder(capacity=100_000)
-        with use_tracer(fabric_recorder):
-            fabric = Fabric.from_scenario(self._scenario(engine)).run(
+        with use_tracer(bare_recorder), use_engine(engine):
+            bare = NetworkSimulation.from_scenario(self._scenario()).run(
                 _HORIZON
             )
+        fabric_recorder = FlightRecorder(capacity=100_000)
+        with use_tracer(fabric_recorder), use_engine(engine):
+            fabric = Fabric(self._scenario().as_topology()).run(_HORIZON)
         assert len(fabric.segments) == 1
         (segment_result,) = fabric.segments.values()
         assert self._digest(segment_result, fabric_recorder) == self._digest(
@@ -353,24 +351,19 @@ class TestSingleSegmentByteIdentity:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_telemetry_content_identical(self, engine):
-        bare = NetworkSimulation.from_scenario(
-            self._scenario(engine, telemetry=Telemetry())
-        ).run(_HORIZON)
-        fabric = Fabric.from_scenario(
-            self._scenario(engine, telemetry=Telemetry())
-        ).run(_HORIZON)
+        with use_engine(engine):
+            bare = NetworkSimulation.from_scenario(
+                self._scenario(telemetry=Telemetry())
+            ).run(_HORIZON)
+            fabric = Fabric(
+                self._scenario(telemetry=Telemetry()).as_topology()
+            ).run(_HORIZON)
         assert fabric.telemetry is not None and bare.telemetry is not None
         assert fabric.telemetry.content_json() == bare.telemetry.content_json()
         # Single segment: no fabric/... instruments, no prefixes.
         assert not any(
             name.startswith("fabric/") for name in fabric.telemetry.counters
         )
-
-    def test_from_topology_entry_point(self):
-        scenario = self._scenario("des")
-        fabric = NetworkSimulation.from_topology(scenario.as_topology())
-        assert isinstance(fabric, Fabric)
-        assert len(fabric.topology.segments) == 1
 
 
 class TestMultiSegmentExecution:
@@ -421,7 +414,6 @@ class TestMultiSegmentExecution:
                     ),
                 ),
             ),
-            engine="batch",
         )
         result = Fabric(topology).run(_HORIZON)
         assert result.telemetry is None

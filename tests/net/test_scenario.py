@@ -8,6 +8,7 @@ import pytest
 
 from repro.model.workloads import uniform_problem
 from repro.net import Scenario
+from repro.net.engine import use_engine
 from repro.net.network import NetworkSimulation
 from repro.net.phy import ideal_medium
 from repro.protocols.ddcr.config import DDCRConfig
@@ -39,7 +40,7 @@ def _scenario(**overrides):
         medium=ideal_medium(slot_time=512),
         protocol_factory=_factory(problem),
     )
-    return base.replace(**overrides) if overrides else base
+    return dataclasses.replace(base, **overrides) if overrides else base
 
 
 class TestFromScenario:
@@ -50,7 +51,7 @@ class TestFromScenario:
 
     def test_replace_overrides_one_field(self):
         base = _scenario()
-        noisy = base.replace(noise_rate=0.05, root_seed=3)
+        noisy = dataclasses.replace(base, noise_rate=0.05, root_seed=3)
         assert noisy.noise_rate == 0.05
         assert noisy.root_seed == 3
         # Untouched fields carry over; the original is unmodified.
@@ -59,7 +60,7 @@ class TestFromScenario:
 
     def test_replace_rejects_unknown_field(self):
         with pytest.raises(TypeError):
-            _scenario().replace(noise_rte=0.05)
+            dataclasses.replace(_scenario(), noise_rte=0.05)
 
 
 class TestInvariants:
@@ -74,13 +75,18 @@ class TestInvariants:
         assert scenario.arrivals == {}
 
     def test_bad_engine_rejected_eagerly(self):
+        # The engine is ambient, not a field: a bad name fails where it
+        # is scoped, before anything is built.
+        with pytest.raises(TypeError):
+            _scenario(engine="des")
         with pytest.raises(ValueError, match="unknown engine"):
-            _scenario(engine="warp-drive")
+            with use_engine("warp-drive"):
+                pass
 
     def test_field_names_cover_the_constructor(self):
-        names = _scenario().field_names()
+        names = tuple(field.name for field in dataclasses.fields(_scenario()))
         assert names[:3] == ("problem", "medium", "protocol_factory")
-        # + telemetry_prefix (fabric segments); tracing is scoped with
-        # ``use_tracer``, not a field.
-        assert len(names) == 13
-        assert "trace" not in names
+        # + telemetry_prefix (fabric segments); tracing and the engine
+        # are scoped with ``use_tracer`` and ``use_engine``, not fields.
+        assert len(names) == 12
+        assert "trace" not in names and "engine" not in names

@@ -80,7 +80,7 @@ class TestFromRegistry:
 class TestSerialisation:
     def test_dict_round_trip(self):
         doc = RunTelemetry.from_registry(
-            _populated_registry(), run_id="X", engine="fastloop", seed=1
+            _populated_registry(), run_id="X", engine="batch", seed=1
         )
         reread = RunTelemetry.from_dict(doc.to_dict())
         assert reread == doc

@@ -96,3 +96,22 @@ def test_corrupted_log_fails_replay(tmp_path, capsys):
 def test_bad_jobs_errors(tmp_path):
     with pytest.raises(SystemExit):
         main(["run", str(tmp_path / "log"), "--jobs", "0"])
+
+
+@pytest.mark.parametrize("command", ["run", "replay", "verify"])
+def test_engine_flag_scopes_the_command(command, tmp_path, monkeypatch):
+    """``--engine`` is in scope for the whole command, so the SERVE-CHECK
+    counter-checks it runs simulate on the engine asked for."""
+    from repro.net.engine import default_engine
+    from repro.serve import cli
+
+    seen = []
+
+    def handler(args):
+        seen.append(default_engine())
+        return 0
+
+    monkeypatch.setattr(cli, f"_cmd_{command}", handler)
+    assert main([command, str(tmp_path / "log"), "--engine", "des"]) == 0
+    assert main([command, str(tmp_path / "log")]) == 0
+    assert seen == ["des", "batch"]

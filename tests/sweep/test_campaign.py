@@ -41,10 +41,10 @@ class TestPointExpansion:
 
     def test_engine_axis_sets_spec_engine(self):
         campaign = Campaign.make(
-            "demo", experiment="FIG1", axes={"engine": ["des", "fastloop"]}
+            "demo", experiment="FIG1", axes={"engine": ["des", "batch"]}
         )
         engines = [p.spec.engine for p in campaign.points()]
-        assert engines == ["des", "fastloop"]
+        assert engines == ["des", "batch"]
 
     def test_fault_axis_expands_presets(self):
         campaign = Campaign.make(

@@ -160,7 +160,7 @@ class TestEngineIdentity:
             batch_size=1,
         )
         aggregates = {}
-        for engine in ("des", "fastloop"):
+        for engine in ("des", "batch"):
             with use_engine(engine):
                 result = run_campaign(
                     campaign,
@@ -169,7 +169,7 @@ class TestEngineIdentity:
                 )
             assert result.complete and result.ok
             aggregates[engine] = result.aggregate_json()
-        assert aggregates["des"] == aggregates["fastloop"]
+        assert aggregates["des"] == aggregates["batch"]
         # Sanity: the aggregate actually carries content to compare.
         doc = json.loads(aggregates["des"])
         assert doc["points"] and doc["axes"]

@@ -82,8 +82,8 @@ class TestWrappers:
         with use_engine("des"):
             with use_engine(None):
                 assert default_engine() == "des"
-            with use_engine("fastloop"):
-                assert default_engine() == "fastloop"
+            with use_engine("batch"):
+                assert default_engine() == "batch"
             assert default_engine() == "des"
 
     def test_engine_rejects_unknown_names(self):

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.net.engine import use_engine
 from repro.tools import bench
 
 
@@ -14,10 +15,11 @@ def test_list_names(capsys):
     assert bench.main(["--list"]) == 0
     out = capsys.readouterr().out
     assert "xi_dp_table" in out
-    assert "channel_slot_rate_16_fastloop" in out
-    assert "telemetry_overhead" in out
-    assert "tracer_overhead" in out
-    assert "(engine: fastloop)" in out
+    assert "channel_slot_rate_16_des" in out
+    assert "channel_slot_rate_256_batch" in out
+    assert "fastloop" not in out
+    assert "telemetry_overhead  (engine: des)" in out
+    assert "tracer_overhead  (engine: des)" in out
 
 
 def test_unknown_bench_rejected():
@@ -31,7 +33,7 @@ def test_smoke_run_writes_report(tmp_path, capsys):
         [
             "--smoke",
             "--only", "divide_conquer_table",
-            "--only", "channel_slot_rate_4_fastloop",
+            "--only", "channel_slot_rate_4_batch",
             "--output", str(output),
         ]
     )
@@ -40,13 +42,13 @@ def test_smoke_run_writes_report(tmp_path, capsys):
     assert payload["schema"] == 1
     assert payload["smoke"] is True
     assert payload["git_rev"]
-    assert payload["default_engine"] in ("auto", "des", "fastloop")
+    assert payload["default_engine"] == "batch"
     by_name = {entry["name"]: entry for entry in payload["benches"]}
     assert set(by_name) == {
-        "divide_conquer_table", "channel_slot_rate_4_fastloop"
+        "divide_conquer_table", "channel_slot_rate_4_batch"
     }
-    slot_rate = by_name["channel_slot_rate_4_fastloop"]
-    assert slot_rate["engine"] == "fastloop"
+    slot_rate = by_name["channel_slot_rate_4_batch"]
+    assert slot_rate["engine"] == "batch"
     assert slot_rate["unit"] == "rounds"
     assert slot_rate["ops_per_sec"] > 0
     assert slot_rate["repeats"] == 1
@@ -195,7 +197,8 @@ def _overhead_ratio(engine: str, **instrument) -> float:
 
     def sample(**kwargs) -> float:
         started = time.perf_counter()
-        bench._channel_slot_rate(16, engine, True, **kwargs)
+        with use_engine(engine):
+            bench._channel_slot_rate(16, True, **kwargs)
         return time.perf_counter() - started
 
     sample()
@@ -207,27 +210,27 @@ def _overhead_ratio(engine: str, **instrument) -> float:
     return min(plain) / min(instrumented)
 
 
-@pytest.mark.parametrize("engine", ["des", "fastloop", "batch"])
+@pytest.mark.parametrize("engine", ["des", "batch"])
 def test_telemetry_overhead_within_budget(engine):
     """Enabled telemetry must stay within a modest fraction of the plain
     throughput (the budget is <=10%; the assertion allows 3x that to keep
     CI machines' scheduling noise from flaking the suite), and the
     disabled path IS the plain bench — NULL_TELEMETRY short-circuits
     before any instrument work.  The ``des`` case runs every slot through
-    the round, so it bounds the per-slot instrument cost; on
-    ``fastloop`` and ``batch`` the plain run leaps its idle stretches, so
-    the instrumented one must too, and the per-run manifest must not pay
-    a ``git`` subprocess each time."""
+    the round, so it bounds the per-slot instrument cost; on ``batch``
+    the plain run leaps its idle stretches, so the instrumented one must
+    too, and the per-run manifest must not pay a ``git`` subprocess each
+    time."""
     assert _overhead_ratio(engine, telemetry=True) > 0.70
 
 
-@pytest.mark.parametrize("engine", ["des", "fastloop", "batch"])
+@pytest.mark.parametrize("engine", ["des", "batch"])
 def test_tracer_overhead_within_budget(engine):
     """An armed flight recorder must stay within a modest fraction of the
     plain throughput (the budget is <=10%; the assertion allows 3x that
     for CI scheduling noise).  The disabled path needs no separate bench:
     the hoisted ``tracer_on`` gate makes it the plain ``channel_slot_rate``
     bench itself.  The ``des`` case records every slot from the round;
-    on ``fastloop`` and ``batch`` the recorder must keep the idle leap: a
-    run of silent slots is one ``channel/idle`` event."""
+    on ``batch`` the recorder must keep the idle leap: a run of silent
+    slots is one ``channel/idle`` event."""
     assert _overhead_ratio(engine, tracer=True) > 0.70

@@ -243,8 +243,8 @@ class TestPerfTrendGate:
         from repro.tools.bench import BenchResult
 
         return BenchResult(
-            name="channel_slot_rate_16_fastloop",
-            engine="fastloop",
+            name="channel_slot_rate_16_des",
+            engine="des",
             unit="rounds",
             ops=1000.0,
             seconds=1000.0 / ops,
@@ -298,7 +298,7 @@ class TestPerfTrendGate:
         entries = load_history(history)
         assert len(entries) == 4  # the bad run is recorded...
         # ...but the comparison above used only the three seeded entries
-        bench = entries[-1]["benches"]["channel_slot_rate_16_fastloop"]
+        bench = entries[-1]["benches"]["channel_slot_rate_16_des"]
         assert bench["ops_per_sec"] == 5_000
 
     def test_window_limits_the_baseline(self, tmp_path, monkeypatch):
@@ -318,7 +318,7 @@ class TestPerfTrendGate:
             entry = {
                 "smoke": False,
                 "benches": {
-                    "channel_slot_rate_16_fastloop": {"ops_per_sec": 99_999}
+                    "channel_slot_rate_16_des": {"ops_per_sec": 99_999}
                 },
             }
             for _ in range(3):

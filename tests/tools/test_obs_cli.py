@@ -34,7 +34,7 @@ def make_manifest(
         with telemetry.span("spec/execute"):
             pass
     doc = RunTelemetry.from_registry(
-        telemetry, run_id=run_id, engine="fastloop", seed=3,
+        telemetry, run_id=run_id, engine="batch", seed=3,
         engine_fallback=engine_fallback,
     )
     # deterministic span timings for diff/ratio tests
@@ -80,7 +80,7 @@ class TestSummarize:
         assert main(["summarize", str(path)]) == 0
         out = capsys.readouterr().out
         assert "run RUN" in out
-        assert "engine=fastloop" in out
+        assert "engine=batch" in out
         assert "slots/success" in out
         assert "latency/a" in out
         assert "p50=" in out and "p99=" in out
