@@ -47,6 +47,7 @@ import sys
 from repro.cliopts import cache_options, execution_options, validate_jobs
 from repro.experiments.registry import EXPERIMENTS
 from repro.faults.models import PLAN_PRESETS, FaultPlan, preset_plan
+from repro.net.engine import use_engine
 from repro.obs.manifest import write_manifests
 from repro.runtime import ParallelExecutor, ResultCache, RunSpec
 
@@ -142,12 +143,7 @@ def main(argv: list[str] | None = None) -> int:
             else None
         )
         specs.append(
-            RunSpec.make(
-                experiment_id,
-                root_seed=root_seed,
-                engine=args.engine,
-                faults=plan,
-            )
+            RunSpec.make(experiment_id, root_seed=root_seed, faults=plan)
         )
     cache = None if args.no_cache else ResultCache(args.cache_dir)
 
@@ -173,22 +169,23 @@ def main(argv: list[str] | None = None) -> int:
         progress=progress,
         collect_telemetry=args.telemetry is not None,
     )
-    if args.profile:
-        records = []
-        for spec in specs:
-            profiler = cProfile.Profile()
-            profiler.enable()
-            try:
-                records.extend(executor.run([spec]))
-            finally:
-                profiler.disable()
-            stream = io.StringIO()
-            stats = pstats.Stats(profiler, stream=stream)
-            stats.sort_stats("cumulative").print_stats(15)
-            print(f"profile [{spec.experiment_id}]:", file=sys.stderr)
-            print(stream.getvalue(), file=sys.stderr, end="")
-    else:
-        records = executor.run(specs)
+    with use_engine(args.engine):
+        if args.profile:
+            records = []
+            for spec in specs:
+                profiler = cProfile.Profile()
+                profiler.enable()
+                try:
+                    records.extend(executor.run([spec]))
+                finally:
+                    profiler.disable()
+                stream = io.StringIO()
+                stats = pstats.Stats(profiler, stream=stream)
+                stats.sort_stats("cumulative").print_stats(15)
+                print(f"profile [{spec.experiment_id}]:", file=sys.stderr)
+                print(stream.getvalue(), file=sys.stderr, end="")
+        else:
+            records = executor.run(specs)
     if args.telemetry is not None:
         manifests = [
             record.telemetry

@@ -150,7 +150,6 @@ def build_chain_topology(
     w: int = 5 * _MS,
     root_seed: int = 0,
     monitors: object = None,
-    telemetry: object = None,
 ) -> tuple[Topology, dict[str, TreeParameters]]:
     """A bridged DDCR chain: the fabric experiments' standard topology.
 
@@ -196,7 +195,6 @@ def build_chain_topology(
         bridges=bridges,
         root_seed=root_seed,
         monitors=monitors,  # type: ignore[arg-type]
-        telemetry=telemetry,  # type: ignore[arg-type]
     )
     return topology, trees
 

@@ -42,7 +42,6 @@ from repro.experiments import (  # noqa: F401
 from repro.experiments.base import ExperimentResult
 from repro.experiments.catalog import ExperimentEntry, entries, get_entry
 from repro.faults.context import use_fault_plan
-from repro.net.engine import use_engine
 from repro.obs.context import current_telemetry
 from repro.runtime.spec import RunSpec
 
@@ -104,18 +103,18 @@ def run_experiment(experiment_id: str) -> ExperimentResult:
 
 
 def run_spec(spec: RunSpec) -> ExperimentResult:
-    """Execute a RunSpec: resolve the entry, apply params, seed, engine
-    and fault plan.
+    """Execute a RunSpec: resolve the entry, apply params, seed and fault
+    plan.
 
-    The spec's engine choice and fault plan are applied as scoped process
-    defaults (:func:`repro.net.engine.use_engine` /
-    :func:`repro.faults.context.use_fault_plan`) so they reach every
+    The spec's fault plan is applied as a scoped process default
+    (:func:`repro.faults.context.use_fault_plan`) so it reaches every
     simulation the experiment builds, without threading arguments through
     each runner's signature.  This also holds inside executor worker
     processes: the spec travels to the worker by pickle and is applied
-    there.  Unlike the engine, the fault plan is part of the spec's
-    content hash, so faulted and fault-free runs never share a cache
-    entry.
+    there.  The fault plan is part of the spec's content hash, so faulted
+    and fault-free runs never share a cache entry.  The engine is not
+    the spec's: the run takes the ambient one
+    (:func:`repro.net.engine.use_engine`).
     """
     telemetry = current_telemetry()
     with telemetry.span("spec/resolve"):
@@ -129,7 +128,7 @@ def run_spec(spec: RunSpec) -> ExperimentResult:
             ) from None
         kwargs = entry.kwargs_for(spec)
     with telemetry.span("spec/execute"):
-        with use_engine(spec.engine), use_fault_plan(spec.fault_plan()):
+        with use_fault_plan(spec.fault_plan()):
             result = entry.runner(**kwargs)
     if result.experiment_id != spec.experiment_id:
         raise RuntimeError(

@@ -34,8 +34,9 @@ from repro.experiments.harness import (
 from repro.model.message import DensityBound, MessageClass
 from repro.model.problem import HRTDMProblem
 from repro.model.source import SourceSpec
+from repro.net.phy import MEDIA
 from repro.serve.model import Request
-from repro.serve.service import MEDIA, AdmissionService, ServeConfig
+from repro.serve.service import AdmissionService, ServeConfig
 from repro.serve.traces import TraceConfig, generate_trace
 
 __all__ = ["run", "problem_from_classes"]

@@ -69,8 +69,8 @@ configs, DCR trees or TDMA rosters, a static index two stations share
 media (contention tags), an armed fault injector, or consistency checks
 (they compare every station's own replica, which the kernel does not
 keep) — and :meth:`BroadcastChannel.run` under ``batch`` then
-delegates to the fast loop, returning the reason so the run
-manifest can record it.  Channels sharing a clock (the dual bus) never
+delegates to the fast loop, returning the reason, which the run's
+result keeps (``RunResult.engine_fallback``).  Channels sharing a clock (the dual bus) never
 reach the kernel: ``run`` sends them to the joint fast loop with a note
 of its own.  At the end of a run the loop writes the kernel's state back
 into every station's MAC (:meth:`BatchKernel.writeback`), so a later
@@ -132,7 +132,7 @@ def batch_unavailable_reason(channel: "BroadcastChannel") -> str | None:
     The checks are *structural* — a property of the run's configuration,
     decidable before the first slot — so the fallback is deterministic and
     behavior-free: the run proceeds on the fast loop with byte-identical
-    results, and the reason lands in the run manifest.
+    results, and the reason lands on the run's result.
     """
     macs = [station.mac for station in channel.stations]
     protocol = type(macs[0])

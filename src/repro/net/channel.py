@@ -9,11 +9,9 @@ as in half-duplex Gigabit Ethernet), and feeds the identical
 common-knowledge substrate all protocols rely on.
 
 The round semantics live in one place — :class:`_RoundDriver` — and one
-entry point turns the crank: :meth:`BroadcastChannel.run` resolves the
-engine (an explicit argument, else the ambient
-:func:`~repro.net.engine.use_engine` scope, default ``batch``) through
-:func:`~repro.net.engine.resolve_engine` — the single place engine
-resolution happens — and runs one of two loops:
+entry point turns the crank: :meth:`BroadcastChannel.run` reads the
+ambient engine (:func:`~repro.net.engine.use_engine`, default ``batch``)
+— the single place a run's engine is read — and runs one of two loops:
 
 * the per-slot reference (``des``): :meth:`Environment.run
   <repro.sim.engine.Environment.run>` steps every round of the N
@@ -32,8 +30,8 @@ resolution happens — and runs one of two loops:
   homogeneous single-bus CSMA/DDCR, CSMA/DCR or TDMA runs; on anything
   else (BEB, slotted ALOHA, consistency-checked runs and channels
   sharing a clock included) the loop runs every station's own replica
-  (the fast loop) and the reason is returned (and recorded in run
-  manifests).  The loop crosses provably idle stretches in one step
+  (the fast loop) and the reason is returned (and kept on the run's
+  result).  The loop crosses provably idle stretches in one step
   (:func:`_stretch_end` for each channel, jointly by :func:`_leap` when
   N > 1): every station's replica, on every channel, must say it is
   idle-steady, for as many slots as its queue lets it stay silent
@@ -77,7 +75,7 @@ import itertools
 import random
 import typing
 
-from repro.net.engine import resolve_engine
+from repro.net.engine import default_engine
 from repro.net.frames import Frame
 from repro.net.phy import MediumProfile
 from repro.obs.context import current_tracer
@@ -749,16 +747,14 @@ class BroadcastChannel:
     def run(
         self,
         horizon: int,
-        engine: str | None = None,
+        *,
         peers: typing.Sequence["BroadcastChannel"] = (),
     ) -> str | None:
         """Run the round loop to ``horizon`` bit-times; returns a fallback note.
 
-        The one entry point behind which both engines sit.  ``engine``
-        names one of :data:`~repro.net.engine.ENGINES`; ``None`` (the
-        default) reads the ambient :func:`~repro.net.engine.use_engine`
-        scope, ``batch`` outside any — resolution happens in exactly one
-        place, :func:`~repro.net.engine.resolve_engine`.  A horizon
+        The one entry point behind which both engines sit.  The engine is
+        the ambient :func:`~repro.net.engine.use_engine` scope's,
+        ``batch`` outside any, read here and nowhere else.  A horizon
         before the clock is a ``ValueError`` on every engine.
 
         ``peers`` are further channels on this channel's environment: the
@@ -776,11 +772,11 @@ class BroadcastChannel:
 
         The return value is ``None`` except when the kernel did not run:
         then it is ``"batch engine unavailable (<reason>): ran fastloop"``
-        (the simulation layer records it in the run manifest as
+        (the simulation layer keeps it on its result as
         ``engine_fallback``).  Results are byte-identical across engines
         either way.
         """
-        engine_name = resolve_engine(engine)
+        engine_name = default_engine()
         channels = (self, *peers)
         for channel in channels:
             if channel.env is not self.env:
@@ -873,7 +869,7 @@ class BroadcastChannel:
         :func:`repro.net.batch.batch_unavailable_reason` refuses, run on
         the fast loop — behavior-identical, just slower — and the reason
         is returned so callers can surface it (the simulation layer
-        records it in the run manifest as ``engine_fallback``).  Eligible
+        keeps it on its result as ``engine_fallback``).  Eligible
         runs return ``None``.  Either way the result is byte-identical to
         the ``des`` reference's.
         """

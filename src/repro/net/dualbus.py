@@ -30,12 +30,9 @@ from repro.model.arrival import ArrivalProcess, GreedyBurstArrivals
 from repro.model.problem import HRTDMProblem
 from repro.model.source import SourceSpec
 from repro.net.channel import BroadcastChannel, ChannelStats
-from repro.net.engine import default_engine
 from repro.net.phy import MediumProfile
 from repro.net.station import Station
 from repro.obs.context import current_telemetry
-from repro.obs.instruments import Telemetry
-from repro.obs.manifest import RunTelemetry
 from repro.protocols.base import (
     UNBOUNDED,
     ChannelState,
@@ -246,9 +243,9 @@ class DualBusResult:
     failovers: int
     #: Per-bus invariant reports (``monitors=True``), else ``None``.
     invariants: tuple[InvariantReport, InvariantReport] | None = None
-    #: Telemetry manifest with per-bus instruments (``bus0/...``,
-    #: ``bus1/...``); set when the simulation owned an explicit registry.
-    telemetry: RunTelemetry | None = None
+    #: Why the batch kernel did not run (the channel's fallback note),
+    #: ``None`` when it ran or was not requested.
+    engine_fallback: str | None = None
 
     @property
     def completions(self):
@@ -291,7 +288,7 @@ class DualBusSimulation:
     a healthy run leaps end to end and a failed one too, but for the
     busy slots, the jam's descent and the failover slot.  ``batch``
     returns the kernel's ``batch engine unavailable (...): ran fastloop``
-    note, recorded in the manifest.
+    note, kept on :attr:`DualBusResult.engine_fallback`.
 
     ``monitors=True`` arms a mutual-exclusion
     :class:`~repro.sim.invariants.MonitorSuite` on each bus (per-bus
@@ -299,6 +296,10 @@ class DualBusSimulation:
     slot-level safety invariant applies per bus: deadline and
     work-conservation accounting spans both busses (shared queues), so
     those monitors belong to single-bus runs.
+
+    Both busses record into the ambient telemetry registry
+    (:func:`repro.obs.context.use_telemetry`), their instruments
+    prefixed ``bus0/`` and ``bus1/``, beside a ``failovers`` gauge.
 
     A flight recorder scoped around :meth:`run`
     (:func:`repro.obs.context.use_tracer`) records both busses into one
@@ -319,7 +320,6 @@ class DualBusSimulation:
         fail_bus_at: int | None = None,
         check_consistency: bool = False,
         monitors: bool = False,
-        telemetry: Telemetry | None = None,
     ) -> None:
         self.problem = problem
         self.medium = medium
@@ -329,7 +329,6 @@ class DualBusSimulation:
         self.fail_bus_at = fail_bus_at
         self.check_consistency = check_consistency
         self.monitors = monitors
-        self.telemetry = telemetry
 
     def _arrival_process(self, class_name: str, source: SourceSpec):
         if class_name in self.arrivals:
@@ -340,10 +339,7 @@ class DualBusSimulation:
 
     def run(self, horizon: int) -> DualBusResult:
         env = Environment()
-        telemetry = (
-            self.telemetry if self.telemetry is not None
-            else current_telemetry()
-        )
+        telemetry = current_telemetry()
         busses = tuple(
             BroadcastChannel(
                 env,
@@ -402,8 +398,7 @@ class DualBusSimulation:
             bus_stations[1].append(station_b)
         # Two channels on one clock, both through the one entry point:
         # ``des`` steps both on the per-slot loop, bus A's first; ``batch``
-        # runs the joint fast loop with the kernel's fallback note,
-        # surfaced in the manifest.
+        # runs the joint fast loop with the kernel's fallback note.
         engine_fallback = busses[0].run(horizon, peers=busses[1:])
         invariants = None
         if suites is not None:
@@ -412,21 +407,13 @@ class DualBusSimulation:
                 for suite, stations in zip(suites, bus_stations)
             )
         failovers = max(c.failovers for c in controllers)
-        manifest = None
         if telemetry.enabled:
             telemetry.gauge("failovers").set(failovers)
-            if self.telemetry is not None:
-                manifest = RunTelemetry.from_registry(
-                    telemetry,
-                    run_id="dualbus",
-                    engine=default_engine(),
-                    engine_fallback=engine_fallback,
-                )
         return DualBusResult(
             horizon=horizon,
             stations=primary_stations,
             bus_stats=(busses[0].stats, busses[1].stats),
             failovers=failovers,
             invariants=invariants,
-            telemetry=manifest,
+            engine_fallback=engine_fallback,
         )

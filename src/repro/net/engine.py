@@ -15,8 +15,8 @@ Two engines can turn the broadcast channel's crank:
   consistency checks, channels sharing a clock, non-destructive media)
   runs the same loop on every station's own replica (the fast loop),
   which leaps on each replica's say-so, and the run returns
-  ``batch engine unavailable (<reason>): ran fastloop``, recorded in the
-  run manifest (``engine_fallback``).
+  ``batch engine unavailable (<reason>): ran fastloop``, kept on the
+  run's result (``engine_fallback``).
 * ``des`` — the per-slot reference: :meth:`Environment.run
   <repro.sim.engine.Environment.run>` steps every round of the channels
   on one clock, the one that starts first next, ties in registration
@@ -33,10 +33,11 @@ fault timelines and violation reports are also byte-identical across
 engines (enforced by the engine-differential tests).
 
 The engine is ambient: :func:`use_engine` scopes it for a dynamic extent
-(the CLIs' ``--engine`` flag, a :class:`~repro.runtime.spec.RunSpec`'s
-``engine`` and a sweep campaign's ``engine`` all enter it), and
-:meth:`BroadcastChannel.run <repro.net.channel.BroadcastChannel.run>`
-reads it when a run starts.  No simulation object carries an engine.
+(every CLI's ``--engine`` flag enters it, and executor pool workers start
+on the one in scope), and :meth:`BroadcastChannel.run
+<repro.net.channel.BroadcastChannel.run>` reads it when a run starts.
+Nothing else selects an engine: no simulation object, run spec or sweep
+campaign carries one.
 """
 
 from __future__ import annotations
@@ -82,10 +83,10 @@ default_engine = _SCOPE.current
 #: dies when the scope exits.
 set_default_engine = _SCOPE.set_default
 
-#: Scoped default-engine override (no-op when the name is ``None``).  The
-#: runtime executor wraps each spec execution in this, so a spec's engine
-#: choice reaches every simulation the experiment builds without
-#: threading a parameter through every experiment module.
+#: Scoped default-engine override (no-op when the name is ``None``).  A
+#: CLI wraps its whole run in this, so ``--engine`` reaches every
+#: simulation an experiment builds without threading a parameter through
+#: every experiment module.
 use_engine = _SCOPE.using
 
 

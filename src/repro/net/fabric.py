@@ -5,8 +5,8 @@ The paper's protocol and proofs live on one broadcast segment; a
 store-and-forward bridges.  This module is the executable half: a
 :class:`Fabric` runs every segment and moves frames across bridges,
 producing per-segment :class:`~repro.net.network.RunResult` s plus the
-fabric-level views — bridge reports, end-to-end journey records and a
-combined telemetry manifest.
+fabric-level views — bridge reports, end-to-end journey records and the
+``fabric/...`` instruments in the ambient telemetry registry.
 
 Execution model — staged, not co-simulated
 ------------------------------------------
@@ -45,8 +45,6 @@ FABRIC experiment checks against :meth:`FabricResult.worst_latency`.
 from __future__ import annotations
 
 import dataclasses
-import time
-import typing
 from collections.abc import Mapping
 
 from repro.core.composition import (
@@ -57,16 +55,11 @@ from repro.core.composition import (
 from repro.core.feasibility import TreeParameters
 from repro.model.arrival import TraceArrivals
 from repro.model.route import Route
-from repro.net.engine import default_engine
 from repro.net.network import NetworkSimulation, RunResult
 from repro.net.scenario import Scenario
 from repro.net.topology import BridgeSpec, Topology
 from repro.obs.context import current_telemetry, current_tracer
-from repro.obs.manifest import RunTelemetry
 from repro.sim.invariants import BridgeConservationMonitor
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.instruments import Telemetry
 
 __all__ = [
     "BridgeReport",
@@ -221,8 +214,9 @@ class FabricResult:
     ``segments`` maps segment name to its ordinary single-bus
     :class:`~repro.net.network.RunResult`, in topological order; the
     fabric-level views sit alongside.  For a one-segment topology the
-    single RunResult (and the manifest) are byte-identical to a bare
-    ``NetworkSimulation.from_scenario(...)`` run of the same scenario.
+    single RunResult (and the telemetry it records) are byte-identical
+    to a bare ``NetworkSimulation.from_scenario(...)`` run of the same
+    scenario.
     """
 
     horizon: int
@@ -233,7 +227,6 @@ class FabricResult:
     #: :attr:`RunResult.engine_fallback`; ``None`` where the batch kernel
     #: ran or was not requested), one entry per segment.
     engine_fallbacks: dict[str, str | None]
-    telemetry: RunTelemetry | None = None
 
     @property
     def invariants_ok(self) -> bool:
@@ -321,7 +314,6 @@ class Fabric:
     # -- execution -----------------------------------------------------
 
     def run(self, horizon: int) -> FabricResult:
-        started = time.perf_counter()
         topology = self.topology
         order = topology.segment_order()
         single = len(topology.segments) == 1
@@ -373,7 +365,6 @@ class Fabric:
                 root_seed=topology.root_seed + declaration[name],
                 faults=topology.faults,
                 monitors=topology.monitors,
-                telemetry=topology.telemetry,
                 telemetry_prefix="" if single else f"{name}/",
             )
             simulation = NetworkSimulation.from_scenario(scenario)
@@ -411,16 +402,13 @@ class Fabric:
             )
             for j in journeys
         )
-        manifest = self._finalize(
-            single, results, reports, records, fallbacks, started
-        )
+        self._finalize(single, reports, records)
         return FabricResult(
             horizon=horizon,
             segments=results,
             bridges=reports,
             journeys=records,
             engine_fallbacks=fallbacks,
-            telemetry=manifest,
         )
 
     def _match_inbound(
@@ -522,67 +510,32 @@ class Fabric:
     def _finalize(
         self,
         single: bool,
-        results: dict[str, RunResult],
         reports: tuple[BridgeReport, ...],
         records: tuple[EndToEndRecord, ...],
-        fallbacks: dict[str, str | None],
-        started: float,
-    ) -> RunTelemetry | None:
-        """Fabric-level instruments and the combined manifest.
+    ) -> None:
+        """Fold the fabric-level instruments into the ambient registry.
 
-        A one-segment fabric adds *no* instruments and reuses the
-        segment's own manifest, keeping telemetry content byte-identical
-        to the bare simulation; multi-segment fabrics snapshot the
-        shared registry (per-segment prefixes plus the ``fabric/...``
-        aggregates) under ``run_id="fabric"``.
+        A one-segment fabric adds *no* instruments, keeping its
+        telemetry content byte-identical to the bare simulation's;
+        multi-segment fabrics add the ``fabric/...`` aggregates beside
+        the per-segment prefixed instruments.
         """
-        topology = self.topology
-        if single:
-            (result,) = results.values()
-            return result.telemetry
-        registry: "Telemetry" = (
-            topology.telemetry
-            if topology.telemetry is not None
-            else current_telemetry()
-        )
-        if registry.enabled:
-            for report in reports:
-                registry.counter(
-                    f"fabric/{report.bridge}/forwarded"
-                ).inc(report.forwarded)
-                registry.gauge(
-                    f"fabric/{report.bridge}/max_occupancy"
-                ).set(report.max_occupancy)
-            delivered = [r for r in records if r.delivered]
-            registry.counter("fabric/journeys/delivered").inc(
-                len(delivered)
+        registry = current_telemetry()
+        if single or not registry.enabled:
+            return
+        for report in reports:
+            registry.counter(f"fabric/{report.bridge}/forwarded").inc(
+                report.forwarded
             )
-            registry.counter("fabric/journeys/in_flight").inc(
-                sum(
-                    1
-                    for r in records
-                    if not r.delivered and not r.dropped
-                )
+            registry.gauge(f"fabric/{report.bridge}/max_occupancy").set(
+                report.max_occupancy
             )
-            if delivered:
-                registry.gauge("fabric/end_to_end/worst_latency").set(
-                    max(r.latency for r in delivered)
-                )
-        if topology.telemetry is None:
-            return None
-        note = "; ".join(
-            f"{name}: {fallback}"
-            for name, fallback in fallbacks.items()
-            if fallback
+        delivered = [r for r in records if r.delivered]
+        registry.counter("fabric/journeys/delivered").inc(len(delivered))
+        registry.counter("fabric/journeys/in_flight").inc(
+            sum(1 for r in records if not r.delivered and not r.dropped)
         )
-        return RunTelemetry.from_registry(
-            topology.telemetry,
-            run_id="fabric",
-            engine=default_engine(),
-            engine_fallback=note or None,
-            seed=topology.root_seed,
-            faults=topology.faults
-            if topology.faults is not None and not topology.faults.is_empty
-            else None,
-            wall_seconds=time.perf_counter() - started,
-        )
+        if delivered:
+            registry.gauge("fabric/end_to_end/worst_latency").set(
+                max(r.latency for r in delivered)
+            )

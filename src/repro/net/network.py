@@ -21,22 +21,15 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import time
-from collections.abc import Mapping
 
 from repro.faults.context import current_fault_plan
-from repro.faults.models import FaultPlan
-from repro.model.arrival import ArrivalProcess, GreedyBurstArrivals
-from repro.model.problem import HRTDMProblem
+from repro.model.arrival import GreedyBurstArrivals
 from repro.model.source import SourceSpec
 from repro.net.channel import BroadcastChannel, ChannelStats
-from repro.net.engine import default_engine
-from repro.net.phy import MediumProfile
 from repro.net.scenario import ProtocolFactory, Scenario
 from repro.net.station import CompletionRecord, Station
 from repro.obs.context import current_telemetry
 from repro.obs.instruments import SEARCH_DEPTH_EDGES, Telemetry
-from repro.obs.manifest import RunTelemetry
 from repro.sim.engine import Environment
 from repro.sim.invariants import InvariantReport, MonitorSuite, standard_suite
 from repro.sim.rng import SeedSequenceRegistry
@@ -60,13 +53,8 @@ class RunResult:
     #: Invariant-monitor report (:mod:`repro.sim.invariants`); ``None``
     #: when the run had no monitors armed.
     invariants: InvariantReport | None = None
-    #: Per-run telemetry manifest (:mod:`repro.obs`); set when the
-    #: simulation owned an explicit telemetry registry, ``None`` when
-    #: telemetry was off or ambient (the scope owner collects it then).
-    telemetry: RunTelemetry | None = None
     #: Why the batch kernel did not run (the channel's fallback note),
-    #: ``None`` when it ran or was not requested; set with or without
-    #: telemetry.
+    #: ``None`` when it ran or was not requested.
     engine_fallback: str | None = None
 
     @functools.cached_property
@@ -121,7 +109,6 @@ class NetworkSimulation:
         self.root_seed = scenario.root_seed
         self.faults = scenario.faults
         self.monitors = scenario.monitors
-        self.telemetry = scenario.telemetry
         self.telemetry_prefix = scenario.telemetry_prefix
         #: Extra invariant monitors appended to whatever ``monitors``
         #: resolves to — the fabric's seam for arming bridge monitors on
@@ -144,13 +131,11 @@ class NetworkSimulation:
 
         A fresh stream registry is built per call, so repeated ``run()``
         invocations of one simulation object are identical.  The run
-        takes the ambient engine (:func:`repro.net.engine.use_engine`).
+        takes the ambient engine (:func:`repro.net.engine.use_engine`)
+        and records into the ambient telemetry registry
+        (:func:`repro.obs.context.use_telemetry`).
         """
-        started = time.perf_counter()
-        telemetry = (
-            self.telemetry if self.telemetry is not None
-            else current_telemetry()
-        )
+        telemetry = current_telemetry()
         rng = SeedSequenceRegistry(self.root_seed)
         channel = BroadcastChannel(
             Environment(),
@@ -227,12 +212,12 @@ class NetworkSimulation:
         suite = self._resolve_monitors(stations, faulted=injector is not None)
         if suite is not None:
             channel.monitors = suite
-        # The channel's unified entry point resolves the engine and owns
+        # The channel's unified entry point reads the engine and owns
         # all dispatch: ``des`` steps every round on the clock's per-slot
         # loop, ``batch`` runs the struct-of-arrays kernel with fast-loop
         # fallback on structurally ineligible runs.  Why the kernel did
         # not run is returned as the fallback note and lands in the
-        # result and the manifest.
+        # result.
         engine_fallback = channel.run(horizon)
         invariants = None
         if suite is not None:
@@ -241,28 +226,15 @@ class NetworkSimulation:
                 stations,
                 down=injector.down if injector is not None else None,
             )
-        manifest = None
         if telemetry.enabled:
             _finalize_telemetry(
                 telemetry, stations, injector, prefix=self.telemetry_prefix
             )
-            if self.telemetry is not None:
-                manifest = RunTelemetry.from_registry(
-                    telemetry,
-                    run_id="simulation",
-                    engine=default_engine(),
-                    engine_fallback=engine_fallback,
-                    seed=self.root_seed,
-                    faults=plan if plan is not None and not plan.is_empty
-                    else None,
-                    wall_seconds=time.perf_counter() - started,
-                )
         return RunResult(
             horizon=horizon,
             stations=stations,
             stats=channel.stats,
             invariants=invariants,
-            telemetry=manifest,
             engine_fallback=engine_fallback,
         )
 

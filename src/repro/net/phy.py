@@ -31,6 +31,7 @@ __all__ = [
     "GIGABIT_ETHERNET",
     "CLASSIC_ETHERNET",
     "ATM_BUS",
+    "MEDIA",
     "ideal_medium",
 ]
 
@@ -119,6 +120,12 @@ ATM_BUS = MediumProfile(
     interframe_gap_bits=0,
     destructive_collisions=False,
 )
+
+#: The named media a configuration or a CLI can pick, keyed by profile name.
+MEDIA: dict[str, MediumProfile] = {
+    profile.name: profile
+    for profile in (GIGABIT_ETHERNET, CLASSIC_ETHERNET, ATM_BUS)
+}
 
 
 def ideal_medium(

@@ -12,7 +12,7 @@ value with explicit defaults, so that
   (identity-wise) without consulting a constructor signature.
 
 A scenario is *configuration*, not identity: it may hold live objects
-(arrival processes, protocol factories, a telemetry registry), so unlike
+(arrival processes, protocol factories, a monitor suite), so unlike
 :class:`~repro.runtime.spec.RunSpec` it has no content hash and no
 serialised form.  Specs name cacheable computations; scenarios describe
 one concrete simulation build.
@@ -31,7 +31,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.model.source import SourceSpec
     from repro.net.phy import MediumProfile
     from repro.net.topology import Topology
-    from repro.obs.instruments import Telemetry
     from repro.protocols.base import MACProtocol
     from repro.sim.invariants import MonitorSuite
 
@@ -62,10 +61,9 @@ class Scenario:
     (:func:`repro.net.engine.use_engine`, ``batch`` outside any scope;
     a run the batch kernel cannot take says why in
     :attr:`RunResult.engine_fallback
-    <repro.net.network.RunResult.engine_fallback>` and the run
-    manifest).  Engines are result-equivalent: the same run under either
-    yields byte-identical statistics, completions and flight-recorder
-    dumps.
+    <repro.net.network.RunResult.engine_fallback>`).  Engines are
+    result-equivalent: the same run under either yields byte-identical
+    statistics, completions and flight-recorder dumps.
 
     ``faults`` arms a :class:`~repro.faults.models.FaultPlan` on the
     channel; ``None`` (default) picks up the ambient scoped plan
@@ -84,19 +82,16 @@ class Scenario:
     <repro.net.network.RunResult.invariants>` — identical under every
     engine.
 
-    ``telemetry`` arms instrument collection (:mod:`repro.obs`): pass a
-    :class:`~repro.obs.instruments.Telemetry` registry to own the run's
-    instruments and receive a :class:`~repro.obs.manifest.RunTelemetry`
-    manifest on :attr:`RunResult.telemetry
-    <repro.net.network.RunResult.telemetry>`; the default ``None`` picks
-    up the ambient scoped registry
-    (:func:`repro.obs.context.use_telemetry` — how the runtime executor
-    collects one document per spec execution), which is the shared no-op
+    A scenario has no telemetry field: the run records its instruments
+    (:mod:`repro.obs`) into the ambient registry
+    (:func:`repro.obs.context.use_telemetry`), the shared no-op
     :data:`~repro.obs.instruments.NULL_TELEMETRY` outside any scope.
-    Instrument values are a pure function of the run, identical under
-    every engine.
+    Whoever scopes the registry builds the run's manifest from it
+    (:mod:`repro.obs.manifest`), as the runtime executor does for each
+    spec execution.  Instrument values are a pure function of the run,
+    identical under every engine.
 
-    A scenario has no tracing field: to trace a run, scope
+    A scenario has no tracing field either: to trace a run, scope
     ``use_tracer(FlightRecorder(capacity=...))``
     (:func:`repro.obs.context.use_tracer`) around building and running
     it.  The channel picks the recorder up at construction and records
@@ -113,7 +108,6 @@ class Scenario:
     root_seed: int = 0
     faults: "FaultPlan | None" = None
     monitors: "bool | MonitorSuite | None" = None
-    telemetry: "Telemetry | None" = None
     #: Namespace prefix for the run's telemetry instruments (the fabric
     #: gives each segment its own — ``seg0/slots/...``); the empty default
     #: keeps single-segment runs byte-identical to the historical names.
@@ -151,5 +145,4 @@ class Scenario:
             root_seed=self.root_seed,
             faults=self.faults,
             monitors=self.monitors,
-            telemetry=self.telemetry,
         )

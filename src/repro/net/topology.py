@@ -53,7 +53,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.model.arrival import ArrivalProcess
     from repro.model.problem import HRTDMProblem
     from repro.net.phy import MediumProfile
-    from repro.obs.instruments import Telemetry
     from repro.sim.invariants import MonitorSuite
 
 __all__ = ["BridgeSpec", "SegmentSpec", "Topology", "TopologyError"]
@@ -69,7 +68,7 @@ class SegmentSpec:
 
     The fields mirror the per-segment subset of
     :class:`~repro.net.scenario.Scenario`; run-wide concerns (seed,
-    tracing, faults, monitors, telemetry) live on :class:`Topology`.
+    faults, monitors) live on :class:`Topology`.
     """
 
     name: str
@@ -163,7 +162,6 @@ class Topology:
     root_seed: int = 0
     faults: "FaultPlan | None" = None
     monitors: "bool | MonitorSuite | None" = None
-    telemetry: "Telemetry | None" = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))

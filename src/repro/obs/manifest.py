@@ -40,17 +40,12 @@ __all__ = [
 MANIFEST_SCHEMA = 1
 
 
-@functools.cache
-def git_rev() -> str:
-    """Short git revision of the working tree, or ``"unknown"``.
-
-    Memoized once per process: the code a process runs is the revision
-    it imported, and every manifest would otherwise pay a ``git``
-    subprocess.
-    """
+def _git(*args: str) -> subprocess.CompletedProcess | None:
+    """Run one ``git`` command in this package's directory (``None``
+    when git cannot be started)."""
     try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+        return subprocess.run(
+            ["git", *args],
             cwd=pathlib.Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
@@ -58,9 +53,26 @@ def git_rev() -> str:
             check=False,
         )
     except OSError:
+        return None
+
+
+@functools.cache
+def git_rev() -> str:
+    """Short git revision of the working tree, or ``"unknown"``.
+
+    A tree whose tracked files differ from ``HEAD`` reads
+    ``<rev>-dirty``: its code is not the revision's, so a result it
+    produced must not name that revision alone.  Memoized once per
+    process: the code a process runs is the revision it imported, and
+    every manifest would otherwise pay ``git`` subprocesses.
+    """
+    proc = _git("rev-parse", "--short", "HEAD")
+    rev = proc.stdout.strip() if proc is not None else ""
+    if proc is None or proc.returncode != 0 or not rev:
         return "unknown"
-    rev = proc.stdout.strip()
-    return rev if proc.returncode == 0 and rev else "unknown"
+    diff = _git("diff", "--quiet", "HEAD", "--")
+    # ``--quiet`` exits 1 when the tree differs, 0 when it does not.
+    return f"{rev}-dirty" if diff is not None and diff.returncode == 1 else rev
 
 
 def fault_plan_hash(faults: "FaultPlan | str | None") -> str | None:

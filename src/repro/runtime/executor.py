@@ -82,11 +82,15 @@ def execute_spec(
     whole execution (:func:`repro.obs.context.use_telemetry`), so every
     simulation the experiment builds records into one document; the
     registry adds ``spec/resolve`` / ``spec/execute`` spans around the
-    runner (:func:`repro.experiments.registry.run_spec`).
+    runner (:func:`repro.experiments.registry.run_spec`).  The manifest
+    and the ``executor/execute`` span name the engine in scope
+    (:func:`repro.net.engine.default_engine`), the one the run took.
     """
     from repro.experiments.registry import run_spec
+    from repro.net.engine import default_engine
 
     started = time.perf_counter()
+    engine = default_engine()
     # The ambient flight recorder (if any) gets one span per execution;
     # simulations built inside pick the same recorder up at construction,
     # so their slot events parent under this span.  NULL_TRACER's span is
@@ -94,20 +98,20 @@ def execute_spec(
     tracer = current_tracer()
     if not collect_telemetry:
         with tracer.span(
-            "executor/execute", spec=spec.experiment_id, engine=spec.engine
+            "executor/execute", spec=spec.experiment_id, engine=engine
         ):
             result = run_spec(spec)
         return result, time.perf_counter() - started, None
     telemetry = Telemetry()
     with use_telemetry(telemetry), telemetry.span("run"), tracer.span(
-        "executor/execute", spec=spec.experiment_id, engine=spec.engine
+        "executor/execute", spec=spec.experiment_id, engine=engine
     ):
         result = run_spec(spec)
     duration = time.perf_counter() - started
     manifest = RunTelemetry.from_registry(
         telemetry,
         run_id=spec.experiment_id,
-        engine=spec.engine,
+        engine=engine,
         seed=spec.root_seed,
         faults=spec.faults,
         source=SOURCE_SERIAL,
@@ -282,11 +286,14 @@ class ParallelExecutor:
         The only span is the cache lookup itself — the original run
         collected nothing — so diffing a cold manifest against a warm
         one shows the full simulation time collapsing into
-        ``cache/lookup``.
+        ``cache/lookup``.  Its engine is the one in scope, as on a
+        manifest the executor collects.
         """
+        from repro.net.engine import default_engine
+
         return RunTelemetry(
             run_id=spec.experiment_id,
-            engine=spec.engine,
+            engine=default_engine(),
             seed=spec.root_seed,
             git_rev=git_rev(),
             fault_plan=fault_plan_hash(spec.faults),

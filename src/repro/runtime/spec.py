@@ -118,12 +118,11 @@ class RunSpec:
     equality; an empty plan is normalised to ``None`` at :meth:`make`
     time (it is proven byte-identical to a fault-free run).
 
-    ``engine`` selects the simulation engine the run executes on (see
-    :mod:`repro.net.engine`); ``None`` keeps the process default.  Both
-    engines produce byte-identical results, so the engine is *execution
-    strategy*, not content: it is deliberately excluded from
-    :meth:`canonical_key` (and hence :meth:`spec_hash` and spec equality),
-    keeping cache entries valid across engine choices.
+    A spec names no engine: the run takes the ambient one
+    (:func:`repro.net.engine.use_engine`).  Both engines produce
+    byte-identical results, so the engine is *execution strategy*, not
+    content, and a cache entry serves a spec whichever engine is in
+    scope.
     """
 
     experiment_id: str
@@ -131,7 +130,6 @@ class RunSpec:
     root_seed: int | None = None
     salt: str | None = None
     faults: str | None = None
-    engine: str | None = dataclasses.field(default=None, compare=False)
 
     @classmethod
     def make(
@@ -141,7 +139,6 @@ class RunSpec:
         root_seed: int | None = None,
         salt: str | None = None,
         faults: object = None,
-        engine: str | None = None,
         **params: object,
     ) -> "RunSpec":
         """Build a spec, canonicalising parameters.
@@ -150,10 +147,6 @@ class RunSpec:
         plan dict, or a JSON string; all are validated and canonicalised
         through the plan's own serialisation.
         """
-        if engine is not None:
-            from repro.net.engine import resolve_engine
-
-            resolve_engine(engine)  # validate eagerly
         frozen = tuple(
             (name, freeze_params(value))
             for name, value in sorted(params.items())
@@ -164,7 +157,6 @@ class RunSpec:
             root_seed=root_seed,
             salt=salt,
             faults=_canonical_faults(faults),
-            engine=engine,
         )
 
     def fault_plan(self):
@@ -180,12 +172,7 @@ class RunSpec:
         return dict(self.params)
 
     def canonical_key(self) -> str:
-        """Stable serialisation of everything that defines the result.
-
-        ``engine`` is intentionally absent: engines are proven
-        result-equivalent, so a cached result satisfies a spec regardless
-        of the engine either run asked for.
-        """
+        """Stable serialisation of everything that defines the result."""
         payload = {
             "format": CACHE_FORMAT_VERSION,
             "experiment": self.experiment_id,

@@ -50,12 +50,7 @@ import typing
 from repro.core.feas_engine import FeasibilityEngine
 from repro.core.feasibility import TreeParameters, check_feasibility
 from repro.model.message import DensityBound, MessageClass
-from repro.net.phy import (
-    ATM_BUS,
-    CLASSIC_ETHERNET,
-    GIGABIT_ETHERNET,
-    MediumProfile,
-)
+from repro.net.phy import GIGABIT_ETHERNET, MEDIA, MediumProfile
 from repro.obs.context import use_tracer
 from repro.obs.export import iter_jsonl_tail
 from repro.obs.instruments import DECISION_LATENCY_EDGES, NULL_TELEMETRY
@@ -77,12 +72,6 @@ __all__ = [
     "read_incidents",
     "replay_event_log",
 ]
-
-#: Media the service config can name (the same set ``tools.check`` uses).
-MEDIA: dict[str, MediumProfile] = {
-    profile.name: profile
-    for profile in (GIGABIT_ETHERNET, CLASSIC_ETHERNET, ATM_BUS)
-}
 
 #: Event-log schema version (bump on incompatible layout changes).
 LOG_SCHEMA = 1

@@ -4,10 +4,12 @@ A :class:`Campaign` is pure data — a name, a :class:`~repro.sweep.grid.Grid`,
 fixed base parameters and a shard size — whose :meth:`~Campaign.points`
 expansion maps every grid point onto a content-addressed
 :class:`~repro.runtime.spec.RunSpec`.  Reserved axes move into spec
-fields (``seed`` → ``root_seed``, ``engine`` → engine choice, ``fault`` →
-a preset fault plan, ``faults`` → a plan as canonical JSON,
-``experiment`` → the experiment id); everything else becomes a runner
-keyword argument layered over the campaign's base ``params``.
+fields (``seed`` → ``root_seed``, ``fault`` → a preset fault plan,
+``faults`` → a plan as canonical JSON, ``experiment`` → the experiment
+id); everything else becomes a runner keyword argument layered over the
+campaign's base ``params``.  A campaign names no engine: its points run
+on the ambient one (:func:`repro.net.engine.use_engine`, which
+``sweep --engine`` scopes).
 
 :func:`run_campaign` drives the expansion through the cache-aware
 :class:`~repro.runtime.executor.ParallelExecutor` in bounded shards
@@ -63,7 +65,6 @@ class Campaign:
     #: Points per executor submission; bounds peak memory and sets the
     #: checkpoint granularity (a kill loses at most one shard of work).
     batch_size: int = 4
-    engine: str | None = None
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -86,7 +87,6 @@ class Campaign:
         seeds: Sequence[int] | None = None,
         params: Mapping[str, object] | None = None,
         batch_size: int = 4,
-        engine: str | None = None,
         description: str = "",
     ) -> "Campaign":
         """Build a campaign from a grid or inline axes (not both)."""
@@ -104,7 +104,6 @@ class Campaign:
             experiment=experiment,
             params=frozen_params,
             batch_size=batch_size,
-            engine=engine,
             description=description,
         )
 
@@ -133,7 +132,6 @@ class Campaign:
                     "'experiment' axis)"
                 )
             seed = values.pop(SEED_AXIS, None)
-            engine = values.pop("engine", self.engine)
             faults = values.pop("faults", None)
             preset = values.pop("fault", None)
             if preset is not None:
@@ -149,7 +147,6 @@ class Campaign:
                 str(experiment),
                 root_seed=seed if isinstance(seed, int) else None,
                 faults=faults,
-                engine=engine if isinstance(engine, str) else None,
                 **{**base, **values},
             )
             out.append(CampaignPoint(index=index, point=point, spec=spec))
@@ -195,7 +192,6 @@ class Campaign:
                 key: _jsonable(value) for key, value in self.params
             },
             "batch_size": self.batch_size,
-            "engine": self.engine,
             "description": self.description,
         }
         doc.update(self.grid.to_dict())
@@ -208,7 +204,6 @@ class Campaign:
             "experiment",
             "params",
             "batch_size",
-            "engine",
             "description",
             "axes",
             "zip",
@@ -234,7 +229,6 @@ class Campaign:
             ),
             params=doc.get("params"),  # type: ignore[arg-type]
             batch_size=int(doc.get("batch_size", 4)),
-            engine=doc.get("engine"),  # type: ignore[arg-type]
             description=str(doc.get("description", "")),
         )
 

@@ -18,9 +18,9 @@ expansion is picklable, hashable and JSON-round-trippable.
 
 Reserved axis names carry RunSpec-level meaning when a campaign expands
 the grid (see :mod:`repro.sweep.campaign`): ``experiment`` selects the
-experiment id per point, ``engine`` the simulation engine, ``fault`` a
-preset fault-plan name, ``faults`` a fault plan as canonical JSON;
-every other axis becomes a runner keyword argument.
+experiment id per point, ``fault`` a preset fault-plan name, ``faults``
+a fault plan as canonical JSON; every other axis becomes a runner
+keyword argument.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.runtime.spec import freeze_params
 __all__ = ["Grid", "RESERVED_AXES", "SEED_AXIS"]
 
 #: Axis names that map onto RunSpec fields instead of runner params.
-RESERVED_AXES = frozenset({"experiment", "engine", "fault", "faults"})
+RESERVED_AXES = frozenset({"experiment", "fault", "faults"})
 
 #: The implicit axis name ``seeds`` replicas expand under.
 SEED_AXIS = "seed"

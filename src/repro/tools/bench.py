@@ -299,24 +299,22 @@ def _channel_slot_rate(
         time_f=16, time_m=2, class_width=65_536,
         static_q=problem.static_q, static_m=problem.static_m,
     )
-    registry = None
-    if telemetry:
-        from repro.obs.instruments import Telemetry
+    registry = recorder = None
+    with contextlib.ExitStack() as scope:
+        # The run records into the ambient registry and tracer (neither a
+        # scenario nor a simulation takes one), so scope them around
+        # build+run — the same way a traced serve session's counter-check
+        # arms its recorder.
+        if telemetry:
+            from repro.obs.context import use_telemetry
+            from repro.obs.instruments import Telemetry
 
-        registry = Telemetry()
-    scope = contextlib.nullcontext()
-    recorder = None
-    if tracer:
-        # The channel picks the flight recorder up ambiently at
-        # construction (NetworkSimulation has no tracer parameter), so
-        # scope it around build+run — the same way a traced serve
-        # session's counter-check arms it.
-        from repro.obs.context import use_tracer
-        from repro.obs.tracer import FlightRecorder
+            registry = scope.enter_context(use_telemetry(Telemetry()))
+        if tracer:
+            from repro.obs.context import use_tracer
+            from repro.obs.tracer import FlightRecorder
 
-        recorder = FlightRecorder()
-        scope = use_tracer(recorder)
-    with scope:
+            recorder = scope.enter_context(use_tracer(FlightRecorder()))
         simulation = NetworkSimulation.from_scenario(
             Scenario(
                 problem=problem,
@@ -324,16 +322,14 @@ def _channel_slot_rate(
                 protocol_factory=lambda s: DDCRProtocol(config),
                 root_seed=seed,
                 monitors=monitors,
-                telemetry=registry,
             )
         )
         result = simulation.run(200_000 if smoke else 1_000_000)
     assert result.delivered > 0
     if monitors:
         assert result.invariants is not None and result.invariants.ok
-    if telemetry:
-        assert result.telemetry is not None
-        assert result.telemetry.counters["slots/success"] > 0
+    if registry is not None:
+        assert registry.counter("slots/success").value > 0
     if tracer:
         assert recorder is not None and recorder.emitted > 0
     return float(result.stats.rounds), "rounds"

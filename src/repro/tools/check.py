@@ -78,18 +78,8 @@ from repro.core.feas_grid import check_feasibility_batch
 from repro.core.feasibility import TreeParameters
 from repro.model.serialize import load_problem
 from repro.net.engine import use_engine
-from repro.net.phy import (
-    ATM_BUS,
-    CLASSIC_ETHERNET,
-    GIGABIT_ETHERNET,
-    MediumProfile,
-)
+from repro.net.phy import GIGABIT_ETHERNET, MEDIA
 from repro.runtime import ParallelExecutor, ResultCache, RunSpec
-
-MEDIA: dict[str, MediumProfile] = {
-    profile.name: profile
-    for profile in (GIGABIT_ETHERNET, CLASSIC_ETHERNET, ATM_BUS)
-}
 
 _MS = 1_000_000
 

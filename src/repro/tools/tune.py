@@ -24,8 +24,7 @@ from repro.analysis.report import format_table
 from repro.core.feasibility import TreeParameters, check_feasibility
 from repro.model.problem import HRTDMProblem
 from repro.model.serialize import load_problem
-from repro.net.phy import MediumProfile
-from repro.tools.check import MEDIA
+from repro.net.phy import MEDIA, MediumProfile
 
 __all__ = ["TuneOutcome", "tune", "main"]
 

@@ -235,14 +235,6 @@ class TestRunSpecIntegration:
         assert clean.spec_hash() == empty.spec_hash()
         assert empty.faults is None
 
-    def test_engine_still_outside_the_hash(self):
-        from repro.runtime.spec import RunSpec
-
-        plan = FaultPlan((_CRASH,))
-        des = RunSpec.make("PROTO", faults=plan, engine="des")
-        batch = RunSpec.make("PROTO", faults=plan, engine="batch")
-        assert des.spec_hash() == batch.spec_hash()
-
     def test_plan_forms_are_equivalent(self):
         from repro.runtime.spec import RunSpec
 

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.model.arrival import TraceArrivals
 from repro.model.message import DensityBound, MessageClass
 from repro.net.channel import BroadcastChannel
+from repro.net.engine import use_engine
 from repro.net.phy import ideal_medium
 from repro.net.station import Station
 from repro.protocols.csma_cd import CSMACDProtocol
@@ -81,7 +82,8 @@ def _build_and_run(protocol_builder, z, length, deadline, arrivals,
             )
         channel.attach(station)
         stations.append(station)
-    channel.run(HORIZON, engine="des")
+    with use_engine("des"):
+        channel.run(HORIZON)
     return stations
 
 

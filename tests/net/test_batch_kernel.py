@@ -26,6 +26,7 @@ from repro.model.arrival import GreedyBurstArrivals
 from repro.model.workloads import uniform_problem
 from repro.net.batch import BatchKernel, batch_unavailable_reason
 from repro.net.channel import BroadcastChannel, _RoundDriver
+from repro.net.engine import use_engine
 from repro.net.phy import ATM_BUS, ideal_medium
 from repro.net.station import Station
 from repro.obs.tracer import FlightRecorder
@@ -276,12 +277,14 @@ def test_run_batch_falls_back_and_reports_why():
         tracer=_recorder(),
         mac_factory=lambda source: CSMACDProtocol(seed=source.source_id),
     )
-    reference.run(_HORIZON, engine="des")
+    with use_engine("des"):
+        reference.run(_HORIZON)
     batched = _build_channel(
         tracer=_recorder(),
         mac_factory=lambda source: CSMACDProtocol(seed=source.source_id),
     )
-    note = batched.run(_HORIZON, engine="batch")
+    with use_engine("batch"):
+        note = batched.run(_HORIZON)
     assert "batch engine unavailable" in note
     assert _NOT_KERNEL_MACS in note
     assert _digest(batched) == _digest(reference)
@@ -359,7 +362,8 @@ def _run_leaping(
     )
     if jam is not None:
         channel.jam_from, channel.jam_until = jam
-    channel.run(_HORIZON, engine=engine)
+    with use_engine(engine):
+        channel.run(_HORIZON)
     assert channel.env.now == _HORIZON
     return _digest(channel)
 
@@ -488,7 +492,8 @@ def _run_monitored(engine, suite_factory, load=True):
     ``on_idle`` exists."""
     channel = _build_channel(load=load, tracer=_recorder())
     channel.monitors = MonitorSuite(suite_factory(channel))
-    channel.run(_HORIZON, engine=engine)
+    with use_engine(engine):
+        channel.run(_HORIZON)
     assert channel.env.now == _HORIZON
     report = channel.monitors.finalize(_HORIZON, channel.stations)
     assert report.slots_checked == channel.stats.rounds

@@ -6,7 +6,7 @@ import pytest
 
 from repro.model.arrival import PeriodicArrivals, TraceArrivals
 from repro.net.channel import BroadcastChannel, _RoundDriver
-from repro.net.engine import ENGINES
+from repro.net.engine import ENGINES, use_engine
 from repro.net.phy import GIGABIT_ETHERNET, ideal_medium
 from repro.net.station import CompletionRecord, Station
 from repro.obs.tracer import FlightRecorder
@@ -86,10 +86,11 @@ class TestChannelAccounting:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_horizon_before_the_clock_rejected(self, engine):
         channel = _idle_channel()
-        channel.run(1_000, engine=engine)
-        rounds = channel.stats.rounds
-        with pytest.raises(ValueError, match=r"=500 .*\(now=1000\)"):
-            channel.run(500, engine=engine)
+        with use_engine(engine):
+            channel.run(1_000)
+            rounds = channel.stats.rounds
+            with pytest.raises(ValueError, match=r"=500 .*\(now=1000\)"):
+                channel.run(500)
         assert channel.env.now == 1_000
         assert channel.stats.rounds == rounds
 
@@ -102,7 +103,8 @@ class TestChannelAccounting:
         station = Station(0, TDMAProtocol((0,)))
         station.load_arrivals(make_class(), TraceArrivals(trace=(0,)), 10_000)
         channel.attach(station)
-        channel.run(10_000, engine="des")
+        with use_engine("des"):
+            channel.run(10_000)
         events = recorder.events()
         states = {
             event.data["state"]
@@ -156,7 +158,8 @@ class TestIdleRuns:
 
         monkeypatch.setattr(_RoundDriver, "leap", driver_spy)
         recorder = FlightRecorder()
-        _idle_channel(tracer=recorder).run(_IDLE_HORIZON, engine=engine)
+        with use_engine(engine):
+            _idle_channel(tracer=recorder).run(_IDLE_HORIZON)
         # The kernel crosses all 1,000 slots in one leap; the DES steps
         # them one by one.
         assert leaps == ([] if engine == "des" else [(True, 1_000)])
@@ -169,13 +172,15 @@ class TestIdleRuns:
     def test_any_event_in_between_starts_a_new_run(self, engine):
         recorder = FlightRecorder()
         channel = _idle_channel(tracer=recorder)
-        channel.run(6_400, engine=engine)
-        recorder.emit("mark")
-        channel.run(12_800, engine=engine)
-        # A span that closed in between changes the parent: new run too.
-        with recorder.span("scope") as scope:
-            channel.run(19_200, engine=engine)
-        channel.run(25_600, engine=engine)
+        with use_engine(engine):
+            channel.run(6_400)
+            recorder.emit("mark")
+            channel.run(12_800)
+            # A span that closed in between changes the parent: new run
+            # too.
+            with recorder.span("scope") as scope:
+                channel.run(19_200)
+            channel.run(25_600)
         assert _events(recorder) == [
             ("channel/idle", {"n": 100, "t": 0, "slot": 64}, None),
             ("mark", {}, None),
@@ -192,8 +197,9 @@ class TestIdleRuns:
         recorder = FlightRecorder()
         # One after the other: the second channel's first silent slot is
         # the newest-event candidate, yet it is not this channel's run.
-        for _ in range(2):
-            _idle_channel(tracer=recorder).run(6_400, engine=engine)
+        with use_engine(engine):
+            for _ in range(2):
+                _idle_channel(tracer=recorder).run(6_400)
         assert _events(recorder) == [
             ("channel/idle", {"n": 100, "t": 0, "slot": 64}, None),
         ] * 2
@@ -211,7 +217,8 @@ class TestIdleRuns:
                 _idle_channel(env, tracer=recorder, prefix=f"bus{i}/")
                 for i in range(2)
             ]
-            busses[0].run(320, engine=engine, peers=busses[1:])
+            with use_engine(engine):
+                busses[0].run(320, peers=busses[1:])
             assert env.now == 320
             return _events(recorder)
 

@@ -26,6 +26,7 @@ from repro.model.arrival import GreedyBurstArrivals
 from repro.model.workloads import uniform_problem
 from repro.net import channel as channel_module
 from repro.net.channel import BroadcastChannel, _RoundDriver
+from repro.net.engine import use_engine
 from repro.net.phy import ideal_medium
 from repro.net.station import Station
 from repro.obs.tracer import FlightRecorder
@@ -125,7 +126,8 @@ def _run(engine, **case):
             _observe(observation)
 
         station.mac.observe = counted
-    channel.run(_HORIZON, engine=engine)
+    with use_engine(engine):
+        channel.run(_HORIZON)
     assert channel.env.now == _HORIZON
     report = (
         channel.monitors.finalize(_HORIZON, channel.stations)
@@ -258,7 +260,8 @@ def test_jammed_leap_needs_a_suite_that_digests_jammed_slots(
         channel = _build_channel(jam=(125_000, None))
         if suite is not None:
             channel.monitors = MonitorSuite(suite(channel))
-        channel.run(_HORIZON, engine=engine)
+        with use_engine(engine):
+            channel.run(_HORIZON)
         if engine == "batch":
             assert bool(jammed) == leaps
             if leaps:
@@ -297,7 +300,8 @@ def _stretches(**case):
     _RoundDriver.leap = spy
     try:
         channel = _build_channel(**case)
-        channel.run(_HORIZON, engine="batch")
+        with use_engine("batch"):
+            channel.run(_HORIZON)
     finally:
         _RoundDriver.leap = original
     return leaps, channel
@@ -345,7 +349,8 @@ def test_desync_just_before_a_stretch_fails(monkeypatch):
     start, _ = _stretch()
     _leap_hook(monkeypatch, start, lambda ch: _desync(ch.stations[2]))
     with pytest.raises(AssertionError, match=f"t={start}: stations disagree"):
-        _build_channel().run(_HORIZON, engine="batch")
+        with use_engine("batch"):
+            _build_channel().run(_HORIZON)
 
 
 def test_desync_at_a_stretchs_first_slot_fails():
@@ -361,7 +366,8 @@ def test_desync_at_a_stretchs_first_slot_fails():
 
     mac.leap_idle = desynced
     with pytest.raises(AssertionError, match=f"t={start}: stations disagree"):
-        channel.run(_HORIZON, engine="batch")
+        with use_engine("batch"):
+            channel.run(_HORIZON)
 
 
 def test_desync_inside_a_stretch_fails_at_its_last_slot():
@@ -379,7 +385,8 @@ def test_desync_inside_a_stretch_fails_at_its_last_slot():
     with pytest.raises(
         AssertionError, match=f"t={end - _SLOT}: stations disagree"
     ):
-        channel.run(_HORIZON, engine="batch")
+        with use_engine("batch"):
+            channel.run(_HORIZON)
 
 
 def test_tdma_desync_inside_a_stretch_fails_at_its_last_slot():
@@ -399,7 +406,8 @@ def test_tdma_desync_inside_a_stretch_fails_at_its_last_slot():
     with pytest.raises(
         AssertionError, match=f"t={end - _SLOT}: stations disagree"
     ):
-        channel.run(_HORIZON, engine="batch")
+        with use_engine("batch"):
+            channel.run(_HORIZON)
 
 
 def test_desync_right_after_a_stretch_fails():
@@ -414,7 +422,8 @@ def test_desync_right_after_a_stretch_fails():
 
     channel._assert_lockstep = desync_after_last_slot
     with pytest.raises(AssertionError, match=f"t={end}: stations disagree"):
-        channel.run(_HORIZON, engine="batch")
+        with use_engine("batch"):
+            channel.run(_HORIZON)
 
 
 def test_replica_out_of_steady_state_blocks_the_leap(monkeypatch):
@@ -438,5 +447,6 @@ def test_replica_out_of_steady_state_blocks_the_leap(monkeypatch):
 
     seen = _leap_hook(monkeypatch, start, phantom_collision)
     with pytest.raises(AssertionError, match=f"t={start}: stations disagree"):
-        _build_channel().run(_HORIZON, engine="batch")
+        with use_engine("batch"):
+            _build_channel().run(_HORIZON)
     assert seen == [0]

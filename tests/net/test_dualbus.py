@@ -14,6 +14,7 @@ from repro.net.dualbus import (
     DualBusSimulation,
     suggested_jam_threshold,
 )
+from repro.net.engine import use_engine
 from repro.net.phy import ideal_medium
 from repro.net.station import Station
 from repro.protocols.base import (
@@ -280,7 +281,8 @@ class TestBusPortJam:
         runs = {}
         for engine in ("des", "batch"):
             busses, controllers = self._busses()
-            busses[0].run(640, engine=engine, peers=busses[1:])
+            with use_engine(engine):
+                busses[0].run(640, peers=busses[1:])
             runs[engine] = [c.state_key() for c in controllers]
             observed = [s.mac.inner.observed for s in busses[0].stations]
             if engine == "batch":
@@ -326,6 +328,21 @@ class TestDualBusRuns:
         assert result.failovers == 0
         # Messages arriving after the failure are stranded.
         assert len(result.backlog()) > 0
+
+    def test_failed_run_keeps_the_engine_note(self):
+        """The note on why the kernel did not run rides on the result,
+        with no telemetry in scope: ``batch`` runs two busses on one clock
+        in the joint fast loop, the per-slot ``des`` reference has none."""
+        result = _simulate(fail_at=500_000, horizon=1_000_000)
+        assert result.failovers == 1
+        assert result.engine_fallback == (
+            "batch engine unavailable (2 channels share one clock): "
+            "ran fastloop"
+        )
+        with use_engine("des"):
+            reference = _simulate(fail_at=500_000, horizon=1_000_000)
+        assert reference.failovers == 1
+        assert reference.engine_fallback is None
 
     def test_completions_unique_across_busses(self):
         result = _simulate(fail_at=1_500_000)

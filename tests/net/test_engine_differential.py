@@ -51,7 +51,9 @@ from repro.net.fabric import Fabric
 from repro.net.network import NetworkSimulation, Scenario
 from repro.net.phy import GIGABIT_ETHERNET, ideal_medium
 from repro.net.station import Station
-from repro.obs.context import use_tracer
+from repro.obs.context import use_telemetry, use_tracer
+from repro.obs.instruments import Telemetry
+from repro.obs.manifest import RunTelemetry
 from repro.obs.tracer import FlightRecorder
 from repro.protocols.csma_cd import CSMACDProtocol
 from repro.protocols.dcr import DCRProtocol
@@ -446,7 +448,8 @@ def _run_owned_indices(engine, offers, mac_factory=None):
 
             mac.offer = spy
         channel.attach(station)
-    assert channel.run(100_000, engine=engine) is None
+    with use_engine(engine):
+        assert channel.run(100_000) is None
     completions = [
         record for station in channel.stations
         for record in station.completions
@@ -556,7 +559,9 @@ def test_a_shared_static_index_falls_back_to_the_fast_loop():
         channel.attach(
             Station(station_id, DDCRProtocol(config), static_indices=indices)
         )
-    assert channel.run(10_000, engine="batch") == (
+    with use_engine("batch"):
+        note = channel.run(10_000)
+    assert note == (
         "batch engine unavailable (stations share static index 1): "
         "ran fastloop"
     )
@@ -830,7 +835,8 @@ def _order_probe(engine, case):
     first, second = (
         (silent, sender) if case == "later-start" else (sender, silent)
     )
-    first.run(2_000, engine=engine, peers=[second])
+    with use_engine(engine):
+        first.run(2_000, peers=[second])
     return _dump(recorder)
 
 
@@ -916,7 +922,8 @@ def _shared_clock_run(
             )
             bus.attach(station)
         busses.append(bus)
-    busses[0].run(horizon, engine=engine, peers=busses[1:])
+    with use_engine(engine):
+        busses[0].run(horizon, peers=busses[1:])
     completions = [
         record
         for bus in busses
@@ -1009,11 +1016,21 @@ _DUAL_CASES = {
 }
 
 
-def _run_dualbus(engine, case):
-    """One traced dual-bus run; returns the result and the byte digest
-    of everything it observed."""
-    from repro.obs.instruments import Telemetry
+def _manifest(registry, result, **provenance):
+    """The manifest of one run, built as whoever scopes the registry
+    builds it: the engine in scope and the run's fallback note."""
+    return RunTelemetry.from_registry(
+        registry,
+        run_id="run",
+        engine=default_engine(),
+        engine_fallback=result.engine_fallback,
+        **provenance,
+    )
 
+
+def _run_dualbus(engine, case):
+    """One traced dual-bus run; returns the result, its manifest and the
+    byte digest of everything it observed."""
     problem = uniform_problem(
         z=4, length=1_000, deadline=400_000, a=1, w=200_000
     )
@@ -1024,12 +1041,13 @@ def _run_dualbus(engine, case):
         problem,
         ideal_medium(slot_time=64),
         protocol_factory=lambda source: DDCRProtocol(config),
-        telemetry=Telemetry(),
         **options,
     )
     recorder = _recorder()
-    with use_tracer(recorder), use_engine(engine):
+    registry = Telemetry()
+    with use_tracer(recorder), use_telemetry(registry), use_engine(engine):
         result = simulation.run(_HORIZON)
+        manifest = _manifest(registry, result)
     dump = _dump(recorder)
     # One dump for both busses: each bus's kinds carry its prefix.  Bus B
     # carries traffic only after a failover; until then it is all idle.
@@ -1053,11 +1071,11 @@ def _run_dualbus(engine, case):
             result.completions,
             result.backlog(),
             result.invariants,
-            result.telemetry.content_json(),
+            manifest.content_json(),
             dump,
         )
     )
-    return result, digest
+    return result, manifest, digest
 
 
 def _spy_joint_leaps(monkeypatch):
@@ -1106,15 +1124,17 @@ def test_dualbus_engines_identical(case, monkeypatch):
                 n for prefix, start, n in jammed
                 if prefix == "bus0/" and start >= fail_at
             ) > 100, jammed
-    assert len({digest for _, digest in results.values()}) == 1
-    des, batch = results["des"][0], results["batch"][0]
-    assert des.telemetry.engine_fallback is None
-    assert batch.telemetry.engine_fallback == (
+    assert len({digest for _, _, digest in results.values()}) == 1
+    (des, des_manifest, _), (_, batch_manifest, _) = (
+        results["des"], results["batch"]
+    )
+    assert des_manifest.engine_fallback is None
+    assert batch_manifest.engine_fallback == (
         "batch engine unavailable (2 channels share one clock): ran fastloop"
     )
-    counters = des.telemetry.counters
+    counters = des_manifest.counters
     assert counters["bus0/slots/success"] > 0
-    assert des.telemetry.gauges["failovers"] == des.failovers
+    assert des_manifest.gauges["failovers"] == des.failovers
     if case == "healthy":
         assert des.failovers == 0
         assert counters["bus1/slots/success"] == 0  # the standby is silent
@@ -1133,16 +1153,15 @@ def test_dualbus_engine_fallback_is_identical():
     loop, says so, and still produces byte-identical results to the DES
     (failover included), which has no note."""
     runs = {engine: _run_dualbus(engine, "failover") for engine in ENGINES}
-    assert len({digest for _, digest in runs.values()}) == 1
-    assert runs["batch"][0].telemetry.engine_fallback == (
+    assert len({digest for _, _, digest in runs.values()}) == 1
+    assert runs["batch"][1].engine_fallback == (
         "batch engine unavailable (2 channels share one clock): ran fastloop"
     )
-    assert runs["des"][0].telemetry.engine_fallback is None
+    assert runs["des"][1].engine_fallback is None
 
 
 def test_dualbus_telemetry_identical_across_engines():
     """Per-bus instrument namespaces survive the joint fast loop."""
-    from repro.obs.instruments import Telemetry
 
     def run(engine):
         problem = uniform_problem(
@@ -1155,12 +1174,10 @@ def test_dualbus_telemetry_identical_across_engines():
             protocol_factory=lambda source: DDCRProtocol(config),
             jam_threshold=suggested_jam_threshold(config),
             fail_bus_at=_HORIZON // 3,
-            telemetry=Telemetry(),
         )
-        with use_engine(engine):
-            manifest = simulation.run(_HORIZON).telemetry
-        assert manifest is not None
-        return manifest
+        registry = Telemetry()
+        with use_engine(engine), use_telemetry(registry):
+            return _manifest(registry, simulation.run(_HORIZON))
 
     des, batch = (run(engine) for engine in ENGINES)
     assert des.content_json() == batch.content_json()
@@ -1253,8 +1270,6 @@ def test_seed_randomized_faulted_equivalence():
 
 
 def _run_telemetry(engine, protocol="ddcr", noise=0.0, seed=0, faults=None):
-    from repro.obs.instruments import Telemetry
-
     problem = uniform_problem(
         z=6, length=1_000, deadline=400_000, a=1, w=200_000
     )
@@ -1268,13 +1283,13 @@ def _run_telemetry(engine, protocol="ddcr", noise=0.0, seed=0, faults=None):
             root_seed=seed,
             faults=faults,
             monitors=False if faults is None else None,
-            telemetry=Telemetry(),
         )
     )
-    with use_engine(engine):
-        manifest = simulation.run(_HORIZON).telemetry
-    assert manifest is not None
-    return manifest
+    registry = Telemetry()
+    with use_engine(engine), use_telemetry(registry):
+        return _manifest(
+            registry, simulation.run(_HORIZON), seed=seed, faults=faults
+        )
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -1478,9 +1493,9 @@ def test_only_des_runs_on_the_clock_loop(engine, build, monkeypatch):
     channel_run, env_run = BroadcastChannel.run, Environment.run
     kernel_run, round_ = BatchKernel.run, _RoundDriver.round
 
-    def channel_spy(self, horizon, engine=None, peers=()):
+    def channel_spy(self, horizon, *, peers=()):
         calls.append("channel")
-        return channel_run(self, horizon, engine, peers)
+        return channel_run(self, horizon, peers=peers)
 
     def env_spy(self, until, rounds):
         calls.append("env")

@@ -31,8 +31,9 @@ from repro.net.topology import (
     Topology,
     TopologyError,
 )
-from repro.obs.context import use_tracer
+from repro.obs.context import use_telemetry, use_tracer
 from repro.obs.instruments import Telemetry
+from repro.obs.manifest import RunTelemetry
 from repro.obs.tracer import FlightRecorder
 from repro.protocols.csma_cd import CSMACDProtocol
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
@@ -298,7 +299,7 @@ class TestTopologyValidation:
 class TestSingleSegmentByteIdentity:
     """The 1-segment fabric IS the bare simulation, engine by engine."""
 
-    def _scenario(self, telemetry=None):
+    def _scenario(self):
         problem = uniform_problem(
             z=5, length=1_000, deadline=400_000, a=1, w=200_000
         )
@@ -310,7 +311,6 @@ class TestSingleSegmentByteIdentity:
             noise_seed=3,
             root_seed=3,
             monitors=True,
-            telemetry=telemetry,
         )
 
     @staticmethod
@@ -351,18 +351,19 @@ class TestSingleSegmentByteIdentity:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_telemetry_content_identical(self, engine):
-        with use_engine(engine):
-            bare = NetworkSimulation.from_scenario(
-                self._scenario(telemetry=Telemetry())
-            ).run(_HORIZON)
-            fabric = Fabric(
-                self._scenario(telemetry=Telemetry()).as_topology()
-            ).run(_HORIZON)
-        assert fabric.telemetry is not None and bare.telemetry is not None
-        assert fabric.telemetry.content_json() == bare.telemetry.content_json()
+        def manifest(run):
+            registry = Telemetry()
+            with use_engine(engine), use_telemetry(registry):
+                run(_HORIZON)
+            return RunTelemetry.from_registry(registry, run_id="run")
+
+        bare = manifest(NetworkSimulation.from_scenario(self._scenario()).run)
+        fabric = manifest(Fabric(self._scenario().as_topology()).run)
+        assert fabric.counters and fabric.histograms
+        assert fabric.content_json() == bare.content_json()
         # Single segment: no fabric/... instruments, no prefixes.
         assert not any(
-            name.startswith("fabric/") for name in fabric.telemetry.counters
+            name.startswith("fabric/") for name in fabric.counters
         )
 
 
@@ -393,17 +394,15 @@ class TestMultiSegmentExecution:
             assert report.dropped == 0
             assert 0 <= report.backlog
             assert report.max_occupancy <= report.queue_capacity
-        # Multi-segment manifests only exist when the topology owns a
-        # registry; the per-segment notes are collected regardless, and
-        # every segment here is batch-eligible, so none has a note.
-        assert result.telemetry is None
+        # The per-segment notes are collected with or without telemetry,
+        # and every segment here is batch-eligible, so none has a note.
         assert result.engine_fallbacks == {
             "seg0": None, "seg1": None, "seg2": None,
         }
 
     def test_engine_notes_without_telemetry(self):
         """A segment the batch kernel cannot run reports why on the
-        fabric result even when no registry (and so no manifest) exists."""
+        fabric result, with no telemetry registry in scope."""
         topology = Topology(
             segments=(
                 _segment("seg0"),
@@ -416,7 +415,6 @@ class TestMultiSegmentExecution:
             ),
         )
         result = Fabric(topology).run(_HORIZON)
-        assert result.telemetry is None
         assert result.engine_fallbacks == {
             "seg0": None,
             "seg1": "batch engine unavailable (station MACs are not "
@@ -429,13 +427,12 @@ class TestMultiSegmentExecution:
 
     def test_multi_segment_telemetry_namespaces(self):
         registry = Telemetry()
-        topology, _ = build_chain_topology(
-            segments=2, z=3, telemetry=registry
-        )
-        result = Fabric(topology).run(20 * _MS)
-        assert result.telemetry is not None
-        assert result.telemetry.run_id == "fabric"
-        counters = result.telemetry.counters
+        topology, _ = build_chain_topology(segments=2, z=3)
+        with use_telemetry(registry):
+            Fabric(topology).run(20 * _MS)
+        counters = RunTelemetry.from_registry(
+            registry, run_id="fabric"
+        ).counters
         assert counters["seg0/slots/success"] > 0
         assert counters["seg1/slots/success"] > 0
         assert counters["fabric/journeys/delivered"] > 0

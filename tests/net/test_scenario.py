@@ -86,7 +86,8 @@ class TestInvariants:
     def test_field_names_cover_the_constructor(self):
         names = tuple(field.name for field in dataclasses.fields(_scenario()))
         assert names[:3] == ("problem", "medium", "protocol_factory")
-        # + telemetry_prefix (fabric segments); tracing and the engine
-        # are scoped with ``use_tracer`` and ``use_engine``, not fields.
-        assert len(names) == 12
-        assert "trace" not in names and "engine" not in names
+        # + telemetry_prefix (fabric segments); tracing, telemetry and
+        # the engine are scoped with ``use_tracer``, ``use_telemetry``
+        # and ``use_engine``, not fields.
+        assert len(names) == 11
+        assert not {"trace", "telemetry", "engine"} & set(names)

@@ -46,6 +46,8 @@ class TestFromRegistry:
         assert doc.git_rev == git_rev()
 
     def test_git_rev_runs_git_at_most_once_per_process(self, monkeypatch):
+        """One probe per process: ``rev-parse`` and, inside a work tree,
+        the ``diff`` that marks it dirty; later manifests run no git."""
         import subprocess
 
         calls = []
@@ -58,10 +60,11 @@ class TestFromRegistry:
         monkeypatch.setattr(subprocess, "run", counting_run)
         git_rev.cache_clear()
         first = RunTelemetry.from_registry(Telemetry(), run_id="a")
+        probe = len(calls)
+        assert probe <= 2
         second = RunTelemetry.from_registry(Telemetry(), run_id="b")
-        assert len(calls) <= 1
         assert first.git_rev == second.git_rev == git_rev()
-        assert len(calls) <= 1
+        assert len(calls) == probe
 
     def test_fault_plan_hash_is_stable_across_forms(self):
         plan = FaultPlan((StationCrash(0, at=10),))
@@ -75,6 +78,59 @@ class TestFromRegistry:
             Telemetry(), run_id="X", faults=plan
         )
         assert doc.fault_plan == fault_plan_hash(plan)
+
+
+class TestGitRev:
+    """``git_rev`` against a stubbed ``subprocess.run``."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_probe(self):
+        git_rev.cache_clear()
+        yield
+        git_rev.cache_clear()
+
+    @staticmethod
+    def _stub(monkeypatch, rev_returncode=0, diff_returncode=0, git=True):
+        """Answer ``rev-parse`` and ``diff``; record each command run."""
+        import subprocess
+
+        commands = []
+
+        def fake_run(args, **kwargs):
+            commands.append(args[1])
+            if not git:
+                raise FileNotFoundError(args[0])
+            if args[1] == "rev-parse":
+                stdout = "abc1234\n" if rev_returncode == 0 else ""
+                return subprocess.CompletedProcess(
+                    args, rev_returncode, stdout, "fatal: not a git repository"
+                )
+            assert args[1:] == ["diff", "--quiet", "HEAD", "--"]
+            return subprocess.CompletedProcess(args, diff_returncode, "", "")
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        return commands
+
+    def test_clean_tree_names_head(self, monkeypatch):
+        commands = self._stub(monkeypatch, diff_returncode=0)
+        assert git_rev() == "abc1234"
+        assert commands == ["rev-parse", "diff"]
+
+    def test_dirty_tree_is_marked_and_memoized(self, monkeypatch):
+        commands = self._stub(monkeypatch, diff_returncode=1)
+        assert git_rev() == "abc1234-dirty"
+        assert git_rev() == "abc1234-dirty"
+        assert commands == ["rev-parse", "diff"]
+
+    def test_outside_a_work_tree_is_unknown(self, monkeypatch):
+        commands = self._stub(monkeypatch, rev_returncode=128)
+        assert git_rev() == "unknown"
+        assert commands == ["rev-parse"]
+
+    def test_without_git_is_unknown(self, monkeypatch):
+        commands = self._stub(monkeypatch, git=False)
+        assert git_rev() == "unknown"
+        assert commands == ["rev-parse"]
 
 
 class TestSerialisation:

@@ -12,6 +12,7 @@ import pytest
 from repro.model.arrival import TraceArrivals
 from repro.model.message import DensityBound, MessageClass
 from repro.net.channel import BroadcastChannel
+from repro.net.engine import use_engine
 from repro.net.phy import MediumProfile, ideal_medium
 from repro.net.station import Station
 from repro.sim.engine import Environment
@@ -63,7 +64,8 @@ def run_network(
             )
         channel.attach(station)
         stations.append(station)
-    channel.run(horizon, engine="des")
+    with use_engine("des"):
+        channel.run(horizon)
     return channel, stations
 
 

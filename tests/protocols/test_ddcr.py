@@ -135,6 +135,7 @@ class TestCollisionEntry:
         cls_far = make_class(name="far", deadline=550_000)
         from repro.model.arrival import TraceArrivals
         from repro.net.channel import BroadcastChannel
+        from repro.net.engine import use_engine
         from repro.net.phy import ideal_medium
         from repro.net.station import Station
         from repro.sim.engine import Environment
@@ -151,7 +152,8 @@ class TestCollisionEntry:
             station.load_arrivals(cls, TraceArrivals(trace=(0,)), 2_000_000)
             channel.attach(station)
             stations.append(station)
-        channel.run(2_000_000, engine="des")
+        with use_engine("des"):
+            channel.run(2_000_000)
         assert sum(len(s.completions) for s in stations) == 2
         assert macs[0].sts_records == []
         # Near-deadline message must be transmitted first (EDF emulation).

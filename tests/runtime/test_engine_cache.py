@@ -1,9 +1,10 @@
 """Engine choice is execution strategy, not result identity.
 
 The engines are proven result-equivalent (tests/net/test_engine_differential),
-so a RunSpec's ``engine`` must not enter its content hash: a result cached
-under one engine satisfies the same spec under any other, and ``--engine``
-can never silently invalidate a warm cache.
+so a RunSpec names no engine: the run takes the ambient one
+(``use_engine``), a result cached under one engine satisfies the same spec
+under any other, and ``--engine`` can never silently invalidate a warm
+cache.
 """
 
 from __future__ import annotations
@@ -20,31 +21,16 @@ from repro.runtime import ParallelExecutor, ResultCache, RunSpec
 from repro.runtime import executor as executor_module
 
 
-def test_engine_excluded_from_spec_identity():
-    des = RunSpec.make("FIG2", t=16, engine="des")
-    batch = RunSpec.make("FIG2", t=16, engine="batch")
-    default = RunSpec.make("FIG2", t=16)
-    assert (
-        des.canonical_key() == batch.canonical_key() == default.canonical_key()
-    )
-    assert des.spec_hash() == batch.spec_hash() == default.spec_hash()
-    assert des == batch == default
-    assert des.engine == "des" and batch.engine == "batch"
-
-
-def test_engine_validated_eagerly():
-    with pytest.raises(ValueError, match="unknown engine"):
-        RunSpec.make("FIG2", t=16, engine="warp")
-
-
 def test_warm_cache_hits_regardless_of_engine(tmp_path):
     """Cold run on one engine; the other engine replays from cache."""
     cold = ParallelExecutor(jobs=1, cache=ResultCache(tmp_path))
-    cold_records = cold.run([RunSpec.make("FIG2", t=16, engine="des")])
+    with use_engine("des"):
+        cold_records = cold.run([RunSpec.make("FIG2", t=16)])
     assert cold.submissions == 1
 
     warm = ParallelExecutor(jobs=1, cache=ResultCache(tmp_path))
-    warm_records = warm.run([RunSpec.make("FIG2", t=16, engine="batch")])
+    with use_engine("batch"):
+        warm_records = warm.run([RunSpec.make("FIG2", t=16)])
     assert warm.submissions == 0
     assert warm_records[0].cached
     assert pickle.dumps(warm_records[0].result) == pickle.dumps(
@@ -56,8 +42,11 @@ def test_run_spec_results_identical_across_engines():
     """Executing the same spec under each engine yields equal results."""
     from repro.experiments.registry import run_spec
 
-    des = run_spec(RunSpec.make("FIG2", t=16, engine="des"))
-    batch = run_spec(RunSpec.make("FIG2", t=16, engine="batch"))
+    spec = RunSpec.make("FIG2", t=16)
+    with use_engine("des"):
+        des = run_spec(spec)
+    with use_engine("batch"):
+        batch = run_spec(spec)
     assert pickle.dumps(des) == pickle.dumps(batch)
 
 

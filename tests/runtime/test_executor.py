@@ -6,6 +6,9 @@ import pickle
 
 import pytest
 
+from repro.net.engine import use_engine
+from repro.obs.context import use_tracer
+from repro.obs.tracer import FlightRecorder
 from repro.runtime import ParallelExecutor, ResultCache, RunSpec
 
 #: Small-parameter specs that run in well under a second each.
@@ -138,6 +141,42 @@ class TestTelemetryCollection:
         assert doc.source == "cache"
         assert doc.counters == {}
         assert [s["name"] for s in doc.spans] == ["cache/lookup"]
+
+    @pytest.mark.parametrize("engine", [None, "des"])
+    def test_manifests_name_the_engine_in_scope(self, engine, tmp_path):
+        """Executed and cache-hit manifests, and the ``executor/execute``
+        span, name the engine the run took: ``batch`` outside any scope,
+        ``des`` under ``use_engine("des")``."""
+        recorder = FlightRecorder()
+        with use_engine(engine), use_tracer(recorder):
+            (executed,) = ParallelExecutor(
+                jobs=1, cache=ResultCache(tmp_path), collect_telemetry=True
+            ).run([FAST_SPECS[0]])
+            # Cached without telemetry, so the hit builds its own manifest.
+            ParallelExecutor(jobs=1, cache=ResultCache(tmp_path)).run(
+                [FAST_SPECS[1]]
+            )
+            replayed, minimal = ParallelExecutor(
+                jobs=1, cache=ResultCache(tmp_path), collect_telemetry=True
+            ).run(FAST_SPECS[:2])
+        expected = engine or "batch"
+        assert [r.source for r in (executed, replayed, minimal)] == [
+            "serial", "cache", "cache",
+        ]
+        assert [s["name"] for s in minimal.telemetry.spans] == [
+            "cache/lookup"
+        ]
+        for record in (executed, replayed, minimal):
+            assert record.telemetry.engine == expected
+        spans = [
+            event.data
+            for event in recorder.events()
+            if event.kind == "executor/execute"
+        ]
+        assert spans == [
+            {"spec": "FIG1", "engine": expected},
+            {"spec": "FIG2", "engine": expected},
+        ]
 
     def test_pool_manifests_travel_back_by_pickle(self):
         executor = ParallelExecutor(jobs=2, collect_telemetry=True)

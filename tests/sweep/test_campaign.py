@@ -39,13 +39,6 @@ class TestPointExpansion:
         with pytest.raises(ValueError, match="selects no experiment"):
             campaign.points()
 
-    def test_engine_axis_sets_spec_engine(self):
-        campaign = Campaign.make(
-            "demo", experiment="FIG1", axes={"engine": ["des", "batch"]}
-        )
-        engines = [p.spec.engine for p in campaign.points()]
-        assert engines == ["des", "batch"]
-
     def test_fault_axis_expands_presets(self):
         campaign = Campaign.make(
             "demo", experiment="PROTO", axes={"fault": ["crash"]}
@@ -159,6 +152,14 @@ class TestSerialisation:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown campaign key"):
             Campaign.from_dict({"name": "x", "bogus": 1})
+
+    def test_engine_key_rejected(self):
+        # A campaign names no engine: its points run on the one
+        # ``sweep --engine`` scopes.
+        with pytest.raises(ValueError, match=r"unknown campaign key.*'engine'"):
+            Campaign.from_dict(
+                {"name": "x", "experiment": "FIG1", "engine": "des"}
+            )
 
     def test_nameless_rejected(self):
         with pytest.raises(ValueError, match="name"):
